@@ -8,14 +8,18 @@ immutable once built and safe to share.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import random
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 DEFAULT_CAP = 10**6
-TABLE_LIMIT = 512        # permutation-backed groups materialize a table up to this order
+MAX_GROUP_ORDER = 4096   # largest FiniteGroup; building its int64 table peaks near 570 MB
 EXHAUSTIVE_ASSOC = 64    # associativity checked on all triples up to this order
-EXHAUSTIVE_PAIRS = 2 * 10**6  # automorphism check is exhaustive up to this many pairs
 SAMPLED_CHECKS = 20000
 
 
@@ -300,23 +304,58 @@ def close(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP,
 # ---------------------------------------------------------------------------
 # explicit finite groups
 
-class FiniteGroup:
-    """A finite group on indices 0..order-1.
+def _check_order(n: int) -> None:
+    """Refuse, before anything is allocated, a group too large to tabulate."""
+    if n > MAX_GROUP_ORDER:
+        raise CapExceeded(
+            f"group order {n} exceeds the limit of {MAX_GROUP_ORDER} elements "
+            f"for a multiplication table")
 
-    Multiplication comes from an explicit table or, for permutation-backed
-    groups above ``TABLE_LIMIT``, from composing the underlying permutations.
+
+def _permutation_table(perms: np.ndarray) -> np.ndarray:
+    """Table of the permutations in the rows of ``perms``: [a, b] is the row
+    of perms[a] o perms[b].  Rows are keyed by their images of a base of
+    points, one point at a time: (a o b)(x) = a[b[x]] for all pairs at once
+    is ``perms[:, perms[:, x]]``.  Keys are re-ranked after each point, so
+    they stay below order * m however long the base is.
+    """
+    n, m = perms.shape
+    rank = np.zeros(n, dtype=np.int64)          # element -> rank of its base images
+    prod = np.zeros((n, n), dtype=np.int64)     # product -> the same ranks
+    classes = 1
+    for x in range(m):
+        if classes == n:
+            break
+        keys, new_rank = np.unique(rank * m + perms[:, x], return_inverse=True)
+        if len(keys) == classes:
+            continue  # x does not tell any two elements apart
+        pkeys = prod * m + perms[:, perms[:, x]]
+        found = np.minimum(np.searchsorted(keys, pkeys), len(keys) - 1)
+        if not np.array_equal(keys[found], pkeys):
+            raise GroupError("permutations are not closed under composition")
+        rank, prod, classes = new_rank.reshape(n), found, len(keys)
+    if classes != n:
+        raise GroupError("permutation list has repeated elements")
+    return np.argsort(rank)[prod]
+
+
+class FiniteGroup:
+    """A finite group on indices 0..order-1 with its full multiplication table.
+
+    ``table`` is a read-only (order x order) numpy array.  The scalar
+    accessors (``mul``, ``inv``, ``multiplication_table``, ``to_dict``)
+    return Python ints.  Orders above ``MAX_GROUP_ORDER`` are refused with
+    ``CapExceeded`` before a table is built.
     """
 
-    def __init__(self, order: int, mul: Callable[[int, int], int] | None,
-                 inv: Sequence[int], identity: int,
-                 table: Sequence[Sequence[int]] | None = None,
+    def __init__(self, table, inv: Sequence[int], identity: int,
                  labels: Sequence[str] | None = None,
                  elements: tuple | None = None):
-        self.order = order
-        self._mul = mul
-        self._table = tuple(tuple(r) for r in table) if table is not None else None
-        self.inv_map = tuple(inv)
-        self.identity = identity
+        self.table = np.array(table, dtype=np.int64)
+        self.table.flags.writeable = False
+        self.order = len(self.table)
+        self.inv_map = tuple(int(x) for x in inv)
+        self.identity = int(identity)
         self.labels = tuple(labels) if labels is not None else None
         self.elements = elements  # underlying objects (perms, matrices), optional
 
@@ -327,25 +366,21 @@ class FiniteGroup:
                    labels: Sequence[str] | None = None,
                    rng: random.Random | None = None) -> "FiniteGroup":
         n = len(table)
+        _check_order(n)
         rows = [tuple(r) for r in table]
         for i, row in enumerate(rows):
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise GroupError(f"row {i} of multiplication table is malformed")
-        ident = None
-        for e in range(n):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+        t, points = np.array(rows, dtype=np.int64).reshape(n, n), np.arange(n)
+        idents = np.flatnonzero((t == points).all(axis=1) & (t.T == points).all(axis=1))
+        if not len(idents):
             raise GroupError("no identity element in multiplication table")
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if rows[x][y] == ident and rows[y][x] == ident:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise GroupError(f"element {x} has no inverse")
+        ident = int(idents[0])
+        two_sided = (t == ident) & (t.T == ident)
+        has_inv = two_sided.any(axis=1)
+        if not has_inv.all():
+            raise GroupError(f"element {int(np.argmin(has_inv))} has no inverse")
+        inv = two_sided.argmax(axis=1)
         if n <= EXHAUSTIVE_ASSOC:
             triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
         else:
@@ -355,7 +390,7 @@ class FiniteGroup:
         for a, b, c in triples:
             if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
                 raise GroupError(f"multiplication is not associative at {(a, b, c)}")
-        return cls(n, None, inv, ident, table=rows, labels=labels)
+        return cls(t, inv, ident, labels=labels)
 
     @classmethod
     def from_permutations(cls, perms: Iterable[Sequence[int]],
@@ -366,58 +401,32 @@ class FiniteGroup:
     @classmethod
     def from_permutation_group(cls, grp: PermutationGroup) -> "FiniteGroup":
         els = grp.elements
-        index = {p: i for i, p in enumerate(els)}
-        ident = index[identity_perm(grp.domain_size)]
-        inv = tuple(index[invert(p)] for p in els)
+        _check_order(len(els))
+        perms = np.array(els, dtype=np.int64).reshape(len(els), grp.domain_size)
+        table = _permutation_table(perms)
+        ident = els.index(identity_perm(grp.domain_size))
+        inv = np.nonzero(table == ident)[1]
         labels = tuple(format_cycles(p) or "()" for p in els)
-        if len(els) <= TABLE_LIMIT:
-            table = [[index[compose(a, b)] for b in els] for a in els]
-            return cls(len(els), None, inv, ident, table=table,
-                       labels=labels, elements=els)
-
-        def mul(i: int, j: int) -> int:
-            return index[compose(els[i], els[j])]
-
-        return cls(len(els), mul, inv, ident, labels=labels, elements=els)
-
-    @classmethod
-    def from_elements(cls, elements: Sequence, mul_fn: Callable,
-                      inv_fn: Callable, identity_el,
-                      labels: Sequence[str] | None = None) -> "FiniteGroup":
-        """Build from abstract hashable elements with given operations."""
-        els = tuple(elements)
-        index = {e: i for i, e in enumerate(els)}
-        ident = index[identity_el]
-        inv = tuple(index[inv_fn(e)] for e in els)
-        if len(els) <= TABLE_LIMIT:
-            table = [[index[mul_fn(a, b)] for b in els] for a in els]
-            return cls(len(els), None, inv, ident, table=table,
-                       labels=labels, elements=els)
-
-        def mul(i: int, j: int) -> int:
-            return index[mul_fn(els[i], els[j])]
-
-        return cls(len(els), mul, inv, ident, labels=labels, elements=els)
+        return cls(table, inv.tolist(), ident, labels=labels, elements=els)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return cls(n, None, tuple((-i) % n for i in range(n)), 0,
-                   table=table, labels=tuple(str(i) for i in range(n)))
+        _check_order(n)
+        i = np.arange(n)
+        return cls((i[:, None] + i) % n, ((-i) % n).tolist(), 0,
+                   labels=tuple(str(k) for k in range(n)))
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
-        import itertools
-        perms = sorted(itertools.permutations(range(n)))
-        return cls.from_elements(perms, compose, invert, identity_perm(n),
-                                 labels=tuple(format_cycles(p) or "()" for p in perms))
+        """All permutations of n points, in lexicographic order."""
+        _check_order(math.factorial(n))
+        perms = tuple(itertools.permutations(range(n)))
+        return cls.from_permutation_group(PermutationGroup(n, perms, _elements=perms))
 
     # -- operations ----------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return self._table[i][j]
-        return self._mul(i, j)
+        return self._rows[i][j]
 
     def inv(self, i: int) -> int:
         return self.inv_map[i]
@@ -437,11 +446,7 @@ class FiniteGroup:
         return k
 
     def is_abelian(self) -> bool:
-        for a in range(self.order):
-            for b in range(a + 1, self.order):
-                if self.mul(a, b) != self.mul(b, a):
-                    return False
-        return True
+        return bool((self.table == self.table.T).all())
 
     def subgroup_witness(self, subset: Iterable[int]):
         """None if ``subset`` is a subgroup, else a witness describing why not."""
@@ -477,14 +482,12 @@ class FiniteGroup:
                 frontier.append(i)
         return tuple(sorted(s))
 
+    @functools.cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
+
     def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
-        if self._table is None:
-            if self.order > 4096:
-                raise GroupError(
-                    f"refusing to materialize a {self.order}x{self.order} table")
-            self._table = tuple(tuple(self.mul(i, j) for j in range(self.order))
-                                for i in range(self.order))
-        return self._table
+        return self._rows
 
     def to_dict(self) -> dict:
         d = {"order": self.order,
@@ -513,31 +516,27 @@ class FiniteGroup:
 class GroupAutomorphism:
     """An automorphism of a FiniteGroup, stored as an index permutation."""
 
-    def __init__(self, group: FiniteGroup, mapping: Sequence[int], check: bool = True,
-                 rng: random.Random | None = None):
+    def __init__(self, group: FiniteGroup, mapping: Sequence[int], check: bool = True):
         self.group = group
         self.mapping = tuple(mapping)
         if check:
-            self._check(rng)
+            self._check()
 
-    def _check(self, rng):
+    def _check(self):
+        """Exhaustive: m(ab) = m(a)m(b) on all pairs, as one array comparison;
+        the witness is the first bad pair in row-major order."""
         g = self.group
-        m = self.mapping
-        if not is_permutation(m, g.order):
+        if not is_permutation(self.mapping, g.order):
             raise NotAnAutomorphism("mapping is not a bijection on the group")
-        if m[g.identity] != g.identity:
+        if self.mapping[g.identity] != g.identity:
             raise NotAnAutomorphism("mapping moves the identity",
                                     witness=g.identity)
-        n = g.order
-        if n * n <= EXHAUSTIVE_PAIRS:
-            pairs = ((a, b) for a in range(n) for b in range(n))
-        else:
-            rng = rng or random.Random(0)
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(SAMPLED_CHECKS))
-        for a, b in pairs:
-            if m[g.mul(a, b)] != g.mul(m[a], m[b]):
-                raise NotAnAutomorphism(
-                    f"mapping is not multiplicative at {(a, b)}", witness=(a, b))
+        m, t = np.array(self.mapping, dtype=np.int64), g.table
+        bad = np.argwhere(m[t] != t[m][:, m])
+        if len(bad):
+            a, b = (int(x) for x in bad[0])
+            raise NotAnAutomorphism(
+                f"mapping is not multiplicative at {(a, b)}", witness=(a, b))
 
     def apply(self, i: int) -> int:
         return self.mapping[i]
@@ -700,24 +699,19 @@ def matrix_group_sl2(p: int) -> FiniteGroup:
         raise GroupError(f"{p} is not prime")
     if p > 13:
         raise GroupError(f"p={p} too large (limit 13)")
-    els = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p == 1:
-                        els.append((a, b, c, d))
-    els.sort()
-
-    def mul(m, q):
-        a, b, c, d = m
-        e, f, g, h = q
-        return ((a * e + b * g) % p, (a * f + b * h) % p,
-                (c * e + d * g) % p, (c * f + d * h) % p)
-
-    def inv(m):
-        a, b, c, d = m
-        return (d % p, (-b) % p, (-c) % p, a % p)
-
+    code = p ** np.arange(3, -1, -1)   # (a, b, c, d) -> a p^3 + b p^2 + c p + d
+    quads = (np.arange(p**4)[:, None] // code) % p   # lexicographic order
+    a, b, c, d = quads.T
+    els = quads[(a * d - b * c) % p == 1]
+    index = np.full(p**4, -1, dtype=np.int64)
+    index[els @ code] = np.arange(len(els))
+    a, b, c, d = els.T[:, :, None]   # left factor down the rows
+    e, f, g, h = els.T               # right factor across the columns
+    table = index[(((a * e + b * g) % p * p + (a * f + b * h) % p) * p
+                   + (c * e + d * g) % p) * p + (c * f + d * h) % p]
+    a, b, c, d = els.T
+    inv = index[((d * p + -b % p) * p + -c % p) * p + a]
+    els = tuple(map(tuple, els.tolist()))
     labels = tuple(f"[[{a},{b}],[{c},{d}]]" for (a, b, c, d) in els)
-    return FiniteGroup.from_elements(els, mul, inv, (1, 0, 0, 1), labels=labels)
+    return FiniteGroup(table, inv.tolist(), els.index((1, 0, 0, 1)),
+                       labels=labels, elements=els)

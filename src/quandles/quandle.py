@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_VIOLATIONS = 100
+AXIOM3_BLOCK_ENTRIES = 1 << 22  # (q, r, s) triples compared per block
 
 
 class QuandleError(Exception):
@@ -235,14 +236,18 @@ def axiom_violations(table: Sequence[Sequence[int]],
                 if not push(AxiomViolation(2, (q, int(bad[0])))):
                     return out, truncated
 
-    # axiom 3: left distributivity, vectorized over all triples
-    idx = np.arange(n)
-    lhs = a[idx[:, None, None], a[None, :, :]]          # a[q, a[r, s]]
-    rhs = a[a[:, :, None], a[:, None, :]]               # a[a[q,r], a[q,s]]
-    bad = np.argwhere(lhs != rhs)
-    for q, r, s in bad:
-        if not push(AxiomViolation(3, (int(q), int(r), int(s)))):
-            return out, truncated
+    # axiom 3: left distributivity, vectorized over blocks of rows q so that
+    # memory stays O(block * n^2); blocks run in order, so witnesses come
+    # out in the same row-major (q, r, s) order as one full n^3 comparison
+    rows = max(1, AXIOM3_BLOCK_ENTRIES // max(1, n * n))
+    for q0 in range(0, n, rows):
+        blk = a[q0:q0 + rows]
+        lhs = blk[:, a]                                  # a[q, a[r, s]]
+        rhs = a[blk[:, :, None], blk[:, None, :]]        # a[a[q,r], a[q,s]]
+        bad = lhs != rhs
+        for q, r, s in np.argwhere(bad) if bad.any() else ():
+            if not push(AxiomViolation(3, (q0 + int(q), int(r), int(s)))):
+                return out, truncated
     return out, truncated
 
 

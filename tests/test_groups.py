@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import pytest
@@ -256,11 +257,9 @@ def test_format_cycles_round_trip():
     assert format_cycles((0, 1, 2)) == ""
 
 
-def test_delegated_multiplication_above_table_limit():
-    # SL2(F_11) has order 1320 > 512, so products go through the matrices
+def test_sl2_table_matches_matrix_products():
     g = matrix_group_sl2(11)
     assert g.order == 1320
-    assert g._table is None
     a, b = 17, 905
     ma, mb = g.elements[a], g.elements[b]
     prod = ((ma[0] * mb[0] + ma[1] * mb[2]) % 11, (ma[0] * mb[1] + ma[1] * mb[3]) % 11,
@@ -268,6 +267,14 @@ def test_delegated_multiplication_above_table_limit():
     assert g.elements[g.mul(a, b)] == prod
     assert g.mul(g.identity, a) == a
     assert g.mul(a, g.inv(a)) == g.identity
+    # the whole table, against 2x2 products mod 11 looked up by matrix
+    index = {m: i for i, m in enumerate(g.elements)}
+    for i, (p, q, r, s) in enumerate(g.elements):
+        row = g.multiplication_table()[i]
+        for j, (t, u, v, w) in enumerate(g.elements):
+            prod = ((p * t + q * v) % 11, (p * u + q * w) % 11,
+                     (r * t + s * v) % 11, (r * u + s * w) % 11)
+            assert row[j] == index[prod]
 
 
 def test_permutation_backed_group_multiplies_consistently():
@@ -277,3 +284,92 @@ def test_permutation_backed_group_multiplies_consistently():
             expected = s4.elements.index(compose(s4.elements[i], s4.elements[j]))
             assert s4.mul(i, j) == expected
     assert is_permutation(invert(s4.elements[7]))
+
+
+# -- the array-backed table -----------------------------------------------------
+
+def _oracle_table(elements):
+    """Products by composing the permutations and looking them up by value."""
+    index = {p: i for i, p in enumerate(elements)}
+    return tuple(tuple(index[compose(a, b)] for b in elements) for a in elements)
+
+
+def _transposition(a, b, m):
+    p = list(range(m))
+    p[a], p[b] = b, a
+    return tuple(p)
+
+
+def _cycle(start, length, m):
+    """The cycle (start start+1 ... start+length-1) on m points."""
+    p = list(range(m))
+    for i in range(length):
+        p[start + i] = start + (i + 1) % length
+    return tuple(p)
+
+
+def test_symmetric_group_matches_lexicographic_permutations():
+    s5 = FiniteGroup.symmetric(5)
+    perms = tuple(itertools.permutations(range(5)))
+    assert s5.elements == perms
+    assert s5.labels == tuple(format_cycles(p) or "()" for p in perms)
+    assert s5.multiplication_table() == _oracle_table(perms)
+    assert all(s5.mul(i, s5.inv(i)) == s5.identity for i in range(s5.order))
+
+
+def test_transvection_group_table_matches_oracle():
+    from quandles import tr, unipotent_class_quandle
+    g = FiniteGroup.from_permutation_group(tr(unipotent_class_quandle(7)))
+    assert g.multiplication_table() == _oracle_table(g.elements)
+
+
+@pytest.mark.parametrize("m", [1000, 1024])
+def test_long_base_on_a_large_domain_matches_oracle(m):
+    # (Z/2)^7 needs a base of 7 points, and m**7 overflows int64.  On 1024
+    # points a radix key wraps to the low 4 bits of its first image, so the
+    # transposition (100 116) would look like the identity; re-ranked keys
+    # stay below order * m
+    gens = [_transposition(100 + 40 * i, 116 + 40 * i, m) for i in range(7)]
+    g = FiniteGroup.from_permutations(gens)
+    assert g.order == 2**7
+    table = g.multiplication_table()
+    assert table == _oracle_table(g.elements)
+    assert all(type(x) is int for x in table[5])  # JSON-safe Python ints
+    assert type(g.mul(3, 4)) is int and type(g.inv(3)) is int
+
+
+def test_automorphism_check_is_exhaustive_with_first_witness():
+    # SL2(F_13) has order 2184: n^2 = 4.8 million pairs are all compared
+    g = matrix_group_sl2(13)
+    x, y = [i for i in range(g.order) if i != g.identity][:2]
+    m = list(range(g.order))
+    m[x], m[y] = y, x
+    with pytest.raises(NotAnAutomorphism) as exc:
+        GroupAutomorphism(g, m)
+    a, b = exc.value.witness
+    assert m[g.mul(a, b)] != g.mul(m[a], m[b])
+    for i in range(a + 1):
+        for j in range(g.order if i < a else b):
+            assert m[g.mul(i, j)] == g.mul(m[i], m[j]), (i, j)
+
+
+def test_group_order_limit_fails_fast(tmp_path):
+    from quandles.cli import run
+    from quandles.groups import MAX_GROUP_ORDER
+    assert MAX_GROUP_ORDER == 4096
+    gens = [_cycle(0, 64, 129), _cycle(64, 65, 129)]  # C64 x C65, order 4160
+    with pytest.raises(CapExceeded, match="limit of 4096"):
+        FiniteGroup.from_permutations(gens)
+    path = tmp_path / "gens.txt"
+    path.write_text("\n".join(format_cycles(p) for p in gens) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["make", "conj", "--gens", str(path)], stdout=out, stderr=err) == 1
+    assert "group order 4160 exceeds the limit of 4096" in err.getvalue()
+    assert out.getvalue() == ""
+
+
+def test_table_refuses_elements_not_closed_under_composition():
+    from quandles.groups import PermutationGroup
+    els = ((0, 1, 2), (1, 2, 0))  # the 3-cycle without its square
+    with pytest.raises(GroupError, match="not closed"):
+        FiniteGroup.from_permutation_group(PermutationGroup(3, els, _elements=els))

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import quandles.quandle as quandle_module
 from quandles import (AxiomViolation, FiniteQuandle, InvalidQuandleError,
-                      RangeError, axiom_violations, conjugation, dihedral,
-                      trivial, validate)
+                      RangeError, alexander, axiom_violations, conjugation,
+                      dihedral, trivial, validate)
 from quandles.groups import FiniteGroup, identity_perm
 
 from corpus_util import small_corpus
@@ -166,3 +173,51 @@ def test_json_errors():
         FiniteQuandle.from_json('{"size": 3, "table": [[0]]}')
     with pytest.raises(RangeError):
         FiniteQuandle.from_json('{"table": [[0]], "labels": ["a", "b"]}')
+
+
+# -- blocked axiom-3 check ------------------------------------------------------
+
+def _axiom3_full(tab):
+    """Axiom-3 witnesses from the full n^3 arrays, in row-major order."""
+    a = np.asarray(tab)
+    lhs = a[np.arange(len(a))[:, None, None], a[None, :, :]]
+    rhs = a[a[:, :, None], a[:, None, :]]
+    return [tuple(int(x) for x in w) for w in np.argwhere(lhs != rhs)]
+
+
+def _corrupted(n):
+    """Dihedral table with two rows re-permuted off the diagonal, so only
+    axiom 3 fails."""
+    tab = dihedral_table(n)
+    for q, r, s in ((2, 3, 5), (n - 1, 0, 1)):
+        tab[q][r], tab[q][s] = tab[q][s], tab[q][r]
+    return tab
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_axiom3_blocks_match_full_arrays(monkeypatch, rows):
+    for n in (7, 10):
+        tab = _corrupted(n)
+        monkeypatch.setattr(quandle_module, "AXIOM3_BLOCK_ENTRIES", rows * n * n)
+        full = _axiom3_full(tab)
+        for cap in (10**6, 7):
+            got, truncated = axiom_violations(tab, cap=cap)
+            assert all(v.axiom == 3 for v in got)
+            assert [v.witness for v in got] == full[:cap]
+            assert truncated == (len(full) > cap)
+
+
+def test_check_memory_stays_bounded(tmp_path):
+    # n = 343: full n^3 int64 arrays peaked near 690 MB; blocks of 2^22
+    # triples measured 136 MB on a 2-core x86-64 Linux VM
+    path = tmp_path / "a732.json"
+    path.write_text(alexander(7, 3, 2).to_json())
+    src = str(Path(quandle_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "quandles.cli", "check", str(path)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss / 1024 < 280  # ru_maxrss is in KiB on Linux
