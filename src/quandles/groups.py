@@ -333,7 +333,7 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
         found = np.minimum(np.searchsorted(keys, pkeys), len(keys) - 1)
         if not np.array_equal(keys[found], pkeys):
             raise GroupError("permutations are not closed under composition")
-        rank, prod, classes = new_rank.reshape(n), found, len(keys)
+        rank, prod, classes = new_rank, found, len(keys)
     if classes != n:
         raise GroupError("permutation list has repeated elements")
     return np.argsort(rank)[prod]

@@ -6,6 +6,7 @@ digest recorded before the group layer was rewritten.  Any change to a
 table, an element order, a label or a check shows up here byte for byte.
 """
 
+import functools
 import hashlib
 import io
 
@@ -91,11 +92,16 @@ def _argvs():
 CASES = list(_argvs())
 
 
+@functools.cache
+def quandle_json(name: str) -> str:
+    return QUANDLES[name]().to_json()
+
+
 def output(tmp_path, name, argv) -> bytes:
     """Canonical stdout of one case: the quandle JSON itself when ``argv``
     is None, else the CLI's output run on that quandle's file."""
     if name is not None:
-        text = QUANDLES[name]().to_json()
+        text = quandle_json(name)
         if argv is None:
             return text.encode()
         path = tmp_path / f"{name}.json"

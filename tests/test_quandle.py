@@ -207,6 +207,17 @@ def test_axiom3_blocks_match_full_arrays(monkeypatch, rows):
             assert truncated == (len(full) > cap)
 
 
+# A child's ru_maxrss also counts the RSS of the process it was forked from,
+# which for pytest can be hundreds of MB, so the CLI is started from a small
+# interpreter that reports its child's peak.
+_PEAK_RSS_OF = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
 def test_check_memory_stays_bounded(tmp_path):
     # n = 343: full n^3 int64 arrays peaked near 690 MB; blocks of 2^22
     # triples measured 136 MB on a 2-core x86-64 Linux VM
@@ -215,9 +226,9 @@ def test_check_memory_stays_bounded(tmp_path):
     src = str(Path(quandle_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.Popen([sys.executable, "-m", "quandles.cli", "check", str(path)],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert usage.ru_maxrss / 1024 < 280  # ru_maxrss is in KiB on Linux
+    cmd = [sys.executable, "-m", "quandles.cli", "check", str(path)]
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_OF, *cmd], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    code, peak_kib = map(int, out.stdout.split())  # ru_maxrss is in KiB on Linux
+    assert code == 0
+    assert peak_kib / 1024 < 280
