@@ -2,17 +2,22 @@
 
 Each case builds a quandle in process, writes it to a file, runs one CLI
 subcommand through ``cli.run`` and compares the sha256 of stdout with a
-digest recorded before the group layer was rewritten.  Any change to a
-table, an element order, a label or a check shows up here byte for byte.
+digest recorded before the group layer was rewritten.  The ``orbits``,
+``survey``, ``color``, ``make phi_space``/``make vedernikov`` and
+inter-orbit digests were recorded before the realization code was merged
+into one coset action.  Any change to a table, an element order, a label or
+a check shows up here byte for byte.
 """
 
 import functools
 import hashlib
 import io
+import json
 
 import pytest
 
-from quandles import FiniteGroup, conjugation, dihedral, unipotent_class_quandle
+from quandles import (FiniteGroup, conjugation, dihedral, inter_orbit_action,
+                      unipotent_class_quandle)
 from quandles.cli import run
 
 QUANDLES = {
@@ -24,6 +29,24 @@ QUANDLES = {
 
 # the second basepoint of each quandle, next to 0
 OTHER_BASEPOINT = {"u7": 5, "u11": 17, "conj_s4": 9, "d5": 3}
+
+
+def _s3_conjugation_by_1() -> list:
+    s3 = FiniteGroup.symmetric(3)
+    return [s3.conj(1, x) for x in range(s3.order)]
+
+
+# input files other than the quandles, named in argv as "@name"
+FILES = {
+    "z6": lambda: json.dumps(FiniteGroup.cyclic(6).to_dict()),
+    "neg6": lambda: json.dumps({"map": [(-i) % 6 for i in range(6)]}),
+    "s3": lambda: json.dumps(FiniteGroup.symmetric(3).to_dict()),
+    "conj_by_1": lambda: json.dumps(_s3_conjugation_by_1()),
+    "trefoil": lambda: "X[1,4,2,5];X[3,6,4,1];X[5,2,6,3]",
+}
+
+# (quandle, q, r) of each pinned inter_orbit_action report
+INTER_ORBIT = (("conj_s4", 0, 9), ("conj_s4", 9, 9), ("u11", 0, 17))
 
 DIGESTS = {
     "make_unipotent_13":
@@ -76,14 +99,44 @@ DIGESTS = {
         "546aa78f8af9e9d91de92048f18613cd6d35b91e5bbf11d56ca13e551742023c",
     "d5:sbar:3":
         "be6f7c1ec0000d0bc9fe515bcb847f08b9994c8839360f6109a2e40188ed796c",
+    "make_phi_space":
+        "1aafb3b88f72f43ae46e53eda990a553bbeee486ee524e0da6f8f6d05358fe28",
+    "make_vedernikov":
+        "649601be32776133cfc7e58fe4667cd705a3a02ebf3ef8288f9df9dc1e8bca55",
+    "survey":
+        "c51c1f392744e46e6247abd7d66ca566d7bd29cfab4845c45bad0da482185248",
+    "d5:color_trefoil":
+        "42aa0caa79c26d99b5d232be50d75dc771d9c66496c7fa2eb49d7fec15582b02",
+    "u7:orbits":
+        "799581feabc9a98c8f107d842d9f7f8b8f05b1c67213788db89b64686d849f6e",
+    "u11:orbits":
+        "4955417a5ff335aefeb80523c9c4fdf3fc044a885f7f7dd4b9cd407e658848df",
+    "conj_s4:orbits":
+        "bde564efaa4fc145561e6de6ef3dff3ed82987445e7e75d0b3c703113176c6c2",
+    "d5:orbits":
+        "a2d3d64dd8b121e5095884c08a8997944ddffd3283dd2443a8ea827f4ddcc531",
+    "conj_s4:inter_orbit:0:9":
+        "da941bfecd22967384e366f4de74a8fe74e2ed6949431e65fa107d2526edda77",
+    "conj_s4:inter_orbit:9:9":
+        "a4dbac1a423b1449b1713d714a847bf11e2e738c5f45c87f6e48da0da854dd3a",
+    "u11:inter_orbit:0:17":
+        "4f28e7ad0b042f89ddee1bfb82389ee3f6edf25cd9e9915c9162855a735f0b8b",
 }
 
 
 def _argvs():
     yield "make_unipotent_13", None, ["make", "unipotent_class", "--p", "13"]
+    yield "make_phi_space", None, ["make", "phi_space", "--group", "@z6",
+                                   "--phi", "@neg6", "--subgroup", "0"]
+    yield "make_vedernikov", None, ["make", "vedernikov", "--group", "@s3",
+                                    "--phi", "@conj_by_1"]
+    yield "survey", None, ["survey", "@DIR", "--json"]
+    yield "d5:color_trefoil", None, ["color", "--diagram", "@trefoil",
+                                     "--quandle", "@d5", "--by-orbit", "--json"]
     for name in QUANDLES:
         yield f"{name}:quandle", name, None
         yield f"{name}:report", name, ["report", "FILE", "--json"]
+        yield f"{name}:orbits", name, ["orbits", "FILE", "--json"]
         for bp in (0, OTHER_BASEPOINT[name]):
             for cmd in ("realize", "sbar"):
                 yield f"{name}:{cmd}:{bp}", name, [cmd, "FILE", "--basepoint", str(bp), "--json"]
@@ -97,9 +150,25 @@ def quandle_json(name: str) -> str:
     return QUANDLES[name]().to_json()
 
 
+def _path(tmp_path, token: str) -> str:
+    """The file (or, for "@DIR", the directory of all the quandles) that an
+    argv token "@name" stands for, written under ``tmp_path``."""
+    name = token[1:]
+    if name == "DIR":
+        directory = tmp_path / "corpus"
+        directory.mkdir(exist_ok=True)
+        for q in QUANDLES:
+            (directory / f"{q}.json").write_text(quandle_json(q))
+        return str(directory)
+    path = tmp_path / name
+    path.write_text(quandle_json(name) if name in QUANDLES else FILES[name]())
+    return str(path)
+
+
 def output(tmp_path, name, argv) -> bytes:
     """Canonical stdout of one case: the quandle JSON itself when ``argv``
-    is None, else the CLI's output run on that quandle's file."""
+    is None, else the CLI's output run on that quandle's file ("FILE") and
+    on the files named "@name"."""
     if name is not None:
         text = quandle_json(name)
         if argv is None:
@@ -107,6 +176,7 @@ def output(tmp_path, name, argv) -> bytes:
         path = tmp_path / f"{name}.json"
         path.write_text(text)
         argv = [str(path) if a == "FILE" else a for a in argv]
+    argv = [_path(tmp_path, a) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     assert code == 0, err.getvalue()
@@ -117,3 +187,17 @@ def output(tmp_path, name, argv) -> bytes:
 def test_golden_digest(tmp_path, case, name, argv):
     digest = hashlib.sha256(output(tmp_path, name, argv)).hexdigest()
     assert digest == DIGESTS[case]
+
+
+def inter_orbit_digest(name: str, q: int, r: int) -> str:
+    """sha256 of the canonical JSON of (psi, action, sorted checks)."""
+    rep = inter_orbit_action(QUANDLES[name](), q, r)
+    text = json.dumps([list(rep.psi), [list(row) for row in rep.action],
+                       sorted(rep.checks.items())], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,q,r", INTER_ORBIT,
+                         ids=[f"{n}:{q}:{r}" for n, q, r in INTER_ORBIT])
+def test_inter_orbit_digest(name, q, r):
+    assert inter_orbit_digest(name, q, r) == DIGESTS[f"{name}:inter_orbit:{q}:{r}"]
