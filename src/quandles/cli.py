@@ -47,10 +47,16 @@ def _load_quandle(path: str) -> FiniteQuandle:
     return FiniteQuandle.from_json(_read_text(path))
 
 
+def _group_from_file(path: str, args) -> FiniteGroup:
+    """A group read from JSON; ``--seed`` seeds its sampled associativity
+    check (above order 64)."""
+    data = json.loads(_read_text(path))
+    return FiniteGroup.from_dict(data, rng=random.Random(args.seed))
+
+
 def _load_group(args) -> FiniteGroup:
     if getattr(args, "group", None):
-        data = json.loads(_read_text(args.group))
-        return FiniteGroup.from_dict(data)
+        return _group_from_file(args.group, args)
     if getattr(args, "gens", None):
         perms = parse_generator_lines(_read_text(args.gens))
         return FiniteGroup.from_permutations(perms)
@@ -83,7 +89,6 @@ def _word_json(word: symmetry.SignedWord) -> list:
 
 def _cmd_make(args, out, err) -> int:
     fam = args.family
-    rng = random.Random(args.seed)
     if fam == "trivial":
         q = constructions.trivial(_require(args, "n"))
     elif fam == "dihedral":
@@ -113,7 +118,7 @@ def _cmd_make(args, out, err) -> int:
         if not args.phi or args.subgroup is None:
             raise UsageError("phi_space needs --phi FILE and --subgroup INDICES")
         q = constructions.phi_space(g, _load_phi(args.phi, g),
-                                    _parse_indices(args.subgroup), rng=rng)
+                                    _parse_indices(args.subgroup))
     elif fam == "vedernikov":
         g = _load_group(args)
         if not args.phi:
@@ -122,7 +127,7 @@ def _cmd_make(args, out, err) -> int:
     elif fam == "cocycle":
         if not args.abelian or not args.cocycle:
             raise UsageError("cocycle needs --abelian FILE and --cocycle FILE")
-        a_grp = FiniteGroup.from_dict(json.loads(_read_text(args.abelian)))
+        a_grp = _group_from_file(args.abelian, args)
         f = json.loads(_read_text(args.cocycle))
         q = constructions.cocycle_extension(args.x_size or len(f), a_grp, f)
     else:
@@ -389,7 +394,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads for exhaustive sweeps (results identical)")
     common.add_argument("--seed", type=int, default=0,
-                        help="seed for the sampled well-definedness checks")
+                        help="seed for the sampled associativity check of a "
+                             "group read from JSON above order 64")
     common.add_argument("--cap", type=int, default=None,
                         help="override the group-closure element cap")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,16 +9,15 @@ reproducible.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Sequence
+
+import numpy as np
 
 from .groups import (FiniteGroup, GroupAutomorphism, CosetSpace,
                      conjugacy_class, matrix_group_sl2, is_prime)
 from .quandle import FiniteQuandle, QuandleError, validate
-
-WELLDEF_EXHAUSTIVE_LIMIT = 512
-WELLDEF_SAMPLES = 1000
 
 FAMILIES = ("trivial", "cocycle", "conj", "conj_class", "phi_space",
             "vedernikov", "alexander", "dihedral", "power_cocycle", "unipotent_class")
@@ -149,40 +148,54 @@ def unipotent_class_quandle(p: int) -> FiniteQuandle:
 # ---------------------------------------------------------------------------
 # coset quandles from a group automorphism
 
-def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup,
-              rng: random.Random | None = None) -> FiniteQuandle:
+def coset_action(group: FiniteGroup, psi: Sequence[int], source: CosetSpace,
+                 target: CosetSpace) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The table (xH, yK) -> x psi(x^-1 y) K on coset representatives, and
+    the first pair of elements (x, y) in row-major order whose result differs
+    from the table's entry for their cosets, or None.
+
+    Well-definedness over representative choices is checked on all order^2
+    pairs, one x at a time, so no order^2 array is ever allocated.  Each
+    representative is the minimum of its coset, so its row is filled before
+    any other member of the coset is compared with it.
+    """
+    t, psi = group.table, np.asarray(psi, dtype=np.int64)
+    inv = np.asarray(group.inv_map)
+    src, tgt = source.index_of, np.asarray(target.index_of)
+    tgt_reps = np.asarray(target.reps)
+    table = np.empty((source.count, target.count), dtype=np.int64)
+    bad = None
+    for x in range(group.order):
+        images = tgt[t[x, psi[t[inv[x]]]]]   # coset of x psi(x^-1 y), every y
+        i = src[x]
+        if x == source.reps[i]:
+            table[i] = images[tgt_reps]
+        if bad is None:
+            wrong = np.flatnonzero(images != table[i][tgt])
+            if len(wrong):
+                bad = (x, int(wrong[0]))
+    return table, bad
+
+
+def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQuandle:
     """Cosets G/H with xH |> yH = x phi(x^-1 y) H.
 
     Requires H inside the fixed subgroup of phi (offending elements are all
     reported).  Well-definedness over representative choices is rechecked
-    exhaustively up to group order 512 and on 1000 sampled pairs above that;
-    the algebra guarantees it, the check guards implementation bugs.
+    on all pairs of group elements; the algebra guarantees it, the check
+    guards implementation bugs.
     """
     h = tuple(sorted(set(subgroup)))
     moved = [x for x in h if phi(x) != x]
     if moved:
         raise NotFixed(moved)
     cs = CosetSpace(group, h)  # raises NotASubgroup when H is not one
-
-    def coset_op(x: int, y: int) -> int:
-        return cs.index_of[group.mul(x, phi(group.mul(group.inv(x), y)))]
-
-    k = cs.count
-    table = [[coset_op(cs.reps[i], cs.reps[j]) for j in range(k)] for i in range(k)]
-
-    if group.order <= WELLDEF_EXHAUSTIVE_LIMIT:
-        pairs = ((x, y) for x in range(group.order) for y in range(group.order))
-    else:
-        rng = rng or random.Random(0)
-        pairs = ((rng.randrange(group.order), rng.randrange(group.order))
-                 for _ in range(WELLDEF_SAMPLES))
-    for x, y in pairs:
-        if coset_op(x, y) != table[cs.index_of[x]][cs.index_of[y]]:
-            raise ConstructionError(
-                f"coset operation not well-defined at representatives {(x, y)}")
-
+    table, bad = coset_action(group, phi.mapping, cs, cs)
+    if bad is not None:
+        raise ConstructionError(
+            f"coset operation not well-defined at representatives {bad}")
     labels = tuple(f"{group.label(r)}.H" for r in cs.reps)
-    return _finish(table, labels, "phi_space",
+    return _finish(table.tolist(), labels, "phi_space",
                    {"group": _group_params(group), "phi": list(phi.mapping),
                     "subgroup": list(h)})
 

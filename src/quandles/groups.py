@@ -497,11 +497,12 @@ class FiniteGroup:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FiniteGroup":
+    def from_dict(cls, d: dict, rng: random.Random | None = None) -> "FiniteGroup":
         if "mul" not in d:
             raise GroupError("group JSON needs a 'mul' table")
         labels = d.get("labels")
-        g = cls.from_table(d["mul"], labels=tuple(labels) if labels else None)
+        g = cls.from_table(d["mul"], labels=tuple(labels) if labels else None,
+                           rng=rng)
         if "order" in d and d["order"] != g.order:
             raise GroupError("declared order does not match table size")
         return g

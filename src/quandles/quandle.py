@@ -107,12 +107,6 @@ class FiniteQuandle:
             raise IndexError(f"element {q} out of range for size {self.size}")
         return tuple(self.op[r][q] for r in range(self.size))
 
-    def apply(self, q: int, r: int) -> int:
-        return self.op[q][r]
-
-    def apply_inv(self, q: int, r: int) -> int:
-        return self.inv_op[q][r]
-
     # -- subquandles ---------------------------------------------------------
 
     def subquandle_closure(self, seed: Iterable[int]) -> tuple["FiniteQuandle", tuple[int, ...]]:
@@ -294,10 +288,6 @@ def validate(table: Sequence[Sequence[int]],
         inv_op = tuple(tuple(int(x) for x in np.argsort(np.asarray(row)))
                        for row in op)
     return FiniteQuandle(op, inv_op, labels=labels)
-
-
-def symmetry(quandle: FiniteQuandle, q: int) -> ElementSymmetry:
-    return quandle.symmetry(q)
 
 
 def right_translation(quandle: FiniteQuandle, q: int) -> tuple[int, ...]:

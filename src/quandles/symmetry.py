@@ -20,7 +20,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .constructions import phi_space, vedernikov
+import numpy as np
+
+from .constructions import coset_action, phi_space
 from .groups import (DEFAULT_CAP, CosetSpace, FiniteGroup, GroupAutomorphism,
                      PermutationGroup, close, compose, cycle_type,
                      identity_perm, invert)
@@ -28,8 +30,6 @@ from .quandle import FiniteQuandle, QuandleError
 
 REALIZE_CAP = 10**5
 AUT_MAX_SIZE = 64
-WELLDEF_EXHAUSTIVE_LIMIT = 512
-WELLDEF_SAMPLES = 1000
 
 
 class TooLarge(QuandleError):
@@ -514,6 +514,28 @@ def _tr_group(quandle: FiniteQuandle, cap: int) -> FiniteGroup:
     return FiniteGroup.from_permutation_group(tr(quandle, cap=cap))
 
 
+def _indices(g: FiniteGroup, perms) -> tuple[int, ...] | None:
+    """Element indices in ``g`` of the rows of ``perms``, or None if one is not in g."""
+    index = {p: i for i, p in enumerate(g.elements)}
+    out = tuple(index.get(p, -1) for p in map(tuple, np.asarray(perms).tolist()))
+    return None if -1 in out else out
+
+
+def _twist(g: FiniteGroup, left: Sequence[int],
+           right: Sequence[int]) -> tuple[int, ...] | None:
+    """Element indices of left o p o right for every element p of ``g``, in
+    element order, or None if one of them leaves the group."""
+    perms = np.array(g.elements, dtype=np.int64)
+    return _indices(g, np.asarray(left)[perms[:, np.asarray(right)]])
+
+
+def _cosets_at(g: FiniteGroup, q: int) -> tuple[CosetSpace, tuple[int, ...]]:
+    """The cosets of the stabilizer of q, and pi: coset index -> rep(q)."""
+    perms = g.elements
+    cs = CosetSpace(g, (i for i, p in enumerate(perms) if p[q] == q))
+    return cs, tuple(perms[rep][q] for rep in cs.reps)
+
+
 @dataclass(frozen=True)
 class CosetRealization:
     """An orbit realized as a coset quandle of the transvection group.
@@ -554,41 +576,26 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
     if not 0 <= q < quandle.size:
         raise IndexError(f"basepoint {q} out of range")
     g = _tr_group(quandle, cap)
-    perms = g.elements
-    index = {p: i for i, p in enumerate(perms)}
     sq = quandle.op[q]
-    sq_inv = quandle.inv_op[q]
-    checks: dict = {}
-
-    phi_map = []
-    closed = True
-    for p in perms:
-        img = compose(sq, compose(p, sq_inv))
-        if img not in index:
-            closed = False
-            break
-        phi_map.append(index[img])
-    checks["phi_closed"] = closed
-    if not closed:
+    phi_map = _twist(g, sq, quandle.inv_op[q])
+    checks: dict = {"phi_closed": phi_map is not None}
+    if phi_map is None:
         raise QuandleError("conjugation by s_q left the transvection group")
     phi = GroupAutomorphism(g, phi_map, check=True)
     checks["phi_automorphism"] = True
 
-    stab = tuple(i for i, p in enumerate(perms) if p[q] == q)
+    cs, pi = _cosets_at(g, q)
+    stab = cs.subgroup
     checks["stabilizer_fixed_by_phi"] = all(phi(i) == i for i in stab)
     checks["stabilizer_commutes_with_sq"] = all(
-        compose(perms[i], sq) == compose(sq, perms[i]) for i in stab)
-
-    cs = CosetSpace(g, stab)
-    pi = tuple(perms[cs.reps[k]][q] for k in range(cs.count))
+        compose(g.elements[i], sq) == compose(sq, g.elements[i]) for i in stab)
     orbit = orbits(quandle).orbit_of(q)
-    checks["pi_bijective"] = (len(set(pi)) == len(pi)
-                              and sorted(pi) == list(orbit))
+    checks["pi_bijective"] = sorted(pi) == list(orbit)  # orbit is sorted, no repeats
 
     cq = phi_space(g, phi, stab)
-    checks["pi_homomorphism"] = all(
-        pi[cq.op[i][j]] == quandle.op[pi[i]][pi[j]]
-        for i in range(cs.count) for j in range(cs.count))
+    p = np.array(pi)
+    checks["pi_homomorphism"] = bool(
+        (p[np.array(cq.op)] == np.array(quandle.op)[p[:, None], p]).all())
     pi_inv = {x: k for k, x in enumerate(pi)}
     checks["pi_inverse_homomorphism"] = (
         checks["pi_bijective"]
@@ -615,67 +622,27 @@ class InterOrbitReport:
 
 
 def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int,
-                       cap: int = REALIZE_CAP,
-                       rng: random.Random | None = None) -> InterOrbitReport:
-    """Build (gG_q, hG_r) -> g psi(g^-1 h) G_r and verify it exhaustively.
-
-    Well-definedness over representative choices is rechecked on all element
-    pairs up to group order 512 and on 1000 sampled pairs above; the
-    compatibility pi_r(gG_q . hG_r) = pi_q(gG_q) |> pi_r(hG_r) is always
-    checked on every coset pair.
-    """
+                       cap: int = REALIZE_CAP) -> InterOrbitReport:
+    """Build (gG_q, hG_r) -> g psi(g^-1 h) G_r and verify it exhaustively:
+    well-definedness over representative choices on all element pairs, and
+    the compatibility pi_r(gG_q . hG_r) = pi_q(gG_q) |> pi_r(hG_r) on every
+    coset pair."""
     g = _tr_group(quandle, cap)
-    perms = g.elements
-    index = {p: i for i, p in enumerate(perms)}
-    sq, sr_inv = quandle.op[q], quandle.inv_op[r]
-    checks: dict = {}
-
-    psi = []
-    closed = True
-    for p in perms:
-        img = compose(sq, compose(p, sr_inv))
-        if img not in index:
-            closed = False
-            break
-        psi.append(index[img])
-    checks["psi_closed"] = closed
-    if not closed:
+    psi = _twist(g, quandle.op[q], quandle.inv_op[r])
+    checks: dict = {"psi_closed": psi is not None}
+    if psi is None:
         raise QuandleError("s_q g s_r^-1 left the transvection group")
-    psi = tuple(psi)
-
-    stab_q = tuple(i for i, p in enumerate(perms) if p[q] == q)
-    stab_r = tuple(i for i, p in enumerate(perms) if p[r] == r)
-    cs_q = CosetSpace(g, stab_q)
-    cs_r = CosetSpace(g, stab_r)
-
-    def act_elems(x: int, y: int) -> int:
-        return cs_r.index_of[g.mul(x, psi[g.mul(g.inv(x), y)])]
-
-    action = tuple(tuple(act_elems(cs_q.reps[i], cs_r.reps[j])
-                         for j in range(cs_r.count))
-                   for i in range(cs_q.count))
-
-    if g.order <= WELLDEF_EXHAUSTIVE_LIMIT:
-        pairs = ((x, y) for x in range(g.order) for y in range(g.order))
-    else:
-        rng = rng or random.Random(0)
-        pairs = ((rng.randrange(g.order), rng.randrange(g.order))
-                 for _ in range(WELLDEF_SAMPLES))
-    checks["well_defined"] = all(
-        act_elems(x, y) == action[cs_q.index_of[x]][cs_r.index_of[y]]
-        for x, y in pairs)
-
-    pi_q = tuple(perms[cs_q.reps[k]][q] for k in range(cs_q.count))
-    pi_r = tuple(perms[cs_r.reps[k]][r] for k in range(cs_r.count))
-    checks["compatible"] = all(
-        pi_r[action[i][j]] == quandle.op[pi_q[i]][pi_r[j]]
-        for i in range(cs_q.count) for j in range(cs_r.count))
-
+    cs_q, pi_q = _cosets_at(g, q)
+    cs_r, pi_r = _cosets_at(g, r)
+    table, bad = coset_action(g, psi, cs_q, cs_r)
+    checks["well_defined"] = bad is None
+    p_q, p_r = np.array(pi_q), np.array(pi_r)
+    checks["compatible"] = bool(
+        (p_r[table] == np.array(quandle.op)[p_q[:, None], p_r]).all())
     if q == r:
-        sq_inv = quandle.inv_op[q]
-        phi_map = tuple(index[compose(sq, compose(p, sq_inv))] for p in perms)
-        checks["reduces_to_phi"] = psi == phi_map
-    return InterOrbitReport(q, r, g.order, psi, action, checks)
+        checks["reduces_to_phi"] = psi == _twist(g, quandle.op[q], quandle.inv_op[q])
+    return InterOrbitReport(q, r, g.order, psi, tuple(map(tuple, table.tolist())),
+                            checks)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +655,6 @@ class SbarReport:
 
     basepoint: int
     group: FiniteGroup
-    target: FiniteQuandle
     mapping: tuple[int, ...]
     fibers: tuple[tuple[int, ...], ...]
     is_homomorphism: bool
@@ -699,27 +665,30 @@ class SbarReport:
         return self.is_homomorphism
 
 
+def _vedernikov_op(g: FiniteGroup, phi: np.ndarray, a, b) -> np.ndarray:
+    """a |> b = a phi(b a^-1) of vedernikov(g, phi), on index arrays."""
+    return g.table[a, phi[g.table[b, np.asarray(g.inv_map)[a]]]]
+
+
 def sbar_hom(quandle: FiniteQuandle, basepoint: int,
              cap: int = DEFAULT_CAP) -> SbarReport:
     """Map each element to its symmetry, compared against the basepoint's.
 
-    The fibers are exactly the classes of elements with equal symmetries, so
-    the map is injective precisely when distinct elements have distinct rows.
+    The homomorphism property is checked on all n^2 pairs as one array
+    comparison against the twisted operation of Inn(Q), without building
+    the |Inn|^2 twisted quandle.  The fibers are exactly the classes of
+    elements with equal symmetries, so the map is injective precisely when
+    distinct elements have distinct rows.
     """
     q = basepoint
     g = FiniteGroup.from_permutation_group(inn(quandle, cap=cap))
-    perms = g.elements
-    index = {p: i for i, p in enumerate(perms)}
-    sq, sq_inv = quandle.op[q], quandle.inv_op[q]
-    phi = GroupAutomorphism(
-        g, tuple(index[compose(sq, compose(p, sq_inv))] for p in perms), check=True)
-    target = vedernikov(g, phi)
-    mapping = tuple(index[compose(quandle.op[x], sq_inv)] for x in range(quandle.size))
-    is_hom = all(target.op[mapping[x]][mapping[y]] == mapping[quandle.op[x][y]]
-                 for x in range(quandle.size) for y in range(quandle.size))
-    by_image: dict[int, list[int]] = {}
-    for x in range(quandle.size):
-        by_image.setdefault(mapping[x], []).append(x)
-    fibers = tuple(tuple(v) for _, v in sorted(by_image.items()))
-    return SbarReport(q, g, target, mapping, fibers, is_hom,
+    sq_inv = quandle.inv_op[q]
+    phi = GroupAutomorphism(g, _twist(g, quandle.op[q], sq_inv), check=True)
+    op = np.array(quandle.op, dtype=np.int64)
+    mapping = _indices(g, op[:, np.asarray(sq_inv)])
+    m = np.array(mapping, dtype=np.int64)
+    twisted = _vedernikov_op(g, np.array(phi.mapping), m[:, None], m[None, :])
+    is_hom = bool((twisted == m[op]).all())
+    fibers = tuple(tuple(np.flatnonzero(m == a).tolist()) for a in np.unique(m))
+    return SbarReport(q, g, mapping, fibers, is_hom,
                       all(len(f) == 1 for f in fibers))

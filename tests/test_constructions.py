@@ -1,12 +1,16 @@
+import re
+
 import pytest
 
 from quandles import (CocycleError, ConstructionError, FiniteGroup,
                       GroupAutomorphism, NotAbelian, NotFixed, alexander,
-                      cocycle_extension, conj_class, conjugation, dihedral,
+                      cocycle_extension, conj_class, conjugation,
+                      coset_realization, dihedral,
                       fixed_subgroup, identity_perm, iso_search,
                       matrix_group_sl2, phi_space, saturate_forward,
                       power_cocycle, trivial, twisted_orbit_action,
                       unipotent_class_quandle, validate, vedernikov)
+from quandles.constructions import coset_action
 
 from corpus_util import corpus
 
@@ -51,6 +55,39 @@ def test_phi_space_rejects_unfixed_subgroup():
     with pytest.raises(NotFixed) as exc:
         phi_space(z5, phi, (0, 1, 2, 3, 4))
     assert set(exc.value.moved) == {1, 2, 3, 4}
+
+
+def _first_bad_pair(g, psi, cs):
+    """Oracle for coset_action: the rep table by scalar products, and the
+    first (x, y) in row-major order that disagrees with it."""
+    def coset(x, y):
+        return cs.index_of[g.mul(x, psi[g.mul(g.inv(x), y)])]
+    table = [[coset(x, y) for y in cs.reps] for x in cs.reps]
+    for x in range(g.order):
+        for y in range(g.order):
+            if coset(x, y) != table[cs.index_of[x]][cs.index_of[y]]:
+                return table, (x, y)
+    return table, None
+
+
+def test_coset_action_finds_first_bad_pair_above_old_sampling_limit():
+    real = coset_realization(unipotent_class_quandle(11), 0)
+    g, cs, phi = real.group, real.cosets, list(real.phi.mapping)
+    assert g.order == 660  # past the order (512) above which pairs were sampled
+    table, bad = coset_action(g, phi, cs, cs)
+    assert bad is None
+    assert table.tolist() == _first_bad_pair(g, phi, cs)[0]
+
+    psi = list(phi)
+    a, b = cs.reps[5], cs.reps[9]  # two entries in different cosets
+    psi[a], psi[b] = psi[b], psi[a]
+    table, bad = coset_action(g, psi, cs, cs)
+    expected_table, expected_bad = _first_bad_pair(g, psi, cs)
+    assert expected_bad is not None
+    assert bad == expected_bad
+    assert table.tolist() == expected_table
+    with pytest.raises(ConstructionError, match=re.escape(f"representatives {expected_bad}")):
+        phi_space(g, GroupAutomorphism(g, psi, check=False), cs.subgroup)
 
 
 def test_alexander_special_cases():

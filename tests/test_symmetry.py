@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quandles import (ActionError, FiniteGroup, QuandleAction, SignedWord,
@@ -11,7 +12,9 @@ from quandles import (ActionError, FiniteGroup, QuandleAction, SignedWord,
                       random_transvection_word, saturate_forward,
                       saturate_mixed, sbar_hom, power_cocycle, tr,
                       tr_action_group, tr_orbit, trivial,
-                      unipotent_class_quandle)
+                      unipotent_class_quandle, vedernikov)
+from quandles.groups import GroupAutomorphism
+from quandles.symmetry import _twist, _vedernikov_op
 
 from corpus_util import small_corpus
 
@@ -387,6 +390,13 @@ def test_inter_orbit_well_definedness_is_exhaustive_at_small_order():
     assert rep.ok and rep.group_order == 5
 
 
+def test_inter_orbit_well_definedness_is_exhaustive_above_old_limit():
+    # order 660 was past the old 512 cutoff, above which 1000 pairs were sampled
+    rep = inter_orbit_action(unipotent_class_quandle(11), 0, 17)
+    assert rep.group_order == 660
+    assert rep.checks["well_defined"] and rep.ok
+
+
 # -- the symmetry-comparison homomorphism ---------------------------------------------------
 
 def test_sbar_trivial():
@@ -418,3 +428,13 @@ def test_sbar_fibers_are_equal_symmetry_classes():
 def test_sbar_is_hom_on_corpus_sample():
     for _, q in small_corpus():
         assert sbar_hom(q, 0).is_homomorphism
+
+
+def test_sbar_array_formula_matches_vedernikov():
+    for name, q in small_corpus():
+        g = sbar_hom(q, 0).group
+        phi = _twist(g, q.op[0], q.inv_op[0])
+        expected = vedernikov(g, GroupAutomorphism(g, phi)).op
+        a = np.arange(g.order)
+        got = _vedernikov_op(g, np.array(phi), a[:, None], a[None, :])
+        assert got.tolist() == [list(row) for row in expected], name
