@@ -47,16 +47,16 @@ def _load_quandle(path: str) -> FiniteQuandle:
     return FiniteQuandle.from_json(_read_text(path))
 
 
-def _group_from_file(path: str, args) -> FiniteGroup:
-    """A group read from JSON; ``--seed`` seeds its sampled associativity
+def _group_from_file(path: str, seed: int) -> FiniteGroup:
+    """A group read from JSON; ``seed`` seeds its sampled associativity
     check (above order 64)."""
     data = json.loads(_read_text(path))
-    return FiniteGroup.from_dict(data, rng=random.Random(args.seed))
+    return FiniteGroup.from_dict(data, rng=random.Random(seed))
 
 
 def _load_group(args) -> FiniteGroup:
     if getattr(args, "group", None):
-        return _group_from_file(args.group, args)
+        return _group_from_file(args.group, args.seed)
     if getattr(args, "gens", None):
         perms = parse_generator_lines(_read_text(args.gens))
         return FiniteGroup.from_permutations(perms)
@@ -127,7 +127,7 @@ def _cmd_make(args, out, err) -> int:
     elif fam == "cocycle":
         if not args.abelian or not args.cocycle:
             raise UsageError("cocycle needs --abelian FILE and --cocycle FILE")
-        a_grp = _group_from_file(args.abelian, args)
+        a_grp = _group_from_file(args.abelian, args.seed)
         f = json.loads(_read_text(args.cocycle))
         q = constructions.cocycle_extension(args.x_size or len(f), a_grp, f)
     else:
