@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -47,16 +46,10 @@ def _load_quandle(path: str) -> FiniteQuandle:
     return FiniteQuandle.from_json(_read_text(path))
 
 
-def _group_from_file(path: str, seed: int) -> FiniteGroup:
-    """A group read from JSON; ``seed`` seeds its sampled associativity
-    check (above order 64)."""
-    data = json.loads(_read_text(path))
-    return FiniteGroup.from_dict(data, rng=random.Random(seed))
-
-
 def _load_group(args) -> FiniteGroup:
     if getattr(args, "group", None):
-        return _group_from_file(args.group, args.seed)
+        data = json.loads(_read_text(args.group))
+        return FiniteGroup.from_dict(data)
     if getattr(args, "gens", None):
         perms = parse_generator_lines(_read_text(args.gens))
         return FiniteGroup.from_permutations(perms)
@@ -127,7 +120,7 @@ def _cmd_make(args, out, err) -> int:
     elif fam == "cocycle":
         if not args.abelian or not args.cocycle:
             raise UsageError("cocycle needs --abelian FILE and --cocycle FILE")
-        a_grp = _group_from_file(args.abelian, args.seed)
+        a_grp = FiniteGroup.from_dict(json.loads(_read_text(args.abelian)))
         f = json.loads(_read_text(args.cocycle))
         q = constructions.cocycle_extension(args.x_size or len(f), a_grp, f)
     else:
@@ -393,9 +386,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--threads", type=int, default=1,
                         help="worker threads for exhaustive sweeps (results identical)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the sampled associativity check of a "
-                             "group read from JSON above order 64")
     common.add_argument("--cap", type=int, default=None,
                         help="override the group-closure element cap")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -181,32 +181,46 @@ def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQua
     """Cosets G/H with xH |> yH = x phi(x^-1 y) H.
 
     Requires H inside the fixed subgroup of phi (offending elements are all
-    reported).  Well-definedness over representative choices is rechecked
-    on all pairs of group elements; the algebra guarantees it, the check
-    guards implementation bugs.
+    reported); the quandle itself is built by ``coset_quandle``.
     """
     h = tuple(sorted(set(subgroup)))
     moved = [x for x in h if phi(x) != x]
     if moved:
         raise NotFixed(moved)
-    cs = CosetSpace(group, h)  # raises NotASubgroup when H is not one
-    table, bad = coset_action(group, phi.mapping, cs, cs)
+    return coset_quandle(phi, CosetSpace(group, h))  # NotASubgroup when H is not one
+
+
+def coset_quandle(phi: GroupAutomorphism, cosets: CosetSpace) -> FiniteQuandle:
+    """``phi_space`` on a coset space already built, whose subgroup phi fixes.
+
+    Well-definedness over representative choices is rechecked on all pairs
+    of group elements; the algebra guarantees it, the check guards
+    implementation bugs.
+    """
+    group = cosets.group
+    table, bad = coset_action(group, phi.mapping, cosets, cosets)
     if bad is not None:
         raise ConstructionError(
             f"coset operation not well-defined at representatives {bad}")
-    labels = tuple(f"{group.label(r)}.H" for r in cs.reps)
+    labels = tuple(f"{group.label(r)}.H" for r in cosets.reps)
     return _finish(table.tolist(), labels, "phi_space",
                    {"group": _group_params(group), "phi": list(phi.mapping),
-                    "subgroup": list(h)})
+                    "subgroup": list(cosets.subgroup)})
+
+
+def vedernikov_op(group: FiniteGroup, phi: GroupAutomorphism, a, b) -> np.ndarray:
+    """x |> y = x phi(y x^-1) of ``vedernikov(group, phi)`` on index arrays
+    a and b, broadcast against each other."""
+    t, m = group.table, np.asarray(phi.mapping)
+    return t[a, m[t[b, np.asarray(group.inv_map)[a]]]]
 
 
 def vedernikov(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     """The whole group with x |> y = x phi(y x^-1)."""
-    n = group.order
-    table = [[group.mul(x, phi(group.mul(y, group.inv(x)))) for y in range(n)]
-             for x in range(n)]
-    labels = tuple(group.label(i) for i in range(n))
-    return _finish(table, labels, "vedernikov",
+    x = np.arange(group.order)
+    table = vedernikov_op(group, phi, x[:, None], x[None, :])
+    labels = tuple(group.label(i) for i in range(group.order))
+    return _finish(table.tolist(), labels, "vedernikov",
                    {"group": _group_params(group), "phi": list(phi.mapping)})
 
 

@@ -497,12 +497,11 @@ class FiniteGroup:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict, rng: random.Random | None = None) -> "FiniteGroup":
+    def from_dict(cls, d: dict) -> "FiniteGroup":
         if "mul" not in d:
             raise GroupError("group JSON needs a 'mul' table")
         labels = d.get("labels")
-        g = cls.from_table(d["mul"], labels=tuple(labels) if labels else None,
-                           rng=rng)
+        g = cls.from_table(d["mul"], labels=tuple(labels) if labels else None)
         if "order" in d and d["order"] != g.order:
             raise GroupError("declared order does not match table size")
         return g

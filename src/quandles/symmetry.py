@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constructions import coset_action, phi_space
+from .constructions import coset_action, coset_quandle, vedernikov_op
 from .groups import (DEFAULT_CAP, CosetSpace, FiniteGroup, GroupAutomorphism,
                      PermutationGroup, close, compose, cycle_type,
                      identity_perm, invert)
@@ -592,7 +592,7 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
     orbit = orbits(quandle).orbit_of(q)
     checks["pi_bijective"] = sorted(pi) == list(orbit)  # orbit is sorted, no repeats
 
-    cq = phi_space(g, phi, stab)
+    cq = coset_quandle(phi, cs)
     p = np.array(pi)
     checks["pi_homomorphism"] = bool(
         (p[np.array(cq.op)] == np.array(quandle.op)[p[:, None], p]).all())
@@ -665,11 +665,6 @@ class SbarReport:
         return self.is_homomorphism
 
 
-def _vedernikov_op(g: FiniteGroup, phi: np.ndarray, a, b) -> np.ndarray:
-    """a |> b = a phi(b a^-1) of vedernikov(g, phi), on index arrays."""
-    return g.table[a, phi[g.table[b, np.asarray(g.inv_map)[a]]]]
-
-
 def sbar_hom(quandle: FiniteQuandle, basepoint: int,
              cap: int = DEFAULT_CAP) -> SbarReport:
     """Map each element to its symmetry, compared against the basepoint's.
@@ -687,7 +682,7 @@ def sbar_hom(quandle: FiniteQuandle, basepoint: int,
     op = np.array(quandle.op, dtype=np.int64)
     mapping = _indices(g, op[:, np.asarray(sq_inv)])
     m = np.array(mapping, dtype=np.int64)
-    twisted = _vedernikov_op(g, np.array(phi.mapping), m[:, None], m[None, :])
+    twisted = vedernikov_op(g, phi, m[:, None], m[None, :])
     is_hom = bool((twisted == m[op]).all())
     fibers = tuple(tuple(np.flatnonzero(m == a).tolist()) for a in np.unique(m))
     return SbarReport(q, g, mapping, fibers, is_hom,

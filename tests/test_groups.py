@@ -81,6 +81,17 @@ def test_from_table_validation():
         FiniteGroup.from_table(loop)
 
 
+def test_sampled_associativity_names_a_failing_triple():
+    # a commutative table on 65 elements with identity 0 that is not
+    # associative; above order 64 associativity is checked on sampled triples
+    n = 65
+    table = [[(a + b + a * b * (a + b)) % n for b in range(n)] for a in range(n)]
+    with pytest.raises(GroupError, match="not associative") as err:
+        FiniteGroup.from_table(table)
+    a, b, c = (int(x) for x in str(err.value).split("at (")[1].rstrip(")").split(","))
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
 def test_symmetric_group():
     s4 = FiniteGroup.symmetric(4)
     assert s4.order == 24

@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from quandles import (ActionError, FiniteGroup, QuandleAction, SignedWord,
@@ -12,9 +11,7 @@ from quandles import (ActionError, FiniteGroup, QuandleAction, SignedWord,
                       random_transvection_word, saturate_forward,
                       saturate_mixed, sbar_hom, power_cocycle, tr,
                       tr_action_group, tr_orbit, trivial,
-                      unipotent_class_quandle, vedernikov)
-from quandles.groups import GroupAutomorphism
-from quandles.symmetry import _twist, _vedernikov_op
+                      unipotent_class_quandle)
 
 from corpus_util import small_corpus
 
@@ -428,13 +425,3 @@ def test_sbar_fibers_are_equal_symmetry_classes():
 def test_sbar_is_hom_on_corpus_sample():
     for _, q in small_corpus():
         assert sbar_hom(q, 0).is_homomorphism
-
-
-def test_sbar_array_formula_matches_vedernikov():
-    for name, q in small_corpus():
-        g = sbar_hom(q, 0).group
-        phi = _twist(g, q.op[0], q.inv_op[0])
-        expected = vedernikov(g, GroupAutomorphism(g, phi)).op
-        a = np.arange(g.order)
-        got = _vedernikov_op(g, np.array(phi), a[:, None], a[None, :])
-        assert got.tolist() == [list(row) for row in expected], name
