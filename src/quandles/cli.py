@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 input or usage error, 2 property-verification
 failure.  ``--json`` output is canonical (sorted keys, compact separators),
-so re-serializing a parsed output reproduces it byte for byte, and results
-never depend on ``--threads``.
+so re-serializing a parsed output reproduces it byte for byte.
+``--threads`` is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import constructions, knots, regularity, symmetry
 from .groups import (FiniteGroup, GroupAutomorphism, GroupError,
-                     parse_generator_lines)
+                     NotAnAutomorphism, parse_generator_lines)
 from .quandle import FiniteQuandle, InvalidQuandleError, QuandleError
 
 INPUT_ERRORS = (QuandleError, GroupError, knots.ParseError, knots.InconsistentArcs,
@@ -59,6 +59,8 @@ def _load_group(args) -> FiniteGroup:
 def _load_phi(path: str, group: FiniteGroup) -> GroupAutomorphism:
     data = json.loads(_read_text(path))
     mapping = data["map"] if isinstance(data, dict) else data
+    if not isinstance(mapping, list):
+        raise NotAnAutomorphism("automorphism JSON must be a list of element indices")
     return GroupAutomorphism(group, mapping)
 
 
@@ -326,8 +328,7 @@ def _cmd_color(args, out, err) -> int:
             raise UsageError("--braid needs --strands")
         diagram = knots.parse_braid(args.braid, args.strands)
     q = _load_quandle(args.quandle)
-    count = knots.count_colorings(diagram, q, by_orbit=args.by_orbit,
-                                  threads=args.threads)
+    count = knots.count_colorings(diagram, q, by_orbit=args.by_orbit)
     if args.json:
         print(_canonical({
             "total": count.total,
@@ -385,7 +386,7 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for exhaustive sweeps (results identical)")
+                        help="accepted for compatibility; no effect on results or speed")
     common.add_argument("--cap", type=int, default=None,
                         help="override the group-closure element cap")
     sub = parser.add_subparsers(dest="command", required=True)

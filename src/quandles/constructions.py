@@ -63,10 +63,6 @@ def _finish(table, labels, family, parameters) -> FiniteQuandle:
     return q
 
 
-def _group_params(g: FiniteGroup) -> dict:
-    return g.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # basic families
 
@@ -102,16 +98,20 @@ def cocycle_extension(x_size: int, abelian: FiniteGroup, cocycle) -> FiniteQuand
     f = [list(row) for row in cocycle]
     if len(f) != x_size or any(len(r) != x_size for r in f):
         raise ConstructionError("cocycle table must be x_size square")
+    k = abelian.order
+    if not all(type(v) is int and 0 <= v < k for r in f for v in r):
+        raise ConstructionError("cocycle entries must be element indices "
+                                "of the coefficient group")
     bad = [x for x in range(x_size) if f[x][x] != abelian.identity]
     if bad:
         raise CocycleError(bad)
-    carrier = list(product(range(x_size), range(abelian.order)))
-    pos = {e: i for i, e in enumerate(carrier)}
-    table = [[pos[(y, abelian.mul(b, f[x][y]))] for (y, b) in carrier]
-             for (x, a) in carrier]
+    carrier = list(product(range(x_size), range(k)))
+    xs, bs = np.divmod(np.arange(x_size * k), k)   # carrier index -> (x, b)
+    # row (x, a), column (y, b): the index y k + (b + F(x, y)) of (y, b + F(x, y))
+    table = xs * k + abelian.table[bs, np.array(f)[xs[:, None], xs]]
     labels = tuple(f"({x},{abelian.label(a)})" for (x, a) in carrier)
-    return _finish(table, labels, "cocycle",
-                   {"x_size": x_size, "abelian": _group_params(abelian),
+    return _finish(table.tolist(), labels, "cocycle",
+                   {"x_size": x_size, "abelian": abelian.to_dict(),
                     "cocycle": [list(r) for r in f]})
 
 
@@ -121,19 +121,20 @@ def cocycle_extension(x_size: int, abelian: FiniteGroup, cocycle) -> FiniteQuand
 def conjugation(group: FiniteGroup) -> FiniteQuandle:
     """The whole group with g |> h = g^-1 h g."""
     n = group.order
-    table = [[group.conj(g, h) for h in range(n)] for g in range(n)]
+    t, g = group.table, np.arange(n)[:, None]
+    table = t[t[group.inv_map[g], g.T], g]   # [g, h] = g^-1 h g
     labels = tuple(group.label(i) for i in range(n))
-    return _finish(table, labels, "conj", {"group": _group_params(group)})
+    return _finish(table.tolist(), labels, "conj", {"group": group.to_dict()})
 
 
 def conj_class(group: FiniteGroup, g: int) -> FiniteQuandle:
     """One conjugacy class of the group, with the conjugation operation."""
     cls = conjugacy_class(group, g)
-    pos = {e: i for i, e in enumerate(cls)}
-    table = [[pos[group.conj(a, b)] for b in cls] for a in cls]
+    t, c = group.table, np.array(cls)[:, None]
+    table = np.searchsorted(cls, t[t[group.inv_map[c], c.T], c])   # a^-1 b a
     labels = tuple(group.label(i) for i in cls)
-    return _finish(table, labels, "conj_class",
-                   {"group": _group_params(group), "g": int(g)})
+    return _finish(table.tolist(), labels, "conj_class",
+                   {"group": group.to_dict(), "g": int(g)})
 
 
 def unipotent_class_quandle(p: int) -> FiniteQuandle:
@@ -159,8 +160,7 @@ def coset_action(group: FiniteGroup, psi: Sequence[int], source: CosetSpace,
     representative is the minimum of its coset, so its row is filled before
     any other member of the coset is compared with it.
     """
-    t, psi = group.table, np.asarray(psi, dtype=np.int64)
-    inv = np.asarray(group.inv_map)
+    t, psi, inv = group.table, np.asarray(psi, dtype=np.int64), group.inv_map
     src, tgt = source.index_of, np.asarray(target.index_of)
     tgt_reps = np.asarray(target.reps)
     table = np.empty((source.count, target.count), dtype=np.int64)
@@ -180,14 +180,16 @@ def coset_action(group: FiniteGroup, psi: Sequence[int], source: CosetSpace,
 def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQuandle:
     """Cosets G/H with xH |> yH = x phi(x^-1 y) H.
 
-    Requires H inside the fixed subgroup of phi (offending elements are all
-    reported); the quandle itself is built by ``coset_quandle``.
+    Requires H to be a subgroup (``NotASubgroup`` names the least offender,
+    an index out of range included) inside the fixed subgroup of phi
+    (offending elements are all reported); the quandle itself is built by
+    ``coset_quandle``.
     """
-    h = tuple(sorted(set(subgroup)))
-    moved = [x for x in h if phi(x) != x]
+    cosets = CosetSpace(group, subgroup)
+    moved = [x for x in cosets.subgroup if phi(x) != x]
     if moved:
         raise NotFixed(moved)
-    return coset_quandle(phi, CosetSpace(group, h))  # NotASubgroup when H is not one
+    return coset_quandle(phi, cosets)
 
 
 def coset_quandle(phi: GroupAutomorphism, cosets: CosetSpace) -> FiniteQuandle:
@@ -204,7 +206,7 @@ def coset_quandle(phi: GroupAutomorphism, cosets: CosetSpace) -> FiniteQuandle:
             f"coset operation not well-defined at representatives {bad}")
     labels = tuple(f"{group.label(r)}.H" for r in cosets.reps)
     return _finish(table.tolist(), labels, "phi_space",
-                   {"group": _group_params(group), "phi": list(phi.mapping),
+                   {"group": group.to_dict(), "phi": list(phi.mapping),
                     "subgroup": list(cosets.subgroup)})
 
 
@@ -212,7 +214,7 @@ def vedernikov_op(group: FiniteGroup, phi: GroupAutomorphism, a, b) -> np.ndarra
     """x |> y = x phi(y x^-1) of ``vedernikov(group, phi)`` on index arrays
     a and b, broadcast against each other."""
     t, m = group.table, np.asarray(phi.mapping)
-    return t[a, m[t[b, np.asarray(group.inv_map)[a]]]]
+    return t[a, m[t[b, group.inv_map[a]]]]
 
 
 def vedernikov(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
@@ -221,7 +223,7 @@ def vedernikov(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     table = vedernikov_op(group, phi, x[:, None], x[None, :])
     labels = tuple(group.label(i) for i in range(group.order))
     return _finish(table.tolist(), labels, "vedernikov",
-                   {"group": _group_params(group), "phi": list(phi.mapping)})
+                   {"group": group.to_dict(), "phi": list(phi.mapping)})
 
 
 def twisted_orbit_action(group: FiniteGroup, phi: GroupAutomorphism):
@@ -230,10 +232,9 @@ def twisted_orbit_action(group: FiniteGroup, phi: GroupAutomorphism):
     Returns one permutation of {0..|G|-1} per group element.  The orbit of
     the identity is a subquandle isomorphic to phi_space(G, phi, G^phi).
     """
-    n = group.order
-    return tuple(tuple(group.mul(group.mul(x, a), phi(group.inv(x)))
-                       for a in range(n))
-                 for x in range(n))
+    t, x = group.table, np.arange(group.order)[:, None]
+    m = np.asarray(phi.mapping)
+    return tuple(map(tuple, t[t[x, x.T], m[group.inv_map[x]]].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +322,6 @@ def power_cocycle(p: int, n: int) -> FiniteQuandle:
 # ---------------------------------------------------------------------------
 # record replay
 
-def _replay_group(params: dict) -> FiniteGroup:
-    return FiniteGroup.from_dict(params)
-
-
 def _replay_alexander(p: dict) -> FiniteQuandle:
     return alexander(p["p"], p["n"], p["a"])
 
@@ -336,12 +333,12 @@ _REPLAY = {
     "power_cocycle": lambda p: power_cocycle(p["p"], p["n"]),
     "unipotent_class": lambda p: unipotent_class_quandle(p["p"]),
     "cocycle": lambda p: cocycle_extension(
-        p["x_size"], _replay_group(p["abelian"]), p["cocycle"]),
-    "conj": lambda p: conjugation(_replay_group(p["group"])),
-    "conj_class": lambda p: conj_class(_replay_group(p["group"]), p["g"]),
+        p["x_size"], FiniteGroup.from_dict(p["abelian"]), p["cocycle"]),
+    "conj": lambda p: conjugation(FiniteGroup.from_dict(p["group"])),
+    "conj_class": lambda p: conj_class(FiniteGroup.from_dict(p["group"]), p["g"]),
     "phi_space": lambda p: phi_space(
-        (g := _replay_group(p["group"])), GroupAutomorphism(g, p["phi"]),
+        (g := FiniteGroup.from_dict(p["group"])), GroupAutomorphism(g, p["phi"]),
         p["subgroup"]),
     "vedernikov": lambda p: vedernikov(
-        (g := _replay_group(p["group"])), GroupAutomorphism(g, p["phi"])),
+        (g := FiniteGroup.from_dict(p["group"])), GroupAutomorphism(g, p["phi"])),
 }

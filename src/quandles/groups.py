@@ -8,7 +8,6 @@ immutable once built and safe to share.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -230,11 +229,7 @@ class PermutationGroup:
     def _close(self) -> None:
         ident = identity_perm(self.domain_size)
         els = {ident}
-        frontier = deque()
-        for g in self.generators:
-            if g not in els:
-                els.add(g)
-                frontier.append(g)
+        frontier = deque([ident])   # the generators come in as g o identity
         while frontier:
             b = frontier.popleft()
             for g in self.generators:
@@ -342,19 +337,20 @@ def _permutation_table(perms: np.ndarray) -> np.ndarray:
 class FiniteGroup:
     """A finite group on indices 0..order-1 with its full multiplication table.
 
-    ``table`` is a read-only (order x order) numpy array.  The scalar
-    accessors (``mul``, ``inv``, ``multiplication_table``, ``to_dict``)
-    return Python ints.  Orders above ``MAX_GROUP_ORDER`` are refused with
-    ``CapExceeded`` before a table is built.
+    The group is held only as two read-only int64 arrays: ``table`` (order x
+    order) and ``inv_map``.  The scalar accessors (``mul``, ``inv``,
+    ``conj``) read them and return Python ints.  Orders above
+    ``MAX_GROUP_ORDER`` are refused with ``CapExceeded`` before a table is
+    built.
     """
 
     def __init__(self, table, inv: Sequence[int], identity: int,
                  labels: Sequence[str] | None = None,
                  elements: tuple | None = None):
         self.table = np.array(table, dtype=np.int64)
-        self.table.flags.writeable = False
+        self.inv_map = np.array(inv, dtype=np.int64)
+        self.table.flags.writeable = self.inv_map.flags.writeable = False
         self.order = len(self.table)
-        self.inv_map = tuple(int(x) for x in inv)
         self.identity = int(identity)
         self.labels = tuple(labels) if labels is not None else None
         self.elements = elements  # underlying objects (perms, matrices), optional
@@ -363,15 +359,19 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]],
-                   labels: Sequence[str] | None = None,
-                   rng: random.Random | None = None) -> "FiniteGroup":
+                   labels: Sequence[str] | None = None) -> "FiniteGroup":
+        """Validate a table of Python ints.  Associativity is checked on all
+        triples up to order ``EXHAUSTIVE_ASSOC``, above it on
+        ``SAMPLED_CHECKS`` triples drawn from ``Random(0)``."""
+        if not isinstance(table, (list, tuple)):
+            raise GroupError("multiplication table must be a list of rows")
         n = len(table)
         _check_order(n)
-        rows = [tuple(r) for r in table]
-        for i, row in enumerate(rows):
-            if len(row) != n or any(not (0 <= x < n) for x in row):
+        for i, row in enumerate(table):
+            if (not isinstance(row, (list, tuple)) or len(row) != n
+                    or not all(type(x) is int and 0 <= x < n for x in row)):
                 raise GroupError(f"row {i} of multiplication table is malformed")
-        t, points = np.array(rows, dtype=np.int64).reshape(n, n), np.arange(n)
+        t, points = np.array(table, dtype=np.int64).reshape(n, n), np.arange(n)
         idents = np.flatnonzero((t == points).all(axis=1) & (t.T == points).all(axis=1))
         if not len(idents):
             raise GroupError("no identity element in multiplication table")
@@ -382,14 +382,16 @@ class FiniteGroup:
             raise GroupError(f"element {int(np.argmin(has_inv))} has no inverse")
         inv = two_sided.argmax(axis=1)
         if n <= EXHAUSTIVE_ASSOC:
-            triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+            a, b, c = np.indices((n, n, n)).reshape(3, -1)   # row-major
         else:
-            rng = rng or random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(SAMPLED_CHECKS))
-        for a, b, c in triples:
-            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                raise GroupError(f"multiplication is not associative at {(a, b, c)}")
+            rng = random.Random(0)
+            a, b, c = np.array([(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                                for _ in range(SAMPLED_CHECKS)]).T
+        bad = np.flatnonzero(t[t[a, b], c] != t[a, t[b, c]])
+        if len(bad):
+            k = bad[0]
+            raise GroupError("multiplication is not associative at "
+                             f"{(int(a[k]), int(b[k]), int(c[k]))}")
         return cls(t, inv, ident, labels=labels)
 
     @classmethod
@@ -407,13 +409,13 @@ class FiniteGroup:
         ident = els.index(identity_perm(grp.domain_size))
         inv = np.nonzero(table == ident)[1]
         labels = tuple(format_cycles(p) or "()" for p in els)
-        return cls(table, inv.tolist(), ident, labels=labels, elements=els)
+        return cls(table, inv, ident, labels=labels, elements=els)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         _check_order(n)
         i = np.arange(n)
-        return cls((i[:, None] + i) % n, ((-i) % n).tolist(), 0,
+        return cls((i[:, None] + i) % n, (-i) % n, 0,
                    labels=tuple(str(k) for k in range(n)))
 
     @classmethod
@@ -426,10 +428,10 @@ class FiniteGroup:
     # -- operations ----------------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        return self._rows[i][j]
+        return self.table.item(i, j)
 
     def inv(self, i: int) -> int:
-        return self.inv_map[i]
+        return self.inv_map.item(i)
 
     def conj(self, g: int, h: int) -> int:
         """g^-1 h g."""
@@ -449,18 +451,29 @@ class FiniteGroup:
         return bool((self.table == self.table.T).all())
 
     def subgroup_witness(self, subset: Iterable[int]):
-        """None if ``subset`` is a subgroup, else a witness describing why not."""
-        s = set(subset)
+        """None if ``subset`` is a subgroup, else a witness describing why not.
+
+        Elements are examined in increasing order, so the witness names the
+        least offender: an index out of range, then for each a its inverse
+        and its products a*b with b increasing.
+        """
+        s = sorted(set(subset))
         if not s:
             return ("empty",)
+        outside = [x for x in s if not 0 <= x < self.order]
+        if outside:
+            return ("out-of-range", outside[0])
         if self.identity not in s:
             return ("missing-identity", self.identity)
+        h = np.array(s)
+        member = np.zeros(self.order, dtype=bool)
+        member[h] = True
         for a in s:
-            if self.inv(a) not in s:
+            if not member[self.inv_map[a]]:
                 return ("inverse", a)
-            for b in s:
-                if self.mul(a, b) not in s:
-                    return ("product", a, b)
+            out = np.flatnonzero(~member[self.table[a, h]])
+            if len(out):
+                return ("product", a, s[out[0]])
         return None
 
     def is_subgroup(self, subset: Iterable[int]) -> bool:
@@ -482,23 +495,19 @@ class FiniteGroup:
                 frontier.append(i)
         return tuple(sorted(s))
 
-    @functools.cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
+    def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
+        """A Python-int copy of ``table``, built on every call."""
         return tuple(map(tuple, self.table.tolist()))
 
-    def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
     def to_dict(self) -> dict:
-        d = {"order": self.order,
-             "mul": [list(r) for r in self.multiplication_table()]}
+        d = {"order": self.order, "mul": self.table.tolist()}
         if self.labels is not None:
             d["labels"] = list(self.labels)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteGroup":
-        if "mul" not in d:
+        if not isinstance(d, dict) or "mul" not in d:
             raise GroupError("group JSON needs a 'mul' table")
         labels = d.get("labels")
         g = cls.from_table(d["mul"], labels=tuple(labels) if labels else None)
@@ -526,7 +535,8 @@ class GroupAutomorphism:
         """Exhaustive: m(ab) = m(a)m(b) on all pairs, as one array comparison;
         the witness is the first bad pair in row-major order."""
         g = self.group
-        if not is_permutation(self.mapping, g.order):
+        if (not all(type(x) is int for x in self.mapping)
+                or not is_permutation(self.mapping, g.order)):
             raise NotAnAutomorphism("mapping is not a bijection on the group")
         if self.mapping[g.identity] != g.identity:
             raise NotAnAutomorphism("mapping moves the identity",
@@ -538,17 +548,8 @@ class GroupAutomorphism:
             raise NotAnAutomorphism(
                 f"mapping is not multiplicative at {(a, b)}", witness=(a, b))
 
-    def apply(self, i: int) -> int:
-        return self.mapping[i]
-
     def __call__(self, i: int) -> int:
         return self.mapping[i]
-
-    def is_identity(self) -> bool:
-        return all(self.mapping[i] == i for i in range(self.group.order))
-
-    def inverse(self) -> "GroupAutomorphism":
-        return GroupAutomorphism(self.group, invert(self.mapping), check=False)
 
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.group.order) if self.mapping[i] == i)
@@ -637,28 +638,16 @@ class CosetSpace:
             raise NotASubgroup(f"not a subgroup: {witness}", witness=witness)
         self.group = group
         self.subgroup = sub
-        index_of = [-1] * group.order
-        reps = []
-        cosets = []
-        for g in range(group.order):
-            if index_of[g] >= 0:
-                continue
-            members = tuple(sorted(group.mul(g, h) for h in sub))
-            cid = len(reps)
-            for m in members:
-                index_of[m] = cid
-            reps.append(g)
-            cosets.append(members)
-        self.reps = tuple(reps)
-        self.cosets = tuple(cosets)
-        self.index_of = tuple(index_of)
+        members = group.table[:, sub]   # row g: the coset gH, a fresh copy
+        members.sort(axis=1)
+        reps, index_of = np.unique(members[:, 0], return_inverse=True)
+        self.reps = tuple(reps.tolist())
+        self.cosets = tuple(map(tuple, members[reps].tolist()))
+        self.index_of = tuple(index_of.tolist())
 
     @property
     def count(self) -> int:
         return len(self.reps)
-
-    def coset_of(self, element: int) -> int:
-        return self.index_of[element]
 
     def __repr__(self):
         return f"CosetSpace(group={self.group.order}, subgroup={len(self.subgroup)}, cosets={self.count})"
@@ -672,7 +661,8 @@ def conjugacy_class(group: FiniteGroup, g: int) -> tuple[int, ...]:
     """Orbit of ``g`` under conjugation by the whole group."""
     if not 0 <= g < group.order:
         raise GroupError(f"element {g} out of range")
-    return tuple(sorted({group.conj(h, g) for h in range(group.order)}))
+    t = group.table
+    return tuple(np.unique(t[t[group.inv_map, g], np.arange(group.order)]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -713,5 +703,5 @@ def matrix_group_sl2(p: int) -> FiniteGroup:
     inv = index[((d * p + -b % p) * p + -c % p) * p + a]
     els = tuple(map(tuple, els.tolist()))
     labels = tuple(f"[[{a},{b}],[{c},{d}]]" for (a, b, c, d) in els)
-    return FiniteGroup(table, inv.tolist(), els.index((1, 0, 0, 1)),
+    return FiniteGroup(table, inv, els.index((1, 0, 0, 1)),
                        labels=labels, elements=els)

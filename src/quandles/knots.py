@@ -15,7 +15,6 @@ merged into color classes before counting.  Counts are exact integers.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -309,14 +308,9 @@ class ColoringCount:
 
 
 def _count_restricted(relations, class_count: int, colors: Sequence[int],
-                      quandle: FiniteQuandle, threads: int = 1) -> int:
-    """Backtracking with unit propagation along crossing relations.
-
-    Branches on the first constrained variable, splitting its candidate
-    colors across worker threads; free color classes contribute a factor of
-    len(colors) each.  Branch results are summed in candidate order, so the
-    count is independent of the number of threads.
-    """
+                      quandle: FiniteQuandle) -> int:
+    """Backtracking with unit propagation along crossing relations; free
+    color classes contribute a factor of len(colors) each."""
     colors = tuple(colors)
     allowed = set(colors)
     touching: list[list[int]] = [[] for _ in range(class_count)]
@@ -326,8 +320,6 @@ def _count_restricted(relations, class_count: int, colors: Sequence[int],
                 touching[v].append(k)
     constrained = sorted(v for v in range(class_count) if touching[v])
     free = class_count - len(constrained)
-    if not constrained:
-        return len(colors) ** class_count
 
     op, inv_op = quandle.op, quandle.inv_op
 
@@ -373,21 +365,7 @@ def _count_restricted(relations, class_count: int, colors: Sequence[int],
                 total += count_from(trial)
         return total
 
-    first = constrained[0]
-
-    def branch(color: int) -> int:
-        trial = {first: color}
-        if not settle(trial, [first]):
-            return 0
-        return count_from(trial)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(branch, colors))
-        total = sum(results)
-    else:
-        total = sum(branch(c) for c in colors)
-    return total * len(colors) ** free
+    return count_from({}) * len(colors) ** free
 
 
 def count_colorings(diagram: KnotDiagram, quandle: FiniteQuandle,
@@ -395,15 +373,17 @@ def count_colorings(diagram: KnotDiagram, quandle: FiniteQuandle,
     """Count arc colorings satisfying every crossing relation.
 
     Constant colorings always exist (idempotence), so the total is at least
-    the quandle size for a nonempty diagram.
+    the quandle size for a nonempty diagram.  ``threads`` is accepted for
+    compatibility and has no effect on the result or the speed: the count
+    runs in the calling thread.
     """
     rels = diagram.relations()
     k = diagram.class_count
-    total = _count_restricted(rels, k, range(quandle.size), quandle, threads)
+    total = _count_restricted(rels, k, range(quandle.size), quandle)
     per_orbit = None
     if by_orbit:
         deco = orbits(quandle)
-        per_orbit = tuple(_count_restricted(rels, k, orb, quandle, threads)
+        per_orbit = tuple(_count_restricted(rels, k, orb, quandle)
                           for orb in deco.orbits)
     return ColoringCount(total, per_orbit)
 

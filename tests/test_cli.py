@@ -97,6 +97,103 @@ def test_missing_file():
     assert code == 1
 
 
+# -- malformed group input fails as an input error ---------------------------------
+
+def _z6_table():
+    return [[(i + j) % 6 for j in range(6)] for i in range(6)]
+
+
+def _assert_input_error(argv, *fragments):
+    code, out, err = invoke(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
+    for text in fragments:
+        assert text in err
+
+
+@pytest.mark.parametrize("subgroup, index", [("0,9", "9"), ("0,-1", "-1")])
+def test_phi_space_subgroup_index_out_of_range(tmp_path, subgroup, index):
+    grp = write(tmp_path, "z6.json", json.dumps({"order": 6, "mul": _z6_table()}))
+    neg = write(tmp_path, "neg.json", json.dumps({"map": [(-i) % 6 for i in range(6)]}))
+    _assert_input_error(["make", "phi_space", "--group", grp, "--phi", neg,
+                         "--subgroup", subgroup], "out-of-range", index)
+
+
+def _z6_with(entry):
+    """Z6 as group JSON, with ``entry`` at row 2, column 3 of its table."""
+    table = _z6_table()
+    table[2][3] = entry
+    return {"order": 6, "mul": table}
+
+
+@pytest.mark.parametrize("group, message", [
+    (_z6_with(1.5), "row 2 of multiplication table is malformed"),
+    (_z6_with(True), "row 2 of multiplication table is malformed"),
+    ({"order": 6, "mul": 6}, "must be a list of rows"),
+    (6, "needs a 'mul' table"),
+], ids=["float-entry", "bool-entry", "mul-not-a-list", "not-an-object"])
+def test_malformed_group_json(tmp_path, group, message):
+    grp = write(tmp_path, "z6.json", json.dumps(group))
+    _assert_input_error(["make", "conj", "--group", grp], message)
+
+
+@pytest.mark.parametrize("phi, message", [
+    ({"map": [0, 5, "4", 3, 2, 1]}, "mapping is not a bijection"),
+    ({"map": 5}, "must be a list of element indices"),
+], ids=["string-entry", "map-not-a-list"])
+def test_phi_entries_must_be_ints(tmp_path, phi, message):
+    grp = write(tmp_path, "z6.json", json.dumps({"order": 6, "mul": _z6_table()}))
+    bad = write(tmp_path, "phi.json", json.dumps(phi))
+    _assert_input_error(["make", "phi_space", "--group", grp, "--phi", bad,
+                         "--subgroup", "0"], message)
+
+
+# -- documented limits, at the limit and one step past it --------------------------
+
+def test_closure_cap_counts_the_generators(r5_file):
+    # Tr(R5) has order 5 and 4 distinct non-identity generators
+    code, out, err = invoke(["tr", r5_file, "--cap", "5"])
+    assert code == 0 and "order 5" in out, err
+    _assert_input_error(["tr", r5_file, "--cap", "4"], "cap of 4")
+
+
+def test_iso_size_limit(tmp_path):
+    paths = {}
+    for n in (64, 65):
+        _, text, _ = invoke(["make", "dihedral", "--n", str(n)])
+        paths[n] = write(tmp_path, f"d{n}.json", text)
+    code, out, err = invoke(["iso", paths[64], paths[64]])
+    assert code == 0 and out.startswith("isomorphic"), err
+    _assert_input_error(["iso", paths[65], paths[65]], "size 64")
+
+
+def test_unipotent_class_prime_limit():
+    code, out, err = invoke(["make", "unipotent_class", "--p", "13"])
+    assert code == 0 and json.loads(out)["size"] == 84, err
+    _assert_input_error(["make", "unipotent_class", "--p", "17"], "limit 13")
+
+
+# -- library paths read the group arrays, not a Python copy of the table ------------
+
+def test_library_paths_never_build_the_python_table(tmp_path, monkeypatch):
+    from quandles import FiniteGroup, unipotent_class_quandle
+
+    def refuse(self):
+        raise AssertionError("multiplication_table() called")
+
+    s3 = FiniteGroup.symmetric(3)
+    u7 = write(tmp_path, "u7.json", unipotent_class_quandle(7).to_json())
+    grp = write(tmp_path, "s3.json", s3_group_json())
+    phi = write(tmp_path, "phi.json", json.dumps([s3.conj(1, x) for x in range(6)]))
+    monkeypatch.setattr(FiniteGroup, "multiplication_table", refuse)
+    for argv in (["realize", u7, "--json"], ["report", u7, "--json"],
+                 ["sbar", u7, "--json"], ["make", "conj", "--group", grp],
+                 ["make", "phi_space", "--group", grp, "--phi", phi, "--subgroup", "0,1"],
+                 ["make", "vedernikov", "--group", grp, "--phi", phi]):
+        code, out, err = invoke(argv)
+        assert code == 0, (argv, err)
+
+
 # -- analysis commands ------------------------------------------------------------
 
 def test_orbits_and_groups(r5_file):

@@ -4,7 +4,8 @@ import pytest
 
 from quandles import (CocycleError, ConstructionError, FiniteGroup,
                       GroupAutomorphism, NotAbelian, NotFixed, alexander,
-                      cocycle_extension, conj_class, conjugation,
+                      cocycle_extension, conj_class, conjugacy_class,
+                      conjugation,
                       coset_realization, dihedral,
                       fixed_subgroup, identity_perm, iso_search,
                       matrix_group_sl2, phi_space, saturate_forward,
@@ -139,6 +140,12 @@ def test_cocycle_errors():
         cocycle_extension(1, FiniteGroup.symmetric(3), [[0]])
 
 
+@pytest.mark.parametrize("entry", [1.5, True, 3, -1])
+def test_cocycle_entries_must_be_element_indices(entry):
+    with pytest.raises(ConstructionError, match="element indices"):
+        cocycle_extension(2, FiniteGroup.cyclic(3), [[0, entry], [0, 0]])
+
+
 def test_cocycle_orbit_of_origin():
     # X = A = Z/3, F(x, y) = y - x: the orbit of (0,0) is {0} x A
     z3 = FiniteGroup.cyclic(3)
@@ -147,6 +154,27 @@ def test_cocycle_orbit_of_origin():
     stable = saturate_forward(q, {0}).stable
     assert stable == frozenset({0, 1, 2})
     assert all(q.labels[i].startswith("(0,") for i in stable)
+
+
+def test_tables_match_scalar_products():
+    # the constructors index the group arrays in bulk; compare them with
+    # one scalar product at a time
+    s4 = FiniteGroup.symmetric(4)
+    n = s4.order
+    assert conjugation(s4).op == tuple(tuple(s4.conj(g, h) for h in range(n))
+                                       for g in range(n))
+    cls = conjugacy_class(s4, 3)   # the 3-cycles, where a^-1 b a != a b a^-1
+    assert cls == tuple(sorted({s4.conj(h, 3) for h in range(n)}))
+    assert conj_class(s4, 3).op == tuple(tuple(cls.index(s4.conj(a, b)) for b in cls)
+                                         for a in cls)
+    phi = GroupAutomorphism(s4, [s4.conj(3, x) for x in range(n)])
+    assert twisted_orbit_action(s4, phi) == tuple(
+        tuple(s4.mul(s4.mul(x, a), phi(s4.inv(x))) for a in range(n)) for x in range(n))
+    z4 = FiniteGroup.cyclic(4)
+    f = [[0, 3, 1], [2, 0, 1], [3, 3, 0]]
+    q = cocycle_extension(3, z4, f)
+    assert all(q.op[4 * x + a][4 * y + b] == 4 * y + z4.mul(b, f[x][y])
+               for x in range(3) for a in range(4) for y in range(3) for b in range(4))
 
 
 def test_conjugation_abelian_is_trivial():

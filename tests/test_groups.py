@@ -1,5 +1,7 @@
 import io
 import itertools
+import random
+import re
 
 import pytest
 
@@ -92,6 +94,31 @@ def test_sampled_associativity_names_a_failing_triple():
     assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
+def _first_nonassociative(table, triples):
+    """Reference: the first triple, in the order given, where the loop finds
+    (ab)c != a(bc)."""
+    return next(((a, b, c) for a, b, c in triples
+                 if table[table[a][b]][c] != table[a][table[b][c]]), None)
+
+
+def test_associativity_check_names_the_first_failing_triple():
+    # up to order 64 the triples run in row-major order, above it they are
+    # the sampled stream of Random(0); the array check reports the same
+    # triple the loop finds first
+    for n in (5, 65):
+        table = [[(a + b + a * b * (a + b)) % n for b in range(n)] for a in range(n)]
+        if n <= 64:
+            triples = itertools.product(range(n), repeat=3)
+        else:
+            rng = random.Random(0)
+            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                       for _ in range(20000))
+        expected = _first_nonassociative(table, triples)
+        assert expected is not None
+        with pytest.raises(GroupError, match=re.escape(f"not associative at {expected}")):
+            FiniteGroup.from_table(table)
+
+
 def test_symmetric_group():
     s4 = FiniteGroup.symmetric(4)
     assert s4.order == 24
@@ -112,6 +139,15 @@ def test_subgroup_closure_and_check():
     sub = s3.subgroup_closure({t})
     assert len(sub) == 2 and s3.is_subgroup(sub)
     assert s3.subgroup_witness((t,)) is not None
+
+
+def test_subgroup_witness_names_the_least_offender():
+    z6 = FiniteGroup.cyclic(6)
+    assert z6.subgroup_witness((0, 9, 3, -1)) == ("out-of-range", -1)
+    assert z6.subgroup_witness((0, 3, 9)) == ("out-of-range", 9)
+    assert z6.subgroup_witness((0, 4, 2, 1)) == ("inverse", 1)
+    assert z6.subgroup_witness((0, 5, 3, 1)) == ("product", 1, 1)   # 1+1, 1+3 leave
+    assert z6.subgroup_witness((0, 4, 2)) is None
 
 
 def test_group_json_round_trip():
@@ -280,8 +316,9 @@ def test_sl2_table_matches_matrix_products():
     assert g.mul(a, g.inv(a)) == g.identity
     # the whole table, against 2x2 products mod 11 looked up by matrix
     index = {m: i for i, m in enumerate(g.elements)}
+    table = g.multiplication_table()
     for i, (p, q, r, s) in enumerate(g.elements):
-        row = g.multiplication_table()[i]
+        row = table[i]
         for j, (t, u, v, w) in enumerate(g.elements):
             prod = ((p * t + q * v) % 11, (p * u + q * w) % 11,
                      (r * t + s * v) % 11, (r * u + s * w) % 11)

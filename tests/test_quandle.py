@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -232,3 +233,38 @@ def test_check_memory_stays_bounded(tmp_path):
     code, peak_kib = map(int, out.stdout.split())  # ru_maxrss is in KiB on Linux
     assert code == 0
     assert peak_kib / 1024 < 280
+
+
+def _alexander_scalar_table(p, n, a):
+    """v |> w = v + a(w - v) on F_p^n, vectors in lexicographic order,
+    computed on base-p digits without the constructor."""
+    place = p ** np.arange(n - 1, -1, -1)
+    digits = np.arange(p ** n)[:, None] // place % p
+    v, w = digits[:, None], digits[None, :]
+    return (v + a * (w - v)) % p @ place
+
+
+def _check_peak_mb(path):
+    """Exit code and peak RSS in MB of the CLI ``check`` on ``path``."""
+    src = str(Path(quandle_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cmd = [sys.executable, "-m", "quandles.cli", "check", str(path)]
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_OF, *cmd], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    code, peak_kib = map(int, out.stdout.split())  # ru_maxrss is in KiB on Linux
+    return code, peak_kib / 1024
+
+
+def test_check_memory_stays_bounded_at_625(tmp_path):
+    # n = 625, alexander(5, 4, 2), where v |> w = 2w - v on each base-5 digit:
+    # valid, 3.6 s and 141.5 MB measured on a 2-core x86-64 Linux VM.  The
+    # table is written directly, because the constructor alone takes 6.4 s
+    assert (_alexander_scalar_table(5, 2, 2).tolist()
+            == [list(r) for r in alexander(5, 2, 2).op])
+    path = tmp_path / "a542.json"
+    path.write_text(json.dumps({"size": 625,
+                                "table": _alexander_scalar_table(5, 4, 2).tolist()}))
+    code, peak_mb = _check_peak_mb(path)
+    assert code == 0
+    assert peak_mb < 280
