@@ -190,10 +190,10 @@ def parse_generator_lines(text: str, domain_size: int | None = None) -> list[tup
 
 
 # ---------------------------------------------------------------------------
-# permutation groups by naive closure
+# permutation groups by Dimino's closure
 
 class PermutationGroup:
-    """A group of permutations of {0..m-1}, enumerated by breadth-first closure.
+    """A group of permutations of {0..m-1}, enumerated by Dimino's algorithm.
 
     Closure is lazy; ``elements`` and ``order`` trigger it.  Orbits only walk
     the generators and never require the full element set.
@@ -227,20 +227,33 @@ class PermutationGroup:
         return len(self.elements)
 
     def _close(self) -> None:
+        # Dimino's algorithm (Butler 1991): ``els`` lists the group generated
+        # so far as whole right cosets prev.r of the subgroup ``prev`` it grew
+        # from, each starting with its representative r; representatives times
+        # the generators used so far find the missing cosets.  A generator
+        # already in the group adds nothing.  The cap is checked before each
+        # coset, so at most ``cap`` elements are held and the closure fails
+        # exactly when the order exceeds it.
         ident = identity_perm(self.domain_size)
-        els = {ident}
-        frontier = deque([ident])   # the generators come in as g o identity
-        while frontier:
-            b = frontier.popleft()
-            for g in self.generators:
-                c = compose(g, b)
-                if c not in els:
-                    if len(els) >= self.cap:
-                        raise CapExceeded(
-                            f"group closure exceeded cap of {self.cap} elements")
-                    els.add(c)
-                    frontier.append(c)
-        self._element_set = els
+        els, seen, used = [ident], {ident}, []
+        for s in self.generators:
+            if s in seen:
+                continue
+            used.append(s)
+            prev = els[:]
+            pos = 0
+            while pos < len(els):
+                for t in used:
+                    r = compose(els[pos], t)
+                    if r not in seen:
+                        if len(els) + len(prev) > self.cap:
+                            raise CapExceeded(
+                                f"group closure exceeded cap of {self.cap} elements")
+                        coset = [compose(h, r) for h in prev]
+                        els.extend(coset)
+                        seen.update(coset)
+                pos += len(prev)
+        self._element_set = seen
         self._elements = tuple(sorted(els))
 
     def __contains__(self, p) -> bool:
@@ -284,7 +297,7 @@ class PermutationGroup:
 
 def close(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP,
           domain_size: int | None = None) -> PermutationGroup:
-    """Close a generator list into a PermutationGroup (breadth-first)."""
+    """Close a generator list into a PermutationGroup (Dimino's algorithm)."""
     gens = [tuple(g) for g in generators]
     if domain_size is None:
         domain_size = len(gens[0]) if gens else 0

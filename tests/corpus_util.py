@@ -1,7 +1,14 @@
-"""The shared instance corpus exercised by the property and acceptance tests."""
+"""The shared instance corpus exercised by the property and acceptance
+tests, and a probe of the CLI's peak memory."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import quandles
 from quandles import (FiniteGroup, GroupAutomorphism, all_automorphisms,
                       alexander, conj_class, conjugacy_class, conjugation,
                       dihedral, matrix_group_sl2, phi_space, power_cocycle,
@@ -66,3 +73,27 @@ def small_corpus():
              "conj_class_S4_1", "phi_space_Z6", "vedernikov_S3_1",
              "power_cocycle_3_2", "unipotent_3"}
     return [(n, q) for n, q in corpus() if n in names]
+
+
+# A child's ru_maxrss also counts the RSS of the process it was forked from,
+# which for pytest can be hundreds of MB, so the CLI is started from a small
+# interpreter that reports its child's peak.
+_PEAK_RSS_OF = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def cli_peak_mb(*argv):
+    """Exit code, peak RSS in MB and stderr of the CLI run on ``argv`` in a
+    fresh process."""
+    src = str(Path(quandles.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    cmd = [sys.executable, "-m", "quandles.cli", *argv]
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_OF, *cmd], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    code, peak_kib = map(int, out.stdout.split())  # ru_maxrss is in KiB on Linux
+    return code, peak_kib / 1024, out.stderr

@@ -1,18 +1,26 @@
 import io
 import itertools
+import json
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quandles.groups import (CapExceeded, CosetSpace, CycleParseError,
-                             FiniteGroup, GroupAutomorphism, GroupError,
-                             NotASubgroup, NotAnAutomorphism, all_automorphisms,
-                             close, compose, conjugacy_class, cosets,
+import quandles.groups as groups_module
+from quandles import alexander, inn, tr, validate
+from quandles.groups import (DEFAULT_CAP, CapExceeded, CosetSpace,
+                             CycleParseError, FiniteGroup, GroupAutomorphism,
+                             GroupError, NotASubgroup, NotAnAutomorphism,
+                             all_automorphisms, close, compose,
+                             conjugacy_class, cosets,
                              cycle_type, fixed_subgroup, format_cycles,
                              identity_perm, invert, is_permutation,
                              matrix_group_sl2, parse_cycles,
                              parse_generator_lines, perm_cycles)
+
+from corpus_util import cli_peak_mb, small_corpus
 
 
 def test_compose_and_invert():
@@ -57,6 +65,101 @@ def test_close_cap():
 def test_close_mixed_domains():
     with pytest.raises(GroupError):
         close([(1, 0), (1, 2, 0)])
+
+
+def _bfs_closure(gens, m, cap=DEFAULT_CAP):
+    """Reference closure: every generator times every element, breadth-first."""
+    ident = identity_perm(m)
+    els, frontier = {ident}, [ident]
+    for b in frontier:
+        for g in gens:
+            c = compose(g, b)
+            if c not in els:
+                if len(els) >= cap:
+                    raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+                els.add(c)
+                frontier.append(c)
+    return sorted(els)
+
+
+def _outcome(closure):
+    """Sorted elements, or the CapExceeded message."""
+    try:
+        return list(closure())
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def _generator_lists(draw):
+    """Generators on at most 6 points, padded with the identity, repeats and
+    products of earlier generators, in any order."""
+    m = draw(st.integers(1, 6))
+    gens = [tuple(p) for p in draw(st.lists(st.permutations(range(m)), max_size=4))]
+    extra = [identity_perm(m)] + gens + [compose(p, q) for p in gens for q in gens]
+    gens += draw(st.lists(st.sampled_from(extra), max_size=4))
+    return m, draw(st.permutations(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists())
+def test_close_matches_the_bfs_oracle(case):
+    m, gens = case
+    want = _bfs_closure(gens, m)
+    assert list(close(gens, domain_size=m).elements) == want
+    order = len(want)
+    for cap in {order, order - 1} - {0}:
+        got = _outcome(lambda: close(gens, cap=cap, domain_size=m).elements)
+        assert got == _outcome(lambda: _bfs_closure(gens, m, cap))
+        assert got == (f"group closure exceeded cap of {cap} elements"
+                       if order > cap else want)
+
+
+@pytest.mark.parametrize("name,q", small_corpus())
+def test_inn_and_tr_match_the_bfs_oracle(name, q):
+    for grp in (inn(q), tr(q)):
+        assert list(grp.elements) == _bfs_closure(grp.generators, q.size)
+
+
+def test_inn_closure_composes_about_once_per_element(monkeypatch):
+    # a breadth-first closure over all 343 generators of Inn composed each
+    # with every element, about 353k compositions
+    q = alexander(7, 3, 2)
+    calls = 0
+
+    def counting_compose(p, r):
+        nonlocal calls
+        calls += 1
+        return compose(p, r)
+
+    monkeypatch.setattr(groups_module, "compose", counting_compose)
+    grp = inn(q)
+    assert grp.order == 1029 and len(grp.generators) == 343
+    assert calls < 5 * 1029
+
+
+def _transposition_table(n):
+    """Conjugation on the transpositions of S_n, as pairs in lexicographic order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def swap(a, x):
+        return a[1] if x == a[0] else a[0] if x == a[1] else x
+    return [[index[tuple(sorted(swap(a, x) for x in b))] for b in pairs] for a in pairs]
+
+
+def test_inn_fails_fast_at_the_default_cap(tmp_path):
+    # the 45 transpositions of S_10, whose Inn is S_10 of order 10! > 10^6:
+    # the closure must stop at the cap, not list the group first.  A
+    # breadth-first closure took 58 s and 613 MB; Dimino's stops after two
+    # cosets of S_9 (3.9 s, 380 MB measured on a 2-core x86-64 Linux VM)
+    assert inn(validate(_transposition_table(4))).order == 24
+    path = tmp_path / "t10.json"
+    path.write_text(json.dumps({"size": 45, "table": _transposition_table(10)}))
+    code, peak_mb, err = cli_peak_mb("inn", str(path))
+    assert code == 1
+    assert "cap of 1000000" in err
+    assert peak_mb < 500
 
 
 def test_orbits_without_closure():

@@ -1,8 +1,4 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +9,7 @@ from quandles import (AxiomViolation, FiniteQuandle, InvalidQuandleError,
                       dihedral, trivial, validate)
 from quandles.groups import FiniteGroup, identity_perm
 
-from corpus_util import small_corpus
+from corpus_util import cli_peak_mb, small_corpus
 
 
 def dihedral_table(n):
@@ -208,31 +204,14 @@ def test_axiom3_blocks_match_full_arrays(monkeypatch, rows):
             assert truncated == (len(full) > cap)
 
 
-# A child's ru_maxrss also counts the RSS of the process it was forked from,
-# which for pytest can be hundreds of MB, so the CLI is started from a small
-# interpreter that reports its child's peak.
-_PEAK_RSS_OF = (
-    "import os, subprocess, sys\n"
-    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-    "_, status, usage = os.wait4(proc.pid, 0)\n"
-    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-)
-
-
 def test_check_memory_stays_bounded(tmp_path):
     # n = 343: full n^3 int64 arrays peaked near 690 MB; blocks of 2^22
     # triples measured 136 MB on a 2-core x86-64 Linux VM
     path = tmp_path / "a732.json"
     path.write_text(alexander(7, 3, 2).to_json())
-    src = str(Path(quandle_module.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    cmd = [sys.executable, "-m", "quandles.cli", "check", str(path)]
-    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_OF, *cmd], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    code, peak_kib = map(int, out.stdout.split())  # ru_maxrss is in KiB on Linux
+    code, peak_mb, _ = cli_peak_mb("check", str(path))
     assert code == 0
-    assert peak_kib / 1024 < 280
+    assert peak_mb < 280
 
 
 def _alexander_scalar_table(p, n, a):
@@ -244,18 +223,6 @@ def _alexander_scalar_table(p, n, a):
     return (v + a * (w - v)) % p @ place
 
 
-def _check_peak_mb(path):
-    """Exit code and peak RSS in MB of the CLI ``check`` on ``path``."""
-    src = str(Path(quandle_module.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    cmd = [sys.executable, "-m", "quandles.cli", "check", str(path)]
-    out = subprocess.run([sys.executable, "-c", _PEAK_RSS_OF, *cmd], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    code, peak_kib = map(int, out.stdout.split())  # ru_maxrss is in KiB on Linux
-    return code, peak_kib / 1024
-
-
 def test_check_memory_stays_bounded_at_625(tmp_path):
     # n = 625, alexander(5, 4, 2), where v |> w = 2w - v on each base-5 digit:
     # valid, 3.6 s and 141.5 MB measured on a 2-core x86-64 Linux VM.  The
@@ -265,6 +232,6 @@ def test_check_memory_stays_bounded_at_625(tmp_path):
     path = tmp_path / "a542.json"
     path.write_text(json.dumps({"size": 625,
                                 "table": _alexander_scalar_table(5, 4, 2).tolist()}))
-    code, peak_mb = _check_peak_mb(path)
+    code, peak_mb, _ = cli_peak_mb("check", str(path))
     assert code == 0
     assert peak_mb < 280
