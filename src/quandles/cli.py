@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import constructions, knots, regularity, symmetry
 from .groups import (FiniteGroup, GroupAutomorphism, GroupError,
-                     NotAnAutomorphism, parse_generator_lines)
+                     NotAnAutomorphism, parse_cycles, parse_generator_lines)
 from .quandle import FiniteQuandle, InvalidQuandleError, QuandleError
 
 INPUT_ERRORS = (QuandleError, GroupError, knots.ParseError, knots.InconsistentArcs,
@@ -349,14 +349,20 @@ def _cmd_color(args, out, err) -> int:
 def _cmd_action(args, out, err) -> int:
     q = _load_quandle(args.quandle)
     data = json.loads(_read_text(args.action))
+    if (not isinstance(data, dict) or type(data.get("set_size")) is not int
+            or not isinstance(data.get("act"), list)):
+        raise symmetry.ActionError(
+            "action JSON must be an object {'set_size': int, 'act': [permutations]}")
     set_size = data["set_size"]
     act = []
     for entry in data["act"]:
         if isinstance(entry, str):
-            from .groups import parse_cycles
             act.append(parse_cycles(entry, domain_size=set_size))
-        else:
+        elif isinstance(entry, list):
             act.append(tuple(entry))
+        else:
+            raise symmetry.ActionError(
+                f"action entry {entry!r} is neither a list nor cycle notation")
     action = symmetry.QuandleAction(q, set_size, act)
     cap = _closure_cap(symmetry.DEFAULT_CAP, args)
     opg = symmetry.op_group(action, cap=cap)

@@ -182,24 +182,14 @@ def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQua
 
     Requires H to be a subgroup (``NotASubgroup`` names the least offender,
     an index out of range included) inside the fixed subgroup of phi
-    (offending elements are all reported); the quandle itself is built by
-    ``coset_quandle``.
+    (offending elements are all reported).  Well-definedness over
+    representative choices is rechecked on all pairs of group elements; the
+    algebra guarantees it, the check guards implementation bugs.
     """
     cosets = CosetSpace(group, subgroup)
     moved = [x for x in cosets.subgroup if phi(x) != x]
     if moved:
         raise NotFixed(moved)
-    return coset_quandle(phi, cosets)
-
-
-def coset_quandle(phi: GroupAutomorphism, cosets: CosetSpace) -> FiniteQuandle:
-    """``phi_space`` on a coset space already built, whose subgroup phi fixes.
-
-    Well-definedness over representative choices is rechecked on all pairs
-    of group elements; the algebra guarantees it, the check guards
-    implementation bugs.
-    """
-    group = cosets.group
     table, bad = coset_action(group, phi.mapping, cosets, cosets)
     if bad is not None:
         raise ConstructionError(
@@ -279,6 +269,10 @@ def alexander(p: int, n: int, a) -> FiniteQuandle:
         mat = [[a % p if i == j else 0 for j in range(n)] for i in range(n)]
         a_param = a % p
     else:
+        if not (isinstance(a, (list, tuple)) and all(
+                isinstance(r, (list, tuple)) and all(type(x) is int for x in r)
+                for r in a)):
+            raise ConstructionError("a must be an integer or a matrix of integers")
         mat = [[x % p for x in row] for row in a]
         if len(mat) != n or any(len(r) != n for r in mat):
             raise ConstructionError(f"matrix must be {n}x{n}")

@@ -523,9 +523,13 @@ class FiniteGroup:
         if not isinstance(d, dict) or "mul" not in d:
             raise GroupError("group JSON needs a 'mul' table")
         labels = d.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise GroupError("group 'labels' must be a list")
         g = cls.from_table(d["mul"], labels=tuple(labels) if labels else None)
         if "order" in d and d["order"] != g.order:
             raise GroupError("declared order does not match table size")
+        if labels and len(labels) != g.order:
+            raise GroupError("group 'labels' must have one entry per element")
         return g
 
     def __repr__(self):

@@ -155,11 +155,14 @@ class FiniteQuandle:
         if "table" not in d:
             raise RangeError("quandle JSON needs a 'table' field")
         table = d["table"]
+        if not isinstance(table, list):
+            raise RangeError("quandle 'table' must be a list of rows")
         if "size" in d and d["size"] != len(table):
             raise RangeError("declared size does not match table")
         labels = d.get("labels")
-        if labels is not None and len(labels) != len(table):
-            raise RangeError("labels length does not match table size")
+        if labels is not None and (not isinstance(labels, list)
+                                   or len(labels) != len(table)):
+            raise RangeError("labels must be a list with one entry per element")
         return validate(table, labels=tuple(labels) if labels else None)
 
     @classmethod
@@ -186,7 +189,6 @@ class FiniteQuandle:
 
 
 def axiom_violations(table: Sequence[Sequence[int]],
-                     inv_table: Sequence[Sequence[int]] | None = None,
                      cap: int = MAX_VIOLATIONS) -> tuple[list[AxiomViolation], bool]:
     """All axiom violations of a well-formed table, up to ``cap`` witnesses.
 
@@ -218,18 +220,6 @@ def axiom_violations(table: Sequence[Sequence[int]],
         if not push(AxiomViolation(2, (int(q), missing))):
             return out, truncated
 
-    # provided inverse table must invert each (valid) row
-    if inv_table is not None:
-        inv = np.asarray(inv_table, dtype=np.int64)
-        for q in range(n):
-            if not row_is_perm[q]:
-                continue
-            expected = np.argsort(a[q])
-            bad = np.flatnonzero(inv[q] != expected)
-            if bad.size:
-                if not push(AxiomViolation(2, (q, int(bad[0])))):
-                    return out, truncated
-
     # axiom 3: left distributivity, vectorized over blocks of rows q so that
     # memory stays O(block * n^2); blocks run in order, so witnesses come
     # out in the same row-major (q, r, s) order as one full n^3 comparison
@@ -246,47 +236,36 @@ def axiom_violations(table: Sequence[Sequence[int]],
 
 
 def validate(table: Sequence[Sequence[int]],
-             inv_table: Sequence[Sequence[int]] | None = None,
              labels: Sequence[str] | None = None) -> FiniteQuandle:
     """Check the three quandle axioms and return the validated quandle.
 
     Raises RangeError for malformed tables and InvalidQuandleError carrying
-    the full witness list (capped at 100) for axiom failures.  When
-    ``inv_table`` is absent it is computed by inverting the rows.
+    the full witness list (capped at 100) for axiom failures.  The inverse
+    table is computed by inverting the rows.
     """
     n = len(table)
     if n == 0:
         raise RangeError("a quandle must be nonempty")
     bad_positions = []
     for q, row in enumerate(table):
+        if not isinstance(row, (list, tuple, np.ndarray)):
+            raise RangeError(f"row {q} is not a list")
         if len(row) != n:
             raise RangeError(f"row {q} has length {len(row)}, expected {n}")
         for r, x in enumerate(row):
             if not isinstance(x, (int, np.integer)) or isinstance(x, bool) or not 0 <= x < n:
                 bad_positions.append((q, r))
-    if inv_table is not None:
-        if len(inv_table) != n:
-            raise RangeError(f"inverse table has {len(inv_table)} rows, expected {n}")
-        for q, row in enumerate(inv_table):
-            if len(row) != n:
-                raise RangeError(f"inverse row {q} has length {len(row)}, expected {n}")
-            for r, x in enumerate(row):
-                if not isinstance(x, (int, np.integer)) or isinstance(x, bool) or not 0 <= x < n:
-                    bad_positions.append((q, r))
     if bad_positions:
         head = ", ".join(str(p) for p in bad_positions[:5])
         raise RangeError(f"entries out of range at {head}", positions=bad_positions)
 
-    violations, truncated = axiom_violations(table, inv_table)
+    violations, truncated = axiom_violations(table)
     if violations:
         raise InvalidQuandleError(violations, truncated)
 
     op = tuple(tuple(int(x) for x in row) for row in table)
-    if inv_table is not None:
-        inv_op = tuple(tuple(int(x) for x in row) for row in inv_table)
-    else:
-        inv_op = tuple(tuple(int(x) for x in np.argsort(np.asarray(row)))
-                       for row in op)
+    inv_op = tuple(tuple(int(x) for x in np.argsort(np.asarray(row)))
+                   for row in op)
     return FiniteQuandle(op, inv_op, labels=labels)
 
 

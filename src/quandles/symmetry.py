@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constructions import coset_action, coset_quandle, vedernikov_op
+from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CosetSpace, FiniteGroup, GroupAutomorphism,
                      PermutationGroup, close, compose, cycle_type,
                      identity_perm, invert)
@@ -98,7 +98,8 @@ class QuandleAction:
             raise ActionError(
                 f"need one permutation per quandle element ({quandle.size}), got {len(acts)}")
         for q, a in enumerate(acts):
-            if len(a) != set_size or sorted(a) != list(range(set_size)):
+            if (any(type(x) is not int for x in a)
+                    or sorted(a) != list(range(set_size))):
                 raise ActionError(f"map for element {q} is not a permutation",
                                   witness=(q,))
         for q in range(quandle.size):
@@ -529,6 +530,12 @@ def _twist(g: FiniteGroup, left: Sequence[int],
     return _indices(g, np.asarray(left)[perms[:, np.asarray(right)]])
 
 
+def _check_basepoint(quandle: FiniteQuandle, q: int) -> int:
+    if not 0 <= q < quandle.size:
+        raise QuandleError(f"basepoint {q} out of range for size {quandle.size}")
+    return q
+
+
 def _cosets_at(g: FiniteGroup, q: int) -> tuple[CosetSpace, tuple[int, ...]]:
     """The cosets of the stabilizer of q, and pi: coset index -> rep(q)."""
     perms = g.elements
@@ -543,8 +550,10 @@ class CosetRealization:
     group:      Tr(Q) as an explicit finite group of permutations;
     phi:        conjugation by s_q, verified to be a group automorphism;
     stabilizer: indices of transvections fixing the basepoint;
-    pi:         coset index -> quandle element, a bijection onto the orbit;
-    coset_quandle: the quandle on G/H twisted by phi.
+    pi:         coset index -> quandle element, a bijection onto the orbit.
+
+    The coset quandle itself, validated, is
+    ``phi_space(group, phi, stabilizer)``.
     """
 
     basepoint: int
@@ -553,7 +562,6 @@ class CosetRealization:
     stabilizer: tuple[int, ...]
     cosets: CosetSpace
     pi: tuple[int, ...]
-    coset_quandle: FiniteQuandle
     orbit: tuple[int, ...]
     checks: dict
 
@@ -569,12 +577,12 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
     Builds G = Tr(Q) explicitly, phi(g) = s_q g s_q^-1, H = {g : g(q) = q},
     and pi: gH -> g(q).  Verifies, exhaustively: conjugation keeps G inside
     itself, phi is a group automorphism, H is fixed by phi elementwise (every
-    element of H commutes with s_q), and pi is a bijection onto the orbit
-    that is a quandle isomorphism in both directions.
+    element of H commutes with s_q), the coset operation is well-defined,
+    and pi is a bijection onto the orbit and a homomorphism.  The orbit is a
+    subquandle of the validated Q, so these make the coset table a quandle
+    isomorphic to it, and pi^-1 a homomorphism too.
     """
-    q = basepoint
-    if not 0 <= q < quandle.size:
-        raise IndexError(f"basepoint {q} out of range")
+    q = _check_basepoint(quandle, basepoint)
     g = _tr_group(quandle, cap)
     sq = quandle.op[q]
     phi_map = _twist(g, sq, quandle.inv_op[q])
@@ -592,16 +600,16 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
     orbit = orbits(quandle).orbit_of(q)
     checks["pi_bijective"] = sorted(pi) == list(orbit)  # orbit is sorted, no repeats
 
-    cq = coset_quandle(phi, cs)
+    table, bad = coset_action(g, phi.mapping, cs, cs)
+    if bad is not None:
+        raise ConstructionError(
+            f"coset operation not well-defined at representatives {bad}")
     p = np.array(pi)
     checks["pi_homomorphism"] = bool(
-        (p[np.array(cq.op)] == np.array(quandle.op)[p[:, None], p]).all())
-    pi_inv = {x: k for k, x in enumerate(pi)}
-    checks["pi_inverse_homomorphism"] = (
-        checks["pi_bijective"]
-        and all(pi_inv[quandle.op[x][y]] == cq.op[pi_inv[x]][pi_inv[y]]
-                for x in orbit for y in orbit))
-    return CosetRealization(q, g, phi, stab, cs, pi, cq, orbit, checks)
+        (p[table] == np.array(quandle.op)[p[:, None], p]).all())
+    checks["pi_inverse_homomorphism"] = (checks["pi_bijective"]
+                                         and checks["pi_homomorphism"])
+    return CosetRealization(q, g, phi, stab, cs, pi, orbit, checks)
 
 
 @dataclass(frozen=True)
@@ -627,6 +635,8 @@ def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int,
     well-definedness over representative choices on all element pairs, and
     the compatibility pi_r(gG_q . hG_r) = pi_q(gG_q) |> pi_r(hG_r) on every
     coset pair."""
+    _check_basepoint(quandle, q)
+    _check_basepoint(quandle, r)
     g = _tr_group(quandle, cap)
     psi = _twist(g, quandle.op[q], quandle.inv_op[r])
     checks: dict = {"psi_closed": psi is not None}
@@ -675,7 +685,7 @@ def sbar_hom(quandle: FiniteQuandle, basepoint: int,
     elements with equal symmetries, so the map is injective precisely when
     distinct elements have distinct rows.
     """
-    q = basepoint
+    q = _check_basepoint(quandle, basepoint)
     g = FiniteGroup.from_permutation_group(inn(quandle, cap=cap))
     sq_inv = quandle.inv_op[q]
     phi = GroupAutomorphism(g, _twist(g, quandle.op[q], sq_inv), check=True)

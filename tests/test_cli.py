@@ -97,7 +97,7 @@ def test_missing_file():
     assert code == 1
 
 
-# -- malformed group input fails as an input error ---------------------------------
+# -- malformed input fails as an input error ---------------------------------------
 
 def _z6_table():
     return [[(i + j) % 6 for j in range(6)] for i in range(6)]
@@ -131,7 +131,9 @@ def _z6_with(entry):
     (_z6_with(True), "row 2 of multiplication table is malformed"),
     ({"order": 6, "mul": 6}, "must be a list of rows"),
     (6, "needs a 'mul' table"),
-], ids=["float-entry", "bool-entry", "mul-not-a-list", "not-an-object"])
+    ({"order": 6, "mul": _z6_table(), "labels": 3}, "'labels' must be a list"),
+], ids=["float-entry", "bool-entry", "mul-not-a-list", "not-an-object",
+        "labels-not-a-list"])
 def test_malformed_group_json(tmp_path, group, message):
     grp = write(tmp_path, "z6.json", json.dumps(group))
     _assert_input_error(["make", "conj", "--group", grp], message)
@@ -148,7 +150,42 @@ def test_phi_entries_must_be_ints(tmp_path, phi, message):
                          "--subgroup", "0"], message)
 
 
+@pytest.mark.parametrize("quandle, message", [
+    ({"table": [0]}, "row 0 is not a list"),
+    ({"table": [[0]], "labels": 5}, "labels must be a list"),
+], ids=["row-not-a-list", "labels-not-a-list"])
+def test_malformed_quandle_json(tmp_path, quandle, message):
+    _assert_input_error(["check", write(tmp_path, "q.json", json.dumps(quandle))],
+                        message)
+
+
+@pytest.mark.parametrize("action, message", [
+    ([3, [[0, 1, 2]]], "must be an object"),
+    ({"set_size": 2, "act": [[0, 1.0]] * 3}, "not a permutation"),
+    ({"set_size": 3, "act": [5, [0, 1, 2], [0, 1, 2]]}, "action entry 5"),
+], ids=["not-an-object", "float-entry", "int-entry"])
+def test_malformed_action_json(tmp_path, action, message):
+    _, out, _ = invoke(["make", "dihedral", "--n", "3"])
+    q = write(tmp_path, "r3.json", out)
+    act = write(tmp_path, "act.json", json.dumps(action))
+    _assert_input_error(["action", "--quandle", q, "--action", act], message)
+
+
+def test_alexander_rejects_a_non_number():
+    _assert_input_error(["make", "alexander", "--p", "5", "--a", '"x"'],
+                        "a must be an integer or a matrix")
+
+
 # -- documented limits, at the limit and one step past it --------------------------
+
+@pytest.mark.parametrize("command", ["realize", "sbar"])
+def test_basepoint_range(r5_file, command):
+    code, out, err = invoke([command, r5_file, "--basepoint", "4"])
+    assert code == 0, err
+    for bad in ("5", "-1"):
+        _assert_input_error([command, r5_file, "--basepoint", bad],
+                            f"basepoint {bad} out of range for size 5")
+
 
 def test_closure_cap_counts_the_generators(r5_file):
     # Tr(R5) has order 5 and 4 distinct non-identity generators

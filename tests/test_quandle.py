@@ -68,15 +68,6 @@ def test_validate_witness_cap():
     assert len(violations) == 100 and truncated
 
 
-def test_inv_table_checked():
-    tab = dihedral_table(4)
-    good = validate(tab, inv_table=tab)  # dihedral symmetries are involutions
-    assert good.inv_op == good.op
-    bad_inv = [[(r + 1) % 4 for r in range(4)] for _ in range(4)]
-    with pytest.raises(InvalidQuandleError):
-        validate(tab, inv_table=bad_inv)
-
-
 def test_inverse_tables_are_inverse():
     for _, q in small_corpus():
         n = q.size

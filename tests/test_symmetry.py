@@ -1,17 +1,23 @@
+import io
 import math
 import random
 
 import pytest
 
-from quandles import (ActionError, FiniteGroup, QuandleAction, SignedWord,
-                      TooLarge, alexander, aut, compose, conj_class,
-                      conjugation, coset_realization, dihedral, hom_check,
-                      inn, inter_orbit_action, invert, is_connected,
-                      is_homogeneous, iso_search, op_group, open_subquandle_check, orbits,
-                      random_transvection_word, saturate_forward,
-                      saturate_mixed, sbar_hom, power_cocycle, tr,
-                      tr_action_group, tr_orbit, trivial,
+import quandles.constructions as constructions
+import quandles.quandle as quandle_module
+import quandles.symmetry as symmetry
+from quandles import (ActionError, FiniteGroup, QuandleAction, QuandleError,
+                      SignedWord, TooLarge, alexander, aut, compose,
+                      conj_class, conjugation, coset_realization, dihedral,
+                      hom_check, inn, inter_orbit_action, invert,
+                      is_connected, is_homogeneous, iso_search, op_group,
+                      open_subquandle_check, orbits, phi_space,
+                      random_transvection_word, regularity_report,
+                      saturate_forward, saturate_mixed, sbar_hom,
+                      power_cocycle, tr, tr_action_group, tr_orbit, trivial,
                       unipotent_class_quandle)
+from quandles.cli import run
 
 from corpus_util import small_corpus
 
@@ -368,6 +374,71 @@ def test_realize_stabilizer_commutes():
     for i in real.stabilizer:
         p = real.group.elements[i]
         assert compose(p, sq) == compose(sq, p)
+
+
+def _pi_inverse_homomorphism_oracle(quandle, real):
+    """pi^-1(x |> y) = pi^-1(x) |> pi^-1(y) on every pair of the orbit,
+    one scalar at a time against the validated coset quandle."""
+    cq = phi_space(real.group, real.phi, real.stabilizer)
+    pi_inv = {x: k for k, x in enumerate(real.pi)}
+    return (sorted(real.pi) == list(real.orbit)
+            and all(pi_inv[quandle.op[x][y]] == cq.op[pi_inv[x]][pi_inv[y]]
+                    for x in real.orbit for y in real.orbit))
+
+
+def test_pi_inverse_homomorphism_matches_the_scalar_oracle():
+    for name, q in small_corpus():
+        for b in orbits(q).basepoints:
+            real = coset_realization(q, b)
+            assert real.checks["pi_inverse_homomorphism"] == \
+                _pi_inverse_homomorphism_oracle(q, real), (name, b)
+
+
+def test_realization_neither_validates_nor_serializes(monkeypatch):
+    built = [unipotent_class_quandle(7), conjugation(FiniteGroup.symmetric(4))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate or to_dict called")
+
+    for module in (quandle_module, constructions):
+        monkeypatch.setattr(module, "validate", refuse)
+    monkeypatch.setattr(FiniteGroup, "to_dict", refuse)
+    for q in built:
+        assert coset_realization(q, 0).ok
+        assert regularity_report(q).phi_prime
+
+
+def test_a_wrong_coset_table_fails_pi(tmp_path, monkeypatch):
+    q = dihedral(5)
+    path = tmp_path / "d5.json"
+    path.write_text(q.to_json())
+    real_action = symmetry.coset_action
+
+    def corrupt(*args):
+        table, bad = real_action(*args)
+        table[0, 0] = (table[0, 0] + 1) % table.shape[1]
+        return table, bad
+
+    monkeypatch.setattr(symmetry, "coset_action", corrupt)
+    real = coset_realization(q, 0)
+    assert real.checks["pi_bijective"]
+    assert not real.checks["pi_homomorphism"]
+    assert not real.checks["pi_inverse_homomorphism"]
+    assert not real.ok
+    code = run(["realize", str(path), "--json"], stdout=io.StringIO(),
+               stderr=io.StringIO())
+    assert code == 2
+
+
+def test_basepoints_out_of_range():
+    q = dihedral(3)
+    for bad in (3, -1):
+        for call in (lambda: coset_realization(q, bad),
+                     lambda: sbar_hom(q, bad),
+                     lambda: inter_orbit_action(q, bad, 0),
+                     lambda: inter_orbit_action(q, 0, bad)):
+            with pytest.raises(QuandleError, match=f"basepoint {bad} out of range"):
+                call()
 
 
 def test_inter_orbit_compatibility():
