@@ -68,11 +68,14 @@ def _parse_indices(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def _closure_cap(default: int, args=None) -> int:
-    if args is not None and getattr(args, "cap", None):
-        return args.cap
+def _closure_cap(default: int, args) -> int:
+    """``--cap``, else ``QUANDLE_CAP``, else ``default``; it must be >= 1."""
     env = os.environ.get("QUANDLE_CAP")
-    return int(env) if env else default
+    cap = args.cap if args.cap is not None else int(env) if env else default
+    if cap < 1:
+        source = "--cap" if args.cap is not None else "QUANDLE_CAP"
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _word_json(word: symmetry.SignedWord) -> list:
@@ -213,8 +216,8 @@ def _cmd_connected(args, out, err) -> int:
 
 def _cmd_aut(args, out, err) -> int:
     q = _load_quandle(args.quandle)
-    grp = symmetry.aut(q)
-    homogeneous = symmetry.is_homogeneous(q)
+    grp = symmetry.aut(q, cap=_closure_cap(symmetry.REALIZE_CAP, args))
+    homogeneous = grp.is_transitive()
     if args.json:
         print(_canonical({"order": grp.order, "homogeneous": homogeneous}), file=out)
     else:
@@ -394,7 +397,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; no effect on results or speed")
     common.add_argument("--cap", type=int, default=None,
-                        help="override the group-closure element cap")
+                        help="override the element cap of group closures and of aut")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make", parents=[common], help="construct a quandle family")

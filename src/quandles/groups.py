@@ -584,61 +584,94 @@ def fixed_subgroup(group: FiniteGroup, phi: GroupAutomorphism) -> tuple[int, ...
     return fixed
 
 
-def all_automorphisms(group: FiniteGroup, max_order: int = 64) -> list[GroupAutomorphism]:
-    """Enumerate every automorphism of a small group by backtracking."""
-    n = group.order
-    if n > max_order:
-        raise GroupError(f"automorphism enumeration limited to order {max_order}")
-    orders = [group.element_order(i) for i in range(n)]
-    by_order: dict[int, list[int]] = {}
-    for i, o in enumerate(orders):
-        by_order.setdefault(o, []).append(i)
-    candidates = [tuple(by_order[orders[i]]) for i in range(n)]
-    found: list[GroupAutomorphism] = []
-    mapping = [-1] * n
-    used = [False] * n
-    mapping[group.identity] = group.identity
-    used[group.identity] = True
-    todo = [i for i in range(n) if i != group.identity]
-    todo.sort(key=lambda i: (len(candidates[i]), i))
+def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence, pinned=None):
+    """Lazily yield, as tuples, the bijections f with f[a[x, y]] ==
+    b[f[x], f[y]] and prof_b[f[x]] == prof_a[x], for n x n tables a and b.
 
-    def consistent(i: int) -> bool:
-        for j in range(n):
-            if mapping[j] < 0:
-                continue
-            p = group.mul(i, j)
-            if mapping[p] >= 0 and mapping[p] != group.mul(mapping[i], mapping[j]):
-                return False
-            p = group.mul(j, i)
-            if mapping[p] >= 0 and mapping[p] != group.mul(mapping[j], mapping[i]):
-                return False
-        return True
-
-    def rec(k: int):
-        if k == len(todo):
-            found.append(GroupAutomorphism(group, tuple(mapping), check=False))
-            return
-        i = todo[k]
-        for img in candidates[i]:
-            if used[img]:
-                continue
-            mapping[i] = img
-            used[img] = True
-            if consistent(i):
-                rec(k + 1)
-            mapping[i] = -1
-            used[img] = False
-
-    rec(0)
-    # drop impostors: the partial consistency check is necessary, not sufficient
-    out = []
-    for f in found:
-        try:
-            GroupAutomorphism(group, f.mapping, check=True)
-            out.append(f)
-        except NotAnAutomorphism:
+    f is extended along a generating chain built once: s_1 is ``pinned[0]``
+    or the first element in (number of candidate images, index) order, and
+    s_k the first in that order outside the closure C_{k-1} of the earlier
+    ones.  Each other element of C_k is recorded as a product l.r of earlier
+    ones, so its image is forced.  The images of s_k are tried in increasing
+    order (only ``pinned[1]`` for a pinned s_1), the forced images filled up
+    to the first clash, and the new pairs of C_k x C_k compared as one array.
+    Every element before s_k in the order lies in C_{k-1}, so the mappings
+    come out in lexicographic order of their images of the whole order.
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    n = len(a)
+    if len(b) != n:
+        return
+    ids: dict = {}
+    pa = [ids.setdefault(p, len(ids)) for p in prof_a]
+    pb = [ids.setdefault(p, len(ids)) for p in prof_b]
+    cands = [[y for y in range(n) if pb[y] == i] for i in range(len(ids))]
+    order = [pinned[0]] if pinned is not None else []
+    order += sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))
+    a_rows, b_rows = a.tolist(), b.tolist()
+    members: list[int] = []
+    inside = [False] * n
+    levels = []   # (s_k, its tries, [(x, l, r)], new pairs x, y, a[x, y])
+    for s in order:
+        if inside[s]:
             continue
-    return out
+        lo = len(members)
+        members.append(s)
+        inside[s] = True
+        derived = []
+        for x in itertools.islice(members, lo, None):   # also meets the new ones
+            for y in list(members):
+                for l, r in ((x, y), (y, x)):
+                    z = a_rows[l][r]
+                    if not inside[z]:
+                        inside[z] = True
+                        members.append(z)
+                        derived.append((z, l, r))
+        tries = cands[pa[s]]
+        if pinned is not None and not levels:
+            tries = [y for y in tries if y == pinned[1]]
+        cur, fresh = np.array(members), np.arange(len(members)) >= lo
+        xi, yi = np.nonzero(fresh[:, None] | fresh)   # the new pairs of C_k x C_k
+        xs, ys = cur[xi], cur[yi]
+        levels.append((s, tries, derived, xs, ys, a[xs, ys]))
+    f, fa = [-1] * n, np.full(n, -1)   # the same map, for scalar and array reads
+    used = [False] * n
+
+    def extend(k: int):
+        if k == len(levels):
+            yield tuple(f)
+            return
+        s, tries, derived, xs, ys, a_xy = levels[k]
+        for y in tries:
+            if used[y]:
+                continue
+            f[s] = fa[s] = y
+            taken = [y]
+            used[y] = True
+            for x, l, r in derived:
+                fx = b_rows[f[l]][f[r]]
+                if used[fx] or pb[fx] != pa[x]:
+                    break
+                f[x] = fa[x] = fx
+                taken.append(fx)
+                used[fx] = True
+            else:
+                if (fa[a_xy] == b[fa[xs], fa[ys]]).all():
+                    yield from extend(k + 1)
+            for t in taken:
+                used[t] = False
+
+    yield from extend(0)
+
+
+def all_automorphisms(group: FiniteGroup, max_order: int = 64) -> list[GroupAutomorphism]:
+    """Every automorphism of a small group: the bijections that keep element
+    orders and the table, in ``table_isomorphisms`` order."""
+    if group.order > max_order:
+        raise GroupError(f"automorphism enumeration limited to order {max_order}")
+    orders = [group.element_order(i) for i in range(group.order)]
+    return [GroupAutomorphism(group, f, check=False)
+            for f in table_isomorphisms(group.table, group.table, orders, orders)]
 
 
 class CosetSpace:

@@ -15,6 +15,7 @@ defining properties exhaustively.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -23,9 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constructions import ConstructionError, coset_action, vedernikov_op
-from .groups import (DEFAULT_CAP, CosetSpace, FiniteGroup, GroupAutomorphism,
-                     PermutationGroup, close, compose, cycle_type,
-                     identity_perm, invert)
+from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup,
+                     GroupAutomorphism, PermutationGroup, close, compose,
+                     cycle_type, identity_perm, invert, table_isomorphisms)
 from .quandle import FiniteQuandle, QuandleError
 
 REALIZE_CAP = 10**5
@@ -324,97 +325,31 @@ class HomReport:
 
 def hom_check(mapping: Sequence[int], source: FiniteQuandle,
               target: FiniteQuandle) -> HomReport:
-    """Exhaustively check f(q |> r) = f(q) |> f(r); also confirms that a
-    homomorphism automatically respects |>^-1."""
+    """Exhaustively check f(q |> r) = f(q) |> f(r), as one array comparison;
+    also confirms that a homomorphism automatically respects |>^-1.  The
+    violations are the first 100 bad pairs in row-major order."""
     f = tuple(mapping)
-    if len(f) != source.size or any(not 0 <= x < target.size for x in f):
-        raise QuandleError("mapping is not a total map into the target")
-    bad = tuple((q, r) for q in range(source.size) for r in range(source.size)
-                if f[source.op[q][r]] != target.op[f[q]][f[r]])
-    ok = not bad
-    inv_ok = ok and all(f[source.inv_op[q][r]] == target.inv_op[f[q]][f[r]]
-                        for q in range(source.size) for r in range(source.size))
-    return HomReport(ok, bad[:100], inv_ok)
+    if (len(f) != source.size
+            or any(type(x) is not int or not 0 <= x < target.size for x in f)):
+        raise QuandleError("mapping is not a total map of ints into the target")
+    m = np.array(f, dtype=np.int64)
+    bad = np.argwhere(m[np.array(source.op)] != np.array(target.op)[m[:, None], m])
+    ok = not len(bad)
+    inv_ok = ok and bool(
+        (m[np.array(source.inv_op)] == np.array(target.inv_op)[m[:, None], m]).all())
+    return HomReport(ok, tuple(map(tuple, bad[:100].tolist())), inv_ok)
 
 
 def _invariant_profiles(quandle: FiniteQuandle):
+    """Per element: its symmetry's cycle type (fixed points included) and orbit size."""
     deco = orbits(quandle)
-    out = []
-    for q in range(quandle.size):
-        row = quandle.op[q]
-        fixed = sum(1 for r in range(quandle.size) if row[r] == r)
-        out.append((cycle_type(row), fixed, len(deco.orbit_of(q))))
-    return out
+    return [(cycle_type(row), len(deco.orbit_of(q))) for q, row in enumerate(quandle.op)]
 
 
-def _iso_backtrack(q1: FiniteQuandle, q2: FiniteQuandle, pinned=None):
-    """Backtracking isomorphism search with invariant pruning and forced
-    propagation; lazily yields complete mappings (candidates in index order,
-    so the search trace is deterministic)."""
-    n = q1.size
-    if q2.size != n:
-        return
-    prof1 = _invariant_profiles(q1)
-    prof2 = _invariant_profiles(q2)
-    by_profile: dict = {}
-    for b in range(n):
-        by_profile.setdefault(prof2[b], []).append(b)
-    candidates = [tuple(by_profile.get(prof1[a], ())) for a in range(n)]
-    if any(not c for c in candidates):
-        return
-    mapping = [-1] * n
-    used = [False] * n
-    op1, op2 = q1.op, q2.op
-
-    def propagate(a: int, fa: int, trail: list) -> bool:
-        """Assign a -> fa plus everything forced by partial products."""
-        stack = [(a, fa)]
-        while stack:
-            x, fx = stack.pop()
-            if mapping[x] >= 0:
-                if mapping[x] != fx:
-                    return False
-                continue
-            if used[fx] or prof1[x] != prof2[fx]:
-                return False
-            mapping[x] = fx
-            used[fx] = True
-            trail.append(x)
-            for y in range(n):
-                fy = mapping[y]
-                if fy < 0:
-                    continue
-                stack.append((op1[x][y], op2[fx][fy]))
-                stack.append((op1[y][x], op2[fy][fx]))
-        return True
-
-    def undo(trail: list):
-        for x in trail:
-            used[mapping[x]] = False
-            mapping[x] = -1
-
-    order = sorted(range(n), key=lambda a: (len(candidates[a]), a))
-
-    def rec():
-        a = next((x for x in order if mapping[x] < 0), None)
-        if a is None:
-            yield tuple(mapping)
-            return
-        for fa in candidates[a]:
-            if used[fa]:
-                continue
-            trail: list = []
-            if propagate(a, fa, trail):
-                yield from rec()
-            undo(trail)
-
-    pin_trail: list = []
-    for a, fa in (pinned.items() if pinned else ()):
-        if not propagate(a, fa, pin_trail):
-            undo(pin_trail)
-            return
-    yield from rec()
-    undo(pin_trail)
+def _isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, pinned=None):
+    """Every isomorphism q1 -> q2, in ``table_isomorphisms`` order."""
+    return table_isomorphisms(q1.op, q2.op, _invariant_profiles(q1),
+                              _invariant_profiles(q2), pinned)
 
 
 def iso_search(q1: FiniteQuandle, q2: FiniteQuandle,
@@ -422,15 +357,19 @@ def iso_search(q1: FiniteQuandle, q2: FiniteQuandle,
     """First isomorphism found, or None."""
     if q1.size > max_size or q2.size > max_size:
         raise TooLarge(f"isomorphism search limited to size {max_size}")
-    return next(_iso_backtrack(q1, q2), None)
+    return next(_isomorphisms(q1, q2), None)
 
 
-def aut(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE) -> PermutationGroup:
-    """The full automorphism group, found by exhaustive backtracking."""
+def aut(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE,
+        cap: int = REALIZE_CAP) -> PermutationGroup:
+    """The full automorphism group, listed by an exhaustive search.  More
+    than ``cap`` automorphisms raise ``CapExceeded``."""
     if quandle.size > max_size:
         raise TooLarge(f"automorphism search limited to size {max_size}")
-    els = tuple(sorted(_iso_backtrack(quandle, quandle)))
-    return PermutationGroup(quandle.size, els, _elements=els)
+    els = sorted(itertools.islice(_isomorphisms(quandle, quandle), cap + 1))
+    if len(els) > cap:
+        raise CapExceeded(f"automorphism group exceeded cap of {cap} elements")
+    return PermutationGroup(quandle.size, els, _elements=tuple(els))
 
 
 def is_homogeneous(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE) -> bool:
@@ -446,13 +385,8 @@ def is_homogeneous(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE) -> bool
         return True
     if quandle.size > max_size:
         raise TooLarge(f"automorphism search limited to size {max_size}")
-    for r in deco.basepoints:
-        if deco.orbit_id[r] == deco.orbit_id[0]:
-            continue
-        found = next(iter(_iso_backtrack(quandle, quandle, pinned={0: r})), None)
-        if found is None:
-            return False
-    return True
+    return all(next(_isomorphisms(quandle, quandle, pinned=(0, r)), None) is not None
+               for r in deco.basepoints if deco.orbit_id[r] != deco.orbit_id[0])
 
 
 # ---------------------------------------------------------------------------

@@ -257,11 +257,24 @@ def test_connected_output(tmp_path):
     assert data["connected"] is False and data["separating_pair"] is not None
 
 
-def test_aut_command(r5_file):
+def test_aut_command(tmp_path, r5_file):
     code, out, _ = invoke(["aut", r5_file, "--json"])
     assert code == 0
     data = json.loads(out)
     assert data["order"] == 20 and data["homogeneous"] is True
+    grp = write(tmp_path, "s3.json", s3_group_json())
+    _, text, _ = invoke(["make", "conj", "--group", grp])
+    code, out, _ = invoke(["aut", write(tmp_path, "conj_s3.json", text), "--json"])
+    assert code == 0 and json.loads(out)["homogeneous"] is False
+
+
+def test_aut_cap(tmp_path):
+    _, text, _ = invoke(["make", "trivial", "--n", "7"])
+    t7 = write(tmp_path, "t7.json", text)
+    _assert_input_error(["aut", t7, "--cap", "1000"],
+                        "automorphism group exceeded cap of 1000 elements")
+    code, out, _ = invoke(["aut", t7, "--cap", "5040", "--json"])
+    assert code == 0 and json.loads(out)["order"] == 5040
 
 
 def test_iso_command(tmp_path):
@@ -386,6 +399,19 @@ def test_cap_flag_overrides(r5_file):
     assert code == 1 and "cap" in err.lower()
     code, out, err = invoke(["inn", r5_file, "--cap", "100"])
     assert code == 0
+
+
+@pytest.mark.parametrize("cap, env, fragment", [
+    ("0", None, "--cap must be at least 1, got 0"),
+    ("-3", None, "--cap must be at least 1, got -3"),
+    (None, "0", "QUANDLE_CAP must be at least 1, got 0"),
+])
+def test_cap_below_one_is_a_usage_error(r5_file, monkeypatch, cap, env, fragment):
+    if env is not None:
+        monkeypatch.setenv("QUANDLE_CAP", env)
+    code, out, err = invoke(["inn", r5_file] + (["--cap", cap] if cap else []))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:") and fragment in err
 
 
 def test_stdin_input(tmp_path, monkeypatch):
