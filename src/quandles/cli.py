@@ -248,7 +248,7 @@ def _cmd_realize(args, out, err) -> int:
         print(_canonical({
             "basepoint": real.basepoint,
             "group": real.group.to_dict(),
-            "phi": list(real.phi.mapping),
+            "phi": real.phi.mapping.tolist(),
             "stabilizer": list(real.stabilizer),
             "coset_reps": list(real.cosets.reps),
             "pi": list(real.pi),

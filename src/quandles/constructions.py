@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +44,9 @@ class NotFixed(ConstructionError):
 
 @dataclass(frozen=True)
 class ConstructionRecord:
-    """Provenance of a constructed quandle; replaying it rebuilds the table."""
+    """Provenance of a constructed quandle: ``parameters`` are the keyword
+    arguments of the family's constructor, groups and automorphisms held as
+    the objects given, so replaying it rebuilds the table."""
 
     family: str
     parameters: dict = field(hash=False)
@@ -54,7 +55,7 @@ class ConstructionRecord:
     def replay(self) -> FiniteQuandle:
         if self.family not in FAMILIES:
             raise ConstructionError(f"unknown family {self.family!r}")
-        return _REPLAY[self.family](self.parameters)
+        return _REPLAY[self.family](**self.parameters)
 
 
 def _finish(table, labels, family, parameters) -> FiniteQuandle:
@@ -70,18 +71,17 @@ def trivial(n: int) -> FiniteQuandle:
     """q |> r = r for all q, r."""
     if n < 1:
         raise ConstructionError("size must be positive")
-    table = [[r for r in range(n)] for _ in range(n)]
-    labels = tuple(str(i) for i in range(n))
-    return _finish(table, labels, "trivial", {"n": n})
+    table = np.broadcast_to(np.arange(n), (n, n))
+    return _finish(table, tuple(map(str, range(n))), "trivial", {"n": n})
 
 
 def dihedral(n: int) -> FiniteQuandle:
     """Z/n with i |> j = 2i - j."""
     if n < 1:
         raise ConstructionError("size must be positive")
-    table = [[(2 * i - j) % n for j in range(n)] for i in range(n)]
-    labels = tuple(str(i) for i in range(n))
-    return _finish(table, labels, "dihedral", {"n": n})
+    i = np.arange(n)
+    return _finish((2 * i[:, None] - i) % n, tuple(map(str, range(n))),
+                   "dihedral", {"n": n})
 
 
 def cocycle_extension(x_size: int, abelian: FiniteGroup, cocycle) -> FiniteQuandle:
@@ -110,9 +110,8 @@ def cocycle_extension(x_size: int, abelian: FiniteGroup, cocycle) -> FiniteQuand
     # row (x, a), column (y, b): the index y k + (b + F(x, y)) of (y, b + F(x, y))
     table = xs * k + abelian.table[bs, np.array(f)[xs[:, None], xs]]
     labels = tuple(f"({x},{abelian.label(a)})" for (x, a) in carrier)
-    return _finish(table.tolist(), labels, "cocycle",
-                   {"x_size": x_size, "abelian": abelian.to_dict(),
-                    "cocycle": [list(r) for r in f]})
+    return _finish(table, labels, "cocycle",
+                   {"x_size": x_size, "abelian": abelian, "cocycle": f})
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ def conjugation(group: FiniteGroup) -> FiniteQuandle:
     t, g = group.table, np.arange(n)[:, None]
     table = t[t[group.inv_map[g], g.T], g]   # [g, h] = g^-1 h g
     labels = tuple(group.label(i) for i in range(n))
-    return _finish(table.tolist(), labels, "conj", {"group": group.to_dict()})
+    return _finish(table, labels, "conj", {"group": group})
 
 
 def conj_class(group: FiniteGroup, g: int) -> FiniteQuandle:
@@ -133,8 +132,7 @@ def conj_class(group: FiniteGroup, g: int) -> FiniteQuandle:
     t, c = group.table, np.array(cls)[:, None]
     table = np.searchsorted(cls, t[t[group.inv_map[c], c.T], c])   # a^-1 b a
     labels = tuple(group.label(i) for i in cls)
-    return _finish(table.tolist(), labels, "conj_class",
-                   {"group": group.to_dict(), "g": int(g)})
+    return _finish(table, labels, "conj_class", {"group": group, "g": int(g)})
 
 
 def unipotent_class_quandle(p: int) -> FiniteQuandle:
@@ -149,18 +147,19 @@ def unipotent_class_quandle(p: int) -> FiniteQuandle:
 # ---------------------------------------------------------------------------
 # coset quandles from a group automorphism
 
-def coset_action(group: FiniteGroup, psi: Sequence[int], source: CosetSpace,
+def coset_action(group: FiniteGroup, psi: np.ndarray, source: CosetSpace,
                  target: CosetSpace) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The table (xH, yK) -> x psi(x^-1 y) K on coset representatives, and
-    the first pair of elements (x, y) in row-major order whose result differs
-    from the table's entry for their cosets, or None.
+    """The table (xH, yK) -> x psi(x^-1 y) K on coset representatives, for
+    psi an int64 array of element indices, and the first pair of elements
+    (x, y) in row-major order whose result differs from the table's entry
+    for their cosets, or None.
 
     Well-definedness over representative choices is checked on all order^2
     pairs, one x at a time, so no order^2 array is ever allocated.  Each
     representative is the minimum of its coset, so its row is filled before
     any other member of the coset is compared with it.
     """
-    t, psi, inv = group.table, np.asarray(psi, dtype=np.int64), group.inv_map
+    t, inv = group.table, group.inv_map
     src, tgt = source.index_of, np.asarray(target.index_of)
     tgt_reps = np.asarray(target.reps)
     table = np.empty((source.count, target.count), dtype=np.int64)
@@ -195,16 +194,14 @@ def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQua
         raise ConstructionError(
             f"coset operation not well-defined at representatives {bad}")
     labels = tuple(f"{group.label(r)}.H" for r in cosets.reps)
-    return _finish(table.tolist(), labels, "phi_space",
-                   {"group": group.to_dict(), "phi": list(phi.mapping),
-                    "subgroup": list(cosets.subgroup)})
+    return _finish(table, labels, "phi_space",
+                   {"group": group, "phi": phi, "subgroup": cosets.subgroup})
 
 
 def vedernikov_op(group: FiniteGroup, phi: GroupAutomorphism, a, b) -> np.ndarray:
     """x |> y = x phi(y x^-1) of ``vedernikov(group, phi)`` on index arrays
     a and b, broadcast against each other."""
-    t, m = group.table, np.asarray(phi.mapping)
-    return t[a, m[t[b, group.inv_map[a]]]]
+    return group.table[a, phi.mapping[group.table[b, group.inv_map[a]]]]
 
 
 def vedernikov(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
@@ -212,8 +209,7 @@ def vedernikov(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     x = np.arange(group.order)
     table = vedernikov_op(group, phi, x[:, None], x[None, :])
     labels = tuple(group.label(i) for i in range(group.order))
-    return _finish(table.tolist(), labels, "vedernikov",
-                   {"group": group.to_dict(), "phi": list(phi.mapping)})
+    return _finish(table, labels, "vedernikov", {"group": group, "phi": phi})
 
 
 def twisted_orbit_action(group: FiniteGroup, phi: GroupAutomorphism):
@@ -223,8 +219,7 @@ def twisted_orbit_action(group: FiniteGroup, phi: GroupAutomorphism):
     the identity is a subquandle isomorphic to phi_space(G, phi, G^phi).
     """
     t, x = group.table, np.arange(group.order)[:, None]
-    m = np.asarray(phi.mapping)
-    return tuple(map(tuple, t[t[x, x.T], m[group.inv_map[x]]].tolist()))
+    return tuple(map(tuple, t[t[x, x.T], phi.mapping[group.inv_map[x]]].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +311,7 @@ def power_cocycle(p: int, n: int) -> FiniteQuandle:
 # ---------------------------------------------------------------------------
 # record replay
 
-def _replay_alexander(p: dict) -> FiniteQuandle:
-    return alexander(p["p"], p["n"], p["a"])
-
-
-_REPLAY = {
-    "trivial": lambda p: trivial(p["n"]),
-    "dihedral": lambda p: dihedral(p["n"]),
-    "alexander": _replay_alexander,
-    "power_cocycle": lambda p: power_cocycle(p["p"], p["n"]),
-    "unipotent_class": lambda p: unipotent_class_quandle(p["p"]),
-    "cocycle": lambda p: cocycle_extension(
-        p["x_size"], FiniteGroup.from_dict(p["abelian"]), p["cocycle"]),
-    "conj": lambda p: conjugation(FiniteGroup.from_dict(p["group"])),
-    "conj_class": lambda p: conj_class(FiniteGroup.from_dict(p["group"]), p["g"]),
-    "phi_space": lambda p: phi_space(
-        (g := FiniteGroup.from_dict(p["group"])), GroupAutomorphism(g, p["phi"]),
-        p["subgroup"]),
-    "vedernikov": lambda p: vedernikov(
-        (g := FiniteGroup.from_dict(p["group"])), GroupAutomorphism(g, p["phi"])),
-}
+_REPLAY = {"trivial": trivial, "dihedral": dihedral, "alexander": alexander,
+           "power_cocycle": power_cocycle, "unipotent_class": unipotent_class_quandle,
+           "cocycle": cocycle_extension, "conj": conjugation, "conj_class": conj_class,
+           "phi_space": phi_space, "vedernikov": vedernikov}

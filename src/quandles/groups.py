@@ -71,9 +71,8 @@ def invert(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_permutation(p: Sequence[int], n: int | None = None) -> bool:
-    m = len(p) if n is None else n
-    return len(p) == m and sorted(p) == list(range(m))
+def is_permutation(p: Sequence[int]) -> bool:
+    return sorted(p) == list(range(len(p)))
 
 
 def perm_cycles(p: Sequence[int], include_fixed: bool = False) -> list[tuple[int, ...]]:
@@ -354,7 +353,8 @@ class FiniteGroup:
     order) and ``inv_map``.  The scalar accessors (``mul``, ``inv``,
     ``conj``) read them and return Python ints.  Orders above
     ``MAX_GROUP_ORDER`` are refused with ``CapExceeded`` before a table is
-    built.
+    built.  Elements given without labels must be permutations; their
+    labels are formatted in cycle notation when first read.
     """
 
     def __init__(self, table, inv: Sequence[int], identity: int,
@@ -365,8 +365,14 @@ class FiniteGroup:
         self.table.flags.writeable = self.inv_map.flags.writeable = False
         self.order = len(self.table)
         self.identity = int(identity)
-        self.labels = tuple(labels) if labels is not None else None
+        self._labels = tuple(labels) if labels is not None else None
         self.elements = elements  # underlying objects (perms, matrices), optional
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        if self._labels is None and self.elements is not None:
+            self._labels = tuple(format_cycles(p) or "()" for p in self.elements)
+        return self._labels
 
     # -- construction -------------------------------------------------------
 
@@ -421,8 +427,7 @@ class FiniteGroup:
         table = _permutation_table(perms)
         ident = els.index(identity_perm(grp.domain_size))
         inv = np.nonzero(table == ident)[1]
-        labels = tuple(format_cycles(p) or "()" for p in els)
-        return cls(table, inv, ident, labels=labels, elements=els)
+        return cls(table, inv, ident, elements=els)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -540,25 +545,28 @@ class FiniteGroup:
 # automorphisms, fixed subgroups, cosets
 
 class GroupAutomorphism:
-    """An automorphism of a FiniteGroup, stored as an index permutation."""
+    """An automorphism of a FiniteGroup: ``mapping`` is a read-only int64
+    array of element indices."""
 
     def __init__(self, group: FiniteGroup, mapping: Sequence[int], check: bool = True):
+        if check and not isinstance(mapping, np.ndarray) and not all(
+                type(x) is int and 0 <= x < group.order for x in mapping):
+            raise NotAnAutomorphism("mapping is not a bijection on the group")
         self.group = group
-        self.mapping = tuple(mapping)
+        self.mapping = np.array(mapping, dtype=np.int64)
+        self.mapping.flags.writeable = False
         if check:
             self._check()
 
     def _check(self):
         """Exhaustive: m(ab) = m(a)m(b) on all pairs, as one array comparison;
         the witness is the first bad pair in row-major order."""
-        g = self.group
-        if (not all(type(x) is int for x in self.mapping)
-                or not is_permutation(self.mapping, g.order)):
+        g, m, t = self.group, self.mapping, self.group.table
+        if m.shape != (g.order,) or (np.sort(m) != np.arange(g.order)).any():
             raise NotAnAutomorphism("mapping is not a bijection on the group")
-        if self.mapping[g.identity] != g.identity:
+        if m[g.identity] != g.identity:
             raise NotAnAutomorphism("mapping moves the identity",
                                     witness=g.identity)
-        m, t = np.array(self.mapping, dtype=np.int64), g.table
         bad = np.argwhere(m[t] != t[m][:, m])
         if len(bad):
             a, b = (int(x) for x in bad[0])
@@ -566,10 +574,10 @@ class GroupAutomorphism:
                 f"mapping is not multiplicative at {(a, b)}", witness=(a, b))
 
     def __call__(self, i: int) -> int:
-        return self.mapping[i]
+        return self.mapping.item(i)
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.group.order) if self.mapping[i] == i)
+        return tuple(np.flatnonzero(self.mapping == np.arange(self.group.order)).tolist())
 
     def __repr__(self):
         return f"GroupAutomorphism(order={self.group.order})"

@@ -369,13 +369,11 @@ def _count_restricted(relations, class_count: int, colors: Sequence[int],
 
 
 def count_colorings(diagram: KnotDiagram, quandle: FiniteQuandle,
-                    by_orbit: bool = False, threads: int = 1) -> ColoringCount:
+                    by_orbit: bool = False) -> ColoringCount:
     """Count arc colorings satisfying every crossing relation.
 
     Constant colorings always exist (idempotence), so the total is at least
-    the quandle size for a nonempty diagram.  ``threads`` is accepted for
-    compatibility and has no effect on the result or the speed: the count
-    runs in the calling thread.
+    the quandle size for a nonempty diagram.
     """
     rels = diagram.relations()
     k = diagram.class_count

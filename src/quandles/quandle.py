@@ -13,6 +13,7 @@ operations are pure, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -92,9 +93,6 @@ class FiniteQuandle:
         self.record = record
 
     # -- elementary maps -----------------------------------------------------
-
-    def symmetry_perm(self, q: int) -> tuple[int, ...]:
-        return self.op[q]
 
     def symmetry(self, q: int) -> ElementSymmetry:
         if not 0 <= q < self.size:
@@ -235,43 +233,45 @@ def axiom_violations(table: Sequence[Sequence[int]],
     return out, truncated
 
 
+def _entries(table, n: int) -> np.ndarray:
+    """The rows of ``table`` as one n x n int64 array.  The entry types are
+    read in one pass; only when they are not all ints, or some int is out
+    of range, are the entries walked to name every bad position."""
+    kinds = ({table.dtype.type} if isinstance(table, np.ndarray) and table.dtype != object
+             else set(map(type, itertools.chain.from_iterable(table))))
+    if all(k is not bool and issubclass(k, (int, np.integer)) for k in kinds):
+        try:
+            a = np.array(table, dtype=np.int64)
+        except OverflowError:   # an int past int64 is out of range too
+            a = None
+        if a is not None and not ((a < 0) | (a >= n)).any():
+            return a
+    bad = [(q, r) for q, row in enumerate(table) for r, x in enumerate(row)
+           if not isinstance(x, (int, np.integer)) or isinstance(x, bool)
+           or not 0 <= x < n]
+    head = ", ".join(str(p) for p in bad[:5])
+    raise RangeError(f"entries out of range at {head}", positions=bad)
+
+
 def validate(table: Sequence[Sequence[int]],
              labels: Sequence[str] | None = None) -> FiniteQuandle:
     """Check the three quandle axioms and return the validated quandle.
 
-    Raises RangeError for malformed tables and InvalidQuandleError carrying
-    the full witness list (capped at 100) for axiom failures.  The inverse
+    ``table`` is a sequence of rows or a 2-D integer array.  Raises
+    RangeError for malformed tables and InvalidQuandleError carrying the
+    full witness list (capped at 100) for axiom failures.  The inverse
     table is computed by inverting the rows.
     """
     n = len(table)
     if n == 0:
         raise RangeError("a quandle must be nonempty")
-    bad_positions = []
     for q, row in enumerate(table):
         if not isinstance(row, (list, tuple, np.ndarray)):
             raise RangeError(f"row {q} is not a list")
         if len(row) != n:
             raise RangeError(f"row {q} has length {len(row)}, expected {n}")
-        for r, x in enumerate(row):
-            if not isinstance(x, (int, np.integer)) or isinstance(x, bool) or not 0 <= x < n:
-                bad_positions.append((q, r))
-    if bad_positions:
-        head = ", ".join(str(p) for p in bad_positions[:5])
-        raise RangeError(f"entries out of range at {head}", positions=bad_positions)
-
-    violations, truncated = axiom_violations(table)
+    a = _entries(table, n)
+    violations, truncated = axiom_violations(a)
     if violations:
         raise InvalidQuandleError(violations, truncated)
-
-    op = tuple(tuple(int(x) for x in row) for row in table)
-    inv_op = tuple(tuple(int(x) for x in np.argsort(np.asarray(row)))
-                   for row in op)
-    return FiniteQuandle(op, inv_op, labels=labels)
-
-
-def right_translation(quandle: FiniteQuandle, q: int) -> tuple[int, ...]:
-    return quandle.right_translation(q)
-
-
-def subquandle_closure(quandle: FiniteQuandle, seed: Iterable[int]):
-    return quandle.subquandle_closure(seed)
+    return FiniteQuandle(a.tolist(), np.argsort(a, axis=1).tolist(), labels=labels)

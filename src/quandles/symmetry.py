@@ -449,15 +449,16 @@ def _tr_group(quandle: FiniteQuandle, cap: int) -> FiniteGroup:
     return FiniteGroup.from_permutation_group(tr(quandle, cap=cap))
 
 
-def _indices(g: FiniteGroup, perms) -> tuple[int, ...] | None:
-    """Element indices in ``g`` of the rows of ``perms``, or None if one is not in g."""
+def _indices(g: FiniteGroup, perms: np.ndarray) -> np.ndarray | None:
+    """Element indices in ``g`` of the rows of ``perms``, as an int64 array,
+    or None if one is not in g."""
     index = {p: i for i, p in enumerate(g.elements)}
-    out = tuple(index.get(p, -1) for p in map(tuple, np.asarray(perms).tolist()))
-    return None if -1 in out else out
+    out = np.array([index.get(p, -1) for p in map(tuple, perms.tolist())], dtype=np.int64)
+    return None if (out < 0).any() else out
 
 
 def _twist(g: FiniteGroup, left: Sequence[int],
-           right: Sequence[int]) -> tuple[int, ...] | None:
+           right: Sequence[int]) -> np.ndarray | None:
     """Element indices of left o p o right for every element p of ``g``, in
     element order, or None if one of them leaves the group."""
     perms = np.array(g.elements, dtype=np.int64)
@@ -510,16 +511,17 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
 
     Builds G = Tr(Q) explicitly, phi(g) = s_q g s_q^-1, H = {g : g(q) = q},
     and pi: gH -> g(q).  Verifies, exhaustively: conjugation keeps G inside
-    itself, phi is a group automorphism, H is fixed by phi elementwise (every
-    element of H commutes with s_q), the coset operation is well-defined,
-    and pi is a bijection onto the orbit and a homomorphism.  The orbit is a
-    subquandle of the validated Q, so these make the coset table a quandle
-    isomorphic to it, and pi^-1 a homomorphism too.
+    itself, phi is a group automorphism, H is fixed by phi elementwise, the
+    coset operation is well-defined, and pi is a bijection onto the orbit
+    and a homomorphism.  The orbit is a subquandle of the validated Q, so
+    these make the coset table a quandle isomorphic to it, and pi^-1 a
+    homomorphism too.  Since phi(h) = s_q h s_q^-1, phi fixes h exactly
+    when h commutes with s_q, so ``stabilizer_commutes_with_sq`` is
+    ``stabilizer_fixed_by_phi``.
     """
     q = _check_basepoint(quandle, basepoint)
     g = _tr_group(quandle, cap)
-    sq = quandle.op[q]
-    phi_map = _twist(g, sq, quandle.inv_op[q])
+    phi_map = _twist(g, quandle.op[q], quandle.inv_op[q])
     checks: dict = {"phi_closed": phi_map is not None}
     if phi_map is None:
         raise QuandleError("conjugation by s_q left the transvection group")
@@ -528,9 +530,8 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
 
     cs, pi = _cosets_at(g, q)
     stab = cs.subgroup
-    checks["stabilizer_fixed_by_phi"] = all(phi(i) == i for i in stab)
-    checks["stabilizer_commutes_with_sq"] = all(
-        compose(g.elements[i], sq) == compose(sq, g.elements[i]) for i in stab)
+    checks["stabilizer_fixed_by_phi"] = bool((phi.mapping[list(stab)] == stab).all())
+    checks["stabilizer_commutes_with_sq"] = checks["stabilizer_fixed_by_phi"]
     orbit = orbits(quandle).orbit_of(q)
     checks["pi_bijective"] = sorted(pi) == list(orbit)  # orbit is sorted, no repeats
 
@@ -583,10 +584,10 @@ def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int,
     p_q, p_r = np.array(pi_q), np.array(pi_r)
     checks["compatible"] = bool(
         (p_r[table] == np.array(quandle.op)[p_q[:, None], p_r]).all())
-    if q == r:
-        checks["reduces_to_phi"] = psi == _twist(g, quandle.op[q], quandle.inv_op[q])
-    return InterOrbitReport(q, r, g.order, psi, tuple(map(tuple, table.tolist())),
-                            checks)
+    if q == r:   # psi is then phi, from the very _twist call that builds phi
+        checks["reduces_to_phi"] = checks["psi_closed"]
+    return InterOrbitReport(q, r, g.order, tuple(psi.tolist()),
+                            tuple(map(tuple, table.tolist())), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +625,9 @@ def sbar_hom(quandle: FiniteQuandle, basepoint: int,
     sq_inv = quandle.inv_op[q]
     phi = GroupAutomorphism(g, _twist(g, quandle.op[q], sq_inv), check=True)
     op = np.array(quandle.op, dtype=np.int64)
-    mapping = _indices(g, op[:, np.asarray(sq_inv)])
-    m = np.array(mapping, dtype=np.int64)
+    m = _indices(g, op[:, np.asarray(sq_inv)])
     twisted = vedernikov_op(g, phi, m[:, None], m[None, :])
     is_hom = bool((twisted == m[op]).all())
     fibers = tuple(tuple(np.flatnonzero(m == a).tolist()) for a in np.unique(m))
-    return SbarReport(q, g, mapping, fibers, is_hom,
+    return SbarReport(q, g, tuple(m.tolist()), fibers, is_hom,
                       all(len(f) == 1 for f in fibers))

@@ -76,7 +76,7 @@ def small_corpus():
 
 
 # A child's ru_maxrss also counts the RSS of the process it was forked from,
-# which for pytest can be hundreds of MB, so the CLI is started from a small
+# which for pytest can be hundreds of MB, so the child is started from a small
 # interpreter that reports its child's peak.
 _PEAK_RSS_OF = (
     "import os, subprocess, sys\n"
@@ -86,14 +86,20 @@ _PEAK_RSS_OF = (
 )
 
 
-def cli_peak_mb(*argv):
-    """Exit code, peak RSS in MB and stderr of the CLI run on ``argv`` in a
-    fresh process."""
+def python_peak_mb(*argv):
+    """Exit code, peak RSS in MB and stderr of ``python argv`` in a fresh
+    process with this checkout's ``quandles`` importable."""
     src = str(Path(quandles.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    cmd = [sys.executable, "-m", "quandles.cli", *argv]
+    cmd = [sys.executable, *argv]
     out = subprocess.run([sys.executable, "-c", _PEAK_RSS_OF, *cmd], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     code, peak_kib = map(int, out.stdout.split())  # ru_maxrss is in KiB on Linux
     return code, peak_kib / 1024, out.stderr
+
+
+def cli_peak_mb(*argv):
+    """Exit code, peak RSS in MB and stderr of the CLI run on ``argv`` in a
+    fresh process."""
+    return python_peak_mb("-m", "quandles.cli", *argv)

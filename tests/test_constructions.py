@@ -13,7 +13,7 @@ from quandles import (CocycleError, ConstructionError, FiniteGroup,
                       unipotent_class_quandle, validate, vedernikov)
 from quandles.constructions import coset_action
 
-from corpus_util import corpus
+from corpus_util import cli_peak_mb, corpus
 
 
 def test_trivial():
@@ -73,13 +73,13 @@ def _first_bad_pair(g, psi, cs):
 
 def test_coset_action_finds_first_bad_pair_above_old_sampling_limit():
     real = coset_realization(unipotent_class_quandle(11), 0)
-    g, cs, phi = real.group, real.cosets, list(real.phi.mapping)
+    g, cs, phi = real.group, real.cosets, real.phi.mapping
     assert g.order == 660  # past the order (512) above which pairs were sampled
     table, bad = coset_action(g, phi, cs, cs)
     assert bad is None
     assert table.tolist() == _first_bad_pair(g, phi, cs)[0]
 
-    psi = list(phi)
+    psi = phi.copy()
     a, b = cs.reps[5], cs.reps[9]  # two entries in different cosets
     psi[a], psi[b] = psi[b], psi[a]
     table, bad = coset_action(g, psi, cs, cs)
@@ -280,6 +280,24 @@ def test_records_replay_byte_identical():
         assert again.op == q.op, name
         assert again.labels == q.labels, name
         assert again.to_json() == q.to_json(), name
+
+
+def test_records_hold_the_objects_they_were_given():
+    s3 = FiniteGroup.symmetric(3)
+    phi = GroupAutomorphism(s3, [s3.conj(1, x) for x in range(6)])
+    assert conjugation(s3).record.parameters == {"group": s3}
+    assert conj_class(s3, 1).record.parameters == {"group": s3, "g": 1}
+    assert vedernikov(s3, phi).record.parameters == {"group": s3, "phi": phi}
+    assert (phi_space(s3, phi, (s3.identity,)).record.parameters
+            == {"group": s3, "phi": phi, "subgroup": (s3.identity,)})
+
+
+def test_unipotent_class_13_peak_memory():
+    # the conj_class record used to hold a Python-int copy of SL2(13)'s
+    # table: 243 MB, against 141 MB holding the group (2-core x86-64 VM)
+    code, peak_mb, err = cli_peak_mb("make", "unipotent_class", "--p", "13")
+    assert code == 0, err
+    assert peak_mb < 200
 
 
 def test_record_families_cover_everything():

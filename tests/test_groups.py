@@ -4,6 +4,7 @@ import json
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from quandles.groups import (DEFAULT_CAP, CapExceeded, CosetSpace,
                              matrix_group_sl2, parse_cycles,
                              parse_generator_lines, perm_cycles)
 
-from corpus_util import cli_peak_mb, small_corpus
+from corpus_util import cli_peak_mb, python_peak_mb, small_corpus
 
 
 def test_compose_and_invert():
@@ -291,6 +292,21 @@ def test_not_an_automorphism():
         GroupAutomorphism(z4, (0, 0, 2, 2))  # not a bijection
 
 
+def test_automorphism_map_is_one_read_only_array():
+    s3 = FiniteGroup.symmetric(3)
+    t = s3.elements.index((1, 0, 2))
+    phi = GroupAutomorphism(s3, [s3.conj(t, x) for x in range(6)])
+    assert phi.mapping.dtype == np.int64 and not phi.mapping.flags.writeable
+    assert type(phi(4)) is int
+    assert phi.fixed_points() == tuple(i for i in range(6) if phi(i) == i)
+    z4 = FiniteGroup.cyclic(4)
+    for bad in ([0, 3, 2, True], [0, 3.0, 2, 1], [0, 3, 2, 2**70], [0, 3, 2, -1],
+                [0, 3, 2], [0, 3, 2, 1, 4], np.array([0, 3, 2, 9])):
+        with pytest.raises(NotAnAutomorphism, match="not a bijection"):
+            GroupAutomorphism(z4, bad)
+    assert GroupAutomorphism(z4, np.array([0, 3, 2, 1])).fixed_points() == (0, 2)
+
+
 def test_all_automorphisms_s3():
     s3 = FiniteGroup.symmetric(3)
     autos = all_automorphisms(s3)
@@ -517,6 +533,26 @@ def test_group_order_limit_fails_fast(tmp_path):
     assert run(["make", "conj", "--gens", str(path)], stdout=out, stderr=err) == 1
     assert "group order 4160 exceeds the limit of 4096" in err.getvalue()
     assert out.getvalue() == ""
+
+
+_C64_X_C64 = """
+from quandles.groups import MAX_GROUP_ORDER, FiniteGroup
+def cycle(start):
+    return tuple(start + (i - start + 1) % 64 if start <= i < start + 64 else i
+                 for i in range(128))
+g = FiniteGroup.from_permutations([cycle(0), cycle(64)])
+assert g.order == MAX_GROUP_ORDER == 4096
+assert g.is_abelian() and g.mul(g.inv(4095), 4095) == g.identity
+"""
+
+
+def test_group_table_at_the_order_limit():
+    # C64 x C64 has order MAX_GROUP_ORDER itself, so its table is built:
+    # 2.1 s and 566 MB measured on a 2-core x86-64 Linux VM.  A Python-int
+    # copy of the table next to the array raised the peak to 903 MB
+    code, peak_mb, err = python_peak_mb("-c", _C64_X_C64)
+    assert code == 0, err
+    assert peak_mb < 750
 
 
 def test_table_refuses_elements_not_closed_under_composition():

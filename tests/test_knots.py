@@ -186,15 +186,6 @@ def test_by_orbit_refinement():
     assert sum(count.by_orbit) <= count.total
 
 
-def test_threaded_count_matches():
-    d = parse_pd(FIGURE8_PD)
-    q = dihedral(5)
-    assert count_colorings(d, q, threads=4).total == count_colorings(d, q).total
-    c1 = count_colorings(d, q, by_orbit=True, threads=3)
-    c2 = count_colorings(d, q, by_orbit=True, threads=1)
-    assert c1 == c2
-
-
 def test_invariance_check():
     d = parse_pd(TREFOIL_PD)
     assert invariance_check(d, d, dihedral(7))

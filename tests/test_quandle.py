@@ -61,6 +61,46 @@ def test_validate_out_of_range():
         validate([])
 
 
+def _bad_entries_oracle(table):
+    """Every (q, r) whose entry is not an int in 0..n-1, one entry at a time."""
+    n = len(table)
+    return [(q, r) for q, row in enumerate(table) for r, x in enumerate(row)
+            if not isinstance(x, (int, np.integer)) or isinstance(x, bool)
+            or not 0 <= x < n]
+
+
+@pytest.mark.parametrize("table", [
+    [[0, 5], [1, 1]],
+    [[0, True], [1, 1]],
+    [[0, 1.0], [1, 1]],
+    [[0, "1"], [None, 1]],
+    [[0, 2**70, 1], [-1, 1, 2], [7, 2, 2]],
+    [[np.int64(0), np.int64(2)], [np.int8(0), np.int8(1)]],
+    np.array([[0, 1], [3, 1]]),
+    np.array([[0.0, 1.0], [0.0, 1.0]]),
+    np.array([[True, False], [False, True]]),
+    np.array([[0, 1], [1, 7]], dtype=object),
+    [[9] * 7 for _ in range(7)],
+])
+def test_malformed_entries_keep_positions_and_text(table):
+    bad = _bad_entries_oracle(table)
+    with pytest.raises(RangeError) as exc:
+        validate(table)
+    assert exc.value.positions == tuple(bad)
+    assert str(exc.value) == ("entries out of range at "
+                              + ", ".join(str(p) for p in bad[:5]))
+
+
+def test_validate_reads_arrays_and_lists_alike():
+    for name, q in small_corpus():
+        a = np.array(q.op)
+        for table in (a, a.astype(np.int32), [list(r) for r in q.op],
+                      [np.array(r) for r in q.op]):
+            again = validate(table)
+            assert again.op == q.op and again.inv_op == q.inv_op, name
+            assert all(type(x) is int for x in again.op[-1] + again.inv_op[-1])
+
+
 def test_validate_witness_cap():
     n = 8
     table = [[(q + r + 1) % n for r in range(n)] for q in range(n)]  # wildly wrong

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import quandles.constructions as constructions
+import quandles.groups as groups_module
 import quandles.quandle as quandle_module
 import quandles.symmetry as symmetry
 from quandles import (ActionError, FiniteGroup, QuandleAction, QuandleError,
@@ -421,6 +422,37 @@ def test_realize_stabilizer_commutes():
     for i in real.stabilizer:
         p = real.group.elements[i]
         assert compose(p, sq) == compose(sq, p)
+
+
+def test_implied_realization_checks_match_their_loops():
+    # stabilizer_commutes_with_sq is read from stabilizer_fixed_by_phi, and
+    # reduces_to_phi from psi_closed; the loops that computed them are oracles
+    for name, q in small_corpus():
+        for b in orbits(q).basepoints:
+            real = coset_realization(q, b)
+            g, sq, sq_inv = real.group, q.op[b], q.inv_op[b]
+            assert real.checks["stabilizer_commutes_with_sq"] == all(
+                compose(g.elements[i], sq) == compose(sq, g.elements[i])
+                for i in real.stabilizer), (name, b)
+            index = {p: i for i, p in enumerate(g.elements)}
+            phi = tuple(index[compose(sq, compose(p, sq_inv))] for p in g.elements)
+            rep = inter_orbit_action(q, b, b)
+            assert rep.checks["reduces_to_phi"] == (rep.psi == phi), (name, b)
+            assert rep.psi == tuple(real.phi.mapping.tolist()), (name, b)
+
+
+def test_cycle_labels_are_formatted_on_first_read(monkeypatch):
+    d171, u7 = dihedral(171), unipotent_class_quandle(7)
+    symmetry._tr_group.cache_clear()
+    calls = []
+    format_cycles = groups_module.format_cycles
+    monkeypatch.setattr(groups_module, "format_cycles",
+                        lambda p: calls.append(p) or format_cycles(p))
+    g = sbar_hom(d171, 0).group
+    regularity_report(u7)
+    assert calls == []
+    assert g.labels == tuple(format_cycles(p) or "()" for p in g.elements)
+    assert g.label(1) == g.labels[1] and len(calls) == g.order == 342
 
 
 def _pi_inverse_homomorphism_oracle(quandle, real):
