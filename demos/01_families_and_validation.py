@@ -14,7 +14,7 @@ from quandles import (FiniteGroup, InvalidQuandleError, alexander, conj_class,
 r5 = dihedral(5)
 print("R_5 operation table:")
 for row in r5.op:
-    print("  ", row)
+    print("  ", row.tolist())
 
 # Its JSON form is the interchange format used by the CLI.
 print("\nas JSON:", r5.to_json()[:60], "...")
@@ -24,7 +24,7 @@ print("\nas JSON:", r5.to_json()[:60], "...")
 for a in range(1, 5):
     q = alexander(5, 1, a)
     print(f"alexander(5, 1, {a}) built; a=1 gives the trivial quandle:",
-          q.op == trivial(5).op)
+          q == trivial(5))
 
 # -- conjugacy classes as quandles ---------------------------------------------
 

@@ -8,6 +8,7 @@ immutable once built and safe to share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -374,6 +375,11 @@ class FiniteGroup:
             self._labels = tuple(format_cycles(p) or "()" for p in self.elements)
         return self._labels
 
+    @functools.cached_property
+    def element_index(self) -> dict:
+        """Element -> its index, built on first read; needs ``elements``."""
+        return {p: i for i, p in enumerate(self.elements)}
+
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -512,10 +518,6 @@ class FiniteGroup:
                 s.add(i)
                 frontier.append(i)
         return tuple(sorted(s))
-
-    def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
-        """A Python-int copy of ``table``, built on every call."""
-        return tuple(map(tuple, self.table.tolist()))
 
     def to_dict(self) -> dict:
         d = {"order": self.order, "mul": self.table.tolist()}

@@ -321,7 +321,7 @@ def _count_restricted(relations, class_count: int, colors: Sequence[int],
     constrained = sorted(v for v in range(class_count) if touching[v])
     free = class_count - len(constrained)
 
-    op, inv_op = quandle.op, quandle.inv_op
+    op, inv_op = quandle.op.tolist(), quandle.inv_op.tolist()
 
     def propagate(assign: dict, var: int, queue: list) -> bool:
         for k in touching[var]:

@@ -7,8 +7,10 @@ The left translations s_q are called the symmetries of the quandle; each is
 an automorphism.
 
 Carriers are always the integers 0..n-1; constructions attach a labeling for
-human-readable provenance.  A validated FiniteQuandle is immutable and its
-operations are pure, so instances are safe to share across threads.
+human-readable provenance.  A quandle is held only as two read-only n x n
+int64 arrays, its operation table and the table of its inverse operation.
+A validated FiniteQuandle is immutable and its operations are pure, so
+instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -75,72 +77,78 @@ class ElementSymmetry:
 
 
 class FiniteQuandle:
-    """An n-element quandle given by its operation table and its inverse.
+    """An n-element quandle held as two read-only n x n int64 arrays.
 
-    ``op[q][r]`` is q |> r and ``inv_op[q][r]`` is q |>^-1 r.  The inverse
-    table is always materialized: the inverse operation shows up in every
-    orbit computation, and n^2 integers are trivial at desk scale.
+    ``op[q, r]`` is q |> r and ``inv_op[q, r]`` is q |>^-1 r; row q of
+    ``op`` is the symmetry s_q and row q of ``inv_op`` its inverse.  The
+    inverse table is always materialized: the inverse operation shows up in
+    every orbit computation, and n^2 integers are trivial at desk scale.
+    The public maps (``symmetry``, ``right_translation``, ``to_dict``)
+    return Python ints.
 
     Do not call the constructor with unchecked tables; use ``validate``.
     """
 
-    def __init__(self, op: Sequence[Sequence[int]], inv_op: Sequence[Sequence[int]],
-                 labels: Sequence[str] | None = None, record=None):
-        self.op = tuple(tuple(row) for row in op)
-        self.inv_op = tuple(tuple(row) for row in inv_op)
+    def __init__(self, op, inv_op, labels: Sequence[str] | None = None, record=None):
+        self.op = np.array(op, dtype=np.int64)
+        self.inv_op = np.array(inv_op, dtype=np.int64)
+        self.op.flags.writeable = self.inv_op.flags.writeable = False
         self.size = len(self.op)
         self.labels = tuple(labels) if labels is not None else None
         self.record = record
+        self._hash = hash(self.op.tobytes())
 
     # -- elementary maps -----------------------------------------------------
 
     def symmetry(self, q: int) -> ElementSymmetry:
         if not 0 <= q < self.size:
             raise IndexError(f"element {q} out of range for size {self.size}")
-        return ElementSymmetry(q, self.op[q])
+        return ElementSymmetry(q, tuple(self.op[q].tolist()))
 
     def right_translation(self, q: int) -> tuple[int, ...]:
         """The column map r -> r |> q.  Not a bijection in general."""
         if not 0 <= q < self.size:
             raise IndexError(f"element {q} out of range for size {self.size}")
-        return tuple(self.op[r][q] for r in range(self.size))
+        return tuple(self.op[:, q].tolist())
 
     # -- subquandles ---------------------------------------------------------
+
+    def _members(self, subset: Iterable[int]) -> np.ndarray:
+        """Membership mask of ``subset``; raises IndexError out of range."""
+        member = np.zeros(self.size, dtype=bool)
+        for x in subset:
+            if not 0 <= x < self.size:
+                raise IndexError(f"element {x} out of range for size {self.size}")
+            member[x] = True
+        return member
 
     def subquandle_closure(self, seed: Iterable[int]) -> tuple["FiniteQuandle", tuple[int, ...]]:
         """Smallest subset containing ``seed`` closed under |> and |>^-1,
         reindexed as a standalone quandle, plus the embedding into self."""
-        s = set(seed)
-        if not s:
+        member = self._members(seed)
+        if not member.any():
             raise ValueError("seed set must be nonempty")
-        for x in s:
-            if not 0 <= x < self.size:
-                raise IndexError(f"element {x} out of range for size {self.size}")
         while True:
-            new = set()
-            for u in s:
-                for v in s:
-                    for w in (self.op[u][v], self.inv_op[u][v]):
-                        if w not in s:
-                            new.add(w)
-            if not new:
+            s = np.ix_(*[np.flatnonzero(member)] * 2)
+            grown = member.copy()
+            grown[self.op[s]] = grown[self.inv_op[s]] = True
+            if (grown == member).all():
                 break
-            s |= new
-        emb = tuple(sorted(s))
-        pos = {e: i for i, e in enumerate(emb)}
-        table = [[pos[self.op[a][b]] for b in emb] for a in emb]
+            member = grown
+        emb = np.flatnonzero(member)
+        pos = np.cumsum(member) - 1
         labels = tuple(self.labels[e] for e in emb) if self.labels else None
-        return validate(table, labels=labels), emb
+        return validate(pos[self.op[np.ix_(emb, emb)]], labels=labels), tuple(emb.tolist())
 
     def is_closed_subset(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        return all(self.op[u][v] in s and self.inv_op[u][v] in s
-                   for u in s for v in s)
+        member = self._members(subset)
+        s = np.ix_(*[np.flatnonzero(member)] * 2)
+        return bool(member[self.op[s]].all() and member[self.inv_op[s]].all())
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = {"size": self.size, "table": [list(r) for r in self.op]}
+        d = {"size": self.size, "table": self.op.tolist()}
         if self.labels is not None:
             d["labels"] = list(self.labels)
         return d
@@ -176,10 +184,10 @@ class FiniteQuandle:
     # -- dunder --------------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, FiniteQuandle) and self.op == other.op
+        return isinstance(other, FiniteQuandle) and np.array_equal(self.op, other.op)
 
     def __hash__(self):
-        return hash(self.op)
+        return self._hash
 
     def __repr__(self):
         fam = f", {self.record.family}" if self.record is not None else ""
@@ -259,8 +267,8 @@ def validate(table: Sequence[Sequence[int]],
 
     ``table`` is a sequence of rows or a 2-D integer array.  Raises
     RangeError for malformed tables and InvalidQuandleError carrying the
-    full witness list (capped at 100) for axiom failures.  The inverse
-    table is computed by inverting the rows.
+    full witness list (capped at 100) for axiom failures.  The quandle
+    keeps the checked int64 array as ``op``; ``inv_op`` inverts its rows.
     """
     n = len(table)
     if n == 0:
@@ -271,7 +279,9 @@ def validate(table: Sequence[Sequence[int]],
         if len(row) != n:
             raise RangeError(f"row {q} has length {len(row)}, expected {n}")
     a = _entries(table, n)
+    if a.ndim != 2:
+        raise RangeError(f"table has {a.ndim} dimensions, expected 2")
     violations, truncated = axiom_violations(a)
     if violations:
         raise InvalidQuandleError(violations, truncated)
-    return FiniteQuandle(a.tolist(), np.argsort(a, axis=1).tolist(), labels=labels)
+    return FiniteQuandle(a, np.argsort(a, axis=1), labels=labels)

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .quandle import FiniteQuandle
 from .symmetry import REALIZE_CAP, coset_realization, is_connected, orbits
 
@@ -29,13 +31,13 @@ COMPONENT_NOTE = ("finite fixed subgroups have trivial identity component, "
 
 def fixed_points(quandle: FiniteQuandle, q: int) -> tuple[int, ...]:
     """{r : q |> r = r}; always contains q by idempotence."""
-    row = quandle.op[q]
-    return tuple(r for r in range(quandle.size) if row[r] == r)
+    return tuple(np.flatnonzero(quandle.op[q] == np.arange(quandle.size)).tolist())
 
 
 def surjective_translations(quandle: FiniteQuandle) -> tuple[bool, ...]:
-    n = quandle.size
-    return tuple(len(set(quandle.right_translation(q))) == n for q in range(n))
+    """Per q, is the column r -> r |> q a permutation?"""
+    columns = np.sort(quandle.op, axis=0)
+    return tuple((columns == np.arange(quandle.size)[:, None]).all(axis=0).tolist())
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup,
                      GroupAutomorphism, PermutationGroup, close, compose,
-                     cycle_type, identity_perm, invert, table_isomorphisms)
+                     cycle_type, invert, table_isomorphisms)
 from .quandle import FiniteQuandle, QuandleError
 
 REALIZE_CAP = 10**5
@@ -61,15 +61,14 @@ class SignedWord:
 
     def apply(self, quandle: FiniteQuandle, x: int) -> int:
         for q, sign in self.letters:
-            x = quandle.op[q][x] if sign > 0 else quandle.inv_op[q][x]
+            x = (quandle.op if sign > 0 else quandle.inv_op).item(q, x)
         return x
 
     def as_permutation(self, quandle: FiniteQuandle) -> tuple[int, ...]:
-        perm = identity_perm(quandle.size)
+        perm = np.arange(quandle.size)
         for q, sign in self.letters:
-            row = quandle.op[q] if sign > 0 else quandle.inv_op[q]
-            perm = compose(row, perm)
-        return perm
+            perm = (quandle.op if sign > 0 else quandle.inv_op)[q, perm]
+        return tuple(perm.tolist())
 
     def __len__(self):
         return len(self.letters)
@@ -103,18 +102,17 @@ class QuandleAction:
                     or sorted(a) != list(range(set_size))):
                 raise ActionError(f"map for element {q} is not a permutation",
                                   witness=(q,))
-        for q in range(quandle.size):
-            for r in range(quandle.size):
-                if compose(acts[q], acts[r]) != compose(acts[quandle.op[q][r]], acts[q]):
+        for q, row in enumerate(quandle.op.tolist()):
+            for r, qr in enumerate(row):
+                if compose(acts[q], acts[r]) != compose(acts[qr], acts[q]):
                     raise ActionError(
                         f"action is not compatible with |> at {(q, r)}",
                         witness=(q, r))
         self.act = acts
-        self.act_inv = tuple(invert(a) for a in acts)
 
     @classmethod
     def natural(cls, quandle: FiniteQuandle) -> "QuandleAction":
-        return cls(quandle, quandle.size, quandle.op)
+        return cls(quandle, quandle.size, quandle.op.tolist())
 
     def __repr__(self):
         return f"QuandleAction(quandle={self.quandle.size}, set={self.set_size})"
@@ -125,7 +123,7 @@ class QuandleAction:
 
 def inn(quandle: FiniteQuandle, cap: int = DEFAULT_CAP) -> PermutationGroup:
     """Inn(Q): closure of all symmetries s_q."""
-    return close(quandle.op, cap=cap, domain_size=quandle.size)
+    return close(quandle.op.tolist(), cap=cap, domain_size=quandle.size)
 
 
 def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP, base: int = 0) -> PermutationGroup:
@@ -136,9 +134,8 @@ def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP, base: int = 0) -> Permuta
     pair s_a s_b^-1 factors as (s_a s_base^-1)(s_b s_base^-1)^-1, so this
     n-element generating set suffices.
     """
-    s0_inv = invert(quandle.op[base])
-    gens = [compose(row, s0_inv) for row in quandle.op]
-    return close(gens, cap=cap, domain_size=quandle.size)
+    gens = quandle.op[:, quandle.inv_op[base]]   # row q: s_q s_base^-1
+    return close(gens.tolist(), cap=cap, domain_size=quandle.size)
 
 
 def op_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
@@ -149,7 +146,7 @@ def op_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
 def tr_action_group(action: QuandleAction, cap: int = DEFAULT_CAP,
                     base: int = 0) -> PermutationGroup:
     """Tr(Q, X): closure of {act_q act_base^-1}."""
-    a0_inv = action.act_inv[base]
+    a0_inv = invert(action.act[base])
     gens = [compose(a, a0_inv) for a in action.act]
     return close(gens, cap=cap, domain_size=action.set_size)
 
@@ -183,7 +180,7 @@ def saturate_forward(quandle: FiniteQuandle, seed: Iterable[int]) -> SaturationC
         raise ValueError("seed set must be nonempty")
     chain = [current]
     while True:
-        nxt = frozenset(quandle.op[q][z] for q in range(quandle.size) for z in current)
+        nxt = frozenset(quandle.op[:, list(current)].ravel().tolist())
         if nxt == current:
             break
         current = nxt
@@ -199,12 +196,11 @@ def saturate_mixed(action: QuandleAction, seed: Iterable[int]) -> frozenset[int]
     queue = deque(seen)
     while queue:
         x = queue.popleft()
-        for maps in (action.act, action.act_inv):
-            for a in maps:
-                y = a[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
+        for a in action.act:   # a finite group's orbits need no inverses
+            y = a[x]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
     return frozenset(seen)
 
 
@@ -240,6 +236,7 @@ def orbits(quandle: FiniteQuandle) -> OrbitDecomposition:
     all_orbits: list[tuple[int, ...]] = []
     basepoints: list[int] = []
     words: list[SignedWord] = [SignedWord(())] * n
+    columns = quandle.op.T.tolist()   # columns[x][q] = q |> x
     for b in range(n):
         if orbit_id[b] >= 0:
             continue
@@ -250,8 +247,7 @@ def orbits(quandle: FiniteQuandle) -> OrbitDecomposition:
         queue = deque([b])
         while queue:
             x = queue.popleft()
-            for q in range(n):
-                y = quandle.op[q][x]
+            for q, y in enumerate(columns[x]):
                 if orbit_id[y] < 0:
                     orbit_id[y] = oid
                     words[y] = SignedWord(words[x].letters + ((q, 1),))
@@ -263,25 +259,10 @@ def orbits(quandle: FiniteQuandle) -> OrbitDecomposition:
                               tuple(basepoints), tuple(words))
 
 
-def group_orbit(generators: Sequence[Sequence[int]], point: int) -> frozenset[int]:
-    """Orbit of a point under the group generated by the given permutations."""
-    seen = {point}
-    queue = deque([point])
-    gens = [tuple(g) for g in generators] + [invert(g) for g in generators]
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
-
-
 def tr_orbit(quandle: FiniteQuandle, q: int, base: int = 0) -> frozenset[int]:
     """Orbit of q under Tr(Q), walking generators only (no closure)."""
-    s0_inv = invert(quandle.op[base])
-    return group_orbit([compose(row, s0_inv) for row in quandle.op], q)
+    gens = quandle.op[:, quandle.inv_op[base]].tolist()
+    return PermutationGroup(quandle.size, gens).orbit(q)
 
 
 @dataclass(frozen=True)
@@ -333,17 +314,17 @@ def hom_check(mapping: Sequence[int], source: FiniteQuandle,
             or any(type(x) is not int or not 0 <= x < target.size for x in f)):
         raise QuandleError("mapping is not a total map of ints into the target")
     m = np.array(f, dtype=np.int64)
-    bad = np.argwhere(m[np.array(source.op)] != np.array(target.op)[m[:, None], m])
+    bad = np.argwhere(m[source.op] != target.op[m[:, None], m])
     ok = not len(bad)
-    inv_ok = ok and bool(
-        (m[np.array(source.inv_op)] == np.array(target.inv_op)[m[:, None], m]).all())
+    inv_ok = ok and bool((m[source.inv_op] == target.inv_op[m[:, None], m]).all())
     return HomReport(ok, tuple(map(tuple, bad[:100].tolist())), inv_ok)
 
 
 def _invariant_profiles(quandle: FiniteQuandle):
     """Per element: its symmetry's cycle type (fixed points included) and orbit size."""
     deco = orbits(quandle)
-    return [(cycle_type(row), len(deco.orbit_of(q))) for q, row in enumerate(quandle.op)]
+    return [(cycle_type(row), len(deco.orbit_of(q)))
+            for q, row in enumerate(quandle.op.tolist())]
 
 
 def _isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, pinned=None):
@@ -403,6 +384,11 @@ class OpenSubquandleReport:
     all_agree: bool
 
 
+def _orbit_of_each(n: int, generators: list) -> dict[int, frozenset[int]]:
+    """Per point of {0..n-1}, its orbit under the generated group."""
+    return {x: orb for orb in PermutationGroup(n, generators).orbits() for x in orb}
+
+
 def open_subquandle_check(quandle: FiniteQuandle, subset: Iterable[int]) -> OpenSubquandleReport:
     """Compare orbits generated by a subquandle's symmetries with the full ones.
 
@@ -419,17 +405,13 @@ def open_subquandle_check(quandle: FiniteQuandle, subset: Iterable[int]) -> Open
     deco = orbits(quandle)
     meets = all(any(x in orb_set for x in u)
                 for orb_set in (set(o) for o in deco.orbits))
-    u_rows = [quandle.op[x] for x in u]
-    s0_inv = invert(quandle.op[0])
-    u0_inv = invert(quandle.op[u[0]])
-    full_tr = [compose(row, s0_inv) for row in quandle.op]
-    u_tr = [compose(quandle.op[x], u0_inv) for x in u]
-    op_agree = []
-    tr_agree = []
-    for z in range(quandle.size):
-        op_agree.append(group_orbit(u_rows, z) == frozenset(deco.orbit_of(z)))
-        tr_agree.append(group_orbit(u_tr, z) == group_orbit(full_tr, z))
-    whole = len(u) == quandle.size
+    n, u_rows = quandle.size, quandle.op[list(u)]
+    u_op = _orbit_of_each(n, u_rows.tolist())
+    u_tr = _orbit_of_each(n, u_rows[:, quandle.inv_op[u[0]]].tolist())
+    full_tr = _orbit_of_each(n, quandle.op[:, quandle.inv_op[0]].tolist())
+    op_agree = [u_op[z] == frozenset(deco.orbit_of(z)) for z in range(n)]
+    tr_agree = [u_tr[z] == full_tr[z] for z in range(n)]
+    whole = len(u) == n
     return OpenSubquandleReport(
         subset=u,
         is_whole_carrier=whole,
@@ -452,17 +434,16 @@ def _tr_group(quandle: FiniteQuandle, cap: int) -> FiniteGroup:
 def _indices(g: FiniteGroup, perms: np.ndarray) -> np.ndarray | None:
     """Element indices in ``g`` of the rows of ``perms``, as an int64 array,
     or None if one is not in g."""
-    index = {p: i for i, p in enumerate(g.elements)}
+    index = g.element_index
     out = np.array([index.get(p, -1) for p in map(tuple, perms.tolist())], dtype=np.int64)
     return None if (out < 0).any() else out
 
 
-def _twist(g: FiniteGroup, left: Sequence[int],
-           right: Sequence[int]) -> np.ndarray | None:
+def _twist(g: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
     """Element indices of left o p o right for every element p of ``g``, in
     element order, or None if one of them leaves the group."""
     perms = np.array(g.elements, dtype=np.int64)
-    return _indices(g, np.asarray(left)[perms[:, np.asarray(right)]])
+    return _indices(g, left[perms[:, right]])
 
 
 def _check_basepoint(quandle: FiniteQuandle, q: int) -> int:
@@ -541,7 +522,7 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
             f"coset operation not well-defined at representatives {bad}")
     p = np.array(pi)
     checks["pi_homomorphism"] = bool(
-        (p[table] == np.array(quandle.op)[p[:, None], p]).all())
+        (p[table] == quandle.op[p[:, None], p]).all())
     checks["pi_inverse_homomorphism"] = (checks["pi_bijective"]
                                          and checks["pi_homomorphism"])
     return CosetRealization(q, g, phi, stab, cs, pi, orbit, checks)
@@ -583,7 +564,7 @@ def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int,
     checks["well_defined"] = bad is None
     p_q, p_r = np.array(pi_q), np.array(pi_r)
     checks["compatible"] = bool(
-        (p_r[table] == np.array(quandle.op)[p_q[:, None], p_r]).all())
+        (p_r[table] == quandle.op[p_q[:, None], p_r]).all())
     if q == r:   # psi is then phi, from the very _twist call that builds phi
         checks["reduces_to_phi"] = checks["psi_closed"]
     return InterOrbitReport(q, r, g.order, tuple(psi.tolist()),
@@ -622,10 +603,9 @@ def sbar_hom(quandle: FiniteQuandle, basepoint: int,
     """
     q = _check_basepoint(quandle, basepoint)
     g = FiniteGroup.from_permutation_group(inn(quandle, cap=cap))
-    sq_inv = quandle.inv_op[q]
-    phi = GroupAutomorphism(g, _twist(g, quandle.op[q], sq_inv), check=True)
-    op = np.array(quandle.op, dtype=np.int64)
-    m = _indices(g, op[:, np.asarray(sq_inv)])
+    op, sq_inv = quandle.op, quandle.inv_op[q]
+    phi = GroupAutomorphism(g, _twist(g, op[q], sq_inv), check=True)
+    m = _indices(g, op[:, sq_inv])
     twisted = vedernikov_op(g, phi, m[:, None], m[None, :])
     is_hom = bool((twisted == m[op]).all())
     fibers = tuple(tuple(np.flatnonzero(m == a).tolist()) for a in np.unique(m))

@@ -14,6 +14,8 @@ import json
 import time
 from itertools import product
 
+import numpy as np
+
 from quandles import (FiniteGroup, alexander, conj_class, conjugation,
                       count_colorings, dihedral, fixed_points, is_connected,
                       orbits, parse_braid, parse_pd, saturate_forward,
@@ -36,7 +38,7 @@ def test_criterion_01_axiom_suite():
     fresh = build_corpus()
     for name, q in fresh:
         again = validate(q.op)  # raises on any violation
-        assert again.op == q.op, name
+        assert np.array_equal(again.op, q.op), name
     elapsed = time.monotonic() - start
     assert len(fresh) > 90
     assert elapsed < 10.0, f"axiom suite took {elapsed:.1f}s"

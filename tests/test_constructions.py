@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from quandles import (CocycleError, ConstructionError, FiniteGroup,
@@ -32,7 +33,7 @@ def test_every_construction_validates():
     # constructors validate internally; re-validate explicitly for good measure
     for name, q in corpus():
         again = validate(q.op)
-        assert again.op == q.op, name
+        assert np.array_equal(again.op, q.op), name
 
 
 def test_phi_space_is_dihedral():
@@ -40,7 +41,7 @@ def test_phi_space_is_dihedral():
         zn = FiniteGroup.cyclic(n)
         neg = GroupAutomorphism(zn, tuple((-i) % n for i in range(n)))
         q = phi_space(zn, neg, (0,))
-        assert q.op == dihedral(n).op, n
+        assert np.array_equal(q.op, dihedral(n).op), n
 
 
 def test_phi_space_trivial_cases():
@@ -92,8 +93,8 @@ def test_coset_action_finds_first_bad_pair_above_old_sampling_limit():
 
 
 def test_alexander_special_cases():
-    assert alexander(5, 1, 1).op == trivial(5).op
-    assert alexander(3, 1, 2).op == dihedral(3).op
+    assert np.array_equal(alexander(5, 1, 1).op, trivial(5).op)
+    assert np.array_equal(alexander(3, 1, 2).op, dihedral(3).op)
     with pytest.raises(ConstructionError):
         alexander(5, 1, 0)
     with pytest.raises(ConstructionError):
@@ -108,7 +109,7 @@ def test_alexander_matrix():
     with pytest.raises(ConstructionError):
         alexander(3, 2, [[1, 1], [1, 1]])  # determinant 0
     # scalar and scalar-matrix agree
-    assert alexander(5, 2, 2).op == alexander(5, 2, [[2, 0], [0, 2]]).op
+    assert np.array_equal(alexander(5, 2, 2).op, alexander(5, 2, [[2, 0], [0, 2]]).op)
 
 
 def test_alexander_connectivity_frozen():
@@ -120,7 +121,7 @@ def test_alexander_connectivity_frozen():
 def test_cocycle_zero():
     z2 = FiniteGroup.cyclic(2)
     q = cocycle_extension(1, z2, [[0]])
-    assert q.op == trivial(2).op
+    assert np.array_equal(q.op, trivial(2).op)
     z3 = FiniteGroup.cyclic(3)
     q = cocycle_extension(2, z3, [[0, 1], [2, 0]])
     # (x,a) |> (y,b) = (y, b + F(x,y)): the symmetry depends only on x,
@@ -128,7 +129,7 @@ def test_cocycle_zero():
     assert q.size == 6
     for x in range(2):
         for a in range(1, 3):
-            assert q.op[3 * x + a] == q.op[3 * x]
+            assert np.array_equal(q.op[3 * x + a], q.op[3 * x])
 
 
 def test_cocycle_errors():
@@ -161,12 +162,12 @@ def test_tables_match_scalar_products():
     # one scalar product at a time
     s4 = FiniteGroup.symmetric(4)
     n = s4.order
-    assert conjugation(s4).op == tuple(tuple(s4.conj(g, h) for h in range(n))
-                                       for g in range(n))
+    assert conjugation(s4).op.tolist() == [[s4.conj(g, h) for h in range(n)]
+                                           for g in range(n)]
     cls = conjugacy_class(s4, 3)   # the 3-cycles, where a^-1 b a != a b a^-1
     assert cls == tuple(sorted({s4.conj(h, 3) for h in range(n)}))
-    assert conj_class(s4, 3).op == tuple(tuple(cls.index(s4.conj(a, b)) for b in cls)
-                                         for a in cls)
+    assert conj_class(s4, 3).op.tolist() == [[cls.index(s4.conj(a, b)) for b in cls]
+                                             for a in cls]
     phi = GroupAutomorphism(s4, [s4.conj(3, x) for x in range(n)])
     assert twisted_orbit_action(s4, phi) == tuple(
         tuple(s4.mul(s4.mul(x, a), phi(s4.inv(x))) for a in range(n)) for x in range(n))
@@ -179,7 +180,7 @@ def test_tables_match_scalar_products():
 
 def test_conjugation_abelian_is_trivial():
     z8 = FiniteGroup.cyclic(8)
-    assert conjugation(z8).op == trivial(8).op
+    assert np.array_equal(conjugation(z8).op, trivial(8).op)
 
 
 def test_conj_class_of_transpositions_is_dihedral():
@@ -195,7 +196,7 @@ def test_conj_class_sl2f3_validates():
     j1 = g.elements.index((1, 1, 0, 1))
     q = conj_class(g, j1)
     assert q.size == 4
-    assert validate(q.op).op == q.op
+    assert np.array_equal(validate(q.op).op, q.op)
 
 
 def test_vedernikov_identity_autom():
@@ -277,7 +278,7 @@ def test_unipotent_class_conjugation_formula():
 def test_records_replay_byte_identical():
     for name, q in corpus():
         again = q.record.replay()
-        assert again.op == q.op, name
+        assert np.array_equal(again.op, q.op), name
         assert again.labels == q.labels, name
         assert again.to_json() == q.to_json(), name
 

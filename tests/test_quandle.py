@@ -19,7 +19,7 @@ def dihedral_table(n):
 def test_validate_dihedral():
     q = validate(dihedral_table(3))
     assert q.size == 3
-    assert q.op == ((0, 2, 1), (2, 1, 0), (1, 0, 2))
+    assert q.op.tolist() == [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
 
 
 def test_validate_trivial():
@@ -59,6 +59,8 @@ def test_validate_out_of_range():
         validate([[0, 1], [1]])
     with pytest.raises(RangeError):
         validate([])
+    with pytest.raises(RangeError, match="3 dimensions, expected 2"):
+        validate(np.zeros((2, 2, 2), dtype=int))
 
 
 def _bad_entries_oracle(table):
@@ -97,8 +99,14 @@ def test_validate_reads_arrays_and_lists_alike():
         for table in (a, a.astype(np.int32), [list(r) for r in q.op],
                       [np.array(r) for r in q.op]):
             again = validate(table)
-            assert again.op == q.op and again.inv_op == q.inv_op, name
-            assert all(type(x) is int for x in again.op[-1] + again.inv_op[-1])
+            assert np.array_equal(again.op, q.op), name
+            assert np.array_equal(again.inv_op, q.inv_op), name
+            for t in (again.op, again.inv_op):
+                assert t.dtype == np.int64 and not t.flags.writeable, name
+            # the public maps hand out Python ints, not numpy scalars
+            assert all(type(x) is int for x in (*again.to_dict()["table"][-1],
+                       *again.symmetry(0).perm, *again.right_translation(0),
+                       *again.subquandle_closure({0})[1]))
 
 
 def test_validate_witness_cap():
@@ -127,7 +135,7 @@ def test_symmetries_are_automorphisms():
     for _, q in small_corpus():
         for a in range(q.size):
             s = q.symmetry(a)
-            assert s.base == a and s.perm == q.op[a]
+            assert s.base == a and s.perm == tuple(q.op[a].tolist())
             for x in range(q.size):
                 for y in range(q.size):
                     assert s(q.op[x][y]) == q.op[s(x)][s(y)]
@@ -158,7 +166,7 @@ def test_right_translation():
 def test_subquandle_closure_whole():
     r3 = dihedral(3)
     sub, emb = r3.subquandle_closure(range(3))
-    assert emb == (0, 1, 2) and sub.op == r3.op
+    assert emb == (0, 1, 2) and np.array_equal(sub.op, r3.op)
 
 
 def test_subquandle_closure_singleton():
@@ -181,6 +189,31 @@ def test_subquandle_closure_conjugation():
     assert all(q.labels[e].count("(") == 1 for e in emb)  # all transpositions
 
 
+def _closure_oracle(q, seed):
+    """The closure of ``seed`` under |> and |>^-1, one pair at a time."""
+    op, inv = q.op.tolist(), q.inv_op.tolist()
+    s = set(seed)
+    while True:
+        new = {w for u in s for v in s for w in (op[u][v], inv[u][v])} - s
+        if not new:
+            return tuple(sorted(s))
+        s |= new
+
+
+def test_subquandle_closure_and_closed_subsets_match_loops():
+    for name, q in small_corpus():
+        op = q.op.tolist()
+        for seed in ({0}, {0, q.size - 1}, {1, q.size // 2}):
+            sub, emb = q.subquandle_closure(seed)
+            assert emb == _closure_oracle(q, seed), (name, seed)
+            assert sub.op.tolist() == [[emb.index(op[a][b]) for b in emb] for a in emb]
+            for subset in (seed, emb, emb[1:] or emb):
+                closed = _closure_oracle(q, subset) == tuple(sorted(subset))
+                assert q.is_closed_subset(subset) == closed, (name, subset)
+    with pytest.raises(IndexError):
+        dihedral(3).is_closed_subset({0, 3})
+
+
 def test_subquandle_closure_empty_seed():
     with pytest.raises(ValueError):
         trivial(3).subquandle_closure(set())
@@ -189,7 +222,7 @@ def test_subquandle_closure_empty_seed():
 def test_json_round_trip():
     for _, q in small_corpus():
         again = FiniteQuandle.from_json(q.to_json())
-        assert again.op == q.op and again.labels == q.labels
+        assert np.array_equal(again.op, q.op) and again.labels == q.labels
 
 
 def test_json_errors():
@@ -259,7 +292,7 @@ def test_check_memory_stays_bounded_at_625(tmp_path):
     # valid, 3.6 s and 141.5 MB measured on a 2-core x86-64 Linux VM.  The
     # table is written directly, because the constructor alone takes 6.4 s
     assert (_alexander_scalar_table(5, 2, 2).tolist()
-            == [list(r) for r in alexander(5, 2, 2).op])
+            == alexander(5, 2, 2).op.tolist())
     path = tmp_path / "a542.json"
     path.write_text(json.dumps({"size": 625,
                                 "table": _alexander_scalar_table(5, 4, 2).tolist()}))

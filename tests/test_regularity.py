@@ -3,6 +3,7 @@ from quandles import (FiniteGroup, alexander, aut, conjugation, dihedral,
                       isolated_connected_consequence, regularity_report,
                       sbar_hom, trivial, unipotent_class_quandle)
 from quandles.groups import compose
+from quandles.regularity import surjective_translations
 
 from corpus_util import small_corpus
 
@@ -32,12 +33,22 @@ def test_fixed_points_unipotent_by_enumeration():
     j1 = q3.labels.index("[[1,1],[0,1]]")
     oracle = tuple(r for r in range(q3.size) if q3.op[j1][r] == r)
     assert fixed_points(q3, j1) == oracle == (j1,)
+    assert type(fixed_points(q3, j1)[0]) is int
     # p=5: J4 = J1^-1 is in the class and commutes with J1
     q5 = unipotent_class_quandle(5)
     j1 = q5.labels.index("[[1,1],[0,1]]")
     j4 = q5.labels.index("[[1,4],[0,1]]")
     oracle = tuple(r for r in range(q5.size) if q5.op[j1][r] == r)
     assert fixed_points(q5, j1) == oracle == tuple(sorted((j1, j4)))
+
+
+def test_fixed_points_and_surjectivity_match_loops():
+    for name, q in small_corpus():
+        op = q.op.tolist()
+        for x in range(q.size):
+            assert fixed_points(q, x) == tuple(r for r in range(q.size) if op[x][r] == r)
+        assert surjective_translations(q) == tuple(
+            len({op[r][x] for r in range(q.size)}) == q.size for x in range(q.size)), name
 
 
 def test_report_alexander_all_flags():
@@ -129,9 +140,10 @@ def test_isolated_consequence_dihedral_3():
 def test_commuting_automorphisms_fix_base_on_isolated_instances():
     # if f s_q f^-1 = s_q and Fix(s_q) = {q}, then f fixes q
     for q in (dihedral(3), alexander(5, 1, 3)):
+        rows = q.op.tolist()
         for f in aut(q).elements:
             for a in range(q.size):
-                if compose(compose(f, q.op[a]), invert(f)) == q.op[a]:
+                if compose(compose(f, rows[a]), invert(f)) == tuple(rows[a]):
                     assert f[a] == a
 
 
@@ -140,6 +152,6 @@ def test_sbar_fibers_singleton_iff_symmetries_distinct():
     # matches singleton fibers of the comparison homomorphism
     for q in (dihedral(5), alexander(7, 1, 2)):
         rep = sbar_hom(q, 0)
-        distinct_rows = len({q.op[x] for x in range(q.size)}) == q.size
+        distinct_rows = len({tuple(row) for row in q.op.tolist()}) == q.size
         assert rep.injective == distinct_rows
         assert rep.injective  # these instances have pairwise distinct symmetries

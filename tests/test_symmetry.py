@@ -58,10 +58,11 @@ def test_tr_base_choice_is_irrelevant():
 def test_conjugation_identity_for_automorphisms():
     # f s_q f^-1 = s_{f(q)} for every automorphism
     for q in (dihedral(4), trivial(4), conj_class(FiniteGroup.symmetric(3), 1)):
+        rows = q.op.tolist()
         for f in aut(q).elements:
             f_inv = invert(f)
             for a in range(q.size):
-                assert compose(compose(f, q.op[a]), f_inv) == q.op[f[a]]
+                assert compose(compose(f, rows[a]), f_inv) == tuple(rows[f[a]])
 
 
 def test_gathering_identity():
@@ -561,13 +562,21 @@ def test_sbar_dihedral_injective():
     assert len(rep.fibers) == 3
 
 
+def test_element_index_is_built_once_per_group():
+    q = power_cocycle(3, 2)   # three orbits, one Tr(Q)
+    reals = [coset_realization(q, b) for b in orbits(q).basepoints]
+    index = reals[0].group.element_index
+    assert len(reals) == 3 and all(r.group.element_index is index for r in reals)
+    assert index == {p: i for i, p in enumerate(reals[0].group.elements)}
+
+
 def test_sbar_fibers_are_equal_symmetry_classes():
     q = power_cocycle(3, 2)  # s_x depends only on the first coordinate
     rep = sbar_hom(q, 0)
     assert rep.is_homomorphism
     assert not rep.injective
     for fiber in rep.fibers:
-        rows = {q.op[x] for x in fiber}
+        rows = {tuple(q.op[x].tolist()) for x in fiber}
         assert len(rows) == 1
     assert sorted(len(f) for f in rep.fibers) == [3, 3, 3]
 
