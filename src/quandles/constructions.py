@@ -225,25 +225,10 @@ def twisted_orbit_action(group: FiniteGroup, phi: GroupAutomorphism):
 # ---------------------------------------------------------------------------
 # linear families over prime fields
 
-def _det_mod(mat, p: int) -> int:
-    """Determinant of a square matrix over F_p by Gaussian elimination."""
-    m = [[x % p for x in row] for row in mat]
-    n = len(m)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det % p
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv % p
-            for c in range(col, n):
-                m[r][c] = (m[r][c] - factor * m[col][c]) % p
-    return det % p
+def _vectors(p: int, n: int) -> np.ndarray:
+    """F_p^n as a (p^n, n) digit array in lexicographic order; row i is the
+    base-p digits of i."""
+    return np.indices((p,) * n).reshape(n, -1).T
 
 
 def _vec_labels(vectors, n):
@@ -261,29 +246,26 @@ def alexander(p: int, n: int, a) -> FiniteQuandle:
     if isinstance(a, int):
         if a % p == 0:
             raise ConstructionError(f"scalar {a} is not invertible mod {p}")
-        mat = [[a % p if i == j else 0 for j in range(n)] for i in range(n)]
         a_param = a % p
+        mat = a_param * np.eye(n, dtype=np.int64)
     else:
         if not (isinstance(a, (list, tuple)) and all(
                 isinstance(r, (list, tuple)) and all(type(x) is int for x in r)
                 for r in a)):
             raise ConstructionError("a must be an integer or a matrix of integers")
-        mat = [[x % p for x in row] for row in a]
-        if len(mat) != n or any(len(r) != n for r in mat):
+        a_param = [[x % p for x in row] for row in a]
+        if len(a_param) != n or any(len(r) != n for r in a_param):
             raise ConstructionError(f"matrix must be {n}x{n}")
-        if _det_mod(mat, p) == 0:
-            raise ConstructionError("matrix is not invertible mod p")
-        a_param = [list(r) for r in mat]
-    vectors = list(product(range(p), repeat=n))
-    pos = {v: i for i, v in enumerate(vectors)}
-
-    def op(v, w):
-        d = [(w[i] - v[i]) % p for i in range(n)]
-        return tuple((v[i] + sum(mat[i][j] * d[j] for j in range(n))) % p
-                     for i in range(n))
-
-    table = [[pos[op(v, w)] for w in vectors] for v in vectors]
-    return _finish(table, _vec_labels(vectors, n), "alexander",
+        mat = np.array(a_param, dtype=np.int64)
+    v = _vectors(p, n)
+    av = v @ mat.T % p   # a v for every vector v
+    if len(np.unique(av @ p ** np.arange(n - 1, -1, -1))) < len(v):
+        raise ConstructionError("matrix is not invertible mod p")
+    # coordinate i of v + a(w - v) is (v - a v)_i + (a w)_i; Horner over i
+    table = np.zeros((len(v), len(v)), dtype=np.int64)
+    for i in range(n):
+        table = table * p + ((v[:, i] - av[:, i])[:, None] + av[:, i]) % p
+    return _finish(table, _vec_labels(v.tolist(), n), "alexander",
                    {"p": p, "n": n, "a": a_param})
 
 
@@ -297,15 +279,13 @@ def power_cocycle(p: int, n: int) -> FiniteQuandle:
         raise ConstructionError("p must be an odd prime")
     if n < 2:
         raise ConstructionError("dimension must be at least 2")
-    vectors = list(product(range(p), repeat=n))
-    pos = {v: i for i, v in enumerate(vectors)}
-
-    def op(x, y):
-        d = (y[0] - x[0]) % p
-        return (y[0],) + tuple((y[i] + pow(d, i + 1, p)) % p for i in range(1, n))
-
-    table = [[pos[op(x, y)] for y in vectors] for x in vectors]
-    return _finish(table, _vec_labels(vectors, n), "power_cocycle", {"p": p, "n": n})
+    v = _vectors(p, n)
+    d = (v[:, 0] - v[:, 0, None]) % p   # [x, y] = y1 - x1
+    table, power = np.broadcast_to(v[:, 0], d.shape), d
+    for i in range(1, n):
+        power = power * d % p
+        table = table * p + (v[:, i] + power) % p
+    return _finish(table, _vec_labels(v.tolist(), n), "power_cocycle", {"p": p, "n": n})
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_CAP = 10**6
 MAX_GROUP_ORDER = 4096   # largest FiniteGroup; building its int64 table peaks near 570 MB
-EXHAUSTIVE_ASSOC = 64    # associativity checked on all triples up to this order
-SAMPLED_CHECKS = 20000
 
 
 class GroupError(Exception):
@@ -312,6 +309,27 @@ def close(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP,
 # ---------------------------------------------------------------------------
 # explicit finite groups
 
+def _right_generators(t: np.ndarray, ident: int) -> Iterator[int]:
+    """Elements s_1, s_2, ... of the table ``t``, each the least element not
+    yet reached from ``ident`` by right products with the earlier ones,
+    until every element is reached.  Light's test: if (x s) y = x (s y) for
+    all x, y and each such s, the table is associative, since the s with
+    that property are closed under products.  Each s is yielded before the
+    search for the next: while the ones before it pass, the reached set is
+    a group, so it at least doubles per s and at most log2(n) are sought."""
+    reached = np.zeros(len(t), dtype=bool)
+    reached[ident] = True
+    gens: list[int] = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        yield gens[-1]
+        frontier = np.flatnonzero(reached)
+        while len(frontier):
+            image = np.unique(t[np.ix_(frontier, gens)])
+            frontier = image[~reached[image]]
+            reached[frontier] = True
+
+
 def _check_order(n: int) -> None:
     """Refuse, before anything is allocated, a group too large to tabulate."""
     if n > MAX_GROUP_ORDER:
@@ -385,9 +403,9 @@ class FiniteGroup:
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]],
                    labels: Sequence[str] | None = None) -> "FiniteGroup":
-        """Validate a table of Python ints.  Associativity is checked on all
-        triples up to order ``EXHAUSTIVE_ASSOC``, above it on
-        ``SAMPLED_CHECKS`` triples drawn from ``Random(0)``."""
+        """Validate a table of Python ints.  Associativity is checked
+        exhaustively by Light's test on a set that generates the table under
+        right products from the identity."""
         if not isinstance(table, (list, tuple)):
             raise GroupError("multiplication table must be a list of rows")
         n = len(table)
@@ -406,17 +424,11 @@ class FiniteGroup:
         if not has_inv.all():
             raise GroupError(f"element {int(np.argmin(has_inv))} has no inverse")
         inv = two_sided.argmax(axis=1)
-        if n <= EXHAUSTIVE_ASSOC:
-            a, b, c = np.indices((n, n, n)).reshape(3, -1)   # row-major
-        else:
-            rng = random.Random(0)
-            a, b, c = np.array([(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                                for _ in range(SAMPLED_CHECKS)]).T
-        bad = np.flatnonzero(t[t[a, b], c] != t[a, t[b, c]])
-        if len(bad):
-            k = bad[0]
-            raise GroupError("multiplication is not associative at "
-                             f"{(int(a[k]), int(b[k]), int(c[k]))}")
+        for s in _right_generators(t, ident):
+            bad = np.flatnonzero(t[t[:, s]] != np.take(t, t[s], axis=1))   # (xs)y != x(sy)
+            if len(bad):
+                x, y = divmod(int(bad[0]), n)
+                raise GroupError(f"multiplication is not associative at {(x, s, y)}")
         return cls(t, inv, ident, labels=labels)
 
     @classmethod

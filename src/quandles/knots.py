@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+import numpy as np
+
 from .quandle import FiniteQuandle
 from .symmetry import orbits
 
@@ -56,20 +58,20 @@ class Crossing:
     sign: int
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _merge(n: int, pairs) -> tuple[int, ...]:
+    """Union the pairs over {0..n-1}; number the classes in order of first
+    appearance."""
+    parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    def union(self, a: int, b: int):
-        self.parent[self.find(a)] = self.find(b)
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    ids: dict[int, int] = {}
+    return tuple(ids.setdefault(find(x), len(ids)) for x in range(n))
 
 
 class KnotDiagram:
@@ -108,17 +110,7 @@ class KnotDiagram:
     @cached_property
     def arc_class(self) -> tuple[int, ...]:
         """Color classes: arcs merged along over-strands (the knot-theoretic arcs)."""
-        uf = _UnionFind(self.arc_count)
-        for c in self.crossings:
-            uf.union(c.over_in, c.over_out)
-        ids: dict[int, int] = {}
-        out = []
-        for a in range(self.arc_count):
-            r = uf.find(a)
-            if r not in ids:
-                ids[r] = len(ids)
-            out.append(ids[r])
-        return tuple(out)
+        return _merge(self.arc_count, ((c.over_in, c.over_out) for c in self.crossings))
 
     @property
     def class_count(self) -> int:
@@ -127,18 +119,8 @@ class KnotDiagram:
     @cached_property
     def component_of(self) -> tuple[int, ...]:
         """Partition of arcs by link component (merge along both strands)."""
-        uf = _UnionFind(self.arc_count)
-        for c in self.crossings:
-            uf.union(c.over_in, c.over_out)
-            uf.union(c.under_in, c.under_out)
-        ids: dict[int, int] = {}
-        out = []
-        for a in range(self.arc_count):
-            r = uf.find(a)
-            if r not in ids:
-                ids[r] = len(ids)
-            out.append(ids[r])
-        return tuple(out)
+        return _merge(self.arc_count, (pair for c in self.crossings for pair in
+                                       ((c.over_in, c.over_out), (c.under_in, c.under_out))))
 
     @property
     def component_count(self) -> int:
@@ -278,21 +260,10 @@ def parse_braid(word: str, strands: int) -> KnotDiagram:
             current[i], current[i + 1] = over_out, under_out
         next_arc += 2
         col += len(tok)
-    uf = _UnionFind(next_arc)
-    for j in range(strands):
-        uf.union(current[j], j)
-    ids: dict[int, int] = {}
-
-    def arc_id(x: int) -> int:
-        r = uf.find(x)
-        if r not in ids:
-            ids[r] = len(ids)
-        return ids[r]
-
-    remap = [arc_id(x) for x in range(next_arc)]
+    remap = _merge(next_arc, ((current[j], j) for j in range(strands)))
     out = [Crossing(remap[oi], remap[oo], remap[ui], remap[uo], s)
            for (oi, oo, ui, uo, s) in crossings]
-    return KnotDiagram(out, len(ids))
+    return KnotDiagram(out, max(remap) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -307,65 +278,70 @@ class ColoringCount:
     by_orbit: tuple[int, ...] | None = None
 
 
-def _count_restricted(relations, class_count: int, colors: Sequence[int],
-                      quandle: FiniteQuandle) -> int:
-    """Backtracking with unit propagation along crossing relations; free
-    color classes contribute a factor of len(colors) each."""
-    colors = tuple(colors)
-    allowed = set(colors)
-    touching: list[list[int]] = [[] for _ in range(class_count)]
-    for k, (o, ui, uo, s) in enumerate(relations):
-        for v in (o, ui, uo):
-            if k not in touching[v]:
-                touching[v].append(k)
-    constrained = sorted(v for v in range(class_count) if touching[v])
-    free = class_count - len(constrained)
+# Rows x |Q| x classes entries one branch step may allocate; more rows than
+# that are run half at a time, so memory stays flat however many colorings
+# a diagram has.
+BATCH_ENTRIES = 2**18
 
-    op, inv_op = quandle.op.tolist(), quandle.inv_op.tolist()
 
-    def propagate(assign: dict, var: int, queue: list) -> bool:
-        for k in touching[var]:
-            o, ui, uo, s = relations[k]
-            co, ci, cu = assign.get(o), assign.get(ui), assign.get(uo)
-            if co is None:
+def _plan(relations) -> list[tuple[str, int, int, int, int]]:
+    """Steps (kind, class, over, source, sign) that color every class a
+    relation touches.  Where a relation has its over class and one under
+    class colored, the other is forced, or, both colored, checked:
+    ``class`` must equal ``source`` acted on by ``over`` through ``op``
+    (sign +1) or ``inv_op`` (-1).  Otherwise the uncolored class meeting
+    the most pending relations, least first, is branched on."""
+    known: set[int] = set()
+    pending = list(relations)
+    steps = []
+    while pending:
+        for rel in pending:
+            o, ui, uo, s = rel
+            if o in known and ui in known:
+                step = ("check" if uo in known else "force", uo, o, ui, s)
+            elif o in known and uo in known:
+                step = ("force", ui, o, uo, -s)
+            else:
                 continue
-            fwd = op[co] if s > 0 else inv_op[co]
-            if ci is not None:
-                forced = fwd[ci]
-                if forced not in allowed or (cu is not None and cu != forced):
-                    return False
-                if cu is None:
-                    assign[uo] = forced
-                    queue.append(uo)
-            elif cu is not None:
-                back = inv_op[co] if s > 0 else op[co]
-                forced = back[cu]
-                if forced not in allowed:
-                    return False
-                assign[ui] = forced
-                queue.append(ui)
-        return True
+            pending.remove(rel)
+            break
+        else:
+            meets = [c for rel in pending for c in set(rel[:3]) if c not in known]
+            step = ("branch", max(sorted(set(meets)), key=meets.count), 0, 0, 0)
+        steps.append(step)
+        known.add(step[1])
+    return steps
 
-    def settle(assign: dict, seeds: list) -> bool:
-        queue = list(seeds)
-        while queue:
-            if not propagate(assign, queue.pop(), queue):
-                return False
-        return True
 
-    def count_from(assign: dict) -> int:
-        var = next((v for v in constrained if v not in assign), None)
-        if var is None:
-            return 1
-        total = 0
-        for color in colors:
-            trial = dict(assign)
-            trial[var] = color
-            if settle(trial, [var]):
-                total += count_from(trial)
-        return total
-
-    return count_from({}) * len(colors) ** free
+def _tally(steps, start: int, rows: np.ndarray, quandle: FiniteQuandle,
+           orbit_id: np.ndarray | None) -> np.ndarray:
+    """Run ``steps[start:]`` on the partial colorings ``rows`` and count the
+    colorings that come out: the total, then, given ``orbit_id``, those
+    whose colored classes all lie in each inner orbit."""
+    n = quandle.size
+    for i in range(start, len(steps)):
+        kind, c, over, source, sign = steps[i]
+        if kind == "branch":
+            if len(rows) > 1 and len(rows) * n * rows.shape[1] > BATCH_ENTRIES:
+                half = len(rows) // 2
+                return (_tally(steps, i, rows[:half], quandle, orbit_id)
+                        + _tally(steps, i, rows[half:], quandle, orbit_id))
+            rows = np.repeat(rows, n, axis=0)
+            rows[:, c] = np.tile(np.arange(n), len(rows) // n)
+            continue
+        image = (quandle.op if sign > 0 else quandle.inv_op)[rows[:, over], rows[:, source]]
+        if kind == "force":
+            rows[:, c] = image
+        else:
+            rows = rows[image == rows[:, c]]
+    if orbit_id is None:
+        return np.array([len(rows)])
+    orb = orbit_id[rows[:, [c for kind, c, *_ in steps if kind != "check"]]]
+    if not orb.shape[1]:   # no crossings: the empty coloring lies in every orbit
+        return np.full(orbit_id.max() + 2, len(rows))
+    inside = (orb == orb[:, :1]).all(axis=1)
+    return np.concatenate([[len(rows)],
+                           np.bincount(orb[inside, 0], minlength=orbit_id.max() + 1)])
 
 
 def count_colorings(diagram: KnotDiagram, quandle: FiniteQuandle,
@@ -373,17 +349,21 @@ def count_colorings(diagram: KnotDiagram, quandle: FiniteQuandle,
     """Count arc colorings satisfying every crossing relation.
 
     Constant colorings always exist (idempotence), so the total is at least
-    the quandle size for a nonempty diagram.
+    the quandle size for a nonempty diagram.  A coloring lies in an inner
+    orbit exactly when each class does, so one run of the plan gives the
+    total and every orbit's count; classes no crossing touches contribute
+    a factor of |Q|, or of the orbit's size, each.
     """
-    rels = diagram.relations()
-    k = diagram.class_count
-    total = _count_restricted(rels, k, range(quandle.size), quandle)
-    per_orbit = None
-    if by_orbit:
-        deco = orbits(quandle)
-        per_orbit = tuple(_count_restricted(rels, k, orb, quandle)
-                          for orb in deco.orbits)
-    return ColoringCount(total, per_orbit)
+    steps = _plan(diagram.relations())
+    free = diagram.class_count - sum(kind != "check" for kind, *_ in steps)
+    rows = np.zeros((1, diagram.class_count), dtype=np.int64)
+    if not by_orbit:
+        return ColoringCount(int(_tally(steps, 0, rows, quandle, None)[0])
+                             * quandle.size ** free)
+    deco = orbits(quandle)
+    total, *per_orbit = _tally(steps, 0, rows, quandle, np.array(deco.orbit_id)).tolist()
+    return ColoringCount(total * quandle.size ** free,
+                         tuple(c * len(orb) ** free for c, orb in zip(per_orbit, deco.orbits)))
 
 
 def invariance_check(d1: KnotDiagram, d2: KnotDiagram,

@@ -1,7 +1,6 @@
 import io
 import itertools
 import json
-import random
 import re
 
 import numpy as np
@@ -187,9 +186,8 @@ def test_from_table_validation():
         FiniteGroup.from_table(loop)
 
 
-def test_sampled_associativity_names_a_failing_triple():
-    # a commutative table on 65 elements with identity 0 that is not
-    # associative; above order 64 associativity is checked on sampled triples
+def test_associativity_witness_really_fails():
+    # a commutative table on 65 elements with identity 0 that is not associative
     n = 65
     table = [[(a + b + a * b * (a + b)) % n for b in range(n)] for a in range(n)]
     with pytest.raises(GroupError, match="not associative") as err:
@@ -198,26 +196,44 @@ def test_sampled_associativity_names_a_failing_triple():
     assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
-def _first_nonassociative(table, triples):
-    """Reference: the first triple, in the order given, where the loop finds
-    (ab)c != a(bc)."""
-    return next(((a, b, c) for a, b, c in triples
-                 if table[table[a][b]][c] != table[a][table[b][c]]), None)
+def test_associativity_is_checked_exhaustively_above_order_64():
+    # C_1000 with two products of row 5 swapped; 20000 random triples miss it
+    n = 1000
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    table[5][7], table[5][11] = table[5][11], table[5][7]
+    with pytest.raises(GroupError, match="not associative"):
+        FiniteGroup.from_table(table)
+
+
+def _first_nonassociative(table):
+    """Reference for Light's test: grow S by the least element not reached
+    from the identity (0 here) by right products with S, then scan (x, s, y)
+    for s in S in that order, (x, y) row-major."""
+    n, gens, reached = len(table), [], {0}
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - reached))
+        stack = list(reached)
+        while stack:
+            x = stack.pop()
+            for s in gens:
+                if table[x][s] not in reached:
+                    reached.add(table[x][s])
+                    stack.append(table[x][s])
+    return next(((x, s, y) for s in gens for x in range(n) for y in range(n)
+                 if table[table[x][s]][y] != table[x][table[s][y]]), None)
 
 
 def test_associativity_check_names_the_first_failing_triple():
-    # up to order 64 the triples run in row-major order, above it they are
-    # the sampled stream of Random(0); the array check reports the same
-    # triple the loop finds first
-    for n in (5, 65):
-        table = [[(a + b + a * b * (a + b)) % n for b in range(n)] for a in range(n)]
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(20000))
-        expected = _first_nonassociative(table, triples)
+    tables = [[[(a + b + a * b * (a + b)) % n for b in range(n)] for a in range(n)]
+              for n in (5, 65)]
+    # the order-5 loop times C_3: 1 generates the associative factor, so the
+    # first failure is at the second element of S
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    tables.append([[loop[a // 3][b // 3] * 3 + (a + b) % 3 for b in range(15)]
+                   for a in range(15)])
+    for table in tables:
+        expected = _first_nonassociative(table)
         assert expected is not None
         with pytest.raises(GroupError, match=re.escape(f"not associative at {expected}")):
             FiniteGroup.from_table(table)

@@ -1,11 +1,17 @@
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quandles import (FiniteGroup, InconsistentArcs, KnotDiagram, conj_class,
+from quandles import (FiniteGroup, InconsistentArcs, KnotDiagram, alexander, conj_class,
                       conjugation, count_colorings, dihedral, invariance_check,
                       orbits, parse_braid, parse_pd, trivial, validate)
+import quandles.knots as knots
 from quandles.knots import ParseError
+
+from corpus_util import python_peak_mb
 
 TREFOIL_PD = "X[1,4,2,5];X[3,6,4,1];X[5,2,6,3]"
 FIGURE8_PD = "X[4,1,5,2];X[2,8,3,7];X[8,5,1,6];X[6,4,7,3]"
@@ -191,3 +197,57 @@ def test_invariance_check():
     assert invariance_check(d, d, dihedral(7))
     assert invariance_check(parse_braid("", 1), parse_braid("s1 s1' ", 2),
                             dihedral(3)) is False  # unknot vs 2-unlink differ
+
+
+# alexander(5, 1, 2) and conj(S3) are not involutory, so they tell op from inv_op
+_SMALL_QUANDLES = (dihedral(3), dihedral(4), dihedral(5), trivial(2), trivial(3),
+                   alexander(5, 1, 2), conjugation(FiniteGroup.symmetric(3)))
+
+
+@st.composite
+def _braid_words(draw):
+    strands = draw(st.integers(1, 4))
+    letters = draw(st.lists(st.tuples(st.integers(1, max(strands - 1, 1)), st.booleans()),
+                            max_size=8 if strands > 1 else 0))
+    return " ".join(f"s{i}'" if inverse else f"s{i}" for i, inverse in letters), strands
+
+
+@settings(max_examples=200, deadline=None)
+@given(_braid_words(), st.data())
+def test_counts_match_brute_force_on_random_braids(braid, data):
+    # kinks such as s1 s1' included; small enough to enumerate every coloring
+    d = parse_braid(*braid)
+    q = data.draw(st.sampled_from(
+        [q for q in _SMALL_QUANDLES if q.size ** d.class_count <= 10**5]))
+    count = count_colorings(d, q, by_orbit=True)
+    assert count.total == brute_force_count(d, q)
+    assert count.by_orbit == tuple(brute_force_count(d, q, colors=orb)
+                                   for orb in orbits(q).orbits)
+
+
+def test_batches_of_one_row_count_the_same(monkeypatch):
+    monkeypatch.setattr(knots, "BATCH_ENTRIES", 0)   # every branch splits to single rows
+    q = conjugation(FiniteGroup.symmetric(3))
+    for d in (parse_pd(FIGURE8_PD), parse_braid("s1 s2 s1 s2", 3)):
+        count = count_colorings(d, q, by_orbit=True)
+        assert count.total == brute_force_count(d, q)
+        assert count.by_orbit == tuple(brute_force_count(d, q, colors=orb)
+                                       for orb in orbits(q).orbits)
+
+
+_FOUR_COMPONENTS = """
+from quandles import FiniteGroup, conjugation, count_colorings, parse_braid
+d = parse_braid("s3' s3' s3 s1 s3' s2' s2 s1'", 4)
+assert d.component_count == 4
+assert count_colorings(d, conjugation(FiniteGroup.symmetric(5))).total == 12096000
+"""
+
+
+def test_four_component_closure_counts_within_bounds():
+    # no color is forced from one component into another, so every
+    # component branches over all 120 colors of conj(S5)
+    start = time.perf_counter()
+    code, peak_mb, err = python_peak_mb("-c", _FOUR_COMPONENTS)
+    assert code == 0, err
+    assert time.perf_counter() - start < 10
+    assert peak_mb < 150
