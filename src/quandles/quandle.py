@@ -128,13 +128,7 @@ class FiniteQuandle:
         member = self._members(seed)
         if not member.any():
             raise ValueError("seed set must be nonempty")
-        while True:
-            s = np.ix_(*[np.flatnonzero(member)] * 2)
-            grown = member.copy()
-            grown[self.op[s]] = grown[self.inv_op[s]] = True
-            if (grown == member).all():
-                break
-            member = grown
+        _close(self.op, self.inv_op, member, np.flatnonzero(member))
         emb = np.flatnonzero(member)
         pos = np.cumsum(member) - 1
         labels = tuple(self.labels[e] for e in emb) if self.labels else None
@@ -194,17 +188,62 @@ class FiniteQuandle:
         return f"FiniteQuandle(size={self.size}{fam})"
 
 
-def axiom_violations(table: Sequence[Sequence[int]],
-                     cap: int = MAX_VIOLATIONS) -> tuple[list[AxiomViolation], bool]:
-    """All axiom violations of a well-formed table, up to ``cap`` witnesses.
+def _close(op: np.ndarray, inv_op: np.ndarray, member: np.ndarray,
+           fresh: np.ndarray) -> None:
+    """Close the mask ``member`` in place under |> and |>^-1, given that the
+    products of its elements outside ``fresh`` already lie in it.
 
-    Returns (violations, truncated).  Assumes entries are already known to be
-    in range; use ``validate`` for the full pipeline.
-    """
-    n = len(table)
-    a = np.asarray(table, dtype=np.int64)
+    Semi-naive: each round gathers only the pairs that meet an element new
+    in the round before, so each pair is gathered in one round only, and a
+    closure, or a run of closures that grow one mask, costs O(n^2) in all."""
+    while fresh.size:
+        every = np.flatnonzero(member)
+        reached = np.zeros_like(member)
+        for t in (op, inv_op):
+            reached[t[np.ix_(fresh, every)]] = True
+            reached[t[np.ix_(every, fresh)]] = True
+        fresh = np.flatnonzero(reached & ~member)
+        member[fresh] = True
+
+
+def _generators(op: np.ndarray, inv_op: np.ndarray) -> list[int]:
+    """A generating set, picked greedily in increasing order: each is the
+    least element outside the closure of those picked before it."""
+    member = np.zeros(len(op), dtype=bool)
+    gens = []
+    for x in range(len(op)):
+        if not member[x]:
+            gens.append(x)
+            member[x] = True
+            _close(op, inv_op, member, np.array([x]))
+    return gens
+
+
+def _distributivity_failures(a: np.ndarray, rows: Sequence[int]):
+    """Yield each (q, r, s) with q in ``rows`` and q |> (r |> s) !=
+    (q |> r) |> (q |> s), q in the order given, then (r, s) row-major.
+    Blocks of rows keep memory at O(AXIOM3_BLOCK_ENTRIES); int32 entries
+    halve the bytes each gather moves."""
+    n = len(a)
+    a = a.astype(np.int32)
+    rows = np.asarray(rows, dtype=np.int64)
+    step = max(1, AXIOM3_BLOCK_ENTRIES // max(1, n * n))
+    for i in range(0, len(rows), step):
+        blk = a[rows[i:i + step]]
+        lhs = blk[:, a]                                  # a[q, a[r, s]]
+        rhs = a[blk[:, :, None], blk[:, None, :]]        # a[a[q,r], a[q,s]]
+        bad = lhs != rhs
+        for q, r, s in np.argwhere(bad) if bad.any() else ():
+            yield int(rows[i + q]), int(r), int(s)
+
+
+def _violations(a: np.ndarray, cap: int):
+    """``axiom_violations`` of the int64 array ``a``, plus the inverse
+    table when axioms 1 and 2 hold (else None)."""
+    n = len(a)
     out: list[AxiomViolation] = []
     truncated = False
+    inv = None
 
     def push(v: AxiomViolation) -> bool:
         nonlocal truncated
@@ -217,27 +256,47 @@ def axiom_violations(table: Sequence[Sequence[int]],
     # axiom 1: idempotence on the diagonal
     for q in np.flatnonzero(a.diagonal() != np.arange(n)):
         if not push(AxiomViolation(1, (int(q),))):
-            return out, truncated
+            return out, truncated, inv
 
     # axiom 2: each row is a permutation
     row_is_perm = (np.sort(a, axis=1) == np.arange(n)).all(axis=1)
     for q in np.flatnonzero(~row_is_perm):
         missing = min(set(range(n)) - set(int(x) for x in a[q]))
         if not push(AxiomViolation(2, (int(q), missing))):
-            return out, truncated
+            return out, truncated, inv
 
-    # axiom 3: left distributivity, vectorized over blocks of rows q so that
-    # memory stays O(block * n^2); blocks run in order, so witnesses come
-    # out in the same row-major (q, r, s) order as one full n^3 comparison
-    rows = max(1, AXIOM3_BLOCK_ENTRIES // max(1, n * n))
-    for q0 in range(0, n, rows):
-        blk = a[q0:q0 + rows]
-        lhs = blk[:, a]                                  # a[q, a[r, s]]
-        rhs = a[blk[:, :, None], blk[:, None, :]]        # a[a[q,r], a[q,s]]
-        bad = lhs != rhs
-        for q, r, s in np.argwhere(bad) if bad.any() else ():
-            if not push(AxiomViolation(3, (q0 + int(q), int(r), int(s)))):
-                return out, truncated
+    # axiom 3: left distributivity, on the rows of a generating set once
+    # axioms 1 and 2 hold, else on every row (see ``axiom_violations``)
+    if not out:
+        inv = np.empty_like(a)
+        inv[np.arange(n)[:, None], a] = np.arange(n)
+        gens = _generators(a, inv)
+        if len(gens) < n and next(_distributivity_failures(a, gens), None) is None:
+            return out, truncated, inv
+    for w in _distributivity_failures(a, range(n)):
+        if not push(AxiomViolation(3, w)):
+            break
+    return out, truncated, inv
+
+
+def axiom_violations(table: Sequence[Sequence[int]],
+                     cap: int = MAX_VIOLATIONS) -> tuple[list[AxiomViolation], bool]:
+    """All axiom violations of a well-formed table, up to ``cap`` witnesses.
+
+    Returns (violations, truncated).  Assumes entries are already known to be
+    in range; use ``validate`` for the full pipeline.
+
+    Axiom 3 is checked on a generating set S when axioms 1 and 2 hold: if
+    s_q and s_r are automorphisms, so are s_{q|>r} = s_q s_r s_q^-1 and
+    s_{q|>^-1 r} = s_q^-1 s_r s_q, so the rows whose symmetry is an
+    automorphism form a subquandle, and one that contains S is all of Q.
+    S is picked greedily (the least element outside the closure so far), at
+    O(n^2) cost, and its rows cost |S| n^2.  If a row of S fails, or S is
+    all of Q (as in a trivial quandle), every row is checked, so the
+    witnesses are always those of the full n^3 comparison, in row-major
+    (q, r, s) order.
+    """
+    out, truncated, _ = _violations(np.asarray(table, dtype=np.int64), cap)
     return out, truncated
 
 
@@ -268,7 +327,8 @@ def validate(table: Sequence[Sequence[int]],
     ``table`` is a sequence of rows or a 2-D integer array.  Raises
     RangeError for malformed tables and InvalidQuandleError carrying the
     full witness list (capped at 100) for axiom failures.  The quandle
-    keeps the checked int64 array as ``op``; ``inv_op`` inverts its rows.
+    keeps the checked int64 array as ``op``, and as ``inv_op`` the inverse
+    table that the axiom check built from its rows.
     """
     n = len(table)
     if n == 0:
@@ -281,7 +341,7 @@ def validate(table: Sequence[Sequence[int]],
     a = _entries(table, n)
     if a.ndim != 2:
         raise RangeError(f"table has {a.ndim} dimensions, expected 2")
-    violations, truncated = axiom_violations(a)
+    violations, truncated, inv = _violations(a, MAX_VIOLATIONS)
     if violations:
         raise InvalidQuandleError(violations, truncated)
-    return FiniteQuandle(a, np.argsort(a, axis=1), labels=labels)
+    return FiniteQuandle(a, inv, labels=labels)

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandles.quandle as quandle_module
 from quandles import (AxiomViolation, FiniteQuandle, InvalidQuandleError,
-                      RangeError, alexander, axiom_violations, conjugation,
-                      dihedral, trivial, validate)
+                      RangeError, alexander, axiom_violations, conj_class,
+                      conjugation, dihedral, trivial, validate)
 from quandles.groups import FiniteGroup, identity_perm
 
 from corpus_util import cli_peak_mb, small_corpus
@@ -269,8 +271,9 @@ def test_axiom3_blocks_match_full_arrays(monkeypatch, rows):
 
 
 def test_check_memory_stays_bounded(tmp_path):
-    # n = 343: full n^3 int64 arrays peaked near 690 MB; blocks of 2^22
-    # triples measured 136 MB on a 2-core x86-64 Linux VM
+    # n = 343: full n^3 int64 arrays peaked near 690 MB, and int64 blocks of
+    # 2^22 triples over every row 135 MB; checking the 4 rows of a
+    # generating set measured 38 MB on a 2-core x86-64 Linux VM
     path = tmp_path / "a732.json"
     path.write_text(alexander(7, 3, 2).to_json())
     code, peak_mb, _ = cli_peak_mb("check", str(path))
@@ -289,8 +292,9 @@ def _alexander_scalar_table(p, n, a):
 
 def test_check_memory_stays_bounded_at_625(tmp_path):
     # n = 625, alexander(5, 4, 2), where v |> w = 2w - v on each base-5 digit:
-    # valid, 3.6 s and 141.5 MB measured on a 2-core x86-64 Linux VM.  The
-    # table is written directly, because the constructor alone takes 6.4 s
+    # valid, 0.45 s and 67 MB measured on a 2-core x86-64 Linux VM (3.4 s and
+    # 142 MB when every row was checked).  The table is written directly, so
+    # that the test does not rest on the constructor
     assert (_alexander_scalar_table(5, 2, 2).tolist()
             == alexander(5, 2, 2).op.tolist())
     path = tmp_path / "a542.json"
@@ -299,3 +303,92 @@ def test_check_memory_stays_bounded_at_625(tmp_path):
     code, peak_mb, _ = cli_peak_mb("check", str(path))
     assert code == 0
     assert peak_mb < 280
+
+
+# -- axiom 3 on a generating set ------------------------------------------------
+
+def _relabelled(q, seed):
+    """``q`` with its elements renamed by a seeded random permutation."""
+    sigma = np.random.default_rng(seed).permutation(q.size)
+    tab = np.empty_like(q.op)
+    tab[np.ix_(sigma, sigma)] = sigma[q.op]
+    return validate(tab)
+
+
+def test_greedy_generators_generate():
+    a732 = alexander(7, 3, 2)
+    for name, q in small_corpus() + [("a732", a732), ("a732 relabelled", _relabelled(a732, 1))]:
+        gens = quandle_module._generators(q.op, q.inv_op)
+        assert _closure_oracle(q, gens) == tuple(range(q.size)), name
+        for i, g in enumerate(gens):   # each is the least element not yet reached
+            reached = set(_closure_oracle(q, gens[:i])) if i else set()
+            assert g == min(set(range(q.size)) - reached), (name, i)
+
+
+def _axiom3_by_rows(tab):
+    """``_axiom3_full`` one row q at a time, for tables whose n^3 arrays
+    would be too large."""
+    a = np.asarray(tab)
+    return [(q, int(r), int(s)) for q in range(len(a))
+            for r, s in np.argwhere(a[q][a] != a[a[q][:, None], a[q][None, :]])]
+
+
+def _swapped(q, row, r, s):
+    """The table of ``q`` with entries (row, r) and (row, s) swapped; for r
+    and s other than row, axioms 1 and 2 still hold."""
+    tab = q.op.copy()
+    tab[row, [r, s]] = tab[row, [s, r]]
+    return tab
+
+
+def _outside_generators(q):
+    gens = quandle_module._generators(q.op, q.inv_op)
+    return [x for x in range(q.size) if x not in gens]
+
+
+def _s5_transpositions():
+    s5 = FiniteGroup.symmetric(5)
+    return conj_class(s5, s5.elements.index((1, 0, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("build", [lambda: alexander(7, 3, 2), lambda: dihedral(63),
+                                   lambda: alexander(5, 2, 2), _s5_transpositions],
+                         ids=["a732", "d63", "a522", "conj_class_S5"])
+def test_corrupted_rows_outside_generators_match_every_row(monkeypatch, build):
+    q = build()
+    oracle = _axiom3_by_rows if q.size > 100 else _axiom3_full
+    rows = _outside_generators(q)
+    for row in (rows[0], rows[-1]):
+        r, s = [x for x in (0, 1, 2, q.size - 1) if x != row][:2]
+        tab = _swapped(q, row, r, s)
+        expected = oracle(tab)
+        assert expected, row
+        with pytest.raises(InvalidQuandleError) as exc:
+            validate(tab)
+        got = {cap: axiom_violations(tab, cap=cap) for cap in (7, 10**6)}
+        for cap, (violations, truncated) in got.items():
+            assert [v.witness for v in violations] == expected[:cap], (row, cap)
+            assert truncated == (len(expected) > cap)
+        with monkeypatch.context() as m:   # S = Q: the pass over every row
+            m.setattr(quandle_module, "_generators", lambda op, inv_op: list(range(len(op))))
+            assert axiom_violations(tab, cap=7) == got[7]
+            with pytest.raises(InvalidQuandleError) as every:
+                validate(tab)
+        assert str(exc.value) == str(every.value)
+        assert exc.value.violations == every.value.violations
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_corruptions_outside_generators_match_full_arrays(data):
+    q = data.draw(st.sampled_from([q for _, q in small_corpus() if _outside_generators(q)]
+                                  + [dihedral(63), alexander(5, 2, 2)]))
+    row = data.draw(st.sampled_from(_outside_generators(q)))
+    others = [x for x in range(q.size) if x != row]
+    r, s = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+    cap = data.draw(st.integers(1, 200))
+    tab = _swapped(q, row, r, s)
+    expected = _axiom3_full(tab)
+    violations, truncated = axiom_violations(tab, cap=cap)
+    assert [v.witness for v in violations] == expected[:cap]
+    assert truncated == (len(expected) > cap)
