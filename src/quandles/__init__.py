@@ -1,34 +1,42 @@
-"""Finite quandles: construction, symmetry groups, orbit analysis,
-coset realizations, regularity conditions and knot coloring counts."""
+"""Finite quandles: construction, symmetry groups, orbit analysis, coset
+realizations, regularity conditions and knot coloring counts.  Each
+submodule is imported when it or one of its names is first read."""
 
-from .quandle import (AxiomViolation, ElementSymmetry, FiniteQuandle,
-                      InvalidQuandleError, QuandleError, RangeError,
-                      axiom_violations, validate)
-from .groups import (CapExceeded, CosetSpace, CycleParseError, FiniteGroup,
-                     GroupAutomorphism, GroupError, NotASubgroup,
-                     NotAnAutomorphism, PermutationGroup, all_automorphisms,
-                     close, compose, conjugacy_class, cosets, cycle_type,
-                     fixed_subgroup, format_cycles, identity_perm, invert,
-                     matrix_group_sl2, parse_cycles, parse_generator_lines)
-from .constructions import (CocycleError, ConstructionError,
-                            ConstructionRecord, NotAbelian, NotFixed,
-                            alexander, cocycle_extension, conj_class,
-                            conjugation, dihedral, phi_space,
-                            power_cocycle, trivial, twisted_orbit_action,
-                            unipotent_class_quandle, vedernikov)
-from .symmetry import (ActionError, ConnectednessReport, CosetRealization,
-                       HomReport, InterOrbitReport, OrbitDecomposition,
-                       QuandleAction, SaturationChain, SbarReport, SignedWord,
-                       TooLarge, aut, coset_realization, hom_check, inn,
-                       inter_orbit_action, is_connected, is_homogeneous,
-                       iso_search, op_group, orbits, open_subquandle_check,
-                       random_transvection_word, saturate_forward,
-                       saturate_mixed, sbar_hom, tr, tr_action_group,
-                       tr_orbit)
-from .regularity import (RegularityReport, SurveyResult, fixed_points,
-                         implication_survey, isolated_connected_consequence,
-                         regularity_report)
-from .knots import (ColoringCount, Crossing, InconsistentArcs, KnotDiagram,
-                    count_colorings, invariance_check, parse_braid, parse_pd)
+import importlib
 
+_EXPORTS = {
+    "quandle": """AxiomViolation ElementSymmetry FiniteQuandle InvalidQuandleError
+                  QuandleError RangeError axiom_violations validate""",
+    "groups": """CapExceeded CosetSpace CycleParseError FiniteGroup GroupAutomorphism
+                 GroupError NotASubgroup NotAnAutomorphism PermutationGroup
+                 all_automorphisms close compose conjugacy_class cosets cycle_type
+                 fixed_subgroup format_cycles identity_perm invert matrix_group_sl2
+                 parse_cycles parse_generator_lines""",
+    "constructions": """CocycleError ConstructionError ConstructionRecord NotAbelian
+                        NotFixed alexander cocycle_extension conj_class conjugation
+                        dihedral phi_space power_cocycle trivial twisted_orbit_action
+                        unipotent_class_quandle vedernikov""",
+    "symmetry": """ActionError ConnectednessReport CosetRealization HomReport
+                   InterOrbitReport OrbitDecomposition QuandleAction SaturationChain
+                   SbarReport SignedWord TooLarge aut coset_realization hom_check inn
+                   inter_orbit_action is_connected is_homogeneous iso_search op_group
+                   orbits open_subquandle_check random_transvection_word
+                   saturate_forward saturate_mixed sbar_hom tr tr_action_group
+                   tr_orbit""",
+    "regularity": """RegularityReport SurveyResult fixed_points implication_survey
+                     isolated_connected_consequence regularity_report""",
+    "knots": """ColoringCount Crossing InconsistentArcs KnotDiagram count_colorings
+                invariance_check parse_braid parse_pd""",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_EXPORTS, *_HOME]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

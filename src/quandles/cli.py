@@ -8,16 +8,25 @@ so re-serializing a parsed output reproduces it byte for byte.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-from pathlib import Path
+import gc
 
-from . import constructions, knots, regularity, symmetry
-from .groups import (FiniteGroup, GroupAutomorphism, GroupError,
-                     NotAnAutomorphism, parse_cycles, parse_generator_lines)
-from .quandle import FiniteQuandle, InvalidQuandleError, QuandleError
+_gc_was_enabled = gc.isenabled()
+gc.disable()   # until the end of the module: collecting would only rescan what it builds
+try:
+    import argparse
+    import json
+    import os
+    import sys
+    from pathlib import Path
+
+    from . import knots
+    from .groups import (FiniteGroup, GroupAutomorphism, GroupError,
+                         NotAnAutomorphism, parse_cycles, parse_generator_lines)
+    from .quandle import FiniteQuandle, InvalidQuandleError, QuandleError
+except BaseException:
+    if _gc_was_enabled:
+        gc.enable()
+    raise
 
 INPUT_ERRORS = (QuandleError, GroupError, knots.ParseError, knots.InconsistentArcs,
                 OSError, ValueError, KeyError)
@@ -71,14 +80,17 @@ def _parse_indices(text: str) -> list[int]:
 def _closure_cap(default: int, args) -> int:
     """``--cap``, else ``QUANDLE_CAP``, else ``default``; it must be >= 1."""
     env = os.environ.get("QUANDLE_CAP")
-    cap = args.cap if args.cap is not None else int(env) if env else default
+    try:
+        cap = args.cap if args.cap is not None else int(env) if env else default
+    except ValueError:
+        raise UsageError(f"QUANDLE_CAP must be an integer, got {env!r}") from None
     if cap < 1:
         source = "--cap" if args.cap is not None else "QUANDLE_CAP"
         raise UsageError(f"{source} must be at least 1, got {cap}")
     return cap
 
 
-def _word_json(word: symmetry.SignedWord) -> list:
+def _word_json(word) -> list:
     return [[q, s] for q, s in word.letters]
 
 
@@ -86,6 +98,7 @@ def _word_json(word: symmetry.SignedWord) -> list:
 # subcommand implementations; each returns the process exit code
 
 def _cmd_make(args, out, err) -> int:
+    from . import constructions
     fam = args.family
     if fam == "trivial":
         q = constructions.trivial(_require(args, "n"))
@@ -164,6 +177,7 @@ def _cmd_check(args, out, err) -> int:
 
 
 def _cmd_orbits(args, out, err) -> int:
+    from . import symmetry
     q = _load_quandle(args.quandle)
     deco = symmetry.orbits(q)
     if args.json:
@@ -182,6 +196,7 @@ def _cmd_orbits(args, out, err) -> int:
 
 
 def _cmd_group(args, out, err, which: str) -> int:
+    from . import symmetry
     q = _load_quandle(args.quandle)
     cap = _closure_cap(symmetry.DEFAULT_CAP, args)
     grp = symmetry.inn(q, cap=cap) if which == "inn" else symmetry.tr(q, cap=cap)
@@ -197,6 +212,7 @@ def _cmd_group(args, out, err, which: str) -> int:
 
 
 def _cmd_connected(args, out, err) -> int:
+    from . import symmetry
     q = _load_quandle(args.quandle)
     rep = symmetry.is_connected(q)
     if args.json:
@@ -215,6 +231,7 @@ def _cmd_connected(args, out, err) -> int:
 
 
 def _cmd_aut(args, out, err) -> int:
+    from . import symmetry
     q = _load_quandle(args.quandle)
     grp = symmetry.aut(q, cap=_closure_cap(symmetry.REALIZE_CAP, args))
     homogeneous = grp.is_transitive()
@@ -227,6 +244,7 @@ def _cmd_aut(args, out, err) -> int:
 
 
 def _cmd_iso(args, out, err) -> int:
+    from . import symmetry
     q1 = _load_quandle(args.quandle)
     q2 = _load_quandle(args.other)
     f = symmetry.iso_search(q1, q2)
@@ -241,6 +259,7 @@ def _cmd_iso(args, out, err) -> int:
 
 
 def _cmd_realize(args, out, err) -> int:
+    from . import symmetry
     q = _load_quandle(args.quandle)
     cap = _closure_cap(symmetry.REALIZE_CAP, args)
     real = symmetry.coset_realization(q, args.basepoint, cap=cap)
@@ -266,6 +285,7 @@ def _cmd_realize(args, out, err) -> int:
 
 
 def _cmd_sbar(args, out, err) -> int:
+    from . import symmetry
     q = _load_quandle(args.quandle)
     cap = _closure_cap(symmetry.DEFAULT_CAP, args)
     rep = symmetry.sbar_hom(q, args.basepoint, cap=cap)
@@ -286,6 +306,7 @@ def _cmd_sbar(args, out, err) -> int:
 
 
 def _cmd_report(args, out, err) -> int:
+    from . import regularity, symmetry
     q = _load_quandle(args.quandle)
     cap = _closure_cap(symmetry.REALIZE_CAP, args)
     rep = regularity.regularity_report(q, cap=cap)
@@ -302,6 +323,7 @@ def _cmd_report(args, out, err) -> int:
 
 
 def _cmd_survey(args, out, err) -> int:
+    from . import regularity, symmetry
     directory = Path(args.directory)
     if not directory.is_dir():
         raise UsageError(f"{args.directory} is not a directory")
@@ -343,6 +365,7 @@ def _cmd_color(args, out, err) -> int:
     else:
         print(f"colorings: {count.total}", file=out)
         if count.by_orbit is not None:
+            from . import symmetry
             deco = symmetry.orbits(q)
             for b, c in zip(deco.basepoints, count.by_orbit):
                 print(f"  within orbit of {b}: {c}", file=out)
@@ -350,6 +373,7 @@ def _cmd_color(args, out, err) -> int:
 
 
 def _cmd_action(args, out, err) -> int:
+    from . import symmetry
     q = _load_quandle(args.quandle)
     data = json.loads(_read_text(args.action))
     if (not isinstance(data, dict) or type(data.get("set_size")) is not int
@@ -491,8 +515,14 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
+    gc.freeze()   # one command per process: what exists now lives until exit
     sys.exit(run())
 
+
+# The pause ends here, not after the imports: the first young collection would
+# walk everything they built, and under -m main() freezes that before any runs.
+if _gc_was_enabled:
+    gc.enable()
 
 if __name__ == "__main__":
     main()

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .quandle import FiniteQuandle
-from .symmetry import orbits
 
 
 class ParseError(Exception):
@@ -360,6 +359,7 @@ def count_colorings(diagram: KnotDiagram, quandle: FiniteQuandle,
     if not by_orbit:
         return ColoringCount(int(_tally(steps, 0, rows, quandle, None)[0])
                              * quandle.size ** free)
+    from .symmetry import orbits
     deco = orbits(quandle)
     total, *per_orbit = _tally(steps, 0, rows, quandle, np.array(deco.orbit_id)).tolist()
     return ColoringCount(total * quandle.size ** free,

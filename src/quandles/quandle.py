@@ -207,9 +207,11 @@ def _close(op: np.ndarray, inv_op: np.ndarray, member: np.ndarray,
 
 
 def _generators(op: np.ndarray, inv_op: np.ndarray) -> list[int]:
-    """A generating set, picked greedily in increasing order: each is the
-    least element outside the closure of those picked before it."""
-    member = np.zeros(len(op), dtype=bool)
+    """A set that generates Q together with the elements whose row is the
+    identity, picked greedily in increasing order: each is the least element
+    outside the closure of those elements and the ones picked before it."""
+    member = (op == np.arange(len(op))).all(axis=1)
+    _close(op, inv_op, member, np.flatnonzero(member))
     gens = []
     for x in range(len(op)):
         if not member[x]:
@@ -286,15 +288,15 @@ def axiom_violations(table: Sequence[Sequence[int]],
     Returns (violations, truncated).  Assumes entries are already known to be
     in range; use ``validate`` for the full pipeline.
 
-    Axiom 3 is checked on a generating set S when axioms 1 and 2 hold: if
+    Axiom 3 is checked on the rows of a set S when axioms 1 and 2 hold: if
     s_q and s_r are automorphisms, so are s_{q|>r} = s_q s_r s_q^-1 and
     s_{q|>^-1 r} = s_q^-1 s_r s_q, so the rows whose symmetry is an
-    automorphism form a subquandle, and one that contains S is all of Q.
-    S is picked greedily (the least element outside the closure so far), at
-    O(n^2) cost, and its rows cost |S| n^2.  If a row of S fails, or S is
-    all of Q (as in a trivial quandle), every row is checked, so the
-    witnesses are always those of the full n^3 comparison, in row-major
-    (q, r, s) order.
+    automorphism form a subquandle.  Identity rows need no check, so S need
+    only generate Q with them (S is empty for a trivial quandle).  S is
+    picked greedily (the least element outside the closure so far), at
+    O(n^2) cost, and its rows cost |S| n^2.  If a row of S fails, or S is all
+    of Q, every row is checked, so the witnesses are always those of the full
+    n^3 comparison, in row-major (q, r, s) order.
     """
     out, truncated, _ = _violations(np.asarray(table, dtype=np.int64), cap)
     return out, truncated

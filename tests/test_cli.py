@@ -411,6 +411,15 @@ def test_cap_below_one_is_a_usage_error(r5_file, monkeypatch, cap, env, fragment
     assert err.startswith("usage error:") and fragment in err
 
 
+@pytest.mark.parametrize("env", ["abc", "1.5", "2x"])
+def test_quandle_cap_must_be_an_integer(r5_file, monkeypatch, env):
+    monkeypatch.setenv("QUANDLE_CAP", env)
+    code, out, err = invoke(["inn", r5_file])
+    assert code == 1 and out == ""
+    assert err == f"usage error: QUANDLE_CAP must be an integer, got {env!r}\n"
+    assert invoke(["inn", r5_file, "--cap", "100"])[0] == 0   # --cap wins
+
+
 def test_stdin_input(tmp_path, monkeypatch):
     import sys
     _, text, _ = invoke(["make", "dihedral", "--n", "3"])

@@ -305,6 +305,19 @@ def test_check_memory_stays_bounded_at_625(tmp_path):
     assert peak_mb < 280
 
 
+def test_check_memory_stays_bounded_on_the_pass_over_every_row(tmp_path):
+    # n = 343 with row 300's entries 0 and 1 swapped: axioms 1 and 2 hold,
+    # a row of the generating set fails, and the blocked int32 pass over
+    # every row runs; about 70 MB measured on a 2-core x86-64 Linux VM
+    tab = alexander(7, 3, 2).op.copy()
+    tab[300, [0, 1]] = tab[300, [1, 0]]
+    path = tmp_path / "a732_bad.json"
+    path.write_text(json.dumps({"size": 343, "table": tab.tolist()}))
+    code, peak_mb, _ = cli_peak_mb("check", str(path))
+    assert code == 1
+    assert peak_mb < 280
+
+
 # -- axiom 3 on a generating set ------------------------------------------------
 
 def _relabelled(q, seed):
@@ -318,11 +331,59 @@ def _relabelled(q, seed):
 def test_greedy_generators_generate():
     a732 = alexander(7, 3, 2)
     for name, q in small_corpus() + [("a732", a732), ("a732 relabelled", _relabelled(a732, 1))]:
+        ident = [x for x in range(q.size) if q.op[x].tolist() == list(range(q.size))]
         gens = quandle_module._generators(q.op, q.inv_op)
-        assert _closure_oracle(q, gens) == tuple(range(q.size)), name
+        assert not set(gens) & set(ident), name
+        assert _closure_oracle(q, ident + gens) == tuple(range(q.size)), name
         for i, g in enumerate(gens):   # each is the least element not yet reached
-            reached = set(_closure_oracle(q, gens[:i])) if i else set()
+            reached = set(_closure_oracle(q, ident + gens[:i]))
             assert g == min(set(range(q.size)) - reached), (name, i)
+
+
+def _counting_rows(monkeypatch):
+    """Record every row that the axiom-3 check is asked to compare."""
+    seen = []
+    real = quandle_module._distributivity_failures
+
+    def counting(a, rows):
+        seen.extend(rows)
+        return real(a, rows)
+    monkeypatch.setattr(quandle_module, "_distributivity_failures", counting)
+    return seen
+
+
+def test_trivial_quandle_checks_no_rows(monkeypatch):
+    table = np.tile(np.arange(343), (343, 1))
+    seen = _counting_rows(monkeypatch)
+    assert validate(table).size == 343
+    assert seen == []
+    bad = table.copy()   # the control: a failing row sends every row through
+    bad[0, [1, 3]], bad[1, [0, 2]] = (3, 1), (2, 0)
+    with pytest.raises(InvalidQuandleError):
+        validate(bad)
+    assert seen == [0] + list(range(343))
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_corrupted_trivial_table_matches_every_row(monkeypatch, n):
+    # s_0 swaps 1 and 3 and s_1 swaps 0 and 2: axioms 1 and 2 hold, axiom 3
+    # fails at q = 0, r = 1, and the identity rows generate neither 0 nor 1
+    tab = trivial(n).op.copy()
+    tab[0, [1, 3]], tab[1, [0, 2]] = (3, 1), (2, 0)
+    expected = _axiom3_full(tab)
+    assert expected
+    with pytest.raises(InvalidQuandleError) as exc:
+        validate(tab)
+    got = {cap: axiom_violations(tab, cap=cap) for cap in (7, 10**6)}
+    for cap, (violations, truncated) in got.items():
+        assert [v.witness for v in violations] == expected[:cap]
+        assert truncated == (len(expected) > cap)
+    with monkeypatch.context() as m:   # S = Q: the pass over every row
+        m.setattr(quandle_module, "_generators", lambda op, inv_op: list(range(len(op))))
+        assert axiom_violations(tab, cap=7) == got[7]
+        with pytest.raises(InvalidQuandleError) as every:
+            validate(tab)
+    assert str(exc.value) == str(every.value)
 
 
 def _axiom3_by_rows(tab):

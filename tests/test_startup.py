@@ -1,0 +1,145 @@
+"""What a cold process pays before and after its command: the package and
+each subcommand import only the modules they run, and the garbage collector
+is left as the importer found it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import quandles
+
+SRC = str(Path(quandles.__file__).resolve().parents[1])
+
+# ``from quandles import *`` before the package imported lazily, written out
+EXPORTED = {
+    "ActionError", "AxiomViolation", "CapExceeded", "CocycleError", "ColoringCount",
+    "ConnectednessReport", "ConstructionError", "ConstructionRecord",
+    "CosetRealization", "CosetSpace", "Crossing", "CycleParseError", "ElementSymmetry",
+    "FiniteGroup", "FiniteQuandle", "GroupAutomorphism", "GroupError", "HomReport",
+    "InconsistentArcs", "InterOrbitReport", "InvalidQuandleError", "KnotDiagram",
+    "NotASubgroup", "NotAbelian", "NotAnAutomorphism", "NotFixed", "OrbitDecomposition",
+    "PermutationGroup", "QuandleAction", "QuandleError", "RangeError",
+    "RegularityReport", "SaturationChain", "SbarReport", "SignedWord", "SurveyResult",
+    "TooLarge", "alexander", "all_automorphisms", "aut", "axiom_violations", "close",
+    "cocycle_extension", "compose", "conj_class", "conjugacy_class", "conjugation",
+    "constructions", "coset_realization", "cosets", "count_colorings", "cycle_type",
+    "dihedral", "fixed_points", "fixed_subgroup", "format_cycles", "groups",
+    "hom_check", "identity_perm", "implication_survey", "inn", "inter_orbit_action",
+    "invariance_check", "invert", "is_connected", "is_homogeneous", "iso_search",
+    "isolated_connected_consequence", "knots", "matrix_group_sl2", "op_group",
+    "open_subquandle_check", "orbits", "parse_braid", "parse_cycles",
+    "parse_generator_lines", "parse_pd", "phi_space", "power_cocycle", "quandle",
+    "random_transvection_word", "regularity", "regularity_report", "saturate_forward",
+    "saturate_mixed", "sbar_hom", "symmetry", "tr", "tr_action_group", "tr_orbit",
+    "trivial", "twisted_orbit_action", "unipotent_class_quandle", "validate",
+    "vedernikov",
+}
+
+
+def python(*argv):
+    """``python argv`` in a fresh process with this checkout importable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("QUANDLE_CAP", None)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def loaded_after(code):
+    """The ``quandles.*`` submodules loaded once ``code`` has run."""
+    done = python("-c", code + "\nimport sys\n"
+                  "print(' '.join(sorted(m for m in sys.modules"
+                  " if m.startswith('quandles.'))))")
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_import_quandles_loads_no_submodule():
+    assert loaded_after("import quandles") == set()
+    assert loaded_after("from quandles import FiniteGroup, constructions") == {
+        "quandles.constructions", "quandles.groups", "quandles.quandle"}
+    assert "quandles.symmetry" in loaded_after("import quandles; quandles.symmetry.orbits")
+
+
+def loaded_by_cli(*argv):
+    """The ``quandles.*`` submodules loaded by the CLI run on ``argv``."""
+    done = python("-c", "import atexit, sys\n"
+                  "atexit.register(lambda: print(*sorted(m for m in sys.modules"
+                  " if m.startswith('quandles.')), file=sys.stderr))\n"
+                  "from quandles.cli import main; main()", *argv)
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
+def test_color_without_by_orbit_skips_the_heavy_modules(tmp_path):
+    path = tmp_path / "r5.json"
+    path.write_text(quandles.dihedral(5).to_json())
+    color = ["color", "--json", "--braid", "s1 s1 s1", "--strands", "2",
+             "--quandle", str(path)]
+    heavy = {"quandles.symmetry", "quandles.regularity", "quandles.constructions"}
+    loaded = loaded_by_cli(*color)
+    assert {"quandles.cli", "quandles.knots", "quandles.quandle"} <= loaded
+    assert not loaded & heavy
+    assert loaded_by_cli(*color, "--by-orbit") & heavy == {"quandles.symmetry",
+                                                           "quandles.constructions"}
+
+
+def test_importing_the_cli_leaves_the_collector_as_it_was():
+    probe = "import gc{}\nimport quandles.cli\nprint(gc.isenabled(), gc.get_freeze_count())"
+    assert python("-c", probe.format("")).stdout.split() == ["True", "0"]
+    assert python("-c", probe.format("; gc.disable()")).stdout.split() == ["False", "0"]
+
+
+def test_no_collection_walks_the_import_time_objects():
+    # under ``python -m quandles.cli`` the collector stays paused until
+    # ``main`` freezes what the imports built, so every collection before
+    # exit walks only young objects; the imports build over 20000
+    probe = ("import atexit, gc, runpy, sys\n"
+             "walked = []\n"
+             "def count(phase, info):\n"
+             "    if phase == 'start':\n"
+             "        young = range(info['generation'] + 1)\n"
+             "        walked.append(sum(len(gc.get_objects(g)) for g in young))\n"
+             "gc.callbacks.append(count)\n"
+             "atexit.register(lambda: print(max(walked, default=0), file=sys.stderr))\n"
+             "sys.argv = ['quandles', 'make', 'trivial', '--n', '1']\n"
+             "runpy.run_module('quandles.cli', run_name='__main__', alter_sys=True)\n")
+    done = python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stderr) < 10000
+
+
+def test_only_main_freezes():
+    report = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n")
+    via_run = python("-c", report + "from quandles.cli import run\n"
+                     "sys.exit(run(['make', 'trivial', '--n', '1']))")
+    via_main = python("-c", report + "from quandles.cli import main\nmain()",
+                      "make", "trivial", "--n", "1")
+    assert via_run.returncode == via_main.returncode == 0
+    assert via_run.stderr.split() == ["False"]
+    assert via_main.stderr.split() == ["True"]
+
+
+def test_all_names_resolve():
+    assert set(quandles.__all__) == EXPORTED
+    assert len(quandles.__all__) == len(EXPORTED)
+    for name in quandles.__all__:
+        assert getattr(quandles, name) is not None, name
+    namespace = {}
+    exec("from quandles import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTED
+
+
+def test_console_script_matches_python_m(tmp_path):
+    """``quandles`` as installed runs ``cli.main``; it prints what
+    ``python -m quandles.cli`` prints and exits the same way."""
+    for argv in (["make", "dihedral", "--n", "5"],
+                 ["check", str(tmp_path / "missing.json")]):
+        script = python("-c", "from quandles.cli import main; main()", *argv)
+        module = python("-m", "quandles.cli", *argv)
+        assert script.stdout == module.stdout, argv
+        assert script.stderr == module.stderr, argv
+        assert script.returncode == module.returncode, argv
+    assert module.returncode == 1 and "input error" in module.stderr
