@@ -112,7 +112,7 @@ def _cmd_make(args, out, err) -> int:
             a = int(a)
         except ValueError:
             a = json.loads(a)
-        q = constructions.alexander(_require(args, "p"), args.n or 1, a)
+        q = constructions.alexander(_require(args, "p"), 1 if args.n is None else args.n, a)
     elif fam == "power_cocycle":
         q = constructions.power_cocycle(_require(args, "p"), _require(args, "n"))
     elif fam == "unipotent_class":
@@ -140,7 +140,8 @@ def _cmd_make(args, out, err) -> int:
             raise UsageError("cocycle needs --abelian FILE and --cocycle FILE")
         a_grp = FiniteGroup.from_dict(json.loads(_read_text(args.abelian)))
         f = json.loads(_read_text(args.cocycle))
-        q = constructions.cocycle_extension(args.x_size or len(f), a_grp, f)
+        x_size = len(f) if args.x_size is None else args.x_size
+        q = constructions.cocycle_extension(x_size, a_grp, f)
     else:
         raise UsageError(f"unknown family {fam!r}; choices: {', '.join(constructions.FAMILIES)}")
     print(q.to_json(), file=out)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -187,6 +186,38 @@ def parse_generator_lines(text: str, domain_size: int | None = None) -> list[tup
 
 
 # ---------------------------------------------------------------------------
+# orbit walks
+
+def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = None):
+    """Breadth-first walk from ``roots`` along the rows of a (k x m) int64
+    array of maps of {0..m-1}.  Returns int64 arrays (points, parent, via):
+    the points in the order a one-at-a-time BFS meets them (the roots in
+    increasing order, then level by level, each point's images in map
+    order), and a Schreier vector: the point each was first met from and the
+    row of ``maps`` that took it there (-1 for a root).  The boolean mask
+    ``reached`` is updated in place; points already in it are skipped, and
+    the walk stops once it is full."""
+    k, m = maps.shape
+    roots = np.fromiter(roots, dtype=np.int64)
+    outside = roots[(roots < 0) | (roots >= m)]
+    if len(outside):
+        raise GroupError(f"point {outside[0]} out of range for {m} points")
+    reached = np.zeros(m, dtype=bool) if reached is None else reached
+    before = reached.copy()   # a mask, not np.unique, which would import numpy.ma
+    reached[roots] = True
+    level = np.flatnonzero(reached & ~before)
+    steps = [(level, np.full(len(level), -1), np.full(len(level), -1))]
+    while len(level) and not reached.all():
+        images = maps[:, level].T.ravel()             # x in level order, then g
+        fresh = np.flatnonzero(~reached[images])
+        met = fresh[np.sort(np.unique(images[fresh], return_index=True)[1])]
+        steps.append((images[met], level[met // k], met % k))
+        level = images[met]
+        reached[level] = True
+    return tuple(np.concatenate(c) for c in zip(*steps))
+
+
+# ---------------------------------------------------------------------------
 # permutation groups by Dimino's closure
 
 class PermutationGroup:
@@ -261,27 +292,18 @@ class PermutationGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def _maps(self) -> np.ndarray:
+        return np.array(self.generators, dtype=np.int64).reshape(
+            len(self.generators), self.domain_size)
+
     def orbit(self, point: int) -> frozenset[int]:
         """Orbit of a point under the generated group (generator walk only)."""
-        seen = {point}
-        queue = deque([point])
-        while queue:
-            x = queue.popleft()
-            for g in self.generators:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
+        return frozenset(walk(self._maps(), [point])[0].tolist())
 
     def orbits(self) -> list[frozenset[int]]:
-        out = []
-        left = set(range(self.domain_size))
-        while left:
-            orb = self.orbit(min(left))
-            out.append(orb)
-            left -= orb
-        return out
+        maps, reached = self._maps(), np.zeros(self.domain_size, dtype=bool)
+        return [frozenset(walk(maps, [x], reached)[0].tolist())
+                for x in range(self.domain_size) if not reached[x]]
 
     def is_transitive(self) -> bool:
         return self.domain_size <= 1 or len(self.orbit(0)) == self.domain_size
@@ -317,17 +339,14 @@ def _right_generators(t: np.ndarray, ident: int) -> Iterator[int]:
     that property are closed under products.  Each s is yielded before the
     search for the next: while the ones before it pass, the reached set is
     a group, so it at least doubles per s and at most log2(n) are sought."""
-    reached = np.zeros(len(t), dtype=bool)
-    reached[ident] = True
     gens: list[int] = []
-    while not reached.all():
+    while True:
+        reached = np.zeros(len(t), dtype=bool)
+        walk(t.T[gens], [ident], reached)
+        if reached.all():
+            return
         gens.append(int(np.argmin(reached)))
         yield gens[-1]
-        frontier = np.flatnonzero(reached)
-        while len(frontier):
-            image = np.unique(t[np.ix_(frontier, gens)])
-            frontier = image[~reached[image]]
-            reached[frontier] = True
 
 
 def _check_order(n: int) -> None:
@@ -516,20 +535,13 @@ class FiniteGroup:
         return self.subgroup_witness(subset) is None
 
     def subgroup_closure(self, subset: Iterable[int]) -> tuple[int, ...]:
-        s = set(subset) | {self.identity}
-        frontier = deque(s)
-        while frontier:
-            a = frontier.popleft()
-            for b in list(s):
-                for c in (self.mul(a, b), self.mul(b, a)):
-                    if c not in s:
-                        s.add(c)
-                        frontier.append(c)
-            i = self.inv(a)
-            if i not in s:
-                s.add(i)
-                frontier.append(i)
-        return tuple(sorted(s))
+        """The subgroup generated by ``subset``: the right products of its
+        elements, walked from the identity."""
+        s = sorted(set(subset))
+        if s and not 0 <= s[0] <= s[-1] < self.order:
+            raise GroupError(f"element {s[0] if s[0] < 0 else s[-1]} out of range "
+                             f"for order {self.order}")
+        return tuple(np.sort(walk(self.table.T[s], [self.identity])[0]).tolist())
 
     def to_dict(self) -> dict:
         d = {"order": self.order, "mul": self.table.tolist()}

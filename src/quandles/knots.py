@@ -190,6 +190,9 @@ def parse_pd(text: str) -> KnotDiagram:
         raise ParseError("no crossings found", 1, 1)
 
     m_arcs = max(max(tup) for _, tup in raw)
+    if m_arcs > 2 * len(raw):   # c crossings have exactly 2c labels
+        raise InconsistentArcs(f"every arc label must appear exactly twice: label {m_arcs} "
+                               f"exceeds {2 * len(raw)}, twice the number of crossings")
     counts: dict[int, int] = {}
     for _, (a, b, c, d) in raw:
         for x in (a, b, c, d):

@@ -221,22 +221,24 @@ def _generators(op: np.ndarray, inv_op: np.ndarray) -> list[int]:
     return gens
 
 
-def _distributivity_failures(a: np.ndarray, rows: Sequence[int]):
-    """Yield each (q, r, s) with q in ``rows`` and q |> (r |> s) !=
-    (q |> r) |> (q |> s), q in the order given, then (r, s) row-major.
-    Blocks of rows keep memory at O(AXIOM3_BLOCK_ENTRIES); int32 entries
-    halve the bytes each gather moves."""
-    n = len(a)
+def _distributivity_failures(a: np.ndarray, rows: Sequence[int], acts=None):
+    """Yield each (q, r, s) with q in ``rows`` and q . (r . s) != (q |> r) .
+    (q . s), q in the order given, then (r, s) row-major, where q . s is
+    ``acts[q, s]`` for an n x m int64 array of permutations, or q |> s if
+    ``acts`` is None (axiom 3).  Blocks of rows keep memory at
+    O(AXIOM3_BLOCK_ENTRIES); int32 entries halve the bytes each gather moves."""
     a = a.astype(np.int32)
+    u = a if acts is None else acts.astype(np.int32)
     rows = np.asarray(rows, dtype=np.int64)
-    step = max(1, AXIOM3_BLOCK_ENTRIES // max(1, n * n))
+    step = max(1, AXIOM3_BLOCK_ENTRIES // max(1, u.size))
     for i in range(0, len(rows), step):
-        blk = a[rows[i:i + step]]
-        lhs = blk[:, a]                                  # a[q, a[r, s]]
-        rhs = a[blk[:, :, None], blk[:, None, :]]        # a[a[q,r], a[q,s]]
+        blk = rows[i:i + step]
+        uq = u[blk]
+        lhs = uq[:, u]                                   # u[q, u[r, s]]
+        rhs = u[a[blk][:, :, None], uq[:, None, :]]      # u[a[q, r], u[q, s]]
         bad = lhs != rhs
         for q, r, s in np.argwhere(bad) if bad.any() else ():
-            yield int(rows[i + q]), int(r), int(s)
+            yield int(blk[q]), int(r), int(s)
 
 
 def _violations(a: np.ndarray, cap: int):

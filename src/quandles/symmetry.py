@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,9 +24,9 @@ import numpy as np
 
 from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup,
-                     GroupAutomorphism, PermutationGroup, close, compose,
-                     cycle_type, invert, table_isomorphisms)
-from .quandle import FiniteQuandle, QuandleError
+                     GroupAutomorphism, PermutationGroup, close, cycle_type,
+                     table_isomorphisms, walk)
+from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
 AUT_MAX_SIZE = 64
@@ -87,7 +86,8 @@ def random_transvection_word(quandle: FiniteQuandle, length: int,
 
 class QuandleAction:
     """An action of a quandle on {0..m-1}: one permutation per element,
-    satisfying q |> (r |> x) = (q |> r) |> (q |> x)."""
+    satisfying q |> (r |> x) = (q |> r) |> (q |> x).  ``act`` is a read-only
+    n x m int64 array whose row q is the permutation of q."""
 
     def __init__(self, quandle: FiniteQuandle, set_size: int,
                  act: Sequence[Sequence[int]]):
@@ -102,13 +102,13 @@ class QuandleAction:
                     or sorted(a) != list(range(set_size))):
                 raise ActionError(f"map for element {q} is not a permutation",
                                   witness=(q,))
-        for q, row in enumerate(quandle.op.tolist()):
-            for r, qr in enumerate(row):
-                if compose(acts[q], acts[r]) != compose(acts[qr], acts[q]):
-                    raise ActionError(
-                        f"action is not compatible with |> at {(q, r)}",
-                        witness=(q, r))
-        self.act = acts
+        self.act = np.array(acts, dtype=np.int64).reshape(quandle.size, set_size)
+        self.act.flags.writeable = False
+        # every row: an element whose symmetry is the identity may still act
+        bad = next(_distributivity_failures(quandle.op, range(quandle.size), self.act), None)
+        if bad is not None:
+            raise ActionError(f"action is not compatible with |> at {bad[:2]}",
+                              witness=bad[:2])
 
     @classmethod
     def natural(cls, quandle: FiniteQuandle) -> "QuandleAction":
@@ -140,15 +140,14 @@ def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP, base: int = 0) -> Permuta
 
 def op_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
     """Op(Q, X): closure of the acting permutations."""
-    return close(action.act, cap=cap, domain_size=action.set_size)
+    return close(action.act.tolist(), cap=cap, domain_size=action.set_size)
 
 
 def tr_action_group(action: QuandleAction, cap: int = DEFAULT_CAP,
                     base: int = 0) -> PermutationGroup:
     """Tr(Q, X): closure of {act_q act_base^-1}."""
-    a0_inv = invert(action.act[base])
-    gens = [compose(a, a0_inv) for a in action.act]
-    return close(gens, cap=cap, domain_size=action.set_size)
+    gens = action.act[:, np.argsort(action.act[base])]   # row q: act_q act_base^-1
+    return close(gens.tolist(), cap=cap, domain_size=action.set_size)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +189,11 @@ def saturate_forward(quandle: FiniteQuandle, seed: Iterable[int]) -> SaturationC
 
 def saturate_mixed(action: QuandleAction, seed: Iterable[int]) -> frozenset[int]:
     """Closure of a subset of X under all act_q and act_q^-1: the Op-orbit union."""
-    seen = set(seed)
-    if not seen:
+    seed = list(seed)
+    if not seed:
         raise ValueError("seed set must be nonempty")
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for a in action.act:   # a finite group's orbits need no inverses
-            y = a[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    # a finite group's orbits need no inverses
+    return frozenset(walk(action.act, seed)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -232,37 +224,26 @@ def orbits(quandle: FiniteQuandle) -> OrbitDecomposition:
     so all letters are positive and no word is longer than the carrier.
     """
     n = quandle.size
-    orbit_id = [-1] * n
+    reached = np.zeros(n, dtype=bool)
+    orbit_id = np.empty(n, dtype=np.int64)
     all_orbits: list[tuple[int, ...]] = []
     basepoints: list[int] = []
     words: list[SignedWord] = [SignedWord(())] * n
-    columns = quandle.op.T.tolist()   # columns[x][q] = q |> x
     for b in range(n):
-        if orbit_id[b] >= 0:
-            continue
-        oid = len(all_orbits)
-        orbit_id[b] = oid
-        members = [b]
-        words[b] = SignedWord(())
-        queue = deque([b])
-        while queue:
-            x = queue.popleft()
-            for q, y in enumerate(columns[x]):
-                if orbit_id[y] < 0:
-                    orbit_id[y] = oid
-                    words[y] = SignedWord(words[x].letters + ((q, 1),))
-                    members.append(y)
-                    queue.append(y)
-        all_orbits.append(tuple(sorted(members)))
-        basepoints.append(b)
-    return OrbitDecomposition(tuple(orbit_id), tuple(all_orbits),
+        if not reached[b]:
+            points, parent, via = walk(quandle.op, [b], reached)   # op[q, x] = q |> x
+            orbit_id[points] = len(all_orbits)
+            for y, x, q in zip(*(a[1:].tolist() for a in (points, parent, via))):
+                words[y] = SignedWord(words[x].letters + ((q, 1),))
+            all_orbits.append(tuple(sorted(points.tolist())))
+            basepoints.append(b)
+    return OrbitDecomposition(tuple(orbit_id.tolist()), tuple(all_orbits),
                               tuple(basepoints), tuple(words))
 
 
 def tr_orbit(quandle: FiniteQuandle, q: int, base: int = 0) -> frozenset[int]:
     """Orbit of q under Tr(Q), walking generators only (no closure)."""
-    gens = quandle.op[:, quandle.inv_op[base]].tolist()
-    return PermutationGroup(quandle.size, gens).orbit(q)
+    return frozenset(walk(quandle.op[:, quandle.inv_op[base]], [q])[0].tolist())
 
 
 @dataclass(frozen=True)

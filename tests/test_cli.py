@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -74,6 +75,22 @@ def test_make_usage_errors():
     assert invoke(["make", "nosuch"])[0] == 1
     assert invoke(["make", "trivial"])[0] == 1          # missing --n
     assert invoke(["make", "conj_class", "--n", "3"])[0] == 1  # missing group
+
+
+def test_make_passes_zero_values_through():
+    # a zero must reach the library's own check, not be replaced by a default
+    code, out, err = invoke(["make", "alexander", "--p", "5", "--n", "0", "--a", "2"])
+    assert (code, out) == (1, "") and "dimension must be positive" in err
+
+
+def test_make_cocycle_passes_a_zero_x_size_through(tmp_path):
+    from quandles import FiniteGroup
+    z2 = write(tmp_path, "z2.json", json.dumps(FiniteGroup.cyclic(2).to_dict()))
+    f = write(tmp_path, "f.json", "[[0]]")
+    code, out, err = invoke(["make", "cocycle", "--x-size", "0", "--abelian", z2,
+                             "--cocycle", f])
+    assert (code, out) == (1, "") and "x_size must be positive" in err
+    assert invoke(["make", "cocycle", "--abelian", z2, "--cocycle", f])[0] == 0
 
 
 def test_check_invalid_table(tmp_path):
@@ -343,6 +360,18 @@ def test_color_command(tmp_path, r5_file):
     assert data["total"] == 25 and data["components"] == 1
     assert invoke(["color", "--quandle", r3])[0] == 1
     assert invoke(["color", "--braid", "s1", "--quandle", r3])[0] == 1
+
+
+def test_color_refuses_a_huge_arc_label_before_allocating(tmp_path, r5_file):
+    # one crossing has two labels; listing every label up to 10^9 as
+    # missing would need tens of GB
+    pd = write(tmp_path, "huge.pd", "X[1,2,3,1000000000]")
+    start = time.perf_counter()
+    code, out, err = invoke(["color", "--diagram", pd, "--quandle", r5_file])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "label 1000000000 exceeds 2, twice the number of crossings" in err
+    assert len(err) < 200
 
 
 def test_color_by_orbit(tmp_path):

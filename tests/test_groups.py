@@ -1,7 +1,9 @@
 import io
 import itertools
 import json
+import random
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ from quandles import alexander, inn, tr, validate
 from quandles.groups import (DEFAULT_CAP, CapExceeded, CosetSpace,
                              CycleParseError, FiniteGroup, GroupAutomorphism,
                              GroupError, NotASubgroup, NotAnAutomorphism,
+                             PermutationGroup,
                              all_automorphisms, close, compose,
                              conjugacy_class, cosets,
                              cycle_type, fixed_subgroup, format_cycles,
                              identity_perm, invert, is_permutation,
                              matrix_group_sl2, parse_cycles,
-                             parse_generator_lines, perm_cycles)
+                             parse_generator_lines, perm_cycles, walk)
 
 from corpus_util import cli_peak_mb, python_peak_mb, small_corpus
 
@@ -165,6 +168,125 @@ def test_inn_fails_fast_at_the_default_cap(tmp_path):
 def test_orbits_without_closure():
     grp = close([(1, 0, 2, 3), (0, 1, 3, 2)])
     assert grp.orbits() == [frozenset({0, 1}), frozenset({2, 3})]
+
+
+# -- the orbit walk -------------------------------------------------------------
+
+def _deque_walk(maps, roots, reached):
+    """The reference: a one-at-a-time BFS from the roots in increasing
+    order, each point's images in map order."""
+    out = []
+    queue = deque()
+    for r in sorted(roots):
+        if not reached[r]:
+            reached[r] = True
+            out.append((r, -1, -1))
+            queue.append(r)
+    while queue and not all(reached):
+        x = queue.popleft()
+        for g, row in enumerate(maps):
+            y = row[x]
+            if not reached[y]:
+                reached[y] = True
+                out.append((y, x, g))
+                queue.append(y)
+    return out
+
+
+@st.composite
+def _walks(draw):
+    """Any maps of {0..m-1} to itself (not only permutations), roots with
+    repeats, and points already reached."""
+    m = draw(st.integers(1, 8))
+    point = st.integers(0, m - 1)
+    maps = draw(st.lists(st.lists(point, min_size=m, max_size=m), max_size=4))
+    return (m, maps, draw(st.lists(point, min_size=1, max_size=4)),
+            draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walks())
+def test_walk_matches_the_one_at_a_time_bfs(case):
+    m, maps, roots, mask = case
+    reached = np.array(mask)
+    want_reached = list(mask)
+    want = _deque_walk(maps, roots, want_reached)
+    got = walk(np.array(maps, dtype=np.int64).reshape(len(maps), m), roots, reached)
+    assert list(zip(*(a.tolist() for a in got))) == want
+    assert reached.tolist() == want_reached
+
+
+class _LevelCounter(np.ndarray):
+    """Maps that count the levels a walk expands (its ``maps[:, level]``)."""
+    levels = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and key[0] == slice(None):
+            _LevelCounter.levels += 1
+        return np.asarray(super().__getitem__(key))
+
+
+def test_walk_stops_once_every_point_is_reached():
+    # the cycle 0 -> 1 -> 2 -> 0 from 0: levels {0} and {1} are expanded,
+    # and {2}, which completes the mask, is not
+    maps = np.array([[1, 2, 0]]).view(_LevelCounter)
+    _LevelCounter.levels = 0
+    points, parent, via = walk(maps, [0])
+    assert points.tolist() == [0, 1, 2]
+    assert parent.tolist() == [-1, 0, 1] and via.tolist() == [-1, 0, 0]
+    assert _LevelCounter.levels == 2
+    assert walk(maps, [0], np.ones(3, dtype=bool))[0].tolist() == []
+    assert _LevelCounter.levels == 2
+
+
+def test_walk_rejects_roots_out_of_range():
+    maps = np.array([[1, 0, 2]])
+    for bad in (-1, 3):
+        with pytest.raises(GroupError, match=f"point {bad} out of range for 3 points"):
+            walk(maps, [0, bad])
+
+
+def test_orbit_of_a_point_out_of_range():
+    grp = PermutationGroup(5, [(1, 2, 3, 4, 0)])
+    for bad in (-1, 5):
+        with pytest.raises(GroupError):
+            grp.orbit(bad)
+
+
+def _pair_closure(g, subset):
+    """The reference: a BFS over products on both sides and inverses."""
+    s = set(subset) | {g.identity}
+    frontier = deque(s)
+    while frontier:
+        a = frontier.popleft()
+        for b in list(s):
+            for c in (g.mul(a, b), g.mul(b, a)):
+                if c not in s:
+                    s.add(c)
+                    frontier.append(c)
+        i = g.inv(a)
+        if i not in s:
+            s.add(i)
+            frontier.append(i)
+    return tuple(sorted(s))
+
+
+def test_subgroup_closure_matches_the_pair_bfs_on_s4():
+    s4 = FiniteGroup.symmetric(4)
+    rng = random.Random(0)
+    subsets = [()] + [(a,) for a in range(24)] + list(itertools.combinations(range(24), 2))
+    subsets += [tuple(rng.sample(range(24), k)) for k in (3, 4, 5) for _ in range(40)]
+    for sub in subsets:
+        got = s4.subgroup_closure(sub)
+        assert got == _pair_closure(s4, sub), sub
+        assert s4.is_subgroup(got)
+
+
+def test_subgroup_closure_rejects_elements_out_of_range():
+    s3 = FiniteGroup.symmetric(3)
+    for bad in (-1, 6):
+        with pytest.raises(GroupError, match=f"element {bad} out of range for order 6"):
+            s3.subgroup_closure({1, bad})
 
 
 # -- explicit groups ----------------------------------------------------------

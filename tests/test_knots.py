@@ -75,6 +75,17 @@ def test_parse_pd_inconsistent_arcs():
     assert 3 in exc.value.duplicated or exc.value.missing
 
 
+def test_parse_pd_bounds_labels_by_twice_the_crossings():
+    with pytest.raises(InconsistentArcs) as exc:
+        parse_pd("X[1,2,3,3000000]")
+    assert str(exc.value) == ("every arc label must appear exactly twice: label "
+                              "3000000 exceeds 2, twice the number of crossings")
+    # labels within the bound keep the per-label report
+    with pytest.raises(InconsistentArcs) as exc:
+        parse_pd("X[1,4,2,5];X[3,6,4,1];X[5,2,6,4]")
+    assert str(exc.value) == "every arc label must appear exactly twice: duplicated [3, 4]"
+
+
 def test_parse_pd_ambiguous_over_direction():
     # with two arcs, both b -> d and d -> b read as successors: rejected
     with pytest.raises(ParseError) as exc:

@@ -1,14 +1,21 @@
 import io
+import json
 import math
 import random
+import time
+from collections import deque
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quandles.constructions as constructions
 import quandles.groups as groups_module
 import quandles.quandle as quandle_module
 import quandles.symmetry as symmetry
-from quandles import (ActionError, FiniteGroup, QuandleAction, QuandleError,
+from quandles import (ActionError, FiniteGroup, GroupError, OrbitDecomposition,
+                      QuandleAction, QuandleError,
                       SignedWord, TooLarge, alexander, aut, compose,
                       conj_class, conjugation, coset_realization, dihedral,
                       hom_check, inn, inter_orbit_action, invert,
@@ -17,7 +24,7 @@ from quandles import (ActionError, FiniteGroup, QuandleAction, QuandleError,
                       random_transvection_word, regularity_report,
                       saturate_forward, saturate_mixed, sbar_hom,
                       power_cocycle, tr, tr_action_group, tr_orbit, trivial,
-                      unipotent_class_quandle)
+                      unipotent_class_quandle, validate)
 from quandles.cli import run
 
 from corpus_util import cli_peak_mb, small_corpus
@@ -129,6 +136,57 @@ def test_orbit_witness_words_replay():
             assert len(deco.witness_words[x]) <= 2 * q.size
 
 
+def _deque_orbits(quandle):
+    """The reference: a one-at-a-time BFS from each new basepoint, meeting
+    each point's images q |> x in increasing q."""
+    n = quandle.size
+    orbit_id = [-1] * n
+    all_orbits, basepoints = [], []
+    words = [SignedWord(())] * n
+    columns = quandle.op.T.tolist()
+    for b in range(n):
+        if orbit_id[b] >= 0:
+            continue
+        oid = len(all_orbits)
+        orbit_id[b] = oid
+        members = [b]
+        queue = deque([b])
+        while queue:
+            x = queue.popleft()
+            for q, y in enumerate(columns[x]):
+                if orbit_id[y] < 0:
+                    orbit_id[y] = oid
+                    words[y] = SignedWord(words[x].letters + ((q, 1),))
+                    members.append(y)
+                    queue.append(y)
+        all_orbits.append(tuple(sorted(members)))
+        basepoints.append(b)
+    return OrbitDecomposition(tuple(orbit_id), tuple(all_orbits),
+                              tuple(basepoints), tuple(words))
+
+
+def _relabel(q, seed):
+    """The quandle with element x renamed sigma[x], sigma drawn from ``seed``."""
+    sigma = np.array(random.Random(seed).sample(range(q.size), q.size))
+    inv = np.argsort(sigma)
+    return validate(sigma[q.op[np.ix_(inv, inv)]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([q for _, q in small_corpus()]),
+       st.one_of(st.none(), st.integers(0, 2**32)))
+def test_orbits_match_the_one_at_a_time_bfs(q, seed):
+    if seed is not None:
+        q = _relabel(q, seed)
+    assert orbits(q) == _deque_orbits(q)   # witness words included
+
+
+def test_tr_orbit_of_a_point_out_of_range():
+    for bad in (-1, 5):
+        with pytest.raises(GroupError):
+            tr_orbit(dihedral(5), bad)
+
+
 def test_inn_and_tr_orbits_agree():
     for _, q in small_corpus():
         deco = orbits(q)
@@ -195,6 +253,71 @@ def test_action_validation():
         # maps that are bijections but break q |> (r |> x) = (q |> r) |> (q |> x)
         QuandleAction(r3, 3, [(1, 2, 0), (0, 1, 2), (0, 1, 2)])
     assert exc.value.witness is not None
+
+
+def _compose_witness(quandle, acts):
+    """The reference: the first (q, r) in row-major order where
+    act_q act_r != act_{q |> r} act_q, or None."""
+    for q, row in enumerate(quandle.op.tolist()):
+        for r, qr in enumerate(row):
+            if compose(acts[q], acts[r]) != compose(acts[qr], acts[q]):
+                return (q, r)
+    return None
+
+
+def _action_witness(quandle, acts):
+    try:
+        QuandleAction(quandle, len(acts[0]), acts)
+    except ActionError as exc:
+        return exc.witness
+    return None
+
+
+def test_action_witness_matches_the_compose_loop_on_single_swaps():
+    rng = random.Random(0)
+    cases = 0
+    for _, q in small_corpus():
+        natural = q.op.tolist()
+        for _ in range(40):
+            acts = [list(a) for a in natural]
+            row = acts[rng.randrange(q.size)]
+            i, j = rng.sample(range(q.size), 2)
+            row[i], row[j] = row[j], row[i]
+            assert _action_witness(q, acts) == _compose_witness(q, acts)
+            cases += 1
+    assert cases == 360
+
+
+def test_action_of_a_trivial_quandle_needs_commuting_maps():
+    # every symmetry of trivial(2) is the identity, yet its elements may act
+    # by any two commuting permutations and by no others
+    t2 = trivial(2)
+    with pytest.raises(ActionError) as exc:
+        QuandleAction(t2, 3, [(1, 0, 2), (0, 2, 1)])
+    assert exc.value.witness == (0, 1) == _compose_witness(t2, [(1, 0, 2), (0, 2, 1)])
+    assert QuandleAction(t2, 3, [(1, 2, 0), (2, 0, 1)]).act.tolist() == [[1, 2, 0], [2, 0, 1]]
+
+
+def test_action_table_is_read_only():
+    action = QuandleAction.natural(dihedral(3))
+    assert action.act.dtype == np.int64 and action.act.shape == (3, 3)
+    with pytest.raises(ValueError):
+        action.act[0, 0] = 1
+
+
+def test_natural_action_of_a_large_quandle_is_checked_quickly(tmp_path):
+    # alexander(7,3,2), n = 343: 1.1 s and 91 MB measured end to end on a
+    # 2-core x86-64 Linux VM (the earlier pair loop took 5.5-5.9 s)
+    q = alexander(7, 3, 2)
+    qpath, apath = tmp_path / "a732.json", tmp_path / "act.json"
+    qpath.write_text(q.to_json())
+    apath.write_text(json.dumps({"set_size": q.size, "act": q.op.tolist()}))
+    start = time.perf_counter()
+    code, peak_mb, err = cli_peak_mb("action", "--quandle", str(qpath),
+                                     "--action", str(apath))
+    assert code == 0, err
+    assert time.perf_counter() - start < 5
+    assert peak_mb < 280
 
 
 def test_op_and_tr_action_groups():
