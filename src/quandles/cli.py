@@ -67,6 +67,8 @@ def _load_group(args) -> FiniteGroup:
 
 def _load_phi(path: str, group: FiniteGroup) -> GroupAutomorphism:
     data = json.loads(_read_text(path))
+    if isinstance(data, dict) and "map" not in data:
+        raise NotAnAutomorphism("automorphism JSON object needs a 'map' field")
     mapping = data["map"] if isinstance(data, dict) else data
     if not isinstance(mapping, list):
         raise NotAnAutomorphism("automorphism JSON must be a list of element indices")
@@ -355,21 +357,27 @@ def _cmd_color(args, out, err) -> int:
         diagram = knots.parse_braid(args.braid, args.strands)
     q = _load_quandle(args.quandle)
     count = knots.count_colorings(diagram, q, by_orbit=args.by_orbit)
-    if args.json:
-        print(_canonical({
-            "total": count.total,
-            "by_orbit": list(count.by_orbit) if count.by_orbit else None,
-            "arcs": diagram.arc_count,
-            "crossings": len(diagram.crossings),
-            "components": diagram.component_count,
-        }), file=out)
-    else:
-        print(f"colorings: {count.total}", file=out)
-        if count.by_orbit is not None:
-            from . import symmetry
-            deco = symmetry.orbits(q)
-            for b, c in zip(deco.basepoints, count.by_orbit):
-                print(f"  within orbit of {b}: {c}", file=out)
+    # the int-to-text digit limit guards parsing; lift it to print exact counts
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(_canonical({
+                "total": count.total,
+                "by_orbit": list(count.by_orbit) if count.by_orbit else None,
+                "arcs": diagram.arc_count,
+                "crossings": len(diagram.crossings),
+                "components": diagram.component_count,
+            }), file=out)
+        else:
+            print(f"colorings: {count.total}", file=out)
+            if count.by_orbit is not None:
+                from . import symmetry
+                deco = symmetry.orbits(q)
+                for b, c in zip(deco.basepoints, count.by_orbit):
+                    print(f"  within orbit of {b}: {c}", file=out)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

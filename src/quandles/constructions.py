@@ -259,7 +259,8 @@ def alexander(p: int, n: int, a) -> FiniteQuandle:
         mat = np.array(a_param, dtype=np.int64)
     v = _vectors(p, n)
     av = v @ mat.T % p   # a v for every vector v
-    if len(np.unique(av @ p ** np.arange(n - 1, -1, -1))) < len(v):
+    # a repeated code means a is not injective; np.unique would import numpy.ma
+    if np.bincount(av @ p ** np.arange(n - 1, -1, -1)).max() > 1:
         raise ConstructionError("matrix is not invertible mod p")
     # coordinate i of v + a(w - v) is (v - a v)_i + (a w)_i; Horner over i
     table = np.zeros((len(v), len(v)), dtype=np.int64)

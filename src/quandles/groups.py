@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -205,16 +205,37 @@ def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = No
     reached = np.zeros(m, dtype=bool) if reached is None else reached
     before = reached.copy()   # a mask, not np.unique, which would import numpy.ma
     reached[roots] = True
-    level = np.flatnonzero(reached & ~before)
-    steps = [(level, np.full(len(level), -1), np.full(len(level), -1))]
+    level = (reached & ~before).nonzero()[0]
+    out = np.empty((3, m), dtype=np.int64)   # points, parent, via; each point once
+    c = len(level)
+    out[0, :c], out[1:, :c] = level, -1
     while len(level) and not reached.all():
         images = maps[:, level].T.ravel()             # x in level order, then g
-        fresh = np.flatnonzero(~reached[images])
+        fresh = (~reached[images]).nonzero()[0]
+        if not len(fresh):
+            break
         met = fresh[np.sort(np.unique(images[fresh], return_index=True)[1])]
-        steps.append((images[met], level[met // k], met % k))
-        level = images[met]
+        out[:, c:c + len(met)] = images[met], level[met // k], met % k
+        level = out[0, c:c + len(met)]
+        c += len(met)
         reached[level] = True
-    return tuple(np.concatenate(c) for c in zip(*steps))
+    return out[0, :c], out[1, :c], out[2, :c]
+
+
+def _chain(t: np.ndarray, order: Iterable[int], seed: Sequence[int] = ()):
+    """Greedy generating chain of the table ``t``, row c the map y -> c.y:
+    each x of ``order`` not yet reached joins the chain, and yields (x,
+    walk(t[chain], [*seed, *chain])), the closure of seed and chain in a
+    quandle (seed rows the identity) or a group.  Each walk starts from a
+    fresh mask: the points already reached must meet the new row too."""
+    chain: list[int] = []
+    reached = np.zeros(len(t), dtype=bool)
+    reached[list(seed)] = True
+    for x in order:
+        if not reached[x]:
+            chain.append(x)
+            reached = np.zeros(len(t), dtype=bool)
+            yield x, walk(t[chain], [*seed, *chain], reached)
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +352,6 @@ def close(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP,
 # ---------------------------------------------------------------------------
 # explicit finite groups
 
-def _right_generators(t: np.ndarray, ident: int) -> Iterator[int]:
-    """Elements s_1, s_2, ... of the table ``t``, each the least element not
-    yet reached from ``ident`` by right products with the earlier ones,
-    until every element is reached.  Light's test: if (x s) y = x (s y) for
-    all x, y and each such s, the table is associative, since the s with
-    that property are closed under products.  Each s is yielded before the
-    search for the next: while the ones before it pass, the reached set is
-    a group, so it at least doubles per s and at most log2(n) are sought."""
-    gens: list[int] = []
-    while True:
-        reached = np.zeros(len(t), dtype=bool)
-        walk(t.T[gens], [ident], reached)
-        if reached.all():
-            return
-        gens.append(int(np.argmin(reached)))
-        yield gens[-1]
-
-
 def _check_order(n: int) -> None:
     """Refuse, before anything is allocated, a group too large to tabulate."""
     if n > MAX_GROUP_ORDER:
@@ -423,8 +426,10 @@ class FiniteGroup:
     def from_table(cls, table: Sequence[Sequence[int]],
                    labels: Sequence[str] | None = None) -> "FiniteGroup":
         """Validate a table of Python ints.  Associativity is checked
-        exhaustively by Light's test on a set that generates the table under
-        right products from the identity."""
+        exhaustively by Light's test on the chain s_1, s_2, ... of ``_chain``
+        seeded with the identity: the s with (x s) y = x (s y) for all x, y
+        are closed under products, and while those before s pass, every
+        bracketing of their products agrees, so the walk reaches them all."""
         if not isinstance(table, (list, tuple)):
             raise GroupError("multiplication table must be a list of rows")
         n = len(table)
@@ -443,7 +448,7 @@ class FiniteGroup:
         if not has_inv.all():
             raise GroupError(f"element {int(np.argmin(has_inv))} has no inverse")
         inv = two_sided.argmax(axis=1)
-        for s in _right_generators(t, ident):
+        for s, _ in _chain(t, range(n), [ident]):
             bad = np.flatnonzero(t[t[:, s]] != np.take(t, t[s], axis=1))   # (xs)y != x(sy)
             if len(bad):
                 x, y = divmod(int(bad[0]), n)
@@ -622,15 +627,17 @@ def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence, pinned=None):
     """Lazily yield, as tuples, the bijections f with f[a[x, y]] ==
     b[f[x], f[y]] and prof_b[f[x]] == prof_a[x], for n x n tables a and b.
 
-    f is extended along a generating chain built once: s_1 is ``pinned[0]``
-    or the first element in (number of candidate images, index) order, and
-    s_k the first in that order outside the closure C_{k-1} of the earlier
-    ones.  Each other element of C_k is recorded as a product l.r of earlier
-    ones, so its image is forced.  The images of s_k are tried in increasing
-    order (only ``pinned[1]`` for a pinned s_1), the forced images filled up
-    to the first clash, and the new pairs of C_k x C_k compared as one array.
-    Every element before s_k in the order lies in C_{k-1}, so the mappings
-    come out in lexicographic order of their images of the whole order.
+    f is extended along the chain of ``_chain`` (a and b are quandle or
+    group tables): s_1 is ``pinned[0]`` or the first element in (number of
+    candidate images, index) order, and s_k the first in that order outside
+    the closure C_{k-1} of the earlier ones.  Each other new element of C_k
+    is s.r on the Schreier vector of the walk, s in the chain and r met
+    before it, so its image is forced.  The images of s_k are tried in
+    increasing order (only ``pinned[1]`` for a pinned s_1), the forced images
+    filled up to the first clash, and the new pairs of C_k x C_k compared as
+    one array.  Every element before s_k in the order lies in C_{k-1}, so
+    the mappings come out in lexicographic order of their images of the
+    whole order.
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     n = len(a)
@@ -642,31 +649,22 @@ def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence, pinned=None):
     cands = [[y for y in range(n) if pb[y] == i] for i in range(len(ids))]
     order = [pinned[0]] if pinned is not None else []
     order += sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))
-    a_rows, b_rows = a.tolist(), b.tolist()
-    members: list[int] = []
-    inside = [False] * n
-    levels = []   # (s_k, its tries, [(x, l, r)], new pairs x, y, a[x, y])
-    for s in order:
-        if inside[s]:
-            continue
-        lo = len(members)
-        members.append(s)
-        inside[s] = True
-        derived = []
-        for x in itertools.islice(members, lo, None):   # also meets the new ones
-            for y in list(members):
-                for l, r in ((x, y), (y, x)):
-                    z = a_rows[l][r]
-                    if not inside[z]:
-                        inside[z] = True
-                        members.append(z)
-                        derived.append((z, l, r))
+    b_rows = b.tolist()
+    chain: list[int] = []
+    old = np.zeros(n, dtype=bool)   # C_{k-1}
+    levels = []   # (s_k, its tries, [(x, s, r)], new pairs x, y, a[x, y])
+    for s, (points, parent, via) in _chain(a, order):
+        chain.append(s)
+        fresh = ~old[points]
+        old[points] = True
+        new = fresh & (parent >= 0)   # s_k is the one new root
+        derived = list(zip(points[new].tolist(), np.array(chain)[via[new]].tolist(),
+                           parent[new].tolist()))
         tries = cands[pa[s]]
         if pinned is not None and not levels:
             tries = [y for y in tries if y == pinned[1]]
-        cur, fresh = np.array(members), np.arange(len(members)) >= lo
         xi, yi = np.nonzero(fresh[:, None] | fresh)   # the new pairs of C_k x C_k
-        xs, ys = cur[xi], cur[yi]
+        xs, ys = points[xi], points[yi]
         levels.append((s, tries, derived, xs, ys, a[xs, ys]))
     f, fa = [-1] * n, np.full(n, -1)   # the same map, for scalar and array reads
     used = [False] * n
@@ -746,7 +744,8 @@ def conjugacy_class(group: FiniteGroup, g: int) -> tuple[int, ...]:
     if not 0 <= g < group.order:
         raise GroupError(f"element {g} out of range")
     t = group.table
-    return tuple(np.unique(t[t[group.inv_map, g], np.arange(group.order)]).tolist())
+    met = np.bincount(t[t[group.inv_map, g], np.arange(group.order)], minlength=group.order)
+    return tuple(np.flatnonzero(met).tolist())   # np.unique would import numpy.ma
 
 
 # ---------------------------------------------------------------------------

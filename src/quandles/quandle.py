@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .groups import _chain, walk
+
 MAX_VIOLATIONS = 100
 AXIOM3_BLOCK_ENTRIES = 1 << 22  # (q, r, s) triples compared per block
 
@@ -124,15 +126,16 @@ class FiniteQuandle:
 
     def subquandle_closure(self, seed: Iterable[int]) -> tuple["FiniteQuandle", tuple[int, ...]]:
         """Smallest subset containing ``seed`` closed under |> and |>^-1,
-        reindexed as a standalone quandle, plus the embedding into self."""
-        member = self._members(seed)
-        if not member.any():
+        reindexed as a standalone quandle, plus the embedding into self.
+        That is the orbit of ``seed`` under its symmetries, since
+        s_{g(x)} = g s_x g^-1 for every g they generate."""
+        x = np.flatnonzero(self._members(seed))
+        if not len(x):
             raise ValueError("seed set must be nonempty")
-        _close(self.op, self.inv_op, member, np.flatnonzero(member))
-        emb = np.flatnonzero(member)
-        pos = np.cumsum(member) - 1
+        emb = np.sort(walk(self.op[x], x)[0])
         labels = tuple(self.labels[e] for e in emb) if self.labels else None
-        return validate(pos[self.op[np.ix_(emb, emb)]], labels=labels), tuple(emb.tolist())
+        sub = np.searchsorted(emb, self.op[np.ix_(emb, emb)])   # renumbered 0..len(emb)-1
+        return validate(sub, labels=labels), tuple(emb.tolist())
 
     def is_closed_subset(self, subset: Iterable[int]) -> bool:
         member = self._members(subset)
@@ -188,37 +191,13 @@ class FiniteQuandle:
         return f"FiniteQuandle(size={self.size}{fam})"
 
 
-def _close(op: np.ndarray, inv_op: np.ndarray, member: np.ndarray,
-           fresh: np.ndarray) -> None:
-    """Close the mask ``member`` in place under |> and |>^-1, given that the
-    products of its elements outside ``fresh`` already lie in it.
-
-    Semi-naive: each round gathers only the pairs that meet an element new
-    in the round before, so each pair is gathered in one round only, and a
-    closure, or a run of closures that grow one mask, costs O(n^2) in all."""
-    while fresh.size:
-        every = np.flatnonzero(member)
-        reached = np.zeros_like(member)
-        for t in (op, inv_op):
-            reached[t[np.ix_(fresh, every)]] = True
-            reached[t[np.ix_(every, fresh)]] = True
-        fresh = np.flatnonzero(reached & ~member)
-        member[fresh] = True
-
-
 def _generators(op: np.ndarray, inv_op: np.ndarray) -> list[int]:
     """A set that generates Q together with the elements whose row is the
     identity, picked greedily in increasing order: each is the least element
-    outside the closure of those elements and the ones picked before it."""
-    member = (op == np.arange(len(op))).all(axis=1)
-    _close(op, inv_op, member, np.flatnonzero(member))
-    gens = []
-    for x in range(len(op)):
-        if not member[x]:
-            gens.append(x)
-            member[x] = True
-            _close(op, inv_op, member, np.array([x]))
-    return gens
+    outside the closure of those elements and the ones picked before it
+    (the greedy chain of ``groups._chain``; ``inv_op`` is not read)."""
+    ident = np.flatnonzero((op == np.arange(len(op))).all(axis=1))
+    return [x for x, _ in _chain(op, range(len(op)), ident.tolist())]
 
 
 def _distributivity_failures(a: np.ndarray, rows: Sequence[int], acts=None):
@@ -290,15 +269,18 @@ def axiom_violations(table: Sequence[Sequence[int]],
     Returns (violations, truncated).  Assumes entries are already known to be
     in range; use ``validate`` for the full pipeline.
 
-    Axiom 3 is checked on the rows of a set S when axioms 1 and 2 hold: if
-    s_q and s_r are automorphisms, so are s_{q|>r} = s_q s_r s_q^-1 and
-    s_{q|>^-1 r} = s_q^-1 s_r s_q, so the rows whose symmetry is an
-    automorphism form a subquandle.  Identity rows need no check, so S need
-    only generate Q with them (S is empty for a trivial quandle).  S is
-    picked greedily (the least element outside the closure so far), at
-    O(n^2) cost, and its rows cost |S| n^2.  If a row of S fails, or S is all
-    of Q, every row is checked, so the witnesses are always those of the full
-    n^3 comparison, in row-major (q, r, s) order.
+    Axiom 3 is checked on the rows of a set S when axioms 1 and 2 hold.  S
+    is the greedy chain of ``groups._chain`` seeded with the identity rows:
+    each element of S is the least one outside the orbit of the identity
+    rows and the earlier ones under the earlier ones' symmetries, and the
+    orbit of the identity rows and S under the symmetries of S is all of Q.
+    If every row of S is an automorphism, so is every g that they generate,
+    and so is s_{g(x)} = g s_x g^-1 whenever s_x is; so every row of Q is
+    one (identity rows need no check, and S is empty for a trivial
+    quandle).  The walks cost O(|S|^2 n) and the rows of S |S| n^2.  If a
+    row of S fails, or S is all of Q, every row is checked, so the
+    witnesses are always those of the full n^3 comparison, in row-major
+    (q, r, s) order.
     """
     out, truncated, _ = _violations(np.asarray(table, dtype=np.int64), cap)
     return out, truncated

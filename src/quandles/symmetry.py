@@ -589,6 +589,7 @@ def sbar_hom(quandle: FiniteQuandle, basepoint: int,
     m = _indices(g, op[:, sq_inv])
     twisted = vedernikov_op(g, phi, m[:, None], m[None, :])
     is_hom = bool((twisted == m[op]).all())
-    fibers = tuple(tuple(np.flatnonzero(m == a).tolist()) for a in np.unique(m))
+    fibers = tuple(tuple(np.flatnonzero(m == a).tolist())   # np.unique would
+                   for a in np.flatnonzero(np.bincount(m)))   # import numpy.ma
     return SbarReport(q, g, tuple(m.tolist()), fibers, is_hom,
                       all(len(f) == 1 for f in fibers))

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -159,7 +160,8 @@ def test_malformed_group_json(tmp_path, group, message):
 @pytest.mark.parametrize("phi, message", [
     ({"map": [0, 5, "4", 3, 2, 1]}, "mapping is not a bijection"),
     ({"map": 5}, "must be a list of element indices"),
-], ids=["string-entry", "map-not-a-list"])
+    ({"mapx": [0]}, "automorphism JSON object needs a 'map' field"),
+], ids=["string-entry", "map-not-a-list", "map-missing"])
 def test_phi_entries_must_be_ints(tmp_path, phi, message):
     grp = write(tmp_path, "z6.json", json.dumps({"order": 6, "mul": _z6_table()}))
     bad = write(tmp_path, "phi.json", json.dumps(phi))
@@ -372,6 +374,48 @@ def test_color_refuses_a_huge_arc_label_before_allocating(tmp_path, r5_file):
     assert (code, out) == (1, "")
     assert "label 1000000000 exceeds 2, twice the number of crossings" in err
     assert len(err) < 200
+
+
+def test_color_prints_counts_past_the_digit_limit(tmp_path):
+    # s1^3 closes the first two of 10^4 strands into a trefoil and leaves
+    # 9998 free loops: 3 * 3 colorings of the trefoil by R3, times 3^9998,
+    # which has 4772 digits, past Python's default of 4300 for int to text
+    _, out, _ = invoke(["make", "dihedral", "--n", "3"])
+    r3 = write(tmp_path, "r3.json", out)
+    limit = sys.get_int_max_str_digits()
+    braid = ["color", "--braid", "s1 s1 s1", "--strands", "10000", "--quandle", r3]
+    code, out, err = invoke(braid + ["--json"])
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    total = out.split('"total":')[1].split("}")[0]
+    code, text, err = invoke(braid)
+    assert code == 0, err
+    assert text == f"colorings: {total}\n"
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(total) == 3 ** 10000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_color_parses_input_under_the_digit_limit(tmp_path, r5_file):
+    # the limit is lifted for printing counts only: a quandle file with a
+    # 5000-digit entry is still refused as input
+    bad = write(tmp_path, "big.json", '{"table": [[' + "9" * 5000 + "]]}")
+    _assert_input_error(["color", "--braid", "s1", "--strands", "2", "--quandle", bad],
+                        "4300")
+
+
+def test_color_refuses_too_many_strands_before_allocating(r5_file):
+    # 2 * 10^6 strands took 4.2 s and 428 MB before the limit
+    start = time.perf_counter()
+    _assert_input_error(["color", "--braid", "s1 s1 s1", "--strands", "2000000",
+                         "--quandle", r5_file],
+                        "2000000 strands exceed the limit of 100000")
+    assert time.perf_counter() - start < 1
+    code, _, err = invoke(["color", "--braid", "s1", "--strands", "100000",
+                           "--quandle", r5_file])
+    assert code == 0, err
 
 
 def test_color_by_orbit(tmp_path):

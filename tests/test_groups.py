@@ -361,6 +361,65 @@ def test_associativity_check_names_the_first_failing_triple():
             FiniteGroup.from_table(table)
 
 
+def _right_generators(t, ident):
+    """The reference: elements s_1, s_2, ... of the table ``t``, each the
+    least element not yet reached from ``ident`` by right products with the
+    earlier ones, until every element is reached."""
+    gens = []
+    while True:
+        reached = np.zeros(len(t), dtype=bool)
+        walk(t.T[gens], [ident], reached)
+        if reached.all():
+            return
+        gens.append(int(np.argmin(reached)))
+        yield gens[-1]
+
+
+def _small_group_tables():
+    d5 = [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)]
+    c2_cubed = [[a ^ b for b in range(8)] for a in range(8)]
+    return [FiniteGroup.symmetric(3).table.tolist(), FiniteGroup.symmetric(4).table.tolist(),
+            FiniteGroup.cyclic(8).table.tolist(), FiniteGroup.cyclic(12).table.tolist(),
+            c2_cubed, FiniteGroup.from_permutations(d5).table.tolist()]
+
+
+_SMALL_GROUP_TABLES = _small_group_tables()   # S3, S4, C8, C12, C2^3, D5
+
+
+def _from_table_outcome(table):
+    try:
+        return FiniteGroup.from_table(table).table.tolist()
+    except GroupError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_from_table_matches_right_products_on_swapped_tables(data):
+    table = [row[:] for row in data.draw(st.sampled_from(_SMALL_GROUP_TABLES))]
+    n = len(table)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for _ in range(data.draw(st.integers(1, 3))):
+        (a, b), (c, d) = data.draw(cell), data.draw(cell)
+        table[a][b], table[c][d] = table[c][d], table[a][b]
+    got = _from_table_outcome(table)
+    real = groups_module._chain
+    groups_module._chain = lambda t, order, seed: ((s, None) for s in _right_generators(t, seed[0]))
+    try:
+        want = _from_table_outcome(table)
+    finally:
+        groups_module._chain = real
+    assert got == want
+    zero_is_identity = table[0] == [row[0] for row in table] == list(range(n))
+    if zero_is_identity and "not associative" in str(got):
+        assert got == f"multiplication is not associative at {_first_nonassociative(table)}"
+
+
+def test_from_table_takes_every_group_table():
+    for table in _SMALL_GROUP_TABLES:
+        assert _from_table_outcome(table) == table
+
+
 def test_symmetric_group():
     s4 = FiniteGroup.symmetric(4)
     assert s4.order == 24

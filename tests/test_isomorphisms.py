@@ -6,13 +6,16 @@ out as the same sequence, not just the same set."""
 import itertools
 import random
 
+import numpy as np
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles import (FiniteGroup, GroupAutomorphism, NotAnAutomorphism,
                       all_automorphisms, cycle_type, hom_check, iso_search,
                       validate)
-from quandles.symmetry import _isomorphisms, orbits
+from quandles.groups import table_isomorphisms
+from quandles.symmetry import _invariant_profiles, _isomorphisms, orbits
 
 from corpus_util import corpus, corpus_groups, small_corpus
 
@@ -204,3 +207,93 @@ def test_iso_search_finds_a_relabelling(data):
     f = iso_search(q, target)
     assert f is not None and sorted(f) == list(range(q.size))
     assert hom_check(f, q, target).ok
+
+
+def _pair_loop_isomorphisms(a, b, prof_a, prof_b, pinned=None):
+    """The reference: ``table_isomorphisms`` as it was with the closure of
+    the chain grown by a pair loop, each forced element read off the first
+    product l.r of members that meets it."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    n = len(a)
+    if len(b) != n:
+        return
+    ids: dict = {}
+    pa = [ids.setdefault(p, len(ids)) for p in prof_a]
+    pb = [ids.setdefault(p, len(ids)) for p in prof_b]
+    cands = [[y for y in range(n) if pb[y] == i] for i in range(len(ids))]
+    order = [pinned[0]] if pinned is not None else []
+    order += sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))
+    a_rows, b_rows = a.tolist(), b.tolist()
+    members: list[int] = []
+    inside = [False] * n
+    levels = []
+    for s in order:
+        if inside[s]:
+            continue
+        lo = len(members)
+        members.append(s)
+        inside[s] = True
+        derived = []
+        for x in itertools.islice(members, lo, None):
+            for y in list(members):
+                for l, r in ((x, y), (y, x)):
+                    z = a_rows[l][r]
+                    if not inside[z]:
+                        inside[z] = True
+                        members.append(z)
+                        derived.append((z, l, r))
+        tries = cands[pa[s]]
+        if pinned is not None and not levels:
+            tries = [y for y in tries if y == pinned[1]]
+        cur, fresh = np.array(members), np.arange(len(members)) >= lo
+        xi, yi = np.nonzero(fresh[:, None] | fresh)
+        xs, ys = cur[xi], cur[yi]
+        levels.append((s, tries, derived, xs, ys, a[xs, ys]))
+    f, fa = [-1] * n, np.full(n, -1)
+    used = [False] * n
+
+    def extend(k):
+        if k == len(levels):
+            yield tuple(f)
+            return
+        s, tries, derived, xs, ys, a_xy = levels[k]
+        for y in tries:
+            if used[y]:
+                continue
+            f[s] = fa[s] = y
+            taken = [y]
+            used[y] = True
+            for x, l, r in derived:
+                fx = b_rows[f[l]][f[r]]
+                if used[fx] or pb[fx] != pa[x]:
+                    break
+                f[x] = fa[x] = fx
+                taken.append(fx)
+                used[fx] = True
+            else:
+                if (fa[a_xy] == b[fa[xs], fa[ys]]).all():
+                    yield from extend(k + 1)
+            for t in taken:
+                used[t] = False
+
+    yield from extend(0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_schreier_vector_search_matches_the_pair_loop(data):
+    q = data.draw(st.sampled_from([q for _, q in small_corpus()]))
+    target = _relabel(q, data.draw(st.permutations(range(q.size))))
+    pq, pt = _invariant_profiles(q), _invariant_profiles(target)
+    pinned = data.draw(st.none() | st.tuples(st.integers(0, q.size - 1),
+                                             st.integers(0, q.size - 1)))
+    assert (list(itertools.islice(table_isomorphisms(q.op, target.op, pq, pt, pinned), 200))
+            == list(itertools.islice(_pair_loop_isomorphisms(q.op, target.op, pq, pt,
+                                                             pinned), 200)))
+
+
+def test_group_automorphisms_match_the_pair_loop():
+    for name, g in corpus_groups() + [("Z12", FiniteGroup.cyclic(12))]:
+        orders = [g.element_order(i) for i in range(g.order)]
+        assert (list(table_isomorphisms(g.table, g.table, orders, orders))
+                == list(_pair_loop_isomorphisms(g.table, g.table, orders, orders))), name

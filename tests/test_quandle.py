@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -453,3 +454,93 @@ def test_corruptions_outside_generators_match_full_arrays(data):
     violations, truncated = axiom_violations(tab, cap=cap)
     assert [v.witness for v in violations] == expected[:cap]
     assert truncated == (len(expected) > cap)
+
+
+# -- closures as walks, against the semi-naive closure they replaced ------------
+
+def _seminaive_close(op, inv_op, member, fresh):
+    """The reference: close the mask ``member`` in place under |> and |>^-1,
+    given that the products of its elements outside ``fresh`` already lie in
+    it; each round gathers only the pairs that meet an element new in the
+    round before."""
+    while fresh.size:
+        every = np.flatnonzero(member)
+        reached = np.zeros_like(member)
+        for t in (op, inv_op):
+            reached[t[np.ix_(fresh, every)]] = True
+            reached[t[np.ix_(every, fresh)]] = True
+        fresh = np.flatnonzero(reached & ~member)
+        member[fresh] = True
+
+
+def _seminaive_generators(op, inv_op):
+    """The greedy generating set picked with ``_seminaive_close``."""
+    member = (op == np.arange(len(op))).all(axis=1)
+    _seminaive_close(op, inv_op, member, np.flatnonzero(member))
+    gens = []
+    for x in range(len(op)):
+        if not member[x]:
+            gens.append(x)
+            member[x] = True
+            _seminaive_close(op, inv_op, member, np.array([x]))
+    return gens
+
+
+def test_generators_of_a2401_are_pinned():
+    q = alexander(7, 4, 3)
+    assert quandle_module._generators(q.op, q.inv_op) == [0, 1, 7, 49, 343]
+    assert _seminaive_generators(q.op, q.inv_op) == [0, 1, 7, 49, 343]
+
+
+def test_generators_match_the_seminaive_closure():
+    for name, q in small_corpus() + [("a732", alexander(7, 3, 2))]:
+        for seed in (None, 1, 2):
+            r = q if seed is None else _relabelled(q, seed)
+            assert (quandle_module._generators(r.op, r.inv_op)
+                    == _seminaive_generators(r.op, r.inv_op)), (name, seed)
+
+
+@st.composite
+def _swapped_tables(draw):
+    """A small-corpus table, maybe relabelled, with 1-3 pairs of entries of
+    one row swapped: axioms 1 and 2 hold when no swap touches the diagonal."""
+    q = draw(st.sampled_from([q for _, q in small_corpus()]))
+    seed = draw(st.integers(0, 3))
+    tab = (q if seed == 0 else _relabelled(q, seed)).op.copy()
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, q.size - 1))
+        r, s = draw(st.lists(st.integers(0, q.size - 1), min_size=2, max_size=2))
+        tab[row, [r, s]] = tab[row, [s, r]]
+    return tab
+
+
+@settings(max_examples=150, deadline=None)
+@given(_swapped_tables(), st.sampled_from([1, 3, 7, 100, 10**6]))
+def test_axiom_violations_match_the_seminaive_generators(tab, cap):
+    got = axiom_violations(tab, cap=cap)
+    real = quandle_module._generators
+    quandle_module._generators = _seminaive_generators
+    try:
+        want = axiom_violations(tab, cap=cap)
+    finally:
+        quandle_module._generators = real
+    assert got == want
+    if not any(v.axiom != 3 for v in got[0]):
+        full = _axiom3_full(tab)
+        assert [v.witness for v in got[0]] == full[:cap]
+        assert got[1] == (len(full) > cap)
+
+
+@functools.cache
+def _corpus_and_relabellings():
+    return [q for _, q in small_corpus()] + [_relabelled(q, 5) for _, q in small_corpus()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_subquandle_closure_matches_the_pair_loop(data):
+    q = data.draw(st.sampled_from(_corpus_and_relabellings()))
+    seed = data.draw(st.sets(st.integers(0, q.size - 1), min_size=1, max_size=4))
+    sub, emb = q.subquandle_closure(seed)
+    assert emb == _closure_oracle(q, seed)
+    assert sub.op.tolist() == [[emb.index(q.op[a, b]) for b in emb] for a in emb]

@@ -2,6 +2,7 @@
 each subcommand import only the modules they run, and the garbage collector
 is left as the importer found it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -143,3 +144,21 @@ def test_console_script_matches_python_m(tmp_path):
         assert script.stderr == module.stderr, argv
         assert script.returncode == module.returncode, argv
     assert module.returncode == 1 and "input error" in module.stderr
+
+
+def test_library_paths_leave_numpy_ma_unloaded(tmp_path):
+    # np.unique without return_index or return_inverse imports numpy.ma,
+    # 16-26 ms of a cold process
+    r5, s3 = tmp_path / "r5.json", tmp_path / "s3.json"
+    r5.write_text(quandles.dihedral(5).to_json())
+    s3.write_text(json.dumps(quandles.FiniteGroup.symmetric(3).to_dict()))
+    probe = ("import atexit, sys\n"
+             "atexit.register(lambda: print('numpy.ma' in sys.modules, file=sys.stderr))\n"
+             "from quandles.cli import main; main()")
+    for argv in (["sbar", str(r5), "--basepoint", "0"],
+                 ["make", "conj_class", "--group", str(s3), "--element", "1"],
+                 ["make", "alexander", "--p", "5", "--a", "3"],
+                 ["make", "alexander", "--p", "3", "--n", "2", "--a", "[[1,1],[0,1]]"]):
+        done = python("-c", probe, *argv)
+        assert done.returncode == 0, (argv, done.stderr)
+        assert done.stderr.split() == ["False"], argv
