@@ -5,7 +5,8 @@ subcommand through ``cli.run`` and compares the sha256 of stdout with a
 digest recorded before the group layer was rewritten.  The ``orbits``,
 ``survey``, ``color``, ``make phi_space``/``make vedernikov`` and
 inter-orbit digests were recorded before the realization code was merged
-into one coset action.  Any change to a table, an element order, a label or
+into one coset action, and the ``make unipotent_class`` digests for p < 13
+while the class was still read off the table of SL2(F_p).  Any change to a table, an element order, a label or
 a check shows up here byte for byte.
 """
 
@@ -49,6 +50,16 @@ FILES = {
 INTER_ORBIT = (("conj_s4", 0, 9), ("conj_s4", 9, 9), ("u11", 0, 17))
 
 DIGESTS = {
+    "make_unipotent_2":
+        "41d6fd6eb0df640ee36afdcec46c96192327e178b6ec34422df50788dbe00eb9",
+    "make_unipotent_3":
+        "75c2bd634c2ab57e0968dde222ef4d477abec20e3570c6ebb7994eaef80f786c",
+    "make_unipotent_5":
+        "0d1982e6167b434469bacd06bf902379e8c71242a41a9c5beeff61ae4faaff77",
+    "make_unipotent_7":
+        "9e8f4c4c4481b2bd0b986232184b0f87de2f1649944b89be805b20dfcb0fd001",
+    "make_unipotent_11":
+        "acce541c21221f7364be6cbbec8b00b2dfbe6697265ec6b74a45504d38f6b412",
     "make_unipotent_13":
         "d948ee457761c1b30ec7e9a2e2f11783be3711f9c585a61350181411f826ec5e",
     "u7:quandle":
@@ -125,7 +136,8 @@ DIGESTS = {
 
 
 def _argvs():
-    yield "make_unipotent_13", None, ["make", "unipotent_class", "--p", "13"]
+    for p in (2, 3, 5, 7, 11, 13):
+        yield f"make_unipotent_{p}", None, ["make", "unipotent_class", "--p", str(p)]
     yield "make_phi_space", None, ["make", "phi_space", "--group", "@z6",
                                    "--phi", "@neg6", "--subgroup", "0"]
     yield "make_vedernikov", None, ["make", "vedernikov", "--group", "@s3",
