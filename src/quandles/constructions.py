@@ -15,11 +15,12 @@ from itertools import product
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAutomorphism, CosetSpace,
-                     conjugacy_class, matrix_group_sl2, is_prime)
+                     conjugacy_class, is_prime, _check_sl2_prime)
 from .quandle import FiniteQuandle, QuandleError, validate
 
 FAMILIES = ("trivial", "cocycle", "conj", "conj_class", "phi_space",
             "vedernikov", "alexander", "dihedral", "power_cocycle", "unipotent_class")
+MAX_CARRIER = 4096   # largest constructed carrier; `make trivial --n 4096` peaks near 1 GB
 
 
 class ConstructionError(QuandleError):
@@ -58,6 +59,16 @@ class ConstructionRecord:
         return _REPLAY[self.family](**self.parameters)
 
 
+def _check_carrier(base: int, power: int = 1) -> None:
+    """Refuse, before any array is built, a carrier of base^power elements
+    past ``MAX_CARRIER``.  A power past 12 of a base >= 2 is refused
+    unexpanded: 2^13 already exceeds the limit."""
+    if power > 12 or base ** power > MAX_CARRIER:
+        size = f"{base}^{power}" if power > 1 else f"{base}"
+        raise ConstructionError(
+            f"carrier size {size} exceeds the limit of {MAX_CARRIER} elements")
+
+
 def _finish(table, labels, family, parameters) -> FiniteQuandle:
     q = validate(table, labels=labels)
     q.record = ConstructionRecord(family, parameters, tuple(labels))
@@ -71,6 +82,7 @@ def trivial(n: int) -> FiniteQuandle:
     """q |> r = r for all q, r."""
     if n < 1:
         raise ConstructionError("size must be positive")
+    _check_carrier(n)
     table = np.broadcast_to(np.arange(n), (n, n))
     return _finish(table, tuple(map(str, range(n))), "trivial", {"n": n})
 
@@ -79,6 +91,7 @@ def dihedral(n: int) -> FiniteQuandle:
     """Z/n with i |> j = 2i - j."""
     if n < 1:
         raise ConstructionError("size must be positive")
+    _check_carrier(n)
     i = np.arange(n)
     return _finish((2 * i[:, None] - i) % n, tuple(map(str, range(n))),
                    "dihedral", {"n": n})
@@ -93,6 +106,7 @@ def cocycle_extension(x_size: int, abelian: FiniteGroup, cocycle) -> FiniteQuand
     """
     if x_size < 1:
         raise ConstructionError("x_size must be positive")
+    _check_carrier(x_size * abelian.order)
     if not abelian.is_abelian():
         raise NotAbelian("coefficient group must be abelian")
     f = [list(row) for row in cocycle]
@@ -136,12 +150,27 @@ def conj_class(group: FiniteGroup, g: int) -> FiniteQuandle:
 
 
 def unipotent_class_quandle(p: int) -> FiniteQuandle:
-    """The conjugacy class of [[1,1],[0,1]] inside SL_2(F_p)."""
-    g = matrix_group_sl2(p)
-    j1 = g.elements.index((1, 1, 0, 1))
-    q = conj_class(g, j1)
-    q.record = ConstructionRecord("unipotent_class", {"p": p}, q.labels)
-    return q
+    """The conjugacy class of J1 = [[1,1],[0,1]] inside SL_2(F_p), with
+    x |> y = x^-1 y x.
+
+    g J1 g^-1 = [[1-ac, a^2], [-c^2, 1+ac]] depends only on the first
+    column (a, c) != 0 of g, up to sign, so the class is read off the
+    nonzero columns, (p^2-1)/2 points (3 for p = 2), and SL_2(F_p) is never
+    tabulated.  Matrices are keyed a p^3 + b p^2 + c p + d and listed in
+    key order, the order of ``conj_class(matrix_group_sl2(p), J1)``.
+    """
+    _check_sl2_prime(p)
+    code = p ** np.arange(3, -1, -1)   # (a, b, c, d) -> a p^3 + b p^2 + c p + d
+    a, c = np.divmod(np.arange(1, p * p), p)   # every nonzero first column
+    seen = np.zeros(p**4, dtype=bool)
+    seen[np.stack([1 - a * c, a * a, -c * c, 1 + a * c], axis=1) % p @ code] = True
+    keys = np.flatnonzero(seen)   # each matrix of the class once, in key order
+    x = (keys[:, None] // code % p).reshape(-1, 2, 2)
+    adj = x[:, ::-1, ::-1].transpose(0, 2, 1) * [[1, -1], [-1, 1]]   # x^-1 = [[d,-b],[-c,a]]
+    conj = (adj[:, None] @ x @ x[:, None]) % p   # [x, y] = x^-1 y x
+    table = np.searchsorted(keys, conj.reshape(len(keys), -1, 4) @ code)
+    labels = tuple(f"[[{a},{b}],[{c},{d}]]" for a, b, c, d in x.reshape(-1, 4).tolist())
+    return _finish(table, labels, "unipotent_class", {"p": p})
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +272,7 @@ def alexander(p: int, n: int, a) -> FiniteQuandle:
         raise ConstructionError(f"{p} is not prime")
     if n < 1:
         raise ConstructionError("dimension must be positive")
+    _check_carrier(p, n)
     if isinstance(a, int):
         if a % p == 0:
             raise ConstructionError(f"scalar {a} is not invertible mod {p}")
@@ -280,6 +310,7 @@ def power_cocycle(p: int, n: int) -> FiniteQuandle:
         raise ConstructionError("p must be an odd prime")
     if n < 2:
         raise ConstructionError("dimension must be at least 2")
+    _check_carrier(p, n)
     v = _vectors(p, n)
     d = (v[:, 0] - v[:, 0, None]) % p   # [x, y] = y1 - x1
     table, power = np.broadcast_to(v[:, 0], d.shape), d

@@ -762,16 +762,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _check_sl2_prime(p: int) -> None:
+    """Refuse a p that is not prime, or past 13, for a 2x2 matrix family over F_p."""
+    if not is_prime(p):
+        raise GroupError(f"{p} is not prime")
+    if p > 13:
+        raise GroupError(f"p={p} too large (limit 13)")
+
+
 def matrix_group_sl2(p: int) -> FiniteGroup:
     """All 2x2 matrices of determinant 1 over F_p; order p(p^2-1).
 
     Elements are row-major 4-tuples (a, b, c, d) in lexicographic order,
     labelled "[[a,b],[c,d]]".  Guarded to p <= 13 to keep tables desk-sized.
     """
-    if not is_prime(p):
-        raise GroupError(f"{p} is not prime")
-    if p > 13:
-        raise GroupError(f"p={p} too large (limit 13)")
+    _check_sl2_prime(p)
     code = p ** np.arange(3, -1, -1)   # (a, b, c, d) -> a p^3 + b p^2 + c p + d
     quads = (np.arange(p**4)[:, None] // code) % p   # lexicographic order
     a, b, c, d = quads.T

@@ -301,11 +301,12 @@ def hom_check(mapping: Sequence[int], source: FiniteQuandle,
     return HomReport(ok, tuple(map(tuple, bad[:100].tolist())), inv_ok)
 
 
-def _invariant_profiles(quandle: FiniteQuandle):
+@functools.lru_cache(maxsize=128)
+def _invariant_profiles(quandle: FiniteQuandle) -> tuple:
     """Per element: its symmetry's cycle type (fixed points included) and orbit size."""
     deco = orbits(quandle)
-    return [(cycle_type(row), len(deco.orbit_of(q)))
-            for q, row in enumerate(quandle.op.tolist())]
+    return tuple((cycle_type(row), len(deco.orbit_of(q)))
+                 for q, row in enumerate(quandle.op.tolist()))
 
 
 def _isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, pinned=None):

@@ -1,10 +1,13 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
-from quandles import (CocycleError, ConstructionError, FiniteGroup,
-                      GroupAutomorphism, NotAbelian, NotFixed, alexander,
+import quandles.constructions as constructions
+import quandles.groups as groups_module
+from quandles import (CocycleError, ConstructionError, ConstructionRecord, FiniteGroup,
+                      GroupAutomorphism, GroupError, NotAbelian, NotFixed, alexander,
                       cocycle_extension, conj_class, conjugacy_class,
                       conjugation,
                       coset_realization, dihedral,
@@ -12,7 +15,7 @@ from quandles import (CocycleError, ConstructionError, FiniteGroup,
                       matrix_group_sl2, phi_space, saturate_forward,
                       power_cocycle, trivial, twisted_orbit_action,
                       unipotent_class_quandle, validate, vedernikov)
-from quandles.constructions import coset_action
+from quandles.constructions import MAX_CARRIER, coset_action
 
 from corpus_util import cli_peak_mb, corpus
 
@@ -275,6 +278,53 @@ def test_unipotent_class_conjugation_formula():
             assert mats[q.op[i][j1]] == expected
 
 
+def test_unipotent_class_is_the_sl2_class_of_j1():
+    for p in (2, 3, 5, 7, 11, 13):
+        sl2 = matrix_group_sl2(p)
+        via_group = conj_class(sl2, sl2.elements.index((1, 1, 0, 1)))
+        q = unipotent_class_quandle(p)
+        assert q.size == (3 if p == 2 else (p * p - 1) // 2)
+        assert np.array_equal(q.op, via_group.op), p
+        assert q.labels == via_group.labels, p
+        assert q.to_json() == via_group.to_json(), p
+        again = q.record.replay()
+        assert again.record == q.record == ConstructionRecord(
+            "unipotent_class", {"p": p}, q.labels)
+        assert again.to_json() == q.to_json(), p
+
+
+def test_unipotent_class_over_f2_has_no_sign_pairs():
+    # -1 = 1 mod 2: the three nonzero columns give three distinct matrices
+    q = unipotent_class_quandle(2)
+    assert q.labels == ("[[0,1],[1,0]]", "[[1,0],[1,1]]", "[[1,1],[0,1]]")
+    assert q.op.tolist() == [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+
+
+def test_unipotent_class_builds_no_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was built")
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    monkeypatch.setattr(groups_module, "matrix_group_sl2", refuse)
+    q = unipotent_class_quandle(11)
+    assert q.size == 60 and q.record.replay() == q
+
+
+@pytest.mark.parametrize("p, message", [(4, "4 is not prime"), (1, "1 is not prime"),
+                                        (17, "p=17 too large (limit 13)")])
+def test_unipotent_class_refuses_like_sl2(p, message):
+    for build in (unipotent_class_quandle, matrix_group_sl2):
+        with pytest.raises(GroupError, match=re.escape(message)):
+            build(p)
+
+
+def test_unipotent_class_13_peak_memory_without_sl2():
+    # 140 MB while the class was read off SL2(13)'s table; 32 MB measured
+    # on a 2-core x86-64 VM, most of it the interpreter and numpy
+    code, peak_mb, err = cli_peak_mb("make", "unipotent_class", "--p", "13")
+    assert code == 0, err
+    assert peak_mb < 60
+
+
 def test_records_replay_byte_identical():
     for name, q in corpus():
         again = q.record.replay()
@@ -294,11 +344,40 @@ def test_records_hold_the_objects_they_were_given():
 
 
 def test_unipotent_class_13_peak_memory():
-    # the conj_class record used to hold a Python-int copy of SL2(13)'s
-    # table: 243 MB, against 141 MB holding the group (2-core x86-64 VM)
+    # 243 MB while the conj_class record held a Python-int copy of SL2(13)'s
+    # table, 141 MB holding the group, 32 MB from the closed form with no
+    # group (2-core x86-64 VM)
     code, peak_mb, err = cli_peak_mb("make", "unipotent_class", "--p", "13")
     assert code == 0, err
     assert peak_mb < 200
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["trivial", "--n", "4097"], "4097"),
+    (["dihedral", "--n", "4097"], "4097"),
+    (["alexander", "--p", "2", "--n", "13", "--a", "1"], "2^13"),
+    (["alexander", "--p", "7", "--n", "10000000000", "--a", "3"], "7^10000000000"),
+    (["power_cocycle", "--p", "3", "--n", "8"], "3^8"),
+    (["cocycle", "--x-size", "4097", "--abelian", "@z1", "--cocycle", "@zero"], "4097"),
+])
+def test_carriers_past_the_limit_fail_fast(tmp_path, argv, size):
+    # `make trivial --n 4096`, at the limit, peaks near 1 GB; past it nothing is built
+    (tmp_path / "z1").write_text(json.dumps(FiniteGroup.cyclic(1).to_dict()))
+    (tmp_path / "zero").write_text("[[0]]")
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    code, peak_mb, err = cli_peak_mb("make", *argv)
+    assert code == 1
+    assert err == (f"input error: carrier size {size} exceeds the limit of "
+                   f"{MAX_CARRIER} elements\n")
+    assert peak_mb < 60
+
+
+def test_carrier_limit_is_inclusive():
+    constructions._check_carrier(MAX_CARRIER)
+    constructions._check_carrier(2, 12)
+    for args in ((MAX_CARRIER + 1,), (2, 13), (3, 8), (65, 2)):
+        with pytest.raises(ConstructionError, match="limit of 4096 elements"):
+            constructions._check_carrier(*args)
 
 
 def test_record_families_cover_everything():

@@ -158,7 +158,8 @@ def test_library_paths_leave_numpy_ma_unloaded(tmp_path):
     for argv in (["sbar", str(r5), "--basepoint", "0"],
                  ["make", "conj_class", "--group", str(s3), "--element", "1"],
                  ["make", "alexander", "--p", "5", "--a", "3"],
-                 ["make", "alexander", "--p", "3", "--n", "2", "--a", "[[1,1],[0,1]]"]):
+                 ["make", "alexander", "--p", "3", "--n", "2", "--a", "[[1,1],[0,1]]"],
+                 ["make", "unipotent_class", "--p", "13"]):
         done = python("-c", probe, *argv)
         assert done.returncode == 0, (argv, done.stderr)
         assert done.stderr.split() == ["False"], argv

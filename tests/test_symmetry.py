@@ -413,6 +413,20 @@ def test_aut_fails_fast_at_the_default_cap(tmp_path):
     assert peak_mb < 150
 
 
+def test_invariant_profiles_are_computed_once_per_quandle(monkeypatch):
+    # _isomorphisms(q, q) reads them twice, and is_homogeneous once per basepoint
+    calls = []
+    monkeypatch.setattr(symmetry, "cycle_type",
+                        lambda row: calls.append(1) or groups_module.cycle_type(row))
+    for search in (aut, is_homogeneous):
+        q = power_cocycle(3, 2)   # three inner orbits
+        symmetry._invariant_profiles.cache_clear()
+        calls.clear()
+        search(q)
+        assert len(calls) == q.size, search.__name__
+    assert isinstance(symmetry._invariant_profiles(q), tuple)
+
+
 def test_aut_elements_are_automorphisms():
     q = conj_class(FiniteGroup.symmetric(4), 1)
     for f in aut(q).elements:
