@@ -18,8 +18,6 @@ from .groups import (FiniteGroup, GroupAutomorphism, CosetSpace,
                      conjugacy_class, is_prime, _check_sl2_prime)
 from .quandle import FiniteQuandle, QuandleError, validate
 
-FAMILIES = ("trivial", "cocycle", "conj", "conj_class", "phi_space",
-            "vedernikov", "alexander", "dihedral", "power_cocycle", "unipotent_class")
 MAX_CARRIER = 4096   # largest constructed carrier; `make trivial --n 4096` peaks near 1 GB
 
 
@@ -54,7 +52,7 @@ class ConstructionRecord:
     labeling: tuple[str, ...]
 
     def replay(self) -> FiniteQuandle:
-        if self.family not in FAMILIES:
+        if self.family not in _REPLAY:
             raise ConstructionError(f"unknown family {self.family!r}")
         return _REPLAY[self.family](**self.parameters)
 
@@ -321,9 +319,10 @@ def power_cocycle(p: int, n: int) -> FiniteQuandle:
 
 
 # ---------------------------------------------------------------------------
-# record replay
+# the families: record replay and the CLI's choices
 
-_REPLAY = {"trivial": trivial, "dihedral": dihedral, "alexander": alexander,
-           "power_cocycle": power_cocycle, "unipotent_class": unipotent_class_quandle,
-           "cocycle": cocycle_extension, "conj": conjugation, "conj_class": conj_class,
-           "phi_space": phi_space, "vedernikov": vedernikov}
+_REPLAY = {"trivial": trivial, "cocycle": cocycle_extension, "conj": conjugation,
+           "conj_class": conj_class, "phi_space": phi_space, "vedernikov": vedernikov,
+           "alexander": alexander, "dihedral": dihedral, "power_cocycle": power_cocycle,
+           "unipotent_class": unipotent_class_quandle}
+FAMILIES = tuple(_REPLAY)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_CAP = 10**6
-MAX_GROUP_ORDER = 4096   # largest FiniteGroup; building its int64 table peaks near 570 MB
+MAX_GROUP_ORDER = 4096   # largest FiniteGroup; building it peaks near 290 MB (table and copy)
 
 
 class GroupError(Exception):
@@ -360,31 +360,35 @@ def _check_order(n: int) -> None:
             f"for a multiplication table")
 
 
-def _permutation_table(perms: np.ndarray) -> np.ndarray:
-    """Table of the permutations in the rows of ``perms``: [a, b] is the row
-    of perms[a] o perms[b].  Rows are keyed by their images of a base of
-    points, one point at a time: (a o b)(x) = a[b[x]] for all pairs at once
-    is ``perms[:, perms[:, x]]``.  Keys are re-ranked after each point, so
-    they stay below order * m however long the base is.
-    """
-    n, m = perms.shape
-    rank = np.zeros(n, dtype=np.int64)          # element -> rank of its base images
-    prod = np.zeros((n, n), dtype=np.int64)     # product -> the same ranks
-    classes = 1
-    for x in range(m):
-        if classes == n:
-            break
-        keys, new_rank = np.unique(rank * m + perms[:, x], return_inverse=True)
-        if len(keys) == classes:
-            continue  # x does not tell any two elements apart
-        pkeys = prod * m + perms[:, perms[:, x]]
-        found = np.minimum(np.searchsorted(keys, pkeys), len(keys) - 1)
-        if not np.array_equal(keys[found], pkeys):
-            raise GroupError("permutations are not closed under composition")
-        rank, prod, classes = new_rank, found, len(keys)
-    if classes != n:
-        raise GroupError("permutation list has repeated elements")
-    return np.argsort(rank)[prod]
+def _find_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Index of each row of ``images`` among the strictly increasing rows of
+    ``rows`` (nonnegative ints, compared whole as big-endian bytes).  A row
+    that is missing is a product outside the listed permutations."""
+    keys, q = (np.ascontiguousarray(r, dtype=">i8").view(f"V{8 * r.shape[1]}").ravel()
+               for r in (rows, images))
+    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    if (keys[at] != q).any():
+        raise GroupError("permutations are not closed under composition")
+    return at
+
+
+def _cayley_table(left: np.ndarray, ident: int):
+    """Multiplication table and inverse map of the group whose left
+    translations x -> s.x by a few generators s are the rows of the int64
+    array ``left``.  The walk of the Cayley graph from the identity meets
+    each b as s.p with p met before it, so row b of the table, y -> s.p.y,
+    is row p mapped through left[s].  Parents are met in order, so each
+    block of rows whose parents are filled is filled at once, in C order."""
+    n = left.shape[1]
+    points, parent, via = walk(left, [ident])
+    after = np.argsort(points)[parent[1:]]   # where each row's parent lies in the walk
+    table = np.empty((n, n), dtype=np.int64)
+    table[ident], c = np.arange(n), 1
+    while c < n:
+        e = 1 + np.searchsorted(after, c)    # rows c..e-1 have their parents filled
+        table[points[c:e]] = left[via[c:e, None], table[parent[c:e]]]
+        c = e
+    return table, np.nonzero(table == ident)[1]
 
 
 class FiniteGroup:
@@ -458,18 +462,35 @@ class FiniteGroup:
     @classmethod
     def from_permutations(cls, perms: Iterable[Sequence[int]],
                           cap: int = DEFAULT_CAP) -> "FiniteGroup":
-        grp = close(list(perms), cap=cap)
-        return cls.from_permutation_group(grp)
+        return cls.from_permutation_group(close(list(perms), cap=cap))
 
     @classmethod
     def from_permutation_group(cls, grp: PermutationGroup) -> "FiniteGroup":
-        els = grp.elements
-        _check_order(len(els))
-        perms = np.array(els, dtype=np.int64).reshape(len(els), grp.domain_size)
-        table = _permutation_table(perms)
-        ident = els.index(identity_perm(grp.domain_size))
-        inv = np.nonzero(table == ident)[1]
-        return cls(table, inv, ident, elements=els)
+        """The table of the sorted ``grp.elements`` by ``_cayley_table``, along
+        the generators (then any element) outside the group walked so far.
+        Elements are found by their images of the points where neighbours
+        first differ, which keep them strictly sorted."""
+        els, m = grp.elements, grp.domain_size
+        n = len(els)
+        _check_order(n)
+        if n == 1:   # no base; the one element must be the identity
+            return cls([[0]], [0], els.index(identity_perm(m)), elements=els)
+        perms = np.array(els, dtype=np.int64).reshape(n, m)
+        differ = perms[1:] != perms[:-1]
+        if not differ.any(axis=1).all():
+            raise GroupError("permutation list has repeated elements")
+        base = np.flatnonzero(np.bincount(differ.argmax(axis=1), minlength=m))
+        cols = perms[:, base]
+        ident = int(_find_rows(cols, base[None])[0])
+        gens = np.array(grp.generators, dtype=np.int64).reshape(-1, m)
+        left, reached = [], np.arange(n) == ident
+        for x in itertools.chain(_find_rows(cols, gens[:, base]), range(n)):
+            if not reached[x]:   # s o p on the base is s[p[base]]
+                left.append(_find_rows(cols, perms[x][cols]))
+                reached = np.zeros(n, dtype=bool)
+                walk(np.array(left), [ident], reached)
+        del perms
+        return cls(*_cayley_table(np.array(left), ident), ident, elements=els)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -752,14 +773,7 @@ def conjugacy_class(group: FiniteGroup, g: int) -> tuple[int, ...]:
 # 2x2 matrix groups over prime fields
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _check_sl2_prime(p: int) -> None:
@@ -783,13 +797,12 @@ def matrix_group_sl2(p: int) -> FiniteGroup:
     els = quads[(a * d - b * c) % p == 1]
     index = np.full(p**4, -1, dtype=np.int64)
     index[els @ code] = np.arange(len(els))
-    a, b, c, d = els.T[:, :, None]   # left factor down the rows
-    e, f, g, h = els.T               # right factor across the columns
-    table = index[(((a * e + b * g) % p * p + (a * f + b * h) % p) * p
-                   + (c * e + d * g) % p) * p + (c * f + d * h) % p]
-    a, b, c, d = els.T
-    inv = index[((d * p + -b % p) * p + -c % p) * p + a]
+    top, bottom = els[:, :2], els[:, 2:]
+    total = (top + bottom) % p   # [[1,1],[0,1]] adds the bottom row to the top row,
+                                 # [[1,0],[1,1]] the top row to the bottom row
+    left = index[np.stack([np.hstack([total, bottom]), np.hstack([top, total])]) @ code]
+    ident = int(index[code @ (1, 0, 0, 1)])
+    table, inv = _cayley_table(left, ident)   # the two generate SL2(F_p)
     els = tuple(map(tuple, els.tolist()))
     labels = tuple(f"[[{a},{b}],[{c},{d}]]" for (a, b, c, d) in els)
-    return FiniteGroup(table, inv, els.index((1, 0, 0, 1)),
-                       labels=labels, elements=els)
+    return FiniteGroup(table, inv, ident, labels=labels, elements=els)

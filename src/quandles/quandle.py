@@ -191,11 +191,11 @@ class FiniteQuandle:
         return f"FiniteQuandle(size={self.size}{fam})"
 
 
-def _generators(op: np.ndarray, inv_op: np.ndarray) -> list[int]:
+def _generators(op: np.ndarray) -> list[int]:
     """A set that generates Q together with the elements whose row is the
     identity, picked greedily in increasing order: each is the least element
     outside the closure of those elements and the ones picked before it
-    (the greedy chain of ``groups._chain``; ``inv_op`` is not read)."""
+    (the greedy chain of ``groups._chain``)."""
     ident = np.flatnonzero((op == np.arange(len(op))).all(axis=1))
     return [x for x, _ in _chain(op, range(len(op)), ident.tolist())]
 
@@ -224,42 +224,24 @@ def _violations(a: np.ndarray, cap: int):
     """``axiom_violations`` of the int64 array ``a``, plus the inverse
     table when axioms 1 and 2 hold (else None)."""
     n = len(a)
-    out: list[AxiomViolation] = []
-    truncated = False
-    inv = None
-
-    def push(v: AxiomViolation) -> bool:
-        nonlocal truncated
-        if len(out) >= cap:
-            truncated = True
-            return False
-        out.append(v)
-        return True
-
-    # axiom 1: idempotence on the diagonal
-    for q in np.flatnonzero(a.diagonal() != np.arange(n)):
-        if not push(AxiomViolation(1, (int(q),))):
-            return out, truncated, inv
-
-    # axiom 2: each row is a permutation
-    row_is_perm = (np.sort(a, axis=1) == np.arange(n)).all(axis=1)
-    for q in np.flatnonzero(~row_is_perm):
-        missing = min(set(range(n)) - set(int(x) for x in a[q]))
-        if not push(AxiomViolation(2, (int(q), missing))):
-            return out, truncated, inv
-
-    # axiom 3: left distributivity, on the rows of a generating set once
-    # axioms 1 and 2 hold, else on every row (see ``axiom_violations``)
-    if not out:
-        inv = np.empty_like(a)
-        inv[np.arange(n)[:, None], a] = np.arange(n)
-        gens = _generators(a, inv)
+    inv = np.full_like(a, -1)
+    inv[np.arange(n)[:, None], a] = np.arange(n)
+    # axiom 1 on the diagonal.  Axiom 2: row q is a permutation exactly when
+    # the row of ``inv`` scattered from it has no hole, and its first hole
+    # is the least value that row q misses
+    out = [AxiomViolation(1, (int(q),)) for q in np.flatnonzero(a.diagonal() != np.arange(n))]
+    out += [AxiomViolation(2, (int(q), int(inv[q].argmin())))
+            for q in np.flatnonzero(inv.min(axis=1) < 0)]
+    if out:
+        inv = None
+    else:   # axiom 3 on the rows of a generating set (see ``axiom_violations``)
+        gens = _generators(a)
         if len(gens) < n and next(_distributivity_failures(a, gens), None) is None:
-            return out, truncated, inv
-    for w in _distributivity_failures(a, range(n)):
-        if not push(AxiomViolation(3, w)):
-            break
-    return out, truncated, inv
+            return out, False, inv
+    # axiom 3 on every row, up to the first witness past the cap
+    more = itertools.islice(_distributivity_failures(a, range(n)), max(0, cap + 1 - len(out)))
+    out += (AxiomViolation(3, w) for w in more)
+    return out[:cap], len(out) > cap, inv
 
 
 def axiom_violations(table: Sequence[Sequence[int]],

@@ -7,7 +7,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandles.groups as groups_module
@@ -691,8 +691,8 @@ def test_transvection_group_table_matches_oracle():
 def test_long_base_on_a_large_domain_matches_oracle(m):
     # (Z/2)^7 needs a base of 7 points, and m**7 overflows int64.  On 1024
     # points a radix key wraps to the low 4 bits of its first image, so the
-    # transposition (100 116) would look like the identity; re-ranked keys
-    # stay below order * m
+    # transposition (100 116) would look like the identity; elements are
+    # found by their images of the base compared whole, with no radix key
     gens = [_transposition(100 + 40 * i, 116 + 40 * i, m) for i in range(7)]
     g = FiniteGroup.from_permutations(gens)
     assert g.order == 2**7
@@ -745,11 +745,12 @@ assert g.is_abelian() and g.mul(g.inv(4095), 4095) == g.identity
 
 def test_group_table_at_the_order_limit():
     # C64 x C64 has order MAX_GROUP_ORDER itself, so its table is built:
-    # 2.1 s and 566 MB measured on a 2-core x86-64 Linux VM.  A Python-int
-    # copy of the table next to the array raised the peak to 903 MB
+    # 0.3-0.4 s and 294 MB measured on a 2-core x86-64 Linux VM, the table
+    # and the copy FiniteGroup keeps.  Keying all n^2 products at once peaked
+    # at 566 MB, and a Python-int copy of the table next to the array at 903 MB
     code, peak_mb, err = python_peak_mb("-c", _C64_X_C64)
     assert code == 0, err
-    assert peak_mb < 750
+    assert peak_mb < 400
 
 
 def test_table_refuses_elements_not_closed_under_composition():
@@ -757,3 +758,38 @@ def test_table_refuses_elements_not_closed_under_composition():
     els = ((0, 1, 2), (1, 2, 0))  # the 3-cycle without its square
     with pytest.raises(GroupError, match="not closed"):
         FiniteGroup.from_permutation_group(PermutationGroup(3, els, _elements=els))
+
+
+def test_table_refuses_repeated_elements():
+    els = ((0, 1, 2), (0, 1, 2), (1, 2, 0), (2, 0, 1))   # C3 with the identity twice
+    with pytest.raises(GroupError, match="repeated elements"):
+        FiniteGroup.from_permutation_group(PermutationGroup(3, els, _elements=els))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generator_lists())
+@example((3, [(0, 1, 2)]))                            # order 1, the identity as generator
+@example((4, [(1, 0, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (0, 1, 2, 3)]))   # repeats
+def test_cayley_table_matches_the_oracle(case):
+    m, gens = case
+    g = FiniteGroup.from_permutations(gens)
+    assert g.table.tolist() == _oracle_table(g.elements)
+    ident = g.elements[g.identity]
+    assert ident == identity_perm(len(ident))
+    assert all(compose(p, g.elements[g.inv(i)]) == ident for i, p in enumerate(g.elements))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_sl2_table_and_inverses_match_matrix_arithmetic(p):
+    g = matrix_group_sl2(p)
+    assert g.order == p * (p * p - 1)
+    els = np.array(g.elements)
+    code = p ** np.arange(3, -1, -1)
+    index = np.full(p**4, -1)
+    index[els @ code] = np.arange(g.order)
+    e, f, h, k = els.T   # every right factor [[e, f], [h, k]] at once
+    for i, (a, b, c, d) in enumerate(g.elements):
+        prod = np.stack([a * e + b * h, a * f + b * k, c * e + d * h, c * f + d * k], axis=1)
+        assert (g.table[i] == index[prod % p @ code]).all(), i
+    adjugate = np.stack([els[:, 3], -els[:, 1], -els[:, 2], els[:, 0]], axis=1) % p
+    assert (g.inv_map == index[adjugate @ code]).all()
