@@ -199,18 +199,18 @@ def _cmd_orbits(args, out, err) -> int:
 
 
 def _cmd_group(args, out, err, which: str) -> int:
+    q = _load_quandle(args.quandle)   # parsed before the import, under a lower peak
     from . import symmetry
-    q = _load_quandle(args.quandle)
     cap = _closure_cap(symmetry.DEFAULT_CAP, args)
     grp = symmetry.inn(q, cap=cap) if which == "inn" else symmetry.tr(q, cap=cap)
     if args.json:
         print(_canonical({"order": grp.order,
                           "domain_size": grp.domain_size,
-                          "generators": [list(g) for g in grp.generators],
+                          "generators": grp.gens.tolist(),
                           "transitive": grp.is_transitive()}), file=out)
     else:
         print(f"{which}: order {grp.order} on {grp.domain_size} points "
-              f"({len(grp.generators)} generators)", file=out)
+              f"({len(grp.gens)} generators)", file=out)
     return 0
 
 

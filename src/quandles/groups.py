@@ -1,8 +1,8 @@
 """Finite groups, permutation closures, automorphisms and coset spaces.
 
-Permutations on {0..m-1} are plain tuples: ``p[i]`` is the image of ``i``.
-``compose(p, q)`` applies ``q`` first, then ``p``, matching function
-composition.  Everything here is exact integer arithmetic; groups are
+A permutation of {0..m-1} maps ``i`` to ``p[i]``: a tuple for the helpers
+(``compose(p, q)`` applies ``q`` first, then ``p``), a row of an int array
+inside a group.  Everything here is exact integer arithmetic; groups are
 immutable once built and safe to share.
 """
 
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_CAP = 10**6
-MAX_GROUP_ORDER = 4096   # largest FiniteGroup; building it peaks near 290 MB (table and copy)
+MAX_GROUP_ORDER = 4096   # largest FiniteGroup; building it peaks near 180 MB (the table)
 
 
 class GroupError(Exception):
@@ -241,111 +241,143 @@ def _chain(t: np.ndarray, order: Iterable[int], seed: Sequence[int] = ()):
 # ---------------------------------------------------------------------------
 # permutation groups by Dimino's closure
 
+def _read_only(a, dtype=None) -> np.ndarray:
+    """``a`` as a read-only array, copied only if it must change dtype: the
+    view is frozen, so a caller's own array stays writeable."""
+    view = np.asarray(a, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+def _perm_rows(rows, m: int) -> np.ndarray:
+    """The permutations ``rows`` of {0..m-1} as one array of the narrowest
+    int dtype that holds the points, checked before the cast; the first row
+    that is not one raises GroupError."""
+    rows = rows if isinstance(rows, np.ndarray) else [tuple(r) for r in rows]
+    a = np.asarray(rows).reshape(len(rows), m) if all(len(r) == m for r in rows) else None
+    hit = np.zeros((len(rows), m), dtype=bool)
+    if a is not None and a.dtype.kind in "iu" and ((a >= 0) & (a < m)).all():
+        hit[np.arange(len(rows))[:, None], a] = True
+    if a is None or not hit.all():
+        bad = next(r for r in rows if len(r) != m or np.asarray(r).dtype.kind not in "iu"
+                   or sorted(r) != list(range(m)))
+        raise GroupError(f"generator {tuple(bad)} is not a permutation of {m} points")
+    return a.astype(np.min_scalar_type(max(m - 1, 0)))
+
+
+def _keys(rows: np.ndarray, dtype) -> np.ndarray:
+    """Each row of ints as one big-endian bytes scalar of ``dtype`` entries,
+    so keys sort and compare as the rows do lexicographically."""
+    be = np.ascontiguousarray(rows, dtype=np.dtype(dtype).newbyteorder(">"))
+    width = be.itemsize * be.shape[1]
+    return be.view(f"V{width}").ravel() if width else np.zeros(len(be), dtype="V1")
+
+
+def _find_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Index of each row of ``images`` among the strictly increasing rows of
+    ``rows``, or -1 where it is missing; one sorted search.  Entries of
+    ``images`` must fit the dtype of ``rows``."""
+    keys, q = _keys(rows, rows.dtype), _keys(images, rows.dtype)
+    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+    return np.where(keys[at] == q, at, -1)
+
+
 class PermutationGroup:
     """A group of permutations of {0..m-1}, enumerated by Dimino's algorithm.
 
-    Closure is lazy; ``elements`` and ``order`` trigger it.  Orbits only walk
-    the generators and never require the full element set.
+    ``gens`` (the distinct generators) and ``perms`` (the sorted elements)
+    are read-only arrays in the narrowest int dtype that holds the points.
+    Closure is lazy; ``perms`` and ``order`` trigger it.  Orbits only walk
+    the generators.  ``elements`` and ``generators`` are tuple views, built
+    when first read.
     """
 
     def __init__(self, domain_size: int, generators: Iterable[Sequence[int]],
-                 cap: int = DEFAULT_CAP, _elements: tuple | None = None):
-        gens = []
-        seen = set()
-        for g in generators:
-            t = tuple(g)
-            if len(t) != domain_size or not is_permutation(t):
-                raise GroupError(f"generator {t} is not a permutation of {domain_size} points")
-            if t not in seen:
-                seen.add(t)
-                gens.append(t)
+                 cap: int = DEFAULT_CAP, _elements=None):
+        gens = _perm_rows(generators, domain_size)
+        first = np.sort(np.unique(_keys(gens, gens.dtype), return_index=True)[1])
         self.domain_size = domain_size
-        self.generators = tuple(gens)
+        self.gens = _read_only(gens[first])
         self.cap = cap
-        self._elements = _elements
-        self._element_set = set(_elements) if _elements is not None else None
+        self.used = np.arange(len(self.gens))   # until Dimino's closure picks its own
+        if _elements is not None:
+            self.perms = _read_only(_perm_rows(_elements, domain_size))
 
-    @property
+    @functools.cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        if self._elements is None:
-            self._close()
-        return self._elements
+        return tuple(map(tuple, self.perms.tolist()))
+
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.gens.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.perms)
 
-    def _close(self) -> None:
-        # Dimino's algorithm (Butler 1991): ``els`` lists the group generated
-        # so far as whole right cosets prev.r of the subgroup ``prev`` it grew
-        # from, each starting with its representative r; representatives times
-        # the generators used so far find the missing cosets.  A generator
-        # already in the group adds nothing.  The cap is checked before each
-        # coset, so at most ``cap`` elements are held and the closure fails
-        # exactly when the order exceeds it.
-        ident = identity_perm(self.domain_size)
-        els, seen, used = [ident], {ident}, []
-        for s in self.generators:
-            if s in seen:
+    @functools.cached_property
+    def perms(self) -> np.ndarray:
+        # Dimino's algorithm (Butler 1991): ``blocks`` list the group generated
+        # so far as whole right cosets prev.r, one gather prev[:, r] each, of
+        # the subgroup ``prev`` it grew from (identity first, so each coset
+        # starts with r); representatives times the generators used so far
+        # find the missing cosets, and a generator already in the group adds
+        # nothing.  The cap is checked before each coset, so at most ``cap``
+        # elements are held and the closure fails exactly when the order
+        # exceeds it.  ``seen`` holds the rows' native bytes, only until sorted.
+        gens, used = self.gens, []
+        prev = np.arange(self.domain_size, dtype=gens.dtype)[None]
+        seen = {prev.tobytes()}
+        for i, s in enumerate(gens):
+            if s.tobytes() in seen:
                 continue
-            used.append(s)
-            prev = els[:]
-            pos = 0
-            while pos < len(els):
-                for t in used:
-                    r = compose(els[pos], t)
-                    if r not in seen:
-                        if len(els) + len(prev) > self.cap:
+            used.append(i)
+            ts, blocks = gens[used], [prev]
+            for block in blocks:   # grows as it is walked
+                for t in ts:
+                    r = block[0][t]
+                    if r.tobytes() not in seen:
+                        if (len(blocks) + 1) * len(prev) > self.cap:
                             raise CapExceeded(
                                 f"group closure exceeded cap of {self.cap} elements")
-                        coset = [compose(h, r) for h in prev]
-                        els.extend(coset)
-                        seen.update(coset)
-                pos += len(prev)
-        self._element_set = seen
-        self._elements = tuple(sorted(els))
+                        blocks.append(np.take(prev, r, axis=1))   # C order
+                        seen.update(blocks[-1].view(f"V{r.nbytes}").ravel().tolist())
+            prev = blocks = np.concatenate(blocks)   # the list of cosets is freed
+        del seen
+        self.used = np.array(used, dtype=np.int64)
+        return _read_only(prev[np.argsort(_keys(prev, prev.dtype))])
 
     def __contains__(self, p) -> bool:
-        if self._element_set is None:
-            self._close()
-        return tuple(p) in self._element_set
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def _maps(self) -> np.ndarray:
-        return np.array(self.generators, dtype=np.int64).reshape(
-            len(self.generators), self.domain_size)
+        p = tuple(p)
+        return (len(p) == self.domain_size and is_permutation(p)
+                and _find_rows(self.perms, np.array([p]))[0] >= 0)
 
     def orbit(self, point: int) -> frozenset[int]:
         """Orbit of a point under the generated group (generator walk only)."""
-        return frozenset(walk(self._maps(), [point])[0].tolist())
+        return frozenset(walk(self.gens, [point])[0].tolist())
 
     def orbits(self) -> list[frozenset[int]]:
-        maps, reached = self._maps(), np.zeros(self.domain_size, dtype=bool)
-        return [frozenset(walk(maps, [x], reached)[0].tolist())
+        reached = np.zeros(self.domain_size, dtype=bool)
+        return [frozenset(walk(self.gens, [x], reached)[0].tolist())
                 for x in range(self.domain_size) if not reached[x]]
 
     def is_transitive(self) -> bool:
         return self.domain_size <= 1 or len(self.orbit(0)) == self.domain_size
 
     def __repr__(self):
-        closed = self._elements is not None
-        extra = f", order={len(self._elements)}" if closed else ""
-        return f"PermutationGroup(domain={self.domain_size}, gens={len(self.generators)}{extra})"
+        extra = f", order={len(self.perms)}" if "perms" in vars(self) else ""
+        return f"PermutationGroup(domain={self.domain_size}, gens={len(self.gens)}{extra})"
 
 
-def close(generators: Iterable[Sequence[int]], cap: int = DEFAULT_CAP,
+def close(generators, cap: int = DEFAULT_CAP,
           domain_size: int | None = None) -> PermutationGroup:
-    """Close a generator list into a PermutationGroup (Dimino's algorithm)."""
-    gens = [tuple(g) for g in generators]
-    if domain_size is None:
-        domain_size = len(gens[0]) if gens else 0
-    for g in gens:
-        if len(g) != domain_size:
-            raise GroupError("generators live on different domains")
-    grp = PermutationGroup(domain_size, gens, cap=cap)
-    grp.elements  # force closure now so cap errors surface here
+    """Close a generator list or array into a PermutationGroup (Dimino's algorithm)."""
+    gens = generators if isinstance(generators, np.ndarray) else list(generators)
+    m = domain_size if domain_size is not None else len(gens[0]) if len(gens) else 0
+    if any(len(g) != m for g in gens):
+        raise GroupError("generators live on different domains")
+    grp = PermutationGroup(m, gens, cap=cap)
+    grp.perms  # force closure now so cap errors surface here
     return grp
 
 
@@ -358,18 +390,6 @@ def _check_order(n: int) -> None:
         raise CapExceeded(
             f"group order {n} exceeds the limit of {MAX_GROUP_ORDER} elements "
             f"for a multiplication table")
-
-
-def _find_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Index of each row of ``images`` among the strictly increasing rows of
-    ``rows`` (nonnegative ints, compared whole as big-endian bytes).  A row
-    that is missing is a product outside the listed permutations."""
-    keys, q = (np.ascontiguousarray(r, dtype=">i8").view(f"V{8 * r.shape[1]}").ravel()
-               for r in (rows, images))
-    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-    if (keys[at] != q).any():
-        raise GroupError("permutations are not closed under composition")
-    return at
 
 
 def _cayley_table(left: np.ndarray, ident: int):
@@ -394,35 +414,32 @@ def _cayley_table(left: np.ndarray, ident: int):
 class FiniteGroup:
     """A finite group on indices 0..order-1 with its full multiplication table.
 
-    The group is held only as two read-only int64 arrays: ``table`` (order x
-    order) and ``inv_map``.  The scalar accessors (``mul``, ``inv``,
+    The group is held only as read-only arrays: ``table`` (order x order),
+    ``inv_map`` and, for a group of permutations or matrices, ``perms``,
+    whose row i is element i.  The scalar accessors (``mul``, ``inv``,
     ``conj``) read them and return Python ints.  Orders above
     ``MAX_GROUP_ORDER`` are refused with ``CapExceeded`` before a table is
-    built.  Elements given without labels must be permutations; their
-    labels are formatted in cycle notation when first read.
+    built.  ``elements`` (tuples) and the labels of permutations (cycle
+    notation) are built when first read.
     """
 
     def __init__(self, table, inv: Sequence[int], identity: int,
-                 labels: Sequence[str] | None = None,
-                 elements: tuple | None = None):
-        self.table = np.array(table, dtype=np.int64)
-        self.inv_map = np.array(inv, dtype=np.int64)
-        self.table.flags.writeable = self.inv_map.flags.writeable = False
+                 labels: Sequence[str] | None = None, perms=None):
+        self.table, self.inv_map = _read_only(table, np.int64), _read_only(inv, np.int64)
         self.order = len(self.table)
         self.identity = int(identity)
         self._labels = tuple(labels) if labels is not None else None
-        self.elements = elements  # underlying objects (perms, matrices), optional
+        self.perms = None if perms is None else _read_only(perms)
 
     @property
     def labels(self) -> tuple[str, ...] | None:
-        if self._labels is None and self.elements is not None:
-            self._labels = tuple(format_cycles(p) or "()" for p in self.elements)
+        if self._labels is None and self.perms is not None:
+            self._labels = tuple(format_cycles(p) or "()" for p in self.perms.tolist())
         return self._labels
 
     @functools.cached_property
-    def element_index(self) -> dict:
-        """Element -> its index, built on first read; needs ``elements``."""
-        return {p: i for i, p in enumerate(self.elements)}
+    def elements(self) -> tuple | None:
+        return None if self.perms is None else tuple(map(tuple, self.perms.tolist()))
 
     # -- construction -------------------------------------------------------
 
@@ -466,31 +483,20 @@ class FiniteGroup:
 
     @classmethod
     def from_permutation_group(cls, grp: PermutationGroup) -> "FiniteGroup":
-        """The table of the sorted ``grp.elements`` by ``_cayley_table``, along
-        the generators (then any element) outside the group walked so far.
-        Elements are found by their images of the points where neighbours
-        first differ, which keep them strictly sorted."""
-        els, m = grp.elements, grp.domain_size
-        n = len(els)
+        """The table of the sorted ``grp.perms`` by ``_cayley_table``, along
+        the left translations p -> s o p = s[p] by the generators that
+        Dimino's closure used, which generate the group."""
+        perms = grp.perms
+        n, m = perms.shape
         _check_order(n)
-        if n == 1:   # no base; the one element must be the identity
-            return cls([[0]], [0], els.index(identity_perm(m)), elements=els)
-        perms = np.array(els, dtype=np.int64).reshape(n, m)
-        differ = perms[1:] != perms[:-1]
-        if not differ.any(axis=1).all():
+        if not (perms[1:] != perms[:-1]).any(axis=1).all():
             raise GroupError("permutation list has repeated elements")
-        base = np.flatnonzero(np.bincount(differ.argmax(axis=1), minlength=m))
-        cols = perms[:, base]
-        ident = int(_find_rows(cols, base[None])[0])
-        gens = np.array(grp.generators, dtype=np.int64).reshape(-1, m)
-        left, reached = [], np.arange(n) == ident
-        for x in itertools.chain(_find_rows(cols, gens[:, base]), range(n)):
-            if not reached[x]:   # s o p on the base is s[p[base]]
-                left.append(_find_rows(cols, perms[x][cols]))
-                reached = np.zeros(n, dtype=bool)
-                walk(np.array(left), [ident], reached)
-        del perms
-        return cls(*_cayley_table(np.array(left), ident), ident, elements=els)
+        ident = _find_rows(perms, np.arange(m)[None])
+        left = np.array([_find_rows(perms, s[perms]) for s in grp.gens[grp.used]],
+                        dtype=np.int64).reshape(len(grp.used), n)
+        if ident[0] < 0 or (left < 0).any():
+            raise GroupError("permutations are not closed under composition")
+        return cls(*_cayley_table(left, int(ident[0])), ident[0], perms=perms)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -503,8 +509,9 @@ class FiniteGroup:
     def symmetric(cls, n: int) -> "FiniteGroup":
         """All permutations of n points, in lexicographic order."""
         _check_order(math.factorial(n))
-        perms = tuple(itertools.permutations(range(n)))
-        return cls.from_permutation_group(PermutationGroup(n, perms, _elements=perms))
+        perms, points = tuple(itertools.permutations(range(n))), np.arange(n)
+        gens = [np.roll(points, 1), np.r_[points[1::-1], points[2:]]]   # n-cycle, (0 1)
+        return cls.from_permutation_group(PermutationGroup(n, gens, _elements=perms))
 
     # -- operations ----------------------------------------------------------
 
@@ -605,8 +612,7 @@ class GroupAutomorphism:
                 type(x) is int and 0 <= x < group.order for x in mapping):
             raise NotAnAutomorphism("mapping is not a bijection on the group")
         self.group = group
-        self.mapping = np.array(mapping, dtype=np.int64)
-        self.mapping.flags.writeable = False
+        self.mapping = _read_only(mapping, np.int64)
         if check:
             self._check()
 
@@ -803,6 +809,5 @@ def matrix_group_sl2(p: int) -> FiniteGroup:
     left = index[np.stack([np.hstack([total, bottom]), np.hstack([top, total])]) @ code]
     ident = int(index[code @ (1, 0, 0, 1)])
     table, inv = _cayley_table(left, ident)   # the two generate SL2(F_p)
-    els = tuple(map(tuple, els.tolist()))
-    labels = tuple(f"[[{a},{b}],[{c},{d}]]" for (a, b, c, d) in els)
-    return FiniteGroup(table, inv, ident, labels=labels, elements=els)
+    labels = tuple(f"[[{a},{b}],[{c},{d}]]" for (a, b, c, d) in els.tolist())
+    return FiniteGroup(table, inv, ident, labels=labels, perms=els)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import _chain, walk
+from .groups import _chain, _read_only, walk
 
 MAX_VIOLATIONS = 100
 AXIOM3_BLOCK_ENTRIES = 1 << 22  # (q, r, s) triples compared per block
@@ -92,9 +92,7 @@ class FiniteQuandle:
     """
 
     def __init__(self, op, inv_op, labels: Sequence[str] | None = None, record=None):
-        self.op = np.array(op, dtype=np.int64)
-        self.inv_op = np.array(inv_op, dtype=np.int64)
-        self.op.flags.writeable = self.inv_op.flags.writeable = False
+        self.op, self.inv_op = _read_only(op, np.int64), _read_only(inv_op, np.int64)
         self.size = len(self.op)
         self.labels = tuple(labels) if labels is not None else None
         self.record = record

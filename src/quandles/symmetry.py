@@ -24,8 +24,8 @@ import numpy as np
 
 from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup,
-                     GroupAutomorphism, PermutationGroup, close, cycle_type,
-                     table_isomorphisms, walk)
+                     GroupAutomorphism, PermutationGroup, _find_rows, _read_only, close,
+                     cycle_type, table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
@@ -102,8 +102,7 @@ class QuandleAction:
                     or sorted(a) != list(range(set_size))):
                 raise ActionError(f"map for element {q} is not a permutation",
                                   witness=(q,))
-        self.act = np.array(acts, dtype=np.int64).reshape(quandle.size, set_size)
-        self.act.flags.writeable = False
+        self.act = _read_only(np.reshape(acts, (quandle.size, set_size)), np.int64)
         # every row: an element whose symmetry is the identity may still act
         bad = next(_distributivity_failures(quandle.op, range(quandle.size), self.act), None)
         if bad is not None:
@@ -123,7 +122,7 @@ class QuandleAction:
 
 def inn(quandle: FiniteQuandle, cap: int = DEFAULT_CAP) -> PermutationGroup:
     """Inn(Q): closure of all symmetries s_q."""
-    return close(quandle.op.tolist(), cap=cap, domain_size=quandle.size)
+    return close(quandle.op, cap=cap, domain_size=quandle.size)
 
 
 def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP, base: int = 0) -> PermutationGroup:
@@ -135,19 +134,19 @@ def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP, base: int = 0) -> Permuta
     n-element generating set suffices.
     """
     gens = quandle.op[:, quandle.inv_op[base]]   # row q: s_q s_base^-1
-    return close(gens.tolist(), cap=cap, domain_size=quandle.size)
+    return close(gens, cap=cap, domain_size=quandle.size)
 
 
 def op_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
     """Op(Q, X): closure of the acting permutations."""
-    return close(action.act.tolist(), cap=cap, domain_size=action.set_size)
+    return close(action.act, cap=cap, domain_size=action.set_size)
 
 
 def tr_action_group(action: QuandleAction, cap: int = DEFAULT_CAP,
                     base: int = 0) -> PermutationGroup:
     """Tr(Q, X): closure of {act_q act_base^-1}."""
     gens = action.act[:, np.argsort(action.act[base])]   # row q: act_q act_base^-1
-    return close(gens.tolist(), cap=cap, domain_size=action.set_size)
+    return close(gens, cap=cap, domain_size=action.set_size)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,7 @@ def aut(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE,
     els = sorted(itertools.islice(_isomorphisms(quandle, quandle), cap + 1))
     if len(els) > cap:
         raise CapExceeded(f"automorphism group exceeded cap of {cap} elements")
-    return PermutationGroup(quandle.size, els, _elements=tuple(els))
+    return PermutationGroup(quandle.size, els, cap=cap)   # closed again: few gens used
 
 
 def is_homogeneous(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE) -> bool:
@@ -366,7 +365,7 @@ class OpenSubquandleReport:
     all_agree: bool
 
 
-def _orbit_of_each(n: int, generators: list) -> dict[int, frozenset[int]]:
+def _orbit_of_each(n: int, generators: np.ndarray) -> dict[int, frozenset[int]]:
     """Per point of {0..n-1}, its orbit under the generated group."""
     return {x: orb for orb in PermutationGroup(n, generators).orbits() for x in orb}
 
@@ -388,9 +387,9 @@ def open_subquandle_check(quandle: FiniteQuandle, subset: Iterable[int]) -> Open
     meets = all(any(x in orb_set for x in u)
                 for orb_set in (set(o) for o in deco.orbits))
     n, u_rows = quandle.size, quandle.op[list(u)]
-    u_op = _orbit_of_each(n, u_rows.tolist())
-    u_tr = _orbit_of_each(n, u_rows[:, quandle.inv_op[u[0]]].tolist())
-    full_tr = _orbit_of_each(n, quandle.op[:, quandle.inv_op[0]].tolist())
+    u_op = _orbit_of_each(n, u_rows)
+    u_tr = _orbit_of_each(n, u_rows[:, quandle.inv_op[u[0]]])
+    full_tr = _orbit_of_each(n, quandle.op[:, quandle.inv_op[0]])
     op_agree = [u_op[z] == frozenset(deco.orbit_of(z)) for z in range(n)]
     tr_agree = [u_tr[z] == full_tr[z] for z in range(n)]
     whole = len(u) == n
@@ -416,16 +415,14 @@ def _tr_group(quandle: FiniteQuandle, cap: int) -> FiniteGroup:
 def _indices(g: FiniteGroup, perms: np.ndarray) -> np.ndarray | None:
     """Element indices in ``g`` of the rows of ``perms``, as an int64 array,
     or None if one is not in g."""
-    index = g.element_index
-    out = np.array([index.get(p, -1) for p in map(tuple, perms.tolist())], dtype=np.int64)
+    out = _find_rows(g.perms, perms)
     return None if (out < 0).any() else out
 
 
 def _twist(g: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
     """Element indices of left o p o right for every element p of ``g``, in
     element order, or None if one of them leaves the group."""
-    perms = np.array(g.elements, dtype=np.int64)
-    return _indices(g, left[perms[:, right]])
+    return _indices(g, left[g.perms[:, right]])
 
 
 def _check_basepoint(quandle: FiniteQuandle, q: int) -> int:
@@ -436,9 +433,9 @@ def _check_basepoint(quandle: FiniteQuandle, q: int) -> int:
 
 def _cosets_at(g: FiniteGroup, q: int) -> tuple[CosetSpace, tuple[int, ...]]:
     """The cosets of the stabilizer of q, and pi: coset index -> rep(q)."""
-    perms = g.elements
-    cs = CosetSpace(g, (i for i, p in enumerate(perms) if p[q] == q))
-    return cs, tuple(perms[rep][q] for rep in cs.reps)
+    images = g.perms[:, q]
+    cs = CosetSpace(g, np.flatnonzero(images == q).tolist())
+    return cs, tuple(images[list(cs.reps)].tolist())
 
 
 @dataclass(frozen=True)

@@ -126,19 +126,23 @@ def test_inn_and_tr_match_the_bfs_oracle(name, q):
 
 def test_inn_closure_composes_about_once_per_element(monkeypatch):
     # a breadth-first closure over all 343 generators of Inn composed each
-    # with every element, about 353k compositions
+    # with every element, about 353k compositions.  Dimino's closure makes
+    # each element but the identity in one coset gather, np.take, so the
+    # rows it gathers count its compositions
     q = alexander(7, 3, 2)
-    calls = 0
+    rows = 0
+    take = np.take
 
-    def counting_compose(p, r):
-        nonlocal calls
-        calls += 1
-        return compose(p, r)
+    def counting_take(a, *args, **kwargs):
+        nonlocal rows
+        rows += len(a)
+        return take(a, *args, **kwargs)
 
-    monkeypatch.setattr(groups_module, "compose", counting_compose)
+    monkeypatch.setattr(np, "take", counting_take)
     grp = inn(q)
+    monkeypatch.undo()
     assert grp.order == 1029 and len(grp.generators) == 343
-    assert calls < 5 * 1029
+    assert grp.order - 1 <= rows < 5 * 1029
 
 
 def _transposition_table(n):
@@ -155,7 +159,8 @@ def test_inn_fails_fast_at_the_default_cap(tmp_path):
     # the 45 transpositions of S_10, whose Inn is S_10 of order 10! > 10^6:
     # the closure must stop at the cap, not list the group first.  A
     # breadth-first closure took 58 s and 613 MB; Dimino's stops after two
-    # cosets of S_9 (3.9 s, 380 MB measured on a 2-core x86-64 Linux VM)
+    # cosets of S_9: 4.1-4.6 s and 378 MB on tuples, 0.7-0.8 s and 178 MB
+    # on arrays (the CLI, measured on a 2-core x86-64 Linux VM)
     assert inn(validate(_transposition_table(4))).order == 24
     path = tmp_path / "t10.json"
     path.write_text(json.dumps({"size": 45, "table": _transposition_table(10)}))
@@ -163,6 +168,64 @@ def test_inn_fails_fast_at_the_default_cap(tmp_path):
     assert code == 1
     assert "cap of 1000000" in err
     assert peak_mb < 500
+
+
+def test_inn_at_scale_peaks_below_the_tuple_closure(tmp_path):
+    # Inn(alexander(7, 4, 3)) has order 14406 on 2401 points.  Listing it as
+    # tuples peaked at 630-631 MB (6.3 s); as arrays the closure stays under
+    # the 447 MB that parsing the 26 MB file costs, as for `check` (2.2-2.9 s,
+    # measured on a 2-core x86-64 Linux VM)
+    path = tmp_path / "a743.json"
+    path.write_text(alexander(7, 4, 3).to_json())
+    code, peak_mb, err = python_peak_mb(
+        "-c", "import sys; sys.stdout = sys.stderr; from quandles.cli import main; main()",
+        "inn", str(path))
+    assert code == 0, err
+    assert "inn: order 14406 on 2401 points" in err
+    assert peak_mb < 560
+
+
+_NOT_MEMBERS = [(0, 1), (0, 1, 2, 3), (0, 0, 1), (256, 1, 2), (-1, 1, 2), (1, 0, 2)]
+
+
+@pytest.mark.parametrize("p", _NOT_MEMBERS)
+def test_membership_and_validation_are_exact_at_narrow_dtypes(p):
+    # the points fit uint8, where 256 would wrap to 0 and -1 to 255
+    grp = close([(1, 2, 0)])
+    assert grp.perms.dtype == np.uint8
+    assert p not in grp and (0, 1, 2) in grp and (2, 0, 1) in grp
+    if len(p) == 3 and p != (1, 0, 2):
+        with pytest.raises(GroupError, match=r"^generator .* is not a permutation of 3 points$"):
+            PermutationGroup(3, np.array([p, (0, 1, 2)]))
+
+
+def test_narrow_dtypes_follow_the_domain_size():
+    for m, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
+        shift = tuple(range(1, m)) + (0,)
+        grp = close([shift])
+        assert grp.perms.dtype == grp.gens.dtype == dtype
+        assert grp.elements == tuple(sorted(tuple((x + k) % m for x in range(m))
+                                            for k in range(m)))
+        assert shift in grp
+
+
+def test_constructors_leave_a_callers_array_writeable():
+    from quandles import FiniteQuandle, dihedral
+    d3 = dihedral(3)
+    op, inv_op = d3.op.copy(), d3.inv_op.copy()
+    q = FiniteQuandle(op, inv_op)
+    c3 = FiniteGroup.cyclic(3)
+    table, inv, mapping = c3.table.copy(), c3.inv_map.copy(), np.array([0, 2, 1])
+    g = FiniteGroup(table, inv, 0)
+    phi = GroupAutomorphism(g, mapping)
+    gens = np.array([[1, 2, 0]])
+    grp = PermutationGroup(3, gens)
+    for mine, held in ((op, q.op), (inv_op, q.inv_op), (table, g.table),
+                       (inv, g.inv_map), (mapping, phi.mapping), (gens, grp.gens)):
+        assert mine.flags.writeable and not held.flags.writeable
+        assert held.tolist() == mine.tolist()
+        with pytest.raises(ValueError):
+            held[0] = 0
 
 
 def test_orbits_without_closure():
@@ -745,8 +808,8 @@ assert g.is_abelian() and g.mul(g.inv(4095), 4095) == g.identity
 
 def test_group_table_at_the_order_limit():
     # C64 x C64 has order MAX_GROUP_ORDER itself, so its table is built:
-    # 0.3-0.4 s and 294 MB measured on a 2-core x86-64 Linux VM, the table
-    # and the copy FiniteGroup keeps.  Keying all n^2 products at once peaked
+    # 178 MB measured on a 2-core x86-64 Linux VM, the one table (294 MB
+    # when FiniteGroup copied it).  Keying all n^2 products at once peaked
     # at 566 MB, and a Python-int copy of the table next to the array at 903 MB
     code, peak_mb, err = python_peak_mb("-c", _C64_X_C64)
     assert code == 0, err

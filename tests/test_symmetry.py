@@ -699,12 +699,28 @@ def test_sbar_dihedral_injective():
     assert len(rep.fibers) == 3
 
 
-def test_element_index_is_built_once_per_group():
-    q = power_cocycle(3, 2)   # three orbits, one Tr(Q)
-    reals = [coset_realization(q, b) for b in orbits(q).basepoints]
-    index = reals[0].group.element_index
-    assert len(reals) == 3 and all(r.group.element_index is index for r in reals)
-    assert index == {p: i for i, p in enumerate(reals[0].group.elements)}
+def test_tuple_views_are_built_on_first_read_only(monkeypatch):
+    # every library path reads the element and generator arrays; the tuple
+    # views are for callers, built once when first read
+    q, u7, d171 = power_cocycle(3, 2), unipotent_class_quandle(7), dihedral(171)
+    symmetry._tr_group.cache_clear()
+    views = [(groups_module.PermutationGroup, "elements"),
+             (groups_module.PermutationGroup, "generators"), (FiniteGroup, "elements")]
+    reads = []
+    with monkeypatch.context() as m:
+        for cls, name in views:
+            m.setattr(cls, name, property(lambda self, name=name: reads.append(name)))
+        groups = [inn(q), tr(q), aut(dihedral(6))]
+        groups += [coset_realization(q, b).group for b in orbits(q).basepoints]
+        assert regularity_report(u7).phi_prime
+        groups += [symmetry._tr_group(u7, symmetry.REALIZE_CAP), sbar_hom(d171, 0).group]
+        assert groups[2].is_transitive()
+    assert reads == []
+    for g in groups:
+        assert g.elements == tuple(map(tuple, g.perms.tolist())) and g.elements is g.elements
+    for g in groups[:3]:
+        assert g.generators == tuple(map(tuple, g.gens.tolist()))
+    assert groups[3] is groups[4]   # one Tr(Q) for the three orbits
 
 
 def test_sbar_fibers_are_equal_symmetry_classes():
