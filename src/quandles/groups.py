@@ -238,6 +238,32 @@ def _chain(t: np.ndarray, order: Iterable[int], seed: Sequence[int] = ()):
             yield x, walk(t[chain], [*seed, *chain], reached)
 
 
+def _identity_rows(t: np.ndarray) -> list[int]:
+    return np.flatnonzero((t == np.arange(len(t))).all(axis=1)).tolist()
+
+
+def _generators(t: np.ndarray, seed=None) -> list[int]:
+    """``_chain`` of a quandle or group table, seeded by default with its identity rows."""
+    return [x for x, _ in _chain(t, range(len(t)), _identity_rows(t) if seed is None else seed)]
+
+
+def _check_rows(failures, gens: Sequence[int], n: int, seed: Sequence[int] = ()):
+    """What ``failures(range(n))`` yields (tuples led by their row) for a check
+    whose passing rows are closed under the table's operation.  ``seed`` and
+    ``gens`` (``_chain`` seeded with ``seed`` and rows that pass by themselves)
+    generate every row; if one fails, all are scanned from 0, or from the first
+    failing chain row, as each row before it lies in the closure of rows that passed."""
+    if len(seed) and next(failures(seed), None) is not None:
+        return failures(range(n))
+    first = next(failures(gens), None) if len(gens) else None
+    return iter(()) if first is None else failures(range(first[0], n))
+
+
+def _row_failures(differs):
+    """``failures`` of a check that fails row r at each i where ``differs(r)[i]``."""
+    return lambda rows: ((r, int(i)) for r in rows for i in np.flatnonzero(differs(r)))
+
+
 # ---------------------------------------------------------------------------
 # permutation groups by Dimino's closure
 
@@ -446,11 +472,8 @@ class FiniteGroup:
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]],
                    labels: Sequence[str] | None = None) -> "FiniteGroup":
-        """Validate a table of Python ints.  Associativity is checked
-        exhaustively by Light's test on the chain s_1, s_2, ... of ``_chain``
-        seeded with the identity: the s with (x s) y = x (s y) for all x, y
-        are closed under products, and while those before s pass, every
-        bracketing of their products agrees, so the walk reaches them all."""
+        """Validate a table of Python ints.  Associativity is Light's test, (x s) y
+        = x (s y) for all x, y, on the rows s of ``_check_rows`` (closed under products)."""
         if not isinstance(table, (list, tuple)):
             raise GroupError("multiplication table must be a list of rows")
         n = len(table)
@@ -459,21 +482,20 @@ class FiniteGroup:
             if (not isinstance(row, (list, tuple)) or len(row) != n
                     or not all(type(x) is int and 0 <= x < n for x in row)):
                 raise GroupError(f"row {i} of multiplication table is malformed")
-        t, points = np.array(table, dtype=np.int64).reshape(n, n), np.arange(n)
-        idents = np.flatnonzero((t == points).all(axis=1) & (t.T == points).all(axis=1))
-        if not len(idents):
+        t = np.array(table, dtype=np.int64).reshape(n, n)
+        ident = next((e for e in _identity_rows(t) if (t[:, e] == np.arange(n)).all()), None)
+        if ident is None:
             raise GroupError("no identity element in multiplication table")
-        ident = int(idents[0])
         two_sided = (t == ident) & (t.T == ident)
         has_inv = two_sided.any(axis=1)
         if not has_inv.all():
             raise GroupError(f"element {int(np.argmin(has_inv))} has no inverse")
         inv = two_sided.argmax(axis=1)
-        for s, _ in _chain(t, range(n), [ident]):
-            bad = np.flatnonzero(t[t[:, s]] != np.take(t, t[s], axis=1))   # (xs)y != x(sy)
-            if len(bad):
-                x, y = divmod(int(bad[0]), n)
-                raise GroupError(f"multiplication is not associative at {(x, s, y)}")
+        light = _row_failures(lambda s: (t[t[:, s]] != np.take(t, t[s], axis=1)).ravel())
+        bad = next(_check_rows(light, _generators(t, [ident]), n), None)   # (xs)y != x(sy)
+        if bad:
+            (x, y), s = divmod(bad[1], n), bad[0]
+            raise GroupError(f"multiplication is not associative at {(x, s, y)}")
         return cls(t, inv, ident, labels=labels)
 
     @classmethod
@@ -617,19 +639,18 @@ class GroupAutomorphism:
             self._check()
 
     def _check(self):
-        """Exhaustive: m(ab) = m(a)m(b) on all pairs, as one array comparison;
-        the witness is the first bad pair in row-major order."""
+        """m(ab) = m(a)m(b) on the rows a of ``_check_rows``, closed under
+        products as m(aa'b) = m(a)m(a'b) = m(aa')m(b); the first bad (a, b)."""
         g, m, t = self.group, self.mapping, self.group.table
         if m.shape != (g.order,) or (np.sort(m) != np.arange(g.order)).any():
             raise NotAnAutomorphism("mapping is not a bijection on the group")
         if m[g.identity] != g.identity:
             raise NotAnAutomorphism("mapping moves the identity",
                                     witness=g.identity)
-        bad = np.argwhere(m[t] != t[m][:, m])
-        if len(bad):
-            a, b = (int(x) for x in bad[0])
-            raise NotAnAutomorphism(
-                f"mapping is not multiplicative at {(a, b)}", witness=(a, b))
+        hom = _row_failures(lambda a: m[t[a]] != t[m[a], m])
+        bad = next(_check_rows(hom, _generators(t, [g.identity]), g.order), None)
+        if bad:
+            raise NotAnAutomorphism(f"mapping is not multiplicative at {bad}", witness=bad)
 
     def __call__(self, i: int) -> int:
         return self.mapping.item(i)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import _chain, _read_only, walk
+from .groups import _check_rows, _generators, _read_only, walk
 
 MAX_VIOLATIONS = 100
 AXIOM3_BLOCK_ENTRIES = 1 << 22  # (q, r, s) triples compared per block
@@ -189,15 +189,6 @@ class FiniteQuandle:
         return f"FiniteQuandle(size={self.size}{fam})"
 
 
-def _generators(op: np.ndarray) -> list[int]:
-    """A set that generates Q together with the elements whose row is the
-    identity, picked greedily in increasing order: each is the least element
-    outside the closure of those elements and the ones picked before it
-    (the greedy chain of ``groups._chain``)."""
-    ident = np.flatnonzero((op == np.arange(len(op))).all(axis=1))
-    return [x for x, _ in _chain(op, range(len(op)), ident.tolist())]
-
-
 def _distributivity_failures(a: np.ndarray, rows: Sequence[int], acts=None):
     """Yield each (q, r, s) with q in ``rows`` and q . (r . s) != (q |> r) .
     (q . s), q in the order given, then (r, s) row-major, where q . s is
@@ -220,7 +211,7 @@ def _distributivity_failures(a: np.ndarray, rows: Sequence[int], acts=None):
 
 def _violations(a: np.ndarray, cap: int):
     """``axiom_violations`` of the int64 array ``a``, plus the inverse
-    table when axioms 1 and 2 hold (else None)."""
+    table if ``a`` is a quandle (else None)."""
     n = len(a)
     inv = np.full_like(a, -1)
     inv[np.arange(n)[:, None], a] = np.arange(n)
@@ -230,16 +221,10 @@ def _violations(a: np.ndarray, cap: int):
     out = [AxiomViolation(1, (int(q),)) for q in np.flatnonzero(a.diagonal() != np.arange(n))]
     out += [AxiomViolation(2, (int(q), int(inv[q].argmin())))
             for q in np.flatnonzero(inv.min(axis=1) < 0)]
-    if out:
-        inv = None
-    else:   # axiom 3 on the rows of a generating set (see ``axiom_violations``)
-        gens = _generators(a)
-        if len(gens) < n and next(_distributivity_failures(a, gens), None) is None:
-            return out, False, inv
-    # axiom 3 on every row, up to the first witness past the cap
-    more = itertools.islice(_distributivity_failures(a, range(n)), max(0, cap + 1 - len(out)))
-    out += (AxiomViolation(3, w) for w in more)
-    return out[:cap], len(out) > cap, inv
+    more = (_distributivity_failures(a, range(n)) if out   # S need not generate Q then
+            else _check_rows(lambda rows: _distributivity_failures(a, rows), _generators(a), n))
+    out += (AxiomViolation(3, w) for w in itertools.islice(more, max(0, cap + 1 - len(out))))
+    return out[:cap], len(out) > cap, None if out else inv
 
 
 def axiom_violations(table: Sequence[Sequence[int]],
@@ -249,18 +234,10 @@ def axiom_violations(table: Sequence[Sequence[int]],
     Returns (violations, truncated).  Assumes entries are already known to be
     in range; use ``validate`` for the full pipeline.
 
-    Axiom 3 is checked on the rows of a set S when axioms 1 and 2 hold.  S
-    is the greedy chain of ``groups._chain`` seeded with the identity rows:
-    each element of S is the least one outside the orbit of the identity
-    rows and the earlier ones under the earlier ones' symmetries, and the
-    orbit of the identity rows and S under the symmetries of S is all of Q.
-    If every row of S is an automorphism, so is every g that they generate,
-    and so is s_{g(x)} = g s_x g^-1 whenever s_x is; so every row of Q is
-    one (identity rows need no check, and S is empty for a trivial
-    quandle).  The walks cost O(|S|^2 n) and the rows of S |S| n^2.  If a
-    row of S fails, or S is all of Q, every row is checked, so the
-    witnesses are always those of the full n^3 comparison, in row-major
-    (q, r, s) order.
+    Once axioms 1 and 2 hold, axiom 3 is checked by ``groups._check_rows``
+    on the rows of S = ``_generators``: the rows that are automorphisms are
+    closed under |>, as s_{q |> r} = s_q s_r s_q^-1, and identity rows pass.
+    The witnesses are those of the full n^3 comparison, in row-major order.
     """
     out, truncated, _ = _violations(np.asarray(table, dtype=np.int64), cap)
     return out, truncated

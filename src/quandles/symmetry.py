@@ -9,7 +9,7 @@ Q|>(Q|>Z), ... stabilizes to a set that is stable under both |> and |>^-1.
 
 The coset realization expresses each orbit as a coset quandle of Tr(Q)
 twisted by the conjugation automorphism g -> s_q g s_q^-1, and verifies the
-defining properties exhaustively.
+defining properties exactly (no check samples).
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .constructions import ConstructionError, coset_action, vedernikov_op
-from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup,
-                     GroupAutomorphism, PermutationGroup, _find_rows, _read_only, close,
-                     cycle_type, table_isomorphisms, walk)
+from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup, GroupAutomorphism,
+                     PermutationGroup, _check_rows, _find_rows, _generators, _identity_rows,
+                     _read_only, _row_failures, close, cycle_type, table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
@@ -86,8 +86,8 @@ def random_transvection_word(quandle: FiniteQuandle, length: int,
 
 class QuandleAction:
     """An action of a quandle on {0..m-1}: one permutation per element,
-    satisfying q |> (r |> x) = (q |> r) |> (q |> x).  ``act`` is a read-only
-    n x m int64 array whose row q is the permutation of q."""
+    satisfying q |> (r |> x) = (q |> r) |> (q |> x), checked as ``hom_check``
+    is.  ``act`` is a read-only n x m int64 array, row q the permutation of q."""
 
     def __init__(self, quandle: FiniteQuandle, set_size: int,
                  act: Sequence[Sequence[int]]):
@@ -103,8 +103,9 @@ class QuandleAction:
                 raise ActionError(f"map for element {q} is not a permutation",
                                   witness=(q,))
         self.act = _read_only(np.reshape(acts, (quandle.size, set_size)), np.int64)
-        # every row: an element whose symmetry is the identity may still act
-        bad = next(_distributivity_failures(quandle.op, range(quandle.size), self.act), None)
+        op = quandle.op
+        fails = functools.partial(_distributivity_failures, op, acts=self.act)
+        bad = next(_check_rows(fails, _generators(op), len(op), _identity_rows(op)), None)
         if bad is not None:
             raise ActionError(f"action is not compatible with |> at {bad[:2]}",
                               witness=bad[:2])
@@ -286,18 +287,19 @@ class HomReport:
 
 def hom_check(mapping: Sequence[int], source: FiniteQuandle,
               target: FiniteQuandle) -> HomReport:
-    """Exhaustively check f(q |> r) = f(q) |> f(r), as one array comparison;
-    also confirms that a homomorphism automatically respects |>^-1.  The
-    violations are the first 100 bad pairs in row-major order."""
+    """Check f(q |> r) = f(q) |> f(r) by ``_check_rows`` on the identity rows
+    I, which may fail, and S = ``_generators``.  Row q gives f(q |>^-1 r) =
+    f(q) |>^-1 f(r), so the rows that hold are a subquandle and
+    ``preserves_inverse`` is ``ok``; ``violations``: the first 100, row-major."""
     f = tuple(mapping)
     if (len(f) != source.size
             or any(type(x) is not int or not 0 <= x < target.size for x in f)):
         raise QuandleError("mapping is not a total map of ints into the target")
-    m = np.array(f, dtype=np.int64)
-    bad = np.argwhere(m[source.op] != target.op[m[:, None], m])
-    ok = not len(bad)
-    inv_ok = ok and bool((m[source.inv_op] == target.inv_op[m[:, None], m]).all())
-    return HomReport(ok, tuple(map(tuple, bad[:100].tolist())), inv_ok)
+    m, op = np.array(f, dtype=np.int64), source.op
+    rows = _row_failures(lambda q: m[op[q]] != target.op[m[q], m])
+    bad = tuple(itertools.islice(_check_rows(
+        rows, _generators(op), len(op), _identity_rows(op)), 100))
+    return HomReport(not bad, bad, not bad)
 
 
 @functools.lru_cache(maxsize=128)
@@ -470,14 +472,14 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
     """Realize the orbit of ``basepoint`` as a coset quandle of Tr(Q).
 
     Builds G = Tr(Q) explicitly, phi(g) = s_q g s_q^-1, H = {g : g(q) = q},
-    and pi: gH -> g(q).  Verifies, exhaustively: conjugation keeps G inside
-    itself, phi is a group automorphism, H is fixed by phi elementwise, the
-    coset operation is well-defined, and pi is a bijection onto the orbit
-    and a homomorphism.  The orbit is a subquandle of the validated Q, so
-    these make the coset table a quandle isomorphic to it, and pi^-1 a
-    homomorphism too.  Since phi(h) = s_q h s_q^-1, phi fixes h exactly
-    when h commutes with s_q, so ``stabilizer_commutes_with_sq`` is
-    ``stabilizer_fixed_by_phi``.
+    and pi: gH -> g(q).  Verifies exactly: conjugation keeps G inside
+    itself, phi is a group automorphism (on generators, ``_check_rows``), H
+    is fixed by phi elementwise, the coset operation is well-defined, and pi
+    is a bijection onto the orbit and a homomorphism.  The orbit is a
+    subquandle of the validated Q, so these make the coset table a quandle
+    isomorphic to it, and pi^-1 a homomorphism too.  Since phi(h) = s_q h
+    s_q^-1, phi fixes h exactly when h commutes with s_q, so
+    ``stabilizer_commutes_with_sq`` is ``stabilizer_fixed_by_phi``.
     """
     q = _check_basepoint(quandle, basepoint)
     g = _tr_group(quandle, cap)

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quandles.groups as groups_module
-from quandles import alexander, inn, tr, validate
+import quandles.symmetry as symmetry
+from quandles import alexander, inn, tr, unipotent_class_quandle, validate
 from quandles.groups import (DEFAULT_CAP, CapExceeded, CosetSpace,
                              CycleParseError, FiniteGroup, GroupAutomorphism,
                              GroupError, NotASubgroup, NotAnAutomorphism,
@@ -23,7 +24,7 @@ from quandles.groups import (DEFAULT_CAP, CapExceeded, CosetSpace,
                              matrix_group_sl2, parse_cycles,
                              parse_generator_lines, perm_cycles, walk)
 
-from corpus_util import cli_peak_mb, python_peak_mb, small_corpus
+from corpus_util import cli_peak_mb, corpus_groups, python_peak_mb, small_corpus
 
 
 def test_compose_and_invert():
@@ -778,6 +779,66 @@ def test_automorphism_check_is_exhaustive_with_first_witness():
     for i in range(a + 1):
         for j in range(g.order if i < a else b):
             assert m[g.mul(i, j)] == g.mul(m[i], m[j]), (i, j)
+
+
+def _automorphism_oracle(g, m):
+    """The all-pairs automorphism check the generating-set check replaced:
+    the first (a, b) in row-major order with m(ab) != m(a)m(b), or None."""
+    m, t = np.asarray(m), g.table
+    bad = np.argwhere(m[t] != t[m][:, m])
+    return tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+def _s4_conjugation():
+    s4 = FiniteGroup.symmetric(4)
+    t = s4.elements.index((1, 0, 2, 3))
+    return s4, [s4.conj(t, x) for x in range(s4.order)]
+
+
+def _tr_u11_conjugation():
+    q = unipotent_class_quandle(11)   # phi = conjugation by s_0 on Tr(u11), order 660
+    g = symmetry._tr_group(q, symmetry.REALIZE_CAP)
+    return g, symmetry._twist(g, q.op[0], q.inv_op[0]).tolist()
+
+
+@pytest.mark.parametrize("build", [_s4_conjugation, _tr_u11_conjugation], ids=["S4", "Tr(u11)"])
+def test_automorphism_wrong_outside_the_chain_fails_at_the_all_pairs_witness(build):
+    g, phi = build()
+    # a bijection cannot differ from phi at one point only: the images of
+    # two elements outside the chain (and not the identity) are swapped
+    assert _automorphism_oracle(g, phi) is None
+    GroupAutomorphism(g, phi)
+    chain = set(groups_module._generators(g.table, [g.identity]))
+    outside = [x for x in range(g.order) if x not in chain and x != g.identity]
+    rng = random.Random(0)
+    pairs = [(outside[0], outside[1]), (outside[-2], outside[-1])]
+    pairs += [tuple(rng.sample(outside, 2)) for _ in range(6)]
+    for x, y in pairs:
+        m = list(phi)
+        m[x], m[y] = m[y], m[x]
+        expected = _automorphism_oracle(g, m)
+        assert expected is not None, (x, y)
+        with pytest.raises(NotAnAutomorphism) as exc:
+            GroupAutomorphism(g, m)
+        assert exc.value.witness == expected, (x, y)
+        assert str(exc.value) == f"mapping is not multiplicative at {expected}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_automorphism_check_matches_the_all_pairs_check_on_the_corpus_groups(data):
+    _, g = data.draw(st.sampled_from(corpus_groups()))
+    m = list(data.draw(st.sampled_from(all_automorphisms(g))).mapping.tolist())
+    for _ in range(data.draw(st.integers(0, 2))):   # swap two images other than e's
+        x, y = data.draw(st.lists(st.sampled_from([i for i in range(g.order) if i != g.identity]),
+                                  min_size=2, max_size=2, unique=True))
+        m[x], m[y] = m[y], m[x]
+    expected = _automorphism_oracle(g, m)
+    if expected is None:
+        assert GroupAutomorphism(g, m).mapping.tolist() == m
+    else:
+        with pytest.raises(NotAnAutomorphism, match=re.escape(f"multiplicative at {expected}")):
+            GroupAutomorphism(g, m)
 
 
 def test_group_order_limit_fails_fast(tmp_path):

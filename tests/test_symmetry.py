@@ -483,6 +483,144 @@ def test_hom_preserves_inverse_automatically():
     assert rep.ok and rep.preserves_inverse
 
 
+# -- hom_check and actions on a generating set, against the all-pairs checks -----
+
+def _hom_oracle(f, q, target):
+    """The all-pairs ``hom_check`` the generating-set check replaced: one
+    array comparison of every pair, and the separate |>^-1 comparison."""
+    m = np.array(f, dtype=np.int64)
+    bad = np.argwhere(m[q.op] != target.op[m[:, None], m])
+    inv_ok = not len(bad) and bool((m[q.inv_op] == target.inv_op[m[:, None], m]).all())
+    return tuple(map(tuple, bad[:100].tolist())), inv_ok
+
+
+def _action_oracle(q, act):
+    """The first (x, r) in row-major order with act_x act_r != act_{x |> r}
+    act_x, every row compared, as the check did before it used I and S."""
+    a = np.asarray(act)
+    for x in range(q.size):
+        bad = np.argwhere(a[x][a] != a[q.op[x]][:, a[x]])
+        if len(bad):
+            return (x, int(bad[0][0]))
+    return None
+
+
+def _outside_i_and_s(q):
+    """The elements that are neither identity rows nor in ``_generators``."""
+    checked = set(groups_module._identity_rows(q.op)) | set(groups_module._generators(q.op))
+    return [x for x in range(q.size) if x not in checked]
+
+
+# a quandle with identity rows (the centre of S4) and one without
+_MUTATION_QUANDLES = [("a732", lambda: alexander(7, 3, 2)), ("d63", lambda: dihedral(63)),
+                      ("conj_S4", lambda: conjugation(FiniteGroup.symmetric(4))),
+                      ("pc32", lambda: power_cocycle(3, 2))]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _MUTATION_QUANDLES],
+                         ids=[name for name, _ in _MUTATION_QUANDLES])
+def test_hom_wrong_outside_i_and_s_matches_the_all_pairs_check(build):
+    q = build()
+    outside = _outside_i_and_s(q)
+    assert outside
+    for x in (outside[0], outside[len(outside) // 2], outside[-1]):
+        for y in (0, q.size - 1, (x + 1) % q.size):
+            f = list(range(q.size))
+            f[x] = y if y != x else (x + 2) % q.size
+            bad, inv_ok = _hom_oracle(f, q, q)
+            assert bad, (x, y)
+            rep = hom_check(tuple(f), q, q)
+            assert rep.violations == bad and not rep.ok
+            assert rep.preserves_inverse == inv_ok
+
+
+@pytest.mark.parametrize("build", [b for _, b in _MUTATION_QUANDLES],
+                         ids=[name for name, _ in _MUTATION_QUANDLES])
+def test_action_changed_outside_i_and_s_fails_at_the_all_rows_witness(build):
+    q = build()
+    outside = _outside_i_and_s(q)
+    for x in (outside[0], outside[-1]):
+        for i, j in ((0, 1), (1, q.size - 1)):
+            act = q.op.tolist()
+            act[x][i], act[x][j] = act[x][j], act[x][i]   # still a permutation
+            expected = _action_oracle(q, act)
+            assert expected is not None, (x, i, j)
+            with pytest.raises(ActionError) as exc:
+                QuandleAction(q, q.size, act)
+            assert exc.value.witness == expected
+            assert str(exc.value) == f"action is not compatible with |> at {expected}"
+
+
+def _orbit_colouring(q, k):
+    """A homomorphism onto trivial(k): each element goes to its orbit's
+    index mod k, since q |> r lies in the orbit of r."""
+    return [i % k for i in orbits(q).orbit_id]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hom_check_matches_the_all_pairs_check_on_drawn_mappings(data):
+    q = data.draw(st.sampled_from([q for _, q in small_corpus()]))
+    kind = data.draw(st.sampled_from(["identity", "constant", "colouring", "random"]))
+    if kind == "identity":
+        target, f = q, list(range(q.size))
+    elif kind == "constant":   # any idempotent target element is a homomorphic image
+        target = data.draw(st.sampled_from([q, dihedral(5)]))
+        f = [data.draw(st.integers(0, target.size - 1))] * q.size
+    elif kind == "colouring":
+        target = trivial(data.draw(st.integers(1, 3)))
+        f = _orbit_colouring(q, target.size)
+    else:
+        target = data.draw(st.sampled_from([q, dihedral(3), trivial(2)]))
+        f = data.draw(st.lists(st.integers(0, target.size - 1),
+                               min_size=q.size, max_size=q.size))
+    for _ in range(data.draw(st.integers(0, 2))):   # perturb a few entries
+        f[data.draw(st.integers(0, q.size - 1))] = data.draw(st.integers(0, target.size - 1))
+    bad, inv_ok = _hom_oracle(f, q, target)
+    rep = hom_check(tuple(f), q, target)
+    assert rep.violations == bad and rep.ok == (not bad)
+    assert rep.preserves_inverse == inv_ok == rep.ok
+
+
+def _counting_checks(monkeypatch):
+    """Record every row that ``hom_check`` and ``QuandleAction`` ask their
+    check to compare."""
+    seen = []
+    real = symmetry._check_rows
+
+    def counting(failures, *args):
+        def counted(rows):
+            rows = list(rows)
+            seen.extend(rows)
+            return failures(rows)
+        return real(counted, *args)
+    monkeypatch.setattr(symmetry, "_check_rows", counting)
+    return seen
+
+
+@pytest.mark.parametrize("check", [lambda q: hom_check(tuple(range(q.size)), q, q),
+                                   QuandleAction.natural], ids=["hom_check", "action"])
+def test_checks_compare_only_the_identity_rows_and_s(monkeypatch, check):
+    t343, a732 = trivial(343), alexander(7, 3, 2)
+    seen, walks = _counting_checks(monkeypatch), []
+    real_walk = groups_module.walk
+    monkeypatch.setattr(groups_module, "walk", lambda *a: walks.append(1) or real_walk(*a))
+    check(t343)   # every row is an identity row: S is empty, and no chain is walked
+    assert seen == list(range(343)) and not walks
+    seen.clear()
+    check(a732)   # no identity row; S = [0, 1, 7, 49], one walk each
+    assert seen == [0, 1, 7, 49] and len(walks) == 4
+
+
+def test_a_failing_identity_row_sends_every_row_through(monkeypatch):
+    seen = _counting_checks(monkeypatch)
+    q = trivial(343)
+    f = (1,) + (0,) * 342   # into dihedral(3), where 1 |> 0 = 2: identity row 0 fails
+    rep = hom_check(f, q, dihedral(3))
+    assert not rep.ok and rep.violations == _hom_oracle(f, q, dihedral(3))[0]
+    assert seen == list(range(343)) * 2
+
+
 def test_iso_search_finds_and_rejects():
     s3 = FiniteGroup.symmetric(3)
     q = conj_class(s3, s3.elements.index((1, 0, 2)))
