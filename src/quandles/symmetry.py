@@ -103,9 +103,9 @@ class QuandleAction:
                 raise ActionError(f"map for element {q} is not a permutation",
                                   witness=(q,))
         self.act = _read_only(np.reshape(acts, (quandle.size, set_size)), np.int64)
-        op = quandle.op
-        fails = functools.partial(_distributivity_failures, op, acts=self.act)
-        bad = next(_check_rows(fails, _generators(op), len(op), _identity_rows(op)), None)
+        op, ident = quandle.op, _identity_rows(quandle.op)
+        bad = next(_check_rows(lambda rows: _distributivity_failures(op, rows, self.act),
+                               _generators(op, ident), len(op), ident), None)
         if bad is not None:
             raise ActionError(f"action is not compatible with |> at {bad[:2]}",
                               witness=bad[:2])
@@ -295,10 +295,9 @@ def hom_check(mapping: Sequence[int], source: FiniteQuandle,
     if (len(f) != source.size
             or any(type(x) is not int or not 0 <= x < target.size for x in f)):
         raise QuandleError("mapping is not a total map of ints into the target")
-    m, op = np.array(f, dtype=np.int64), source.op
-    rows = _row_failures(lambda q: m[op[q]] != target.op[m[q], m])
-    bad = tuple(itertools.islice(_check_rows(
-        rows, _generators(op), len(op), _identity_rows(op)), 100))
+    m, op, ident = np.array(f, dtype=np.int64), source.op, _identity_rows(source.op)
+    hom = _row_failures(lambda q: m[op[q]] != target.op[m[q], m])
+    bad = tuple(itertools.islice(_check_rows(hom, _generators(op, ident), len(op), ident), 100))
     return HomReport(not bad, bad, not bad)
 
 
