@@ -242,21 +242,23 @@ def _identity_rows(t: np.ndarray) -> list[int]:
     return np.flatnonzero((t == np.arange(len(t))).all(axis=1)).tolist()
 
 
-def _generators(t: np.ndarray, seed=None) -> list[int]:
-    """``_chain`` of a quandle or group table, seeded by default with its identity rows."""
-    return [x for x, _ in _chain(t, range(len(t)), _identity_rows(t) if seed is None else seed)]
+def _generators(t: np.ndarray, seed: Sequence[int]):
+    """The rows of ``_chain`` of the table ``t`` seeded with ``seed``, found lazily."""
+    return (x for x, _ in _chain(t, range(len(t)), seed))
 
 
-def _check_rows(failures, gens: Sequence[int], n: int, seed: Sequence[int] = ()):
+def _check_rows(failures, gens: Iterable[int], n: int, seed: Sequence[int] = ()):
     """What ``failures(range(n))`` yields (tuples led by their row) for a check
     whose passing rows are closed under the table's operation.  ``seed`` and
-    ``gens`` (``_chain`` seeded with ``seed`` and rows that pass by themselves)
-    generate every row; if one fails, all are scanned from 0, or from the first
-    failing chain row, as each row before it lies in the closure of rows that passed."""
+    ``gens`` (``_generators`` of ``seed`` and rows that pass by themselves)
+    generate every row.  If a seed row fails, all rows are scanned; else the first
+    failing row of ``gens``, drawn no further, is the least failing row (those before
+    it lie in the closure of passing rows): its first failure, then a scan from it."""
     if len(seed) and next(failures(seed), None) is not None:
-        return failures(range(n))
-    first = next(failures(gens), None) if len(gens) else None
-    return iter(()) if first is None else failures(range(first[0], n))
+        yield from failures(range(n))
+    elif (first := next(failures(gens), None)) is not None:
+        yield first
+        yield from itertools.islice(failures(range(first[0], n)), 1, None)
 
 
 def _row_failures(differs):

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import _check_rows, _generators, _read_only, walk
+from .groups import _check_rows, _generators, _identity_rows, _read_only, walk
 
 MAX_VIOLATIONS = 100
 AXIOM3_BLOCK_ENTRIES = 1 << 22  # (q, r, s) triples compared per block
@@ -189,18 +189,16 @@ class FiniteQuandle:
         return f"FiniteQuandle(size={self.size}{fam})"
 
 
-def _distributivity_failures(a: np.ndarray, rows: Sequence[int], acts=None):
+def _distributivity_failures(a: np.ndarray, rows: Iterable[int], acts=None):
     """Yield each (q, r, s) with q in ``rows`` and q . (r . s) != (q |> r) .
     (q . s), q in the order given, then (r, s) row-major, where q . s is
     ``acts[q, s]`` for an n x m int64 array of permutations, or q |> s if
-    ``acts`` is None (axiom 3).  Blocks of rows keep memory at
+    ``acts`` is None (axiom 3).  Rows are drawn a block at a time, keeping memory at
     O(AXIOM3_BLOCK_ENTRIES); int32 entries halve the bytes each gather moves."""
     a = a.astype(np.int32)
     u = a if acts is None else acts.astype(np.int32)
-    rows = np.asarray(rows, dtype=np.int64)
-    step = max(1, AXIOM3_BLOCK_ENTRIES // max(1, u.size))
-    for i in range(0, len(rows), step):
-        blk = rows[i:i + step]
+    rows, step = iter(rows), max(1, AXIOM3_BLOCK_ENTRIES // max(1, u.size))
+    while len(blk := np.fromiter(itertools.islice(rows, step), dtype=np.int64)):
         uq = u[blk]
         lhs = uq[:, u]                                   # u[q, u[r, s]]
         rhs = u[a[blk][:, :, None], uq[:, None, :]]      # u[a[q, r], u[q, s]]
@@ -222,7 +220,8 @@ def _violations(a: np.ndarray, cap: int):
     out += [AxiomViolation(2, (int(q), int(inv[q].argmin())))
             for q in np.flatnonzero(inv.min(axis=1) < 0)]
     more = (_distributivity_failures(a, range(n)) if out   # S need not generate Q then
-            else _check_rows(lambda rows: _distributivity_failures(a, rows), _generators(a), n))
+            else _check_rows(lambda rows: _distributivity_failures(a, rows),
+                             _generators(a, _identity_rows(a)), n))
     out += (AxiomViolation(3, w) for w in itertools.islice(more, max(0, cap + 1 - len(out))))
     return out[:cap], len(out) > cap, None if out else inv
 

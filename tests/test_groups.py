@@ -425,6 +425,27 @@ def test_associativity_check_names_the_first_failing_triple():
             FiniteGroup.from_table(table)
 
 
+def test_associativity_check_stops_at_the_first_failing_chain_row(monkeypatch):
+    # 0 is the identity and every other product is 0: inverses exist, and
+    # each chain row reaches one more element, so the whole chain is n - 1
+    # rows long; its first row, 1, already fails, at (1, 1, 2) for every n,
+    # and is the only row compared
+    walks, compared = [], []
+    real_walk, real_failures = groups_module.walk, groups_module._row_failures
+    monkeypatch.setattr(groups_module, "walk", lambda *a: walks.append(1) or real_walk(*a))
+    monkeypatch.setattr(groups_module, "_row_failures", lambda differs: real_failures(
+        lambda s: compared.append(s) or differs(s)))
+    expected = None
+    for n in (64, 2048):
+        table = [list(range(n))] + [[x] + [0] * (n - 1) for x in range(1, n)]
+        expected = expected or _first_nonassociative(table)
+        walks.clear(), compared.clear()
+        with pytest.raises(GroupError) as exc:
+            FiniteGroup.from_table(table)
+        assert str(exc.value) == f"multiplication is not associative at {expected}"
+        assert len(walks) == 1 and compared == [1], n
+
+
 def _right_generators(t, ident):
     """The reference: elements s_1, s_2, ... of the table ``t``, each the
     least element not yet reached from ``ident`` by right products with the

@@ -507,7 +507,8 @@ def _action_oracle(q, act):
 
 def _outside_i_and_s(q):
     """The elements that are neither identity rows nor in ``_generators``."""
-    checked = set(groups_module._identity_rows(q.op)) | set(groups_module._generators(q.op))
+    ident = groups_module._identity_rows(q.op)
+    checked = set(ident) | set(groups_module._generators(q.op, ident))
     return [x for x in range(q.size) if x not in checked]
 
 
