@@ -22,7 +22,7 @@ try:
     from . import knots
     from .groups import (FiniteGroup, GroupAutomorphism, GroupError,
                          NotAnAutomorphism, parse_cycles, parse_generator_lines)
-    from .quandle import FiniteQuandle, InvalidQuandleError, QuandleError
+    from .quandle import FiniteQuandle, InvalidQuandleError, QuandleError, _json_chunks
 except BaseException:
     if _gc_was_enabled:
         gc.enable()
@@ -41,8 +41,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _print_json(obj, out) -> None:
+    """Write ``obj`` as canonical JSON and a newline, its tables a row block at a time."""
+    out.writelines(_json_chunks(obj))
+    out.write("\n")
 
 
 def _read_text(path: str) -> str:
@@ -146,7 +148,7 @@ def _cmd_make(args, out, err) -> int:
         q = constructions.cocycle_extension(x_size, a_grp, f)
     else:
         raise UsageError(f"unknown family {fam!r}; choices: {', '.join(constructions.FAMILIES)}")
-    print(q.to_json(), file=out)
+    _print_json(q._fields(), out)
     return 0
 
 
@@ -162,18 +164,17 @@ def _cmd_check(args, out, err) -> int:
         q = _load_quandle(args.quandle)
     except InvalidQuandleError as exc:
         if args.json:
-            print(_canonical({"valid": False,
-                              "violations": [{"axiom": v.axiom,
-                                              "witness": list(v.witness)}
-                                             for v in exc.violations],
-                              "truncated": exc.truncated}), file=out)
+            _print_json({"valid": False,
+                         "violations": [{"axiom": v.axiom, "witness": list(v.witness)}
+                                        for v in exc.violations],
+                         "truncated": exc.truncated}, out)
         else:
             print("invalid", file=out)
             for v in exc.violations:
                 print(f"  {v}", file=out)
         return 1
     if args.json:
-        print(_canonical({"valid": True, "size": q.size}), file=out)
+        _print_json({"valid": True, "size": q.size}, out)
     else:
         print(f"valid (size {q.size})", file=out)
     return 0
@@ -184,13 +185,13 @@ def _cmd_orbits(args, out, err) -> int:
     q = _load_quandle(args.quandle)
     deco = symmetry.orbits(q)
     if args.json:
-        print(_canonical({
+        _print_json({
             "count": deco.count,
             "orbit_id": list(deco.orbit_id),
             "orbits": [list(o) for o in deco.orbits],
             "basepoints": list(deco.basepoints),
             "witness_words": [_word_json(w) for w in deco.witness_words],
-        }), file=out)
+        }, out)
     else:
         print(f"{deco.count} orbit(s)", file=out)
         for b, o in zip(deco.basepoints, deco.orbits):
@@ -204,10 +205,10 @@ def _cmd_group(args, out, err, which: str) -> int:
     cap = _closure_cap(symmetry.DEFAULT_CAP, args)
     grp = symmetry.inn(q, cap=cap) if which == "inn" else symmetry.tr(q, cap=cap)
     if args.json:
-        print(_canonical({"order": grp.order,
-                          "domain_size": grp.domain_size,
-                          "generators": grp.gens.tolist(),
-                          "transitive": grp.is_transitive()}), file=out)
+        _print_json({"order": grp.order,
+                     "domain_size": grp.domain_size,
+                     "generators": grp.gens,
+                     "transitive": grp.is_transitive()}, out)
     else:
         print(f"{which}: order {grp.order} on {grp.domain_size} points "
               f"({len(grp.gens)} generators)", file=out)
@@ -219,13 +220,13 @@ def _cmd_connected(args, out, err) -> int:
     q = _load_quandle(args.quandle)
     rep = symmetry.is_connected(q)
     if args.json:
-        print(_canonical({
+        _print_json({
             "connected": rep.connected,
             "separating_pair": list(rep.separating_pair) if rep.separating_pair else None,
             "forward_saturation_agrees": rep.forward_saturation_agrees,
             "witness_words": ([_word_json(w) for w in rep.witness_words]
                               if rep.witness_words else None),
-        }), file=out)
+        }, out)
     else:
         print(f"connected: {str(rep.connected).lower()}", file=out)
         if rep.separating_pair:
@@ -239,7 +240,7 @@ def _cmd_aut(args, out, err) -> int:
     grp = symmetry.aut(q, cap=_closure_cap(symmetry.REALIZE_CAP, args))
     homogeneous = grp.is_transitive()
     if args.json:
-        print(_canonical({"order": grp.order, "homogeneous": homogeneous}), file=out)
+        _print_json({"order": grp.order, "homogeneous": homogeneous}, out)
     else:
         print(f"aut: order {grp.order}, homogeneous: {str(homogeneous).lower()}",
               file=out)
@@ -252,8 +253,7 @@ def _cmd_iso(args, out, err) -> int:
     q2 = _load_quandle(args.other)
     f = symmetry.iso_search(q1, q2)
     if args.json:
-        print(_canonical({"isomorphic": f is not None,
-                          "mapping": list(f) if f else None}), file=out)
+        _print_json({"isomorphic": f is not None, "mapping": list(f) if f else None}, out)
     else:
         print("isomorphic" if f else "not isomorphic", file=out)
         if f:
@@ -267,9 +267,9 @@ def _cmd_realize(args, out, err) -> int:
     cap = _closure_cap(symmetry.REALIZE_CAP, args)
     real = symmetry.coset_realization(q, args.basepoint, cap=cap)
     if args.json:
-        print(_canonical({
+        _print_json({
             "basepoint": real.basepoint,
-            "group": real.group.to_dict(),
+            "group": real.group._fields(),
             "phi": real.phi.mapping.tolist(),
             "stabilizer": list(real.stabilizer),
             "coset_reps": list(real.cosets.reps),
@@ -277,7 +277,7 @@ def _cmd_realize(args, out, err) -> int:
             "orbit": list(real.orbit),
             "checks": dict(sorted(real.checks.items())),
             "ok": real.ok,
-        }), file=out)
+        }, out)
     else:
         print(f"orbit of {real.basepoint}: size {len(real.orbit)}", file=out)
         print(f"transvection group order {real.group.order}, "
@@ -293,14 +293,14 @@ def _cmd_sbar(args, out, err) -> int:
     cap = _closure_cap(symmetry.DEFAULT_CAP, args)
     rep = symmetry.sbar_hom(q, args.basepoint, cap=cap)
     if args.json:
-        print(_canonical({
+        _print_json({
             "basepoint": rep.basepoint,
             "group_order": rep.group.order,
             "mapping": list(rep.mapping),
             "fibers": [list(f) for f in rep.fibers],
             "injective": rep.injective,
             "is_homomorphism": rep.is_homomorphism,
-        }), file=out)
+        }, out)
     else:
         print(f"sbar at {rep.basepoint}: homomorphism "
               f"{str(rep.is_homomorphism).lower()}, injective "
@@ -314,7 +314,7 @@ def _cmd_report(args, out, err) -> int:
     cap = _closure_cap(symmetry.REALIZE_CAP, args)
     rep = regularity.regularity_report(q, cap=cap)
     if args.json:
-        print(_canonical(rep.to_dict()), file=out)
+        _print_json(rep.to_dict(), out)
     else:
         flags = rep.flags()
         print(f"size {rep.size}", file=out)
@@ -336,7 +336,7 @@ def _cmd_survey(args, out, err) -> int:
     cap = _closure_cap(symmetry.REALIZE_CAP, args)
     result = regularity.implication_survey(corpus, cap=cap)
     if args.json:
-        print(_canonical(result.to_dict()), file=out)
+        _print_json(result.to_dict(), out)
     else:
         print(result.format_table(), file=out)
         observed = result.observed()
@@ -362,13 +362,13 @@ def _cmd_color(args, out, err) -> int:
     sys.set_int_max_str_digits(0)
     try:
         if args.json:
-            print(_canonical({
+            _print_json({
                 "total": count.total,
                 "by_orbit": list(count.by_orbit) if count.by_orbit else None,
                 "arcs": diagram.arc_count,
                 "crossings": len(diagram.crossings),
                 "components": diagram.component_count,
-            }), file=out)
+            }, out)
         else:
             print(f"colorings: {count.total}", file=out)
             if count.by_orbit is not None:
@@ -406,13 +406,13 @@ def _cmd_action(args, out, err) -> int:
     op_orbits = [sorted(o) for o in opg.orbits()]
     tr_orbits = [sorted(o) for o in trg.orbits()]
     if args.json:
-        print(_canonical({
+        _print_json({
             "op_group_order": opg.order,
             "tr_group_order": trg.order,
             "op_orbits": op_orbits,
             "tr_orbits": tr_orbits,
             "orbits_agree": op_orbits == tr_orbits,
-        }), file=out)
+        }, out)
     else:
         print(f"op group order {opg.order}, orbits {op_orbits}", file=out)
         print(f"tr group order {trg.order}, orbits {tr_orbits}", file=out)

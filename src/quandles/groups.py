@@ -277,19 +277,33 @@ def _read_only(a, dtype=None) -> np.ndarray:
     return view
 
 
-def _perm_rows(rows, m: int) -> np.ndarray:
-    """The permutations ``rows`` of {0..m-1} as one array of the narrowest
-    int dtype that holds the points, checked before the cast; the first row
-    that is not one raises GroupError."""
+def _perm_rows(rows, m: int, refuse) -> np.ndarray:
+    """The permutations ``rows`` of {0..m-1}, given in ints (not bools), as one
+    int array; ``refuse(q, row)`` is raised for the first row q that is not
+    one.  The entry types are read in one pass and the rows scattered into a
+    hit mask; the rows are walked only when an entry is not an int or the
+    mask has a hole."""
     rows = rows if isinstance(rows, np.ndarray) else [tuple(r) for r in rows]
-    a = np.asarray(rows).reshape(len(rows), m) if all(len(r) == m for r in rows) else None
+    kinds = ({rows.dtype.type} if isinstance(rows, np.ndarray)
+             else set(map(type, itertools.chain.from_iterable(rows))))
+    a = (np.asarray(rows).reshape(len(rows), m)
+         if all(k is not bool and issubclass(k, (int, np.integer)) for k in kinds)
+         and all(len(r) == m for r in rows) else None)
     hit = np.zeros((len(rows), m), dtype=bool)
     if a is not None and a.dtype.kind in "iu" and ((a >= 0) & (a < m)).all():
         hit[np.arange(len(rows))[:, None], a] = True
     if a is None or not hit.all():
-        bad = next(r for r in rows if len(r) != m or np.asarray(r).dtype.kind not in "iu"
-                   or sorted(r) != list(range(m)))
-        raise GroupError(f"generator {tuple(bad)} is not a permutation of {m} points")
+        q = next(q for q, r in enumerate(rows)
+                 if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                            for x in r) or sorted(r) != list(range(m)))
+        raise refuse(q, rows[q])
+    return a
+
+
+def _generator_rows(rows, m: int) -> np.ndarray:
+    """``_perm_rows`` in the narrowest int dtype that holds the points."""
+    a = _perm_rows(rows, m, lambda _, bad: GroupError(
+        f"generator {tuple(bad)} is not a permutation of {m} points"))
     return a.astype(np.min_scalar_type(max(m - 1, 0)))
 
 
@@ -322,14 +336,14 @@ class PermutationGroup:
 
     def __init__(self, domain_size: int, generators: Iterable[Sequence[int]],
                  cap: int = DEFAULT_CAP, _elements=None):
-        gens = _perm_rows(generators, domain_size)
+        gens = _generator_rows(generators, domain_size)
         first = np.sort(np.unique(_keys(gens, gens.dtype), return_index=True)[1])
         self.domain_size = domain_size
         self.gens = _read_only(gens[first])
         self.cap = cap
         self.used = np.arange(len(self.gens))   # until Dimino's closure picks its own
         if _elements is not None:
-            self.perms = _read_only(_perm_rows(_elements, domain_size))
+            self.perms = _read_only(_generator_rows(_elements, domain_size))
 
     @functools.cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -553,11 +567,21 @@ class FiniteGroup:
         return self.labels[i] if self.labels is not None else str(i)
 
     def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity:
-            x = self.mul(x, i)
-            k += 1
-        return k
+        return self.element_orders.item(i)
+
+    @functools.cached_property
+    def element_orders(self) -> np.ndarray:
+        """The order of every element, as a read-only array: the powers of all
+        elements are walked together, each dropped when it reaches the identity."""
+        orders = np.zeros(self.order, dtype=np.int64)
+        live = x = np.arange(self.order)   # x[j] is live[j] to the power k
+        k = 1
+        while len(live):
+            done = x == self.identity
+            orders[live[done]] = k
+            live, x = live[~done], x[~done]
+            x, k = self.table[x, live], k + 1
+        return _read_only(orders)
 
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
@@ -600,11 +624,15 @@ class FiniteGroup:
                              f"for order {self.order}")
         return tuple(np.sort(walk(self.table.T[s], [self.identity])[0]).tolist())
 
-    def to_dict(self) -> dict:
-        d = {"order": self.order, "mul": self.table.tolist()}
+    def _fields(self) -> dict:
+        """The JSON object of the group, with ``table`` as its ``mul``."""
+        d = {"order": self.order, "mul": self.table}
         if self.labels is not None:
             d["labels"] = list(self.labels)
         return d
+
+    def to_dict(self) -> dict:
+        return {**self._fields(), "mul": self.table.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteGroup":
@@ -751,7 +779,7 @@ def all_automorphisms(group: FiniteGroup, max_order: int = 64) -> list[GroupAuto
     orders and the table, in ``table_isomorphisms`` order."""
     if group.order > max_order:
         raise GroupError(f"automorphism enumeration limited to order {max_order}")
-    orders = [group.element_order(i) for i in range(group.order)]
+    orders = group.element_orders.tolist()
     return [GroupAutomorphism(group, f, check=False)
             for f in table_isomorphisms(group.table, group.table, orders, orders)]
 

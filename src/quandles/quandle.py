@@ -26,6 +26,7 @@ from .groups import _check_rows, _generators, _identity_rows, _read_only, walk
 
 MAX_VIOLATIONS = 100
 AXIOM3_BLOCK_ENTRIES = 1 << 22  # (q, r, s) triples compared per block
+JSON_BLOCK_ENTRIES = 1 << 13    # table entries written per block
 
 
 class QuandleError(Exception):
@@ -142,14 +143,18 @@ class FiniteQuandle:
 
     # -- serialization -------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        d = {"size": self.size, "table": self.op.tolist()}
+    def _fields(self) -> dict:
+        """The JSON object of the quandle, with ``op`` as its table."""
+        d = {"size": self.size, "table": self.op}
         if self.labels is not None:
             d["labels"] = list(self.labels)
         return d
 
+    def to_dict(self) -> dict:
+        return {**self._fields(), "table": self.op.tolist()}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return "".join(_json_chunks(self._fields()))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FiniteQuandle":
@@ -187,6 +192,28 @@ class FiniteQuandle:
     def __repr__(self):
         fam = f", {self.record.family}" if self.record is not None else ""
         return f"FiniteQuandle(size={self.size}{fam})"
+
+
+def _json_chunks(obj):
+    """The canonical JSON text of ``obj`` (sorted keys, compact separators), in
+    chunks.  A dict holding a dict or an array is written key by key (its keys
+    are strings), an int array ``JSON_BLOCK_ENTRIES`` entries of whole rows at a
+    time, so only one block is ever Python ints or text; any other value is one
+    ``json.dumps``, which keeps its escaping and number format."""
+    if isinstance(obj, np.ndarray):
+        step = max(1, JSON_BLOCK_ENTRIES * len(obj) // max(1, obj.size))
+        yield "["
+        for i in range(0, len(obj), step):
+            text = json.dumps(obj[i:i + step].tolist(), separators=(",", ":"))
+            yield ("," if i else "") + text[1:-1]
+        yield "]"
+    elif isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray)) for v in obj.values()):
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + json.dumps(key) + ":"
+            yield from _json_chunks(obj[key])
+        yield "}"
+    else:
+        yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _distributivity_failures(a: np.ndarray, rows: Iterable[int], acts=None):

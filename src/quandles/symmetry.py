@@ -25,7 +25,8 @@ import numpy as np
 from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup, GroupAutomorphism,
                      PermutationGroup, _check_rows, _find_rows, _generators, _identity_rows,
-                     _read_only, _row_failures, close, cycle_type, table_isomorphisms, walk)
+                     _perm_rows, _read_only, _row_failures, close, cycle_type,
+                     table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
@@ -93,16 +94,12 @@ class QuandleAction:
                  act: Sequence[Sequence[int]]):
         self.quandle = quandle
         self.set_size = set_size
-        acts = tuple(tuple(a) for a in act)
-        if len(acts) != quandle.size:
+        rows = act if isinstance(act, np.ndarray) else [tuple(a) for a in act]
+        if len(rows) != quandle.size:
             raise ActionError(
-                f"need one permutation per quandle element ({quandle.size}), got {len(acts)}")
-        for q, a in enumerate(acts):
-            if (any(type(x) is not int for x in a)
-                    or sorted(a) != list(range(set_size))):
-                raise ActionError(f"map for element {q} is not a permutation",
-                                  witness=(q,))
-        self.act = _read_only(np.reshape(acts, (quandle.size, set_size)), np.int64)
+                f"need one permutation per quandle element ({quandle.size}), got {len(rows)}")
+        self.act = _read_only(_perm_rows(rows, set_size, lambda q, _: ActionError(
+            f"map for element {q} is not a permutation", witness=(q,))), np.int64)
         op, ident = quandle.op, _identity_rows(quandle.op)
         bad = next(_check_rows(lambda rows: _distributivity_failures(op, rows, self.act),
                                _generators(op, ident), len(op), ident), None)
@@ -112,7 +109,7 @@ class QuandleAction:
 
     @classmethod
     def natural(cls, quandle: FiniteQuandle) -> "QuandleAction":
-        return cls(quandle, quandle.size, quandle.op.tolist())
+        return cls(quandle, quandle.size, quandle.op)
 
     def __repr__(self):
         return f"QuandleAction(quandle={self.quandle.size}, set={self.set_size})"

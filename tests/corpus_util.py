@@ -79,27 +79,43 @@ def small_corpus():
 # which for pytest can be hundreds of MB, so the child is started from a small
 # interpreter that reports its child's peak.
 _PEAK_RSS_OF = (
-    "import os, subprocess, sys\n"
-    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "import hashlib, os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)\n"
+    "digest = hashlib.sha256()\n"
+    "for block in iter(lambda: proc.stdout.read(1 << 16), b''):\n"
+    "    digest.update(block)\n"
     "_, status, usage = os.wait4(proc.pid, 0)\n"
-    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, digest.hexdigest())\n"
 )
 
 
-def python_peak_mb(*argv):
-    """Exit code, peak RSS in MB and stderr of ``python argv`` in a fresh
-    process with this checkout's ``quandles`` importable."""
+def _measure(*argv):
+    """Exit code, peak RSS in MB, stderr and the sha256 of stdout of ``python
+    argv`` in a fresh process with this checkout's ``quandles`` importable."""
     src = str(Path(quandles.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     cmd = [sys.executable, *argv]
     out = subprocess.run([sys.executable, "-c", _PEAK_RSS_OF, *cmd], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
-    code, peak_kib = map(int, out.stdout.split())  # ru_maxrss is in KiB on Linux
-    return code, peak_kib / 1024, out.stderr
+    code, peak_kib, digest = out.stdout.split()  # ru_maxrss is in KiB on Linux
+    return int(code), int(peak_kib) / 1024, out.stderr, digest
+
+
+def python_peak_mb(*argv):
+    """Exit code, peak RSS in MB and stderr of ``python argv`` in a fresh
+    process with this checkout's ``quandles`` importable."""
+    return _measure(*argv)[:3]
 
 
 def cli_peak_mb(*argv):
     """Exit code, peak RSS in MB and stderr of the CLI run on ``argv`` in a
     fresh process."""
     return python_peak_mb("-m", "quandles.cli", *argv)
+
+
+def cli_peak_mb_and_digest(*argv):
+    """Exit code, peak RSS in MB and the sha256 of stdout of the CLI run on
+    ``argv`` in a fresh process."""
+    code, peak_mb, _, digest = _measure("-m", "quandles.cli", *argv)
+    return code, peak_mb, digest

@@ -7,6 +7,8 @@ import pytest
 
 from quandles.cli import run
 
+from corpus_util import cli_peak_mb, cli_peak_mb_and_digest, small_corpus
+
 TREFOIL_PD = "X[1,4,2,5];X[3,6,4,1];X[5,2,6,3]"
 
 
@@ -523,6 +525,54 @@ def test_json_outputs_are_canonical(tmp_path, r5_file):
         code, out, err = invoke(argv)
         assert code == 0, (argv, err)
         assert canonical(out) == out.strip(), argv
+
+
+def test_make_prints_the_canonical_dump_of_each_small_corpus_quandle(tmp_path):
+    from quandles import FiniteGroup, all_automorphisms
+
+    s3 = FiniteGroup.symmetric(3)
+    grp = {name: write(tmp_path, f"{name}.json", json.dumps(g.to_dict()))
+           for name, g in (("s3", s3), ("s4", FiniteGroup.symmetric(4)),
+                           ("z6", FiniteGroup.cyclic(6)))}
+    neg6 = write(tmp_path, "neg6.json", json.dumps({"map": [(-i) % 6 for i in range(6)]}))
+    phi1 = write(tmp_path, "phi1.json",
+                 json.dumps(all_automorphisms(s3)[1].mapping.tolist()))
+    argvs = {
+        "trivial_4": ["trivial", "--n", "4"],
+        "dihedral_5": ["dihedral", "--n", "5"],
+        "alexander_5_1_2": ["alexander", "--p", "5", "--a", "2"],
+        "conj_S3": ["conj", "--group", grp["s3"]],
+        "conj_class_S4_1": ["conj_class", "--group", grp["s4"], "--element", "1"],
+        "phi_space_Z6": ["phi_space", "--group", grp["z6"], "--phi", neg6, "--subgroup", "0"],
+        "vedernikov_S3_1": ["vedernikov", "--group", grp["s3"], "--phi", phi1],
+        "power_cocycle_3_2": ["power_cocycle", "--p", "3", "--n", "2"],
+        "unipotent_3": ["unipotent_class", "--p", "3"],
+    }
+    assert sorted(argvs) == sorted(name for name, _ in small_corpus())
+    for name, q in small_corpus():
+        code, out, err = invoke(["make", *argvs[name]])
+        assert code == 0, (name, err)
+        assert out == json.dumps(q.to_dict(), sort_keys=True, separators=(",", ":")) + "\n", name
+
+
+def test_make_at_the_carrier_limit_streams_its_table():
+    # 1049 MB with the table as Python ints and one string; the table as
+    # arrays in `validate` alone sets a floor near 430 MB
+    code, peak_mb, digest = cli_peak_mb_and_digest("make", "trivial", "--n", "4096")
+    assert code == 0
+    assert digest == "552fefe0d37538edda35d9e98c4832fd255a0ec60dfff8b7620f652ac3dcc5ac"
+    assert peak_mb < 600
+
+
+def test_realize_json_costs_little_more_memory_than_realize(tmp_path):
+    from quandles import unipotent_class_quandle
+
+    u11 = write(tmp_path, "u11.json", unipotent_class_quandle(11).to_json())
+    code, plain_mb, err = cli_peak_mb("realize", u11)
+    assert code == 0, err
+    code, json_mb, err = cli_peak_mb("realize", "--json", u11)
+    assert code == 0, err
+    assert json_mb - plain_mb < 5   # 14-16 MB with Tr(u11)'s 660 x 660 table as Python ints
 
 
 def test_thread_count_does_not_change_output(tmp_path, r5_file):

@@ -200,6 +200,13 @@ def test_membership_and_validation_are_exact_at_narrow_dtypes(p):
             PermutationGroup(3, np.array([p, (0, 1, 2)]))
 
 
+@pytest.mark.parametrize("gen", [(0, True, 2), (0, 1.0, 2), (0, None, 2)])
+def test_a_generator_entry_that_is_not_an_int_is_refused(gen):
+    # numpy would read True as the point 1
+    with pytest.raises(GroupError, match=r"^generator \(0, .*, 2\) is not a permutation of 3 points$"):
+        PermutationGroup(3, [(1, 2, 0), gen])
+
+
 def test_narrow_dtypes_follow_the_domain_size():
     for m, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
         shift = tuple(range(1, m)) + (0,)
@@ -519,6 +526,26 @@ def test_element_order():
     assert orders == [1, 2, 2, 2, 3, 3]
 
 
+def _scalar_element_order(g, i):
+    """The reference: multiply by i until the identity comes back."""
+    k, x = 1, i
+    while x != g.identity:
+        x = g.mul(x, i)
+        k += 1
+    return k
+
+
+def test_element_orders_match_the_scalar_loop():
+    groups = [g for _, g in corpus_groups()]
+    groups += [FiniteGroup.symmetric(5), FiniteGroup.cyclic(1), FiniteGroup.cyclic(12)]
+    groups += [FiniteGroup.from_permutation_group(tr(q)) for _, q in small_corpus()]
+    for g in groups:
+        expected = [_scalar_element_order(g, i) for i in range(g.order)]
+        assert [g.element_order(i) for i in range(g.order)] == expected, g
+        assert g.element_orders.tolist() == expected and not g.element_orders.flags.writeable
+        assert all(type(g.element_order(i)) is int for i in range(g.order))
+
+
 def test_subgroup_closure_and_check():
     s3 = FiniteGroup.symmetric(3)
     t = s3.elements.index((1, 0, 2))
@@ -788,7 +815,8 @@ def test_long_base_on_a_large_domain_matches_oracle(m):
 
 
 def test_automorphism_check_is_exhaustive_with_first_witness():
-    # SL2(F_13) has order 2184: n^2 = 4.8 million pairs are all compared
+    # SL2(F_13) has order 2184: the check compares the rows of a generating set
+    # and reports the row-major-least witness
     g = matrix_group_sl2(13)
     x, y = [i for i in range(g.order) if i != g.identity][:2]
     m = list(range(g.order))

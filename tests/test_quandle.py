@@ -239,6 +239,71 @@ def test_json_errors():
         FiniteQuandle.from_json('{"table": [[0]], "labels": ["a", "b"]}')
 
 
+# -- the canonical JSON writer ----------------------------------------------------
+
+_TRICKY = st.text(alphabet=st.sampled_from(['"', "\\", "\x00", "/", "\n", "a", "\u00e9",
+                                            "\u2603", "\U0001f600"]), max_size=6)
+
+
+@st.composite
+def _int_arrays(draw):
+    """A 2-D int array of 1x1 up to 300x300 entries, from a drawn seed."""
+    shape = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint16]))
+    low, high = max(np.iinfo(dtype).min, -10**6), min(np.iinfo(dtype).max, 10**6)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(low, high, size=shape, dtype=dtype, endpoint=True)
+
+
+_DOCUMENTS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+              _TRICKY, st.lists(_TRICKY, max_size=4), _int_arrays()),
+    lambda inner: st.dictionaries(_TRICKY, inner, max_size=4), max_leaves=6)
+
+
+def _plain(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return {k: _plain(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
+
+
+def _canonical_dump(obj):
+    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DOCUMENTS, st.sampled_from([1, 7, 300, quandle_module.JSON_BLOCK_ENTRIES]))
+def test_json_chunks_join_to_the_canonical_dump(doc, block):
+    saved, quandle_module.JSON_BLOCK_ENTRIES = quandle_module.JSON_BLOCK_ENTRIES, block
+    try:
+        assert "".join(quandle_module._json_chunks(doc)) == _canonical_dump(doc)
+    finally:
+        quandle_module.JSON_BLOCK_ENTRIES = saved
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (5,)])
+def test_json_chunks_of_empty_and_flat_arrays(shape):
+    a = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
+    doc = {"a": a, "b": {"c": a}}
+    assert "".join(quandle_module._json_chunks(doc)) == _canonical_dump(doc)
+
+
+def test_tables_are_written_a_row_block_at_a_time():
+    q = trivial(2048)
+    chunks = list(quandle_module._json_chunks(q._fields()))
+    block = quandle_module.JSON_BLOCK_ENTRIES
+    # 2048 x 2048 entries of at most 4 digits and a comma, a block of rows at a time
+    assert len(chunks) > 2048 * 2048 // block
+    assert max(map(len, chunks)) <= 5 * block + 2
+    assert "".join(chunks) == q.to_json() == _canonical_dump(q.to_dict())
+
+
+def test_to_dict_and_to_json_share_one_schema():
+    for _, q in small_corpus():
+        assert q.to_json() == _canonical_dump(q._fields()) == _canonical_dump(q.to_dict())
+        assert q.to_dict().keys() == q._fields().keys()
+
+
 # -- blocked axiom-3 check ------------------------------------------------------
 
 def _axiom3_full(tab):

@@ -288,6 +288,49 @@ def test_action_witness_matches_the_compose_loop_on_single_swaps():
     assert cases == 360
 
 
+def _first_non_permutation(acts, m):
+    """The reference: the first row with an entry that is not an int, or that
+    is not a permutation of {0..m-1}."""
+    return next(q for q, a in enumerate(acts)
+                if any(type(x) is not int for x in a) or sorted(a) != list(range(m)))
+
+
+@pytest.mark.parametrize("bad", [
+    (0, True, 2), (0, 1.0, 2), (0.0, 1, 2), (0, 1), (0, 1, 2, 3), (0, 0, 2), (2, 1, 2),
+    (0, 1, 3), (-1, 1, 2), (0, 1, 2**70), (0, None, 2), ("0", 1, 2),
+], ids=["bool", "float", "first-float", "short", "long", "repeated", "repeated-last",
+        "past-the-set", "negative", "past-int64", "none", "text"])
+@pytest.mark.parametrize("row", [0, 2])
+def test_action_names_the_first_map_that_is_not_a_permutation(bad, row):
+    t3 = trivial(3)
+    acts = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    acts[row] = bad
+    if row:
+        acts[1] = (0, 0, 0)   # an earlier bad row is the one named
+    with pytest.raises(ActionError, match=r"^map for element (\d) is not a permutation$") as exc:
+        QuandleAction(t3, 3, acts)
+    assert exc.value.witness == (_first_non_permutation(acts, 3),) == (min(row, 1),)
+
+
+@pytest.mark.parametrize("array", [
+    np.array([[0, 1], [1, 0.5]]), np.array([[True, False], [False, True]]),
+    np.array([[0, 1], [1, 1]]), np.array([[0, 1], [1, 2]]), np.array([[0, 1], [-1, 0]]),
+], ids=["float", "bool", "repeated", "past-the-set", "negative"])
+def test_action_rejects_an_array_that_is_not_of_permutations(array):
+    with pytest.raises(ActionError, match="^map for element (0|1) is not a permutation$") as exc:
+        QuandleAction(trivial(2), 2, array)
+    assert exc.value.witness == (0 if array.dtype.kind in "fb" else 1,)
+
+
+def test_natural_action_keeps_the_quandle_table():
+    for _, q in small_corpus():
+        action = QuandleAction.natural(q)
+        assert np.shares_memory(action.act, q.op) and not action.act.flags.writeable
+        assert action.act.tolist() == QuandleAction(q, q.size, q.op.tolist()).act.tolist()
+    maps = np.arange(6, dtype=np.uint16).reshape(1, 6)   # ints of any width are points
+    assert QuandleAction(trivial(1), 6, maps).act.dtype == np.int64
+
+
 def test_action_of_a_trivial_quandle_needs_commuting_maps():
     # every symmetry of trivial(2) is the identity, yet its elements may act
     # by any two commuting permutations and by no others
