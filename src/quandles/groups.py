@@ -8,6 +8,7 @@ immutable once built and safe to share.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -279,18 +280,20 @@ def _read_only(a, dtype=None) -> np.ndarray:
 
 def _perm_rows(rows, m: int, refuse) -> np.ndarray:
     """The permutations ``rows`` of {0..m-1}, given in ints (not bools), as one
-    int array; ``refuse(q, row)`` is raised for the first row q that is not
+    int64 array; ``refuse(q, row)`` is raised for the first row q that is not
     one.  The entry types are read in one pass and the rows scattered into a
     hit mask; the rows are walked only when an entry is not an int or the
     mask has a hole."""
-    rows = rows if isinstance(rows, np.ndarray) else [tuple(r) for r in rows]
-    kinds = ({rows.dtype.type} if isinstance(rows, np.ndarray)
-             else set(map(type, itertools.chain.from_iterable(rows))))
-    a = (np.asarray(rows).reshape(len(rows), m)
-         if all(k is not bool and issubclass(k, (int, np.integer)) for k in kinds)
-         and all(len(r) == m for r in rows) else None)
+    array = isinstance(rows, np.ndarray) and rows.dtype != object
+    rows = rows if array else [tuple(r) for r in rows]
+    kinds = {rows.dtype.type} if array else set(map(type, itertools.chain.from_iterable(rows)))
+    a = None
+    if (all(k is not bool and issubclass(k, (int, np.integer)) for k in kinds)
+            and all(len(r) == m for r in rows)):
+        with contextlib.suppress(OverflowError):   # an int past int64 is no point
+            a = np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
     hit = np.zeros((len(rows), m), dtype=bool)
-    if a is not None and a.dtype.kind in "iu" and ((a >= 0) & (a < m)).all():
+    if a is not None and ((a >= 0) & (a < m)).all():
         hit[np.arange(len(rows))[:, None], a] = True
     if a is None or not hit.all():
         q = next(q for q, r in enumerate(rows)

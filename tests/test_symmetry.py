@@ -327,8 +327,10 @@ def test_natural_action_keeps_the_quandle_table():
         action = QuandleAction.natural(q)
         assert np.shares_memory(action.act, q.op) and not action.act.flags.writeable
         assert action.act.tolist() == QuandleAction(q, q.size, q.op.tolist()).act.tolist()
-    maps = np.arange(6, dtype=np.uint16).reshape(1, 6)   # ints of any width are points
-    assert QuandleAction(trivial(1), 6, maps).act.dtype == np.int64
+    # ints of any width or container are points
+    for maps in (np.arange(6, dtype=np.uint16).reshape(1, 6), np.array([range(6)], dtype=object),
+                 [(np.uint64(0), np.int64(1), 2, 3, np.uint8(4), 5)]):
+        assert QuandleAction(trivial(1), 6, maps).act.tolist() == [list(range(6))]
 
 
 def test_action_of_a_trivial_quandle_needs_commuting_maps():
