@@ -14,11 +14,11 @@ from itertools import product
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupAutomorphism, CosetSpace,
-                     conjugacy_class, is_prime, _check_sl2_prime)
+from .groups import (FiniteGroup, GroupAutomorphism, CosetSpace, conjugacy_class,
+                     is_prime, _chain, _check_sl2_prime, _row_failures)
 from .quandle import FiniteQuandle, QuandleError, validate
 
-MAX_CARRIER = 4096   # largest constructed carrier; `make trivial --n 4096` peaks near 1 GB
+MAX_CARRIER = 4096   # largest constructed carrier; `make trivial --n 4096` peaks near 430 MB
 
 
 class ConstructionError(QuandleError):
@@ -176,31 +176,32 @@ def unipotent_class_quandle(p: int) -> FiniteQuandle:
 
 def coset_action(group: FiniteGroup, psi: np.ndarray, source: CosetSpace,
                  target: CosetSpace) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The table (xH, yK) -> x psi(x^-1 y) K on coset representatives, for
-    psi an int64 array of element indices, and the first pair of elements
-    (x, y) in row-major order whose result differs from the table's entry
-    for their cosets, or None.
+    """The table (xH, yK) -> F(x, y)K on coset representatives, where
+    F(x, y) = x psi(x^-1 y) for psi an int64 array of element indices, and
+    the first pair of elements (x, y) in row-major order whose F(x, y)K
+    differs from the table's entry for their cosets, or None.
 
-    Well-definedness over representative choices is checked on all order^2
-    pairs, one x at a time, so no order^2 array is ever allocated.  Each
-    representative is the minimum of its coset, so its row is filled before
-    any other member of the coset is compared with it.
+    F(gx, gy) = g F(x, y) for every psi, so F(xh, yk) = x F(h, zk) with
+    z = x^-1 y, and F is well-defined exactly when, for every z, (a)
+    F(h, z)K = F(e, z)K for each h of a generating set of H and (b)
+    F(e, zk)K = F(e, z)K for each k of one of K.  Each holds for a product
+    once it holds for the factors: F(hh', z)K = h F(h', h^-1 z)K =
+    h F(e, h^-1 z)K = F(h, z)K, and zkk' = (zk)k'.  So F(h, zk)K =
+    F(e, zk)K = F(e, z)K on all of H and K.  The generating sets are the
+    chains of ``groups._chain``; only if (a) or (b) fails is each row scanned.
     """
-    t, inv = group.table, group.inv_map
-    src, tgt = source.index_of, np.asarray(target.index_of)
-    tgt_reps = np.asarray(target.reps)
-    table = np.empty((source.count, target.count), dtype=np.int64)
-    bad = None
-    for x in range(group.order):
-        images = tgt[t[x, psi[t[inv[x]]]]]   # coset of x psi(x^-1 y), every y
-        i = src[x]
-        if x == source.reps[i]:
-            table[i] = images[tgt_reps]
-        if bad is None:
-            wrong = np.flatnonzero(images != table[i][tgt])
-            if len(wrong):
-                bad = (x, int(wrong[0]))
-    return table, bad
+    t, inv, e = group.table, group.inv_map, group.identity
+    src, tgt = np.asarray(source.index_of), np.asarray(target.index_of)
+    x, y = np.asarray(source.reps)[:, None], np.asarray(target.reps)
+    table = tgt[t[x, psi[t[inv[x], y]]]]
+    h, k = (np.array([s for s, _ in _chain(t, cs.subgroup, [e])], dtype=np.int64)
+            for cs in (source, target))
+    base = tgt[psi]   # F(e, z)K for every z
+    if ((tgt[t[h[:, None], psi[t[inv[h]]]]] == base).all()
+            and (tgt[psi[t[:, k]]] == base[:, None]).all()):
+        return table, None
+    rows = _row_failures(lambda r: tgt[t[r, psi[t[inv[r]]]]] != table[src[r], tgt])
+    return table, next(rows(range(group.order)), None)
 
 
 def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQuandle:
@@ -209,8 +210,8 @@ def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQua
     Requires H to be a subgroup (``NotASubgroup`` names the least offender,
     an index out of range included) inside the fixed subgroup of phi
     (offending elements are all reported).  Well-definedness over
-    representative choices is rechecked on all pairs of group elements; the
-    algebra guarantees it, the check guards implementation bugs.
+    representative choices is rechecked on generators of H (``coset_action``);
+    the algebra guarantees it, the check guards implementation bugs.
     """
     cosets = CosetSpace(group, subgroup)
     moved = [x for x in cosets.subgroup if phi(x) != x]

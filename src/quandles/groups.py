@@ -284,7 +284,7 @@ def _perm_rows(rows, m: int, refuse) -> np.ndarray:
     one.  The entry types are read in one pass and the rows scattered into a
     hit mask; the rows are walked only when an entry is not an int or the
     mask has a hole."""
-    array = isinstance(rows, np.ndarray) and rows.dtype != object
+    array = isinstance(rows, np.ndarray) and rows.dtype != object and rows.ndim == 2
     rows = rows if array else [tuple(r) for r in rows]
     kinds = {rows.dtype.type} if array else set(map(type, itertools.chain.from_iterable(rows)))
     a = None
@@ -663,9 +663,10 @@ class GroupAutomorphism:
     array of element indices."""
 
     def __init__(self, group: FiniteGroup, mapping: Sequence[int], check: bool = True):
-        if check and not isinstance(mapping, np.ndarray) and not all(
-                type(x) is int and 0 <= x < group.order for x in mapping):
-            raise NotAnAutomorphism("mapping is not a bijection on the group")
+        if check:   # an array is read as one 2-D row, its dtype in one pass
+            rows = mapping[None] if isinstance(mapping, np.ndarray) else [mapping]
+            mapping = _perm_rows(rows, group.order, lambda *_: NotAnAutomorphism(
+                "mapping is not a bijection on the group"))[0]
         self.group = group
         self.mapping = _read_only(mapping, np.int64)
         if check:
@@ -675,8 +676,6 @@ class GroupAutomorphism:
         """m(ab) = m(a)m(b) on the rows a of ``_check_rows``, closed under
         products as m(aa'b) = m(a)m(a'b) = m(aa')m(b); the first bad (a, b)."""
         g, m, t = self.group, self.mapping, self.group.table
-        if m.shape != (g.order,) or (np.sort(m) != np.arange(g.order)).any():
-            raise NotAnAutomorphism("mapping is not a bijection on the group")
         if m[g.identity] != g.identity:
             raise NotAnAutomorphism("mapping moves the identity",
                                     witness=g.identity)

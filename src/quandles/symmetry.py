@@ -524,10 +524,10 @@ class InterOrbitReport:
 
 def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int,
                        cap: int = REALIZE_CAP) -> InterOrbitReport:
-    """Build (gG_q, hG_r) -> g psi(g^-1 h) G_r and verify it exhaustively:
-    well-definedness over representative choices on all element pairs, and
-    the compatibility pi_r(gG_q . hG_r) = pi_q(gG_q) |> pi_r(hG_r) on every
-    coset pair."""
+    """Build (gG_q, hG_r) -> g psi(g^-1 h) G_r and verify it exactly:
+    well-definedness over representative choices on generators of G_q and
+    G_r (``coset_action``), and the compatibility pi_r(gG_q . hG_r) =
+    pi_q(gG_q) |> pi_r(hG_r) on every coset pair."""
     _check_basepoint(quandle, q)
     _check_basepoint(quandle, r)
     g = _tr_group(quandle, cap)

@@ -6,18 +6,20 @@ import pytest
 
 import quandles.constructions as constructions
 import quandles.groups as groups_module
+import quandles.symmetry as symmetry
 from quandles import (CocycleError, ConstructionError, ConstructionRecord, FiniteGroup,
                       GroupAutomorphism, GroupError, NotAbelian, NotFixed, alexander,
-                      cocycle_extension, conj_class, conjugacy_class,
+                      all_automorphisms, cocycle_extension, conj_class, conjugacy_class,
                       conjugation,
                       coset_realization, dihedral,
-                      fixed_subgroup, identity_perm, iso_search,
+                      fixed_subgroup, identity_perm, inter_orbit_action, iso_search,
                       matrix_group_sl2, phi_space, saturate_forward,
                       power_cocycle, trivial, twisted_orbit_action,
                       unipotent_class_quandle, validate, vedernikov)
 from quandles.constructions import MAX_CARRIER, coset_action
+from quandles.groups import CosetSpace
 
-from corpus_util import cli_peak_mb, corpus
+from corpus_util import cli_peak_mb, corpus, corpus_groups
 
 
 def test_trivial():
@@ -62,15 +64,17 @@ def test_phi_space_rejects_unfixed_subgroup():
     assert set(exc.value.moved) == {1, 2, 3, 4}
 
 
-def _first_bad_pair(g, psi, cs):
+def _first_bad_pair(g, psi, cs, target=None):
     """Oracle for coset_action: the rep table by scalar products, and the
     first (x, y) in row-major order that disagrees with it."""
+    target = target or cs
+
     def coset(x, y):
-        return cs.index_of[g.mul(x, psi[g.mul(g.inv(x), y)])]
-    table = [[coset(x, y) for y in cs.reps] for x in cs.reps]
+        return target.index_of[g.mul(x, psi[g.mul(g.inv(x), y)])]
+    table = [[coset(x, y) for y in target.reps] for x in cs.reps]
     for x in range(g.order):
         for y in range(g.order):
-            if coset(x, y) != table[cs.index_of[x]][cs.index_of[y]]:
+            if coset(x, y) != table[cs.index_of[x]][target.index_of[y]]:
                 return table, (x, y)
     return table, None
 
@@ -93,6 +97,130 @@ def test_coset_action_finds_first_bad_pair_above_old_sampling_limit():
     assert table.tolist() == expected_table
     with pytest.raises(ConstructionError, match=re.escape(f"representatives {expected_bad}")):
         phi_space(g, GroupAutomorphism(g, psi, check=False), cs.subgroup)
+
+
+def _failing_generators(g, psi, source, target):
+    """For each generator h of the source subgroup H, whether some z has
+    h psi(h^-1 z)K != psi(z)K, and for each generator k of the target
+    subgroup K, whether some z has psi(zk)K != psi(z)K: the two conditions
+    coset_action checks, by scalar products."""
+    def gens(cs):
+        return [s for s, _ in groups_module._chain(g.table, cs.subgroup, [g.identity])]
+
+    def coset(x):
+        return target.index_of[x]
+    zs = range(g.order)
+    h_side = [any(coset(g.mul(h, psi[g.mul(g.inv(h), z)])) != coset(psi[z]) for z in zs)
+              for h in gens(source)]
+    k_side = [any(coset(psi[g.mul(z, k)]) != coset(psi[z]) for z in zs) for k in gens(target)]
+    return h_side, k_side
+
+
+def _powers(g, x):
+    """The cyclic subgroup generated by x."""
+    out, y = {g.identity}, x
+    while y != g.identity:
+        out.add(y)
+        y = g.mul(y, x)
+    return sorted(out)
+
+
+def test_coset_action_matches_the_oracle_on_the_corpus_groups():
+    # phi an automorphism and H inside Fix(phi): every coset action is
+    # well-defined, H = Fix(phi) included, which needs 2 or 3 generators
+    for name, g in corpus_groups():
+        for phi in all_automorphisms(g):
+            fixed = fixed_subgroup(g, phi)
+            subgroups = {(g.identity,), fixed}
+            subgroups |= {tuple(_powers(g, x)) for x in fixed}
+            for sub in subgroups:
+                cs = CosetSpace(g, sub)
+                table, bad = coset_action(g, phi.mapping, cs, cs)
+                assert bad is None, (name, sub)
+                assert table.tolist() == _first_bad_pair(g, phi.mapping, cs)[0], (name, sub)
+
+
+def _mutated_maps(g, phi, sub):
+    """Maps psi near the automorphism phi, which fixes the subgroup K = sub.
+    psi(z) = c phi(z) keeps psi(zk)K = psi(z)K but breaks h psi(h^-1 z)K =
+    psi(z)K where c^-1 h c h^-1 leaves the core of K; psi(z) = phi(z) c keeps
+    the H side and breaks the K side where c does not normalize K.  The
+    last maps right-multiply phi by d on <k> only, k the first generator of
+    K and d outside K with d^-1 k d in K: the K side then holds at k and
+    fails at the next generator."""
+    t, m = g.table, phi.mapping
+    yield from (psi for c in range(g.order) for psi in (t[c, m], t[m, c]))
+    k = next((s for s, _ in groups_module._chain(t, sub, [g.identity])), g.identity)
+    block = _powers(g, k)
+    for d in range(g.order):
+        if d not in sub and t[t[g.inv(d), k], d] in sub:
+            psi = m.copy()
+            psi[block] = t[m[block], d]
+            yield psi
+
+
+def test_coset_action_matches_the_oracle_on_mutated_maps():
+    # H and K are Fix(phi) and the trivial group, in every combination but
+    # two trivial groups
+    seen = set()
+    for name, g in corpus_groups():
+        fixes = {fixed_subgroup(g, phi): phi for phi in all_automorphisms(g)}
+        for sub, phi in fixes.items():
+            spaces = CosetSpace(g, sub), CosetSpace(g, (g.identity,))
+            for source, target in ((spaces[0], spaces[0]), spaces, spaces[::-1]):
+                for psi in _mutated_maps(g, phi, sub):
+                    table, bad = coset_action(g, psi, source, target)
+                    expected = _first_bad_pair(g, psi, source, target)
+                    assert (table.tolist(), bad) == expected, (name, sub, psi)
+                    h_side, k_side = _failing_generators(g, psi, source, target)
+                    assert (bad is None) == (not any(h_side + k_side)), (name, sub, psi)
+                    seen.add(("H only", any(h_side) and not any(k_side)))
+                    seen.add(("K only", any(k_side) and not any(h_side)))
+                    seen.add(("H past first", h_side[:1] == [False] and any(h_side)))
+                    seen.add(("K past first", k_side[:1] == [False] and any(k_side)))
+    assert all((case, True) in seen for case in ("H only", "K only", "H past first",
+                                                  "K past first")), seen
+
+
+@pytest.mark.parametrize("build,pairs", [
+    (lambda: conjugation(FiniteGroup.symmetric(4)), [(q, r) for q in (0, 1, 3, 4, 9)
+                                                     for r in (0, 1, 3, 4, 9)]),
+    (lambda: unipotent_class_quandle(7), [(0, 0), (0, 1), (0, 17), (5, 23)])],
+    ids=["conj(S4)", "u7"])
+def test_coset_action_matches_the_oracle_on_inter_orbit_pairs(build, pairs):
+    quandle = build()
+    g = symmetry._tr_group(quandle, symmetry.REALIZE_CAP)
+    for q, r in pairs:
+        psi = symmetry._twist(g, quandle.op[q], quandle.inv_op[r])
+        cs_q, cs_r = symmetry._cosets_at(g, q)[0], symmetry._cosets_at(g, r)[0]
+        table, bad = coset_action(g, psi, cs_q, cs_r)
+        assert bad is None and inter_orbit_action(quandle, q, r).checks["well_defined"]
+        assert table.tolist() == _first_bad_pair(g, psi, cs_q, cs_r)[0], (q, r)
+        if cs_r.count == 1:   # every map is well-defined into one coset
+            continue
+        wrong = psi.copy()   # two images in different cosets of the target swapped
+        a = next(i for i in range(g.order) if cs_r.index_of[psi[i]] != cs_r.index_of[psi[0]])
+        wrong[0], wrong[a] = psi[a], psi[0]
+        expected = _first_bad_pair(g, wrong, cs_q, cs_r)
+        assert expected[1] is not None
+        table, bad = coset_action(g, wrong, cs_q, cs_r)
+        assert (table.tolist(), bad) == expected, (q, r)
+
+
+def test_well_defined_coset_action_scans_no_rows(monkeypatch):
+    real = coset_realization(unipotent_class_quandle(11), 0)
+    g, cs, phi = real.group, real.cosets, real.phi.mapping
+
+    def refuse(differs):
+        raise AssertionError("rows scanned")
+    monkeypatch.setattr(constructions, "_row_failures", refuse)
+    table, bad = coset_action(g, phi, cs, cs)
+    assert bad is None and table.shape == (cs.count, cs.count)
+    assert coset_realization(unipotent_class_quandle(11), 0).ok
+    psi = phi.copy()   # the control: a map that is not well-defined scans them
+    psi[cs.reps[5]], psi[cs.reps[9]] = psi[cs.reps[9]], psi[cs.reps[5]]
+    with pytest.raises(AssertionError, match="rows scanned"):
+        coset_action(g, psi, cs, cs)
 
 
 def test_alexander_special_cases():

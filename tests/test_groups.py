@@ -610,10 +610,26 @@ def test_automorphism_map_is_one_read_only_array():
     assert phi.fixed_points() == tuple(i for i in range(6) if phi(i) == i)
     z4 = FiniteGroup.cyclic(4)
     for bad in ([0, 3, 2, True], [0, 3.0, 2, 1], [0, 3, 2, 2**70], [0, 3, 2, -1],
-                [0, 3, 2], [0, 3, 2, 1, 4], np.array([0, 3, 2, 9])):
+                [0, 3, 2], [0, 3, 2, 1, 4], np.array([0, 3, 2, 9]),
+                np.array([0.0, 3.9, 2.2, 1.5]), np.array([0, 3, 2, 1], dtype=float),
+                np.array([0, 1, 1, 1], dtype=bool), [0.0, 3, 2, 1], [False, 3, 2, 1],
+                np.array([0, 3, 2, 1])[:, None]):
         with pytest.raises(NotAnAutomorphism, match="not a bijection"):
             GroupAutomorphism(z4, bad)
     assert GroupAutomorphism(z4, np.array([0, 3, 2, 1])).fixed_points() == (0, 2)
+
+
+def test_automorphism_map_takes_numpy_ints():
+    z5 = FiniteGroup.cyclic(5)
+    for good in ([0, np.int64(2), 4, 1, 3], [np.int32(x) for x in (0, 2, 4, 1, 3)],
+                 np.array([0, 2, 4, 1, 3], dtype=np.uint8),
+                 np.array([0, 2, 4, 1, 3], dtype=object)):
+        phi = GroupAutomorphism(z5, good)
+        assert phi.mapping.tolist() == [0, 2, 4, 1, 3]
+        assert phi.mapping.dtype == np.int64 and not phi.mapping.flags.writeable
+    mapping = np.array([0, 2, 4, 1, 3])   # an int64 array is read without a copy
+    assert np.shares_memory(GroupAutomorphism(z5, mapping).mapping, mapping)
+    assert mapping.flags.writeable
 
 
 def test_all_automorphisms_s3():
