@@ -188,20 +188,21 @@ def coset_action(group: FiniteGroup, psi: np.ndarray, source: CosetSpace,
     once it holds for the factors: F(hh', z)K = h F(h', h^-1 z)K =
     h F(e, h^-1 z)K = F(h, z)K, and zkk' = (zk)k'.  So F(h, zk)K =
     F(e, zk)K = F(e, z)K on all of H and K.  The generating sets are the
-    chains of ``groups._chain``; only if (a) or (b) fails is each row scanned.
+    chains of ``groups._chain``, one if H = K; only if (a) or (b) fails is each row scanned.
     """
     t, inv, e = group.table, group.inv_map, group.identity
     src, tgt = np.asarray(source.index_of), np.asarray(target.index_of)
     x, y = np.asarray(source.reps)[:, None], np.asarray(target.reps)
     table = tgt[t[x, psi[t[inv[x], y]]]]
-    h, k = (np.array([s for s, _ in _chain(t, cs.subgroup, [e])], dtype=np.int64)
-            for cs in (source, target))
+    h = np.array([s for s, _ in _chain(t, source.subgroup, [e])], dtype=np.int64)
+    k = h if target.subgroup == source.subgroup else np.array(
+        [s for s, _ in _chain(t, target.subgroup, [e])], dtype=np.int64)
     base = tgt[psi]   # F(e, z)K for every z
     if ((tgt[t[h[:, None], psi[t[inv[h]]]]] == base).all()
             and (tgt[psi[t[:, k]]] == base[:, None]).all()):
         return table, None
-    rows = _row_failures(lambda r: tgt[t[r, psi[t[inv[r]]]]] != table[src[r], tgt])
-    return table, next(rows(range(group.order)), None)
+    row = _row_failures(lambda r: tgt[t[r, psi[t[inv[r]]]]] != table[src[r], tgt])
+    return table, next((w for r in range(group.order) for w in row(r)), None)
 
 
 def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQuandle:

@@ -243,28 +243,33 @@ def _identity_rows(t: np.ndarray) -> list[int]:
     return np.flatnonzero((t == np.arange(len(t))).all(axis=1)).tolist()
 
 
-def _generators(t: np.ndarray, seed: Sequence[int]):
-    """The rows of ``_chain`` of the table ``t`` seeded with ``seed``, found lazily."""
-    return (x for x, _ in _chain(t, range(len(t)), seed))
-
-
-def _check_rows(failures, gens: Iterable[int], n: int, seed: Sequence[int] = ()):
-    """What ``failures(range(n))`` yields (tuples led by their row) for a check
-    whose passing rows are closed under the table's operation.  ``seed`` and
-    ``gens`` (``_generators`` of ``seed`` and rows that pass by themselves)
-    generate every row.  If a seed row fails, all rows are scanned; else the first
-    failing row of ``gens``, drawn no further, is the least failing row (those before
-    it lie in the closure of passing rows): its first failure, then a scan from it."""
-    if len(seed) and next(failures(seed), None) is not None:
-        yield from failures(range(n))
-    elif (first := next(failures(gens), None)) is not None:
-        yield first
-        yield from itertools.islice(failures(range(first[0], n)), 1, None)
+def _check_rows(failures, t: np.ndarray, seed: Sequence[int] = ()):
+    """What ``failures(x)`` (tuples led by x, row-major) yields for x = 0..n-1,
+    for a check that passes on ``seed`` and on t[p, c] whenever it passes on c
+    and on a p whose map y -> t[p, y] is a permutation.  Rows in the closure C
+    of the seed and the rows that passed, under the rows P that passed and are
+    permutations other than the identity, pass and are skipped; a passing row
+    joins C by a walk from it and, if it joins P, from its images of C."""
+    n = len(t)
+    ident, reached, perms = np.arange(n), np.zeros(n, dtype=bool), []
+    reached[list(seed)] = True
+    for x in range(n):
+        if reached[x]:
+            continue
+        if (first := next(fails := failures(x), None)) is not None:
+            yield from itertools.chain([first], fails)
+        elif (t[x] != ident).any() and np.bincount(t[x], minlength=n).all():
+            perms.append(x)
+            walk(t[perms], np.append(t[x][reached], x), reached)
+        elif perms:
+            walk(t[perms], [x], reached)
+        else:
+            reached[x] = True
 
 
 def _row_failures(differs):
     """``failures`` of a check that fails row r at each i where ``differs(r)[i]``."""
-    return lambda rows: ((r, int(i)) for r in rows for i in np.flatnonzero(differs(r)))
+    return lambda r: ((r, i) for i in np.flatnonzero(differs(r)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +496,21 @@ class FiniteGroup:
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]],
                    labels: Sequence[str] | None = None) -> "FiniteGroup":
-        """Validate a table of Python ints.  Associativity is Light's test, (x s) y
-        = x (s y) for all x, y, on the rows s of ``_check_rows`` (closed under products)."""
+        """Validate a table of Python ints, their types read in one pass (the rows
+        are walked only to name a malformed one).  Associativity is Light's test,
+        (x s) y = x (s y) for all x, y, by ``_check_rows``: passing s are closed under products."""
         if not isinstance(table, (list, tuple)):
             raise GroupError("multiplication table must be a list of rows")
-        n = len(table)
+        n, t = len(table), None
         _check_order(n)
-        for i, row in enumerate(table):
-            if (not isinstance(row, (list, tuple)) or len(row) != n
-                    or not all(type(x) is int and 0 <= x < n for x in row)):
-                raise GroupError(f"row {i} of multiplication table is malformed")
-        t = np.array(table, dtype=np.int64).reshape(n, n)
+        if (all(isinstance(row, (list, tuple)) and len(row) == n for row in table)
+                and set(map(type, itertools.chain.from_iterable(table))) <= {int}):
+            with contextlib.suppress(OverflowError):   # an int past int64 is out of range
+                t = np.array(table, dtype=np.int64).reshape(n, n)
+        if t is None or not ((t >= 0) & (t < n)).all():
+            i = next(i for i, row in enumerate(table) if not isinstance(row, (list, tuple))
+                     or len(row) != n or not all(type(x) is int and 0 <= x < n for x in row))
+            raise GroupError(f"row {i} of multiplication table is malformed")
         ident = next((e for e in _identity_rows(t) if (t[:, e] == np.arange(n)).all()), None)
         if ident is None:
             raise GroupError("no identity element in multiplication table")
@@ -511,7 +520,7 @@ class FiniteGroup:
             raise GroupError(f"element {int(np.argmin(has_inv))} has no inverse")
         inv = two_sided.argmax(axis=1)
         light = _row_failures(lambda s: (t[t[:, s]] != np.take(t, t[s], axis=1)).ravel())
-        bad = next(_check_rows(light, _generators(t, [ident]), n), None)   # (xs)y != x(sy)
+        bad = next(_check_rows(light, t, [ident]), None)   # (xs)y != x(sy)
         if bad:
             (x, y), s = divmod(bad[1], n), bad[0]
             raise GroupError(f"multiplication is not associative at {(x, s, y)}")
@@ -673,14 +682,15 @@ class GroupAutomorphism:
             self._check()
 
     def _check(self):
-        """m(ab) = m(a)m(b) on the rows a of ``_check_rows``, closed under
-        products as m(aa'b) = m(a)m(a'b) = m(aa')m(b); the first bad (a, b)."""
+        """m(ab) = m(a)m(b), row a by ``_check_rows``: the rows that pass are
+        closed under products, as m(aa'b) = m(a)m(a'b) = m(aa')m(b), and the
+        identity passes once m fixes it.  The first bad (a, b) in row-major order."""
         g, m, t = self.group, self.mapping, self.group.table
         if m[g.identity] != g.identity:
             raise NotAnAutomorphism("mapping moves the identity",
                                     witness=g.identity)
         hom = _row_failures(lambda a: m[t[a]] != t[m[a], m])
-        bad = next(_check_rows(hom, _generators(t, [g.identity]), g.order), None)
+        bad = next(_check_rows(hom, t, [g.identity]), None)
         if bad:
             raise NotAnAutomorphism(f"mapping is not multiplicative at {bad}", witness=bad)
 

@@ -22,10 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import _check_rows, _generators, _identity_rows, _read_only, walk
+from .groups import _check_rows, _identity_rows, _read_only, walk
 
 MAX_VIOLATIONS = 100
-AXIOM3_BLOCK_ENTRIES = 1 << 22  # (q, r, s) triples compared per block
 JSON_BLOCK_ENTRIES = 1 << 13    # table entries written per block
 
 
@@ -216,22 +215,17 @@ def _json_chunks(obj):
         yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _distributivity_failures(a: np.ndarray, rows: Iterable[int], acts=None):
-    """Yield each (q, r, s) with q in ``rows`` and q . (r . s) != (q |> r) .
-    (q . s), q in the order given, then (r, s) row-major, where q . s is
-    ``acts[q, s]`` for an n x m int64 array of permutations, or q |> s if
-    ``acts`` is None (axiom 3).  Rows are drawn a block at a time, keeping memory at
-    O(AXIOM3_BLOCK_ENTRIES); int32 entries halve the bytes each gather moves."""
+def _distributivity_failures(a: np.ndarray, acts=None):
+    """The ``failures`` of axiom 3 on ``a``: row q yields each (q, r, s), (r, s) row-major,
+    with q . (r . s) != (q |> r) . (q . s), where q . s is q |> s, or ``acts[q, s]`` for
+    an action's n x m int64 permutations; int32 copies halve the bytes gathered."""
     a = a.astype(np.int32)
     u = a if acts is None else acts.astype(np.int32)
-    rows, step = iter(rows), max(1, AXIOM3_BLOCK_ENTRIES // max(1, u.size))
-    while len(blk := np.fromiter(itertools.islice(rows, step), dtype=np.int64)):
-        uq = u[blk]
-        lhs = uq[:, u]                                   # u[q, u[r, s]]
-        rhs = u[a[blk][:, :, None], uq[:, None, :]]      # u[a[q, r], u[q, s]]
-        bad = lhs != rhs
-        for q, r, s in np.argwhere(bad) if bad.any() else ():
-            yield int(blk[q]), int(r), int(s)
+
+    def failures(q):
+        bad = u[a[q]].take(u[q], axis=1) != u[q][u]   # u[a[q, r], u[q, s]], u[q, u[r, s]]
+        return ((q, r, s) for r, s in (np.argwhere(bad).tolist() if bad.any() else ()))
+    return failures
 
 
 def _violations(a: np.ndarray, cap: int):
@@ -246,9 +240,7 @@ def _violations(a: np.ndarray, cap: int):
     out = [AxiomViolation(1, (int(q),)) for q in np.flatnonzero(a.diagonal() != np.arange(n))]
     out += [AxiomViolation(2, (int(q), int(inv[q].argmin())))
             for q in np.flatnonzero(inv.min(axis=1) < 0)]
-    more = (_distributivity_failures(a, range(n)) if out   # S need not generate Q then
-            else _check_rows(lambda rows: _distributivity_failures(a, rows),
-                             _generators(a, _identity_rows(a)), n))
+    more = _check_rows(_distributivity_failures(a), a, _identity_rows(a))
     out += (AxiomViolation(3, w) for w in itertools.islice(more, max(0, cap + 1 - len(out))))
     return out[:cap], len(out) > cap, None if out else inv
 
@@ -260,10 +252,10 @@ def axiom_violations(table: Sequence[Sequence[int]],
     Returns (violations, truncated).  Assumes entries are already known to be
     in range; use ``validate`` for the full pipeline.
 
-    Once axioms 1 and 2 hold, axiom 3 is checked by ``groups._check_rows``
-    on the rows of S = ``_generators``: the rows that are automorphisms are
-    closed under |>, as s_{q |> r} = s_q s_r s_q^-1, and identity rows pass.
-    The witnesses are those of the full n^3 comparison, in row-major order.
+    Axiom 3 is checked by ``groups._check_rows`` seeded with the identity
+    rows: if row q passes and s_q is a permutation, s_{q |> r} = s_q s_r s_q^-1,
+    so row q |> r passes if row r does, whatever axioms 1 and 2 say.  The
+    witnesses are those of the full n^3 comparison, in row-major order.
     """
     out, truncated, _ = _violations(np.asarray(table, dtype=np.int64), cap)
     return out, truncated
@@ -277,7 +269,7 @@ def _entries(table, n: int) -> np.ndarray:
              else set(map(type, itertools.chain.from_iterable(table))))
     if all(k is not bool and issubclass(k, (int, np.integer)) for k in kinds):
         try:
-            a = np.array(table, dtype=np.int64)
+            a = np.array(table, dtype=np.int64, order="C")   # rows are read one at a time
         except OverflowError:   # an int past int64 is out of range too
             a = None
         if a is not None and not ((a < 0) | (a >= n)).any():

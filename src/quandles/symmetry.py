@@ -24,9 +24,8 @@ import numpy as np
 
 from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup, GroupAutomorphism,
-                     PermutationGroup, _check_rows, _find_rows, _generators, _identity_rows,
-                     _perm_rows, _read_only, _row_failures, close, cycle_type,
-                     table_isomorphisms, walk)
+                     PermutationGroup, _check_rows, _find_rows, _perm_rows, _read_only,
+                     _row_failures, close, cycle_type, table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
@@ -86,9 +85,9 @@ def random_transvection_word(quandle: FiniteQuandle, length: int,
 # quandle actions on a finite set
 
 class QuandleAction:
-    """An action of a quandle on {0..m-1}: one permutation per element,
-    satisfying q |> (r |> x) = (q |> r) |> (q |> x), checked as ``hom_check``
-    is.  ``act`` is a read-only n x m int64 array, row q the permutation of q."""
+    """An action of a quandle on {0..m-1}: one permutation per element, with
+    q |> (r |> x) = (q |> r) |> (q |> x), checked as ``hom_check`` is (an identity
+    row may act non-trivially).  ``act``: a read-only n x m int64 array, row q for q."""
 
     def __init__(self, quandle: FiniteQuandle, set_size: int,
                  act: Sequence[Sequence[int]]):
@@ -100,9 +99,7 @@ class QuandleAction:
                 f"need one permutation per quandle element ({quandle.size}), got {len(rows)}")
         self.act = _read_only(_perm_rows(rows, set_size, lambda q, _: ActionError(
             f"map for element {q} is not a permutation", witness=(q,))), np.int64)
-        op, ident = quandle.op, _identity_rows(quandle.op)
-        bad = next(_check_rows(lambda rows: _distributivity_failures(op, rows, self.act),
-                               _generators(op, ident), len(op), ident), None)
+        bad = next(_check_rows(_distributivity_failures(quandle.op, self.act), quandle.op), None)
         if bad is not None:
             raise ActionError(f"action is not compatible with |> at {bad[:2]}",
                               witness=bad[:2])
@@ -284,17 +281,17 @@ class HomReport:
 
 def hom_check(mapping: Sequence[int], source: FiniteQuandle,
               target: FiniteQuandle) -> HomReport:
-    """Check f(q |> r) = f(q) |> f(r) by ``_check_rows`` on the identity rows
-    I, which may fail, and S = ``_generators``.  Row q gives f(q |>^-1 r) =
-    f(q) |>^-1 f(r), so the rows that hold are a subquandle and
-    ``preserves_inverse`` is ``ok``; ``violations``: the first 100, row-major."""
+    """Check f(q |> r) = f(q) |> f(r), row q by ``_check_rows`` with no seed,
+    as an identity row may fail.  Row q gives f(q |>^-1 r) = f(q) |>^-1 f(r),
+    so the rows that hold are a subquandle and ``preserves_inverse`` is
+    ``ok``; ``violations``: the first 100, row-major."""
     f = tuple(mapping)
     if (len(f) != source.size
             or any(type(x) is not int or not 0 <= x < target.size for x in f)):
         raise QuandleError("mapping is not a total map of ints into the target")
-    m, op, ident = np.array(f, dtype=np.int64), source.op, _identity_rows(source.op)
+    m, op = np.array(f, dtype=np.int64), source.op
     hom = _row_failures(lambda q: m[op[q]] != target.op[m[q], m])
-    bad = tuple(itertools.islice(_check_rows(hom, _generators(op, ident), len(op), ident), 100))
+    bad = tuple(itertools.islice(_check_rows(hom, op), 100))
     return HomReport(not bad, bad, not bad)
 
 
@@ -469,7 +466,7 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
 
     Builds G = Tr(Q) explicitly, phi(g) = s_q g s_q^-1, H = {g : g(q) = q},
     and pi: gH -> g(q).  Verifies exactly: conjugation keeps G inside
-    itself, phi is a group automorphism (on generators, ``_check_rows``), H
+    itself, phi is a group automorphism (by ``_check_rows``, on a chain), H
     is fixed by phi elementwise, the coset operation is well-defined, and pi
     is a bijection onto the orbit and a homomorphism.  The orbit is a
     subquandle of the validated Q, so these make the coset table a quandle

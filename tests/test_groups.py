@@ -436,7 +436,7 @@ def test_associativity_check_stops_at_the_first_failing_chain_row(monkeypatch):
     # 0 is the identity and every other product is 0: inverses exist, and
     # each chain row reaches one more element, so the whole chain is n - 1
     # rows long; its first row, 1, already fails, at (1, 1, 2) for every n,
-    # and is the only row compared
+    # and is the only row compared, with no walk
     walks, compared = [], []
     real_walk, real_failures = groups_module.walk, groups_module._row_failures
     monkeypatch.setattr(groups_module, "walk", lambda *a: walks.append(1) or real_walk(*a))
@@ -450,21 +450,12 @@ def test_associativity_check_stops_at_the_first_failing_chain_row(monkeypatch):
         with pytest.raises(GroupError) as exc:
             FiniteGroup.from_table(table)
         assert str(exc.value) == f"multiplication is not associative at {expected}"
-        assert len(walks) == 1 and compared == [1], n
+        assert not walks and compared == [1], n
 
 
-def _right_generators(t, ident):
-    """The reference: elements s_1, s_2, ... of the table ``t``, each the
-    least element not yet reached from ``ident`` by right products with the
-    earlier ones, until every element is reached."""
-    gens = []
-    while True:
-        reached = np.zeros(len(t), dtype=bool)
-        walk(t.T[gens], [ident], reached)
-        if reached.all():
-            return
-        gens.append(int(np.argmin(reached)))
-        yield gens[-1]
+def _scan_every_row(failures, t, seed=()):
+    """The full-scan oracle of ``groups._check_rows``: every row compared."""
+    return (w for x in range(len(t)) for w in failures(x))
 
 
 def _small_group_tables():
@@ -495,12 +486,12 @@ def test_from_table_matches_right_products_on_swapped_tables(data):
         (a, b), (c, d) = data.draw(cell), data.draw(cell)
         table[a][b], table[c][d] = table[c][d], table[a][b]
     got = _from_table_outcome(table)
-    real = groups_module._chain
-    groups_module._chain = lambda t, order, seed: ((s, None) for s in _right_generators(t, seed[0]))
+    real = groups_module._check_rows
+    groups_module._check_rows = _scan_every_row
     try:
         want = _from_table_outcome(table)
     finally:
-        groups_module._chain = real
+        groups_module._check_rows = real
     assert got == want
     zero_is_identity = table[0] == [row[0] for row in table] == list(range(n))
     if zero_is_identity and "not associative" in str(got):
@@ -873,7 +864,7 @@ def test_automorphism_wrong_outside_the_chain_fails_at_the_all_pairs_witness(bui
     # two elements outside the chain (and not the identity) are swapped
     assert _automorphism_oracle(g, phi) is None
     GroupAutomorphism(g, phi)
-    chain = set(groups_module._generators(g.table, [g.identity]))
+    chain = {s for s, _ in groups_module._chain(g.table, range(g.order), [g.identity])}
     outside = [x for x in range(g.order) if x not in chain and x != g.identity]
     rng = random.Random(0)
     pairs = [(outside[0], outside[1]), (outside[-2], outside[-1])]

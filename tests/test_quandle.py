@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import quandles.quandle as quandle_module
 from quandles import (AxiomViolation, FiniteQuandle, InvalidQuandleError,
                       RangeError, alexander, axiom_violations, conj_class,
                       conjugation, dihedral, trivial, validate)
-from quandles.groups import FiniteGroup, _identity_rows, identity_perm
+import quandles.groups as groups_module
+from quandles.groups import FiniteGroup, _chain, _identity_rows, identity_perm
 
 from corpus_util import cli_peak_mb, small_corpus
 
@@ -347,11 +349,9 @@ def test_axiom_witnesses_match_the_oracle(tab, cap):
     assert truncated == (len(want) > cap)
 
 
-@pytest.mark.parametrize("rows", [1, 3])
-def test_axiom3_blocks_match_full_arrays(monkeypatch, rows):
+def test_axiom3_rows_match_full_arrays():
     for n in (7, 10):
         tab = _corrupted(n)
-        monkeypatch.setattr(quandle_module, "AXIOM3_BLOCK_ENTRIES", rows * n * n)
         full = _axiom3_full(tab)
         for cap in (10**6, 7):
             got, truncated = axiom_violations(tab, cap=cap)
@@ -418,11 +418,17 @@ def _relabelled(q, seed):
     return validate(tab)
 
 
+def _chain_rows(op):
+    """S: the chain of ``groups._chain`` over every element, seeded with the
+    identity rows."""
+    return [s for s, _ in _chain(op, range(len(op)), _identity_rows(op))]
+
+
 def test_greedy_generators_generate():
     a732 = alexander(7, 3, 2)
     for name, q in small_corpus() + [("a732", a732), ("a732 relabelled", _relabelled(a732, 1))]:
         ident = [x for x in range(q.size) if q.op[x].tolist() == list(range(q.size))]
-        gens = list(quandle_module._generators(q.op, ident))
+        gens = _chain_rows(q.op)
         assert not set(gens) & set(ident), name
         assert _closure_oracle(q, ident + gens) == tuple(range(q.size)), name
         for i, g in enumerate(gens):   # each is the least element not yet reached
@@ -435,10 +441,9 @@ def _counting_rows(monkeypatch):
     seen = []
     real = quandle_module._distributivity_failures
 
-    def counting(a, rows):
-        rows = list(rows)
-        seen.extend(rows)
-        return real(a, rows)
+    def counting(*args):
+        failures = real(*args)
+        return lambda q: seen.append(q) or failures(q)
     monkeypatch.setattr(quandle_module, "_distributivity_failures", counting)
     return seen
 
@@ -448,15 +453,48 @@ def test_trivial_quandle_checks_no_rows(monkeypatch):
     seen = _counting_rows(monkeypatch)
     assert validate(table).size == 343
     assert seen == []
-    bad = table.copy()   # the control: a failing row sends every row through
+    bad = table.copy()   # the control: rows 0 and 1 fail, and the rest are the seed
     bad[0, [1, 3]], bad[1, [0, 2]] = (3, 1), (2, 0)
     with pytest.raises(InvalidQuandleError):
         validate(bad)
-    assert seen == [0] + list(range(343))
+    assert seen == [0, 1]
+
+
+def test_a_changed_entry_compares_only_its_row(monkeypatch):
+    # row 5 of trivial(343) maps 7 to 8, so it misses 7 and is no permutation:
+    # the other rows are identity rows, the seed, and row 5 alone is compared
+    tab = trivial(343).op.copy()
+    tab[5, 7] = 8
+    seen = _counting_rows(monkeypatch)
+    violations, truncated = axiom_violations(tab, cap=10**6)
+    want = [(2, (5, 7))] + [(3, w) for w in _axiom3_by_rows(tab)]
+    assert [(v.axiom, v.witness) for v in violations] == want and not truncated
+    assert seen == [5]
+
+
+def test_validate_compares_the_rows_of_the_chain(monkeypatch):
+    table = alexander(7, 3, 2).op
+    seen, walks = _counting_rows(monkeypatch), []
+    real_walk = groups_module.walk
+    monkeypatch.setattr(groups_module, "walk", lambda *a: walks.append(1) or real_walk(*a))
+    validate(table)   # no identity row; S = [0, 1, 7, 49], one walk each
+    assert seen == [0, 1, 7, 49] and len(walks) == 4
+
+
+def test_a_changed_entry_fails_fast():
+    # every row was compared once axiom 2 failed: 14 s at n = 1024 on a
+    # 2-core x86-64 VM; now only row 5 is
+    tab = trivial(1024).op.copy()
+    tab[5, 7] = 8
+    start = time.perf_counter()
+    with pytest.raises(InvalidQuandleError) as exc:
+        validate(tab)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value.violations[0]) == "axiom 2 (left-invertibility) fails at (5, 7)"
 
 
 @pytest.mark.parametrize("n", [4, 7, 12])
-def test_corrupted_trivial_table_matches_every_row(monkeypatch, n):
+def test_corrupted_trivial_table_matches_every_row(n):
     # s_0 swaps 1 and 3 and s_1 swaps 0 and 2: axioms 1 and 2 hold, axiom 3
     # fails at q = 0, r = 1, and the identity rows generate neither 0 nor 1
     tab = trivial(n).op.copy()
@@ -465,16 +503,11 @@ def test_corrupted_trivial_table_matches_every_row(monkeypatch, n):
     assert expected
     with pytest.raises(InvalidQuandleError) as exc:
         validate(tab)
-    got = {cap: axiom_violations(tab, cap=cap) for cap in (7, 10**6)}
-    for cap, (violations, truncated) in got.items():
+    for cap in (7, 10**6):
+        violations, truncated = axiom_violations(tab, cap=cap)
         assert [v.witness for v in violations] == expected[:cap]
         assert truncated == (len(expected) > cap)
-    with monkeypatch.context() as m:   # S = Q: the pass over every row
-        m.setattr(quandle_module, "_generators", lambda op, seed: list(range(len(op))))
-        assert axiom_violations(tab, cap=7) == got[7]
-        with pytest.raises(InvalidQuandleError) as every:
-            validate(tab)
-    assert str(exc.value) == str(every.value)
+    assert str(exc.value) == str(_oracle_error(expected))
 
 
 def _axiom3_by_rows(tab):
@@ -483,6 +516,13 @@ def _axiom3_by_rows(tab):
     a = np.asarray(tab)
     return [(q, int(r), int(s)) for q in range(len(a))
             for r, s in np.argwhere(a[q][a] != a[a[q][:, None], a[q][None, :]])]
+
+
+def _oracle_error(axiom3):
+    """The ``validate`` error of a table whose only failures are the axiom-3
+    witnesses ``axiom3`` of a full scan."""
+    cap = quandle_module.MAX_VIOLATIONS
+    return InvalidQuandleError([AxiomViolation(3, w) for w in axiom3[:cap]], len(axiom3) > cap)
 
 
 def _swapped(q, row, r, s):
@@ -494,7 +534,7 @@ def _swapped(q, row, r, s):
 
 
 def _outside_generators(q):
-    gens = set(quandle_module._generators(q.op, _identity_rows(q.op)))
+    gens = set(_chain_rows(q.op))
     return [x for x in range(q.size) if x not in gens]
 
 
@@ -506,7 +546,7 @@ def _s5_transpositions():
 @pytest.mark.parametrize("build", [lambda: alexander(7, 3, 2), lambda: dihedral(63),
                                    lambda: alexander(5, 2, 2), _s5_transpositions],
                          ids=["a732", "d63", "a522", "conj_class_S5"])
-def test_corrupted_rows_outside_generators_match_every_row(monkeypatch, build):
+def test_corrupted_rows_outside_generators_match_every_row(build):
     q = build()
     oracle = _axiom3_by_rows if q.size > 100 else _axiom3_full
     rows = _outside_generators(q)
@@ -517,17 +557,13 @@ def test_corrupted_rows_outside_generators_match_every_row(monkeypatch, build):
         assert expected, row
         with pytest.raises(InvalidQuandleError) as exc:
             validate(tab)
-        got = {cap: axiom_violations(tab, cap=cap) for cap in (7, 10**6)}
-        for cap, (violations, truncated) in got.items():
+        for cap in (7, 10**6):
+            violations, truncated = axiom_violations(tab, cap=cap)
             assert [v.witness for v in violations] == expected[:cap], (row, cap)
             assert truncated == (len(expected) > cap)
-        with monkeypatch.context() as m:   # S = Q: the pass over every row
-            m.setattr(quandle_module, "_generators", lambda op, seed: list(range(len(op))))
-            assert axiom_violations(tab, cap=7) == got[7]
-            with pytest.raises(InvalidQuandleError) as every:
-                validate(tab)
-        assert str(exc.value) == str(every.value)
-        assert exc.value.violations == every.value.violations
+        every = _oracle_error(expected)
+        assert str(exc.value) == str(every)
+        assert exc.value.violations == every.violations
 
 
 @settings(max_examples=100, deadline=None)
@@ -578,7 +614,7 @@ def _seminaive_generators(op, inv_op):
 
 def test_generators_of_a2401_are_pinned():
     q = alexander(7, 4, 3)
-    assert list(quandle_module._generators(q.op, _identity_rows(q.op))) == [0, 1, 7, 49, 343]
+    assert _chain_rows(q.op) == [0, 1, 7, 49, 343]
     assert _seminaive_generators(q.op, q.inv_op) == [0, 1, 7, 49, 343]
 
 
@@ -586,40 +622,36 @@ def test_generators_match_the_seminaive_closure():
     for name, q in small_corpus() + [("a732", alexander(7, 3, 2))]:
         for seed in (None, 1, 2):
             r = q if seed is None else _relabelled(q, seed)
-            assert (list(quandle_module._generators(r.op, _identity_rows(r.op)))
-                    == _seminaive_generators(r.op, r.inv_op)), (name, seed)
+            assert _chain_rows(r.op) == _seminaive_generators(r.op, r.inv_op), (name, seed)
 
 
 @st.composite
-def _swapped_tables(draw):
-    """A small-corpus table, maybe relabelled, with 1-3 pairs of entries of
-    one row swapped: axioms 1 and 2 hold when no swap touches the diagonal."""
+def _mutated_tables(draw):
+    """A small-corpus table, maybe relabelled, with 1-3 mutations: an entry
+    changed (its row is then no permutation), two entries of a row swapped,
+    or a diagonal entry changed (axiom 1 fails too)."""
     q = draw(st.sampled_from([q for _, q in small_corpus()]))
     seed = draw(st.integers(0, 3))
     tab = (q if seed == 0 else _relabelled(q, seed)).op.copy()
+    cell = st.integers(0, q.size - 1)
     for _ in range(draw(st.integers(1, 3))):
-        row = draw(st.integers(0, q.size - 1))
-        r, s = draw(st.lists(st.integers(0, q.size - 1), min_size=2, max_size=2))
-        tab[row, [r, s]] = tab[row, [s, r]]
+        kind, row = draw(st.sampled_from(["entry", "swap", "diagonal"])), draw(cell)
+        if kind == "swap":
+            r, s = draw(cell), draw(cell)
+            tab[row, [r, s]] = tab[row, [s, r]]
+        else:
+            r = row if kind == "diagonal" else draw(cell)
+            tab[row, r] = (tab[row, r] + draw(st.integers(1, max(1, q.size - 1)))) % q.size
     return tab
 
 
-@settings(max_examples=150, deadline=None)
-@given(_swapped_tables(), st.sampled_from([1, 3, 7, 100, 10**6]))
-def test_axiom_violations_match_the_seminaive_generators(tab, cap):
-    got = axiom_violations(tab, cap=cap)
-    real = quandle_module._generators
-    # rows are permutations when generators are asked for; argsort inverts them
-    quandle_module._generators = lambda op, _: _seminaive_generators(op, np.argsort(op, axis=1))
-    try:
-        want = axiom_violations(tab, cap=cap)
-    finally:
-        quandle_module._generators = real
-    assert got == want
-    if not any(v.axiom != 3 for v in got[0]):
-        full = _axiom3_full(tab)
-        assert [v.witness for v in got[0]] == full[:cap]
-        assert got[1] == (len(full) > cap)
+@settings(max_examples=200, deadline=None)
+@given(_mutated_tables(), st.sampled_from([1, 7, 100, 10**6]))
+def test_mutated_corpus_tables_match_the_witness_oracle(tab, cap):
+    want = _witness_oracle(tab.tolist())
+    violations, truncated = axiom_violations(tab, cap=cap)
+    assert [(v.axiom, v.witness) for v in violations] == want[:cap]
+    assert truncated == (len(want) > cap)
 
 
 @functools.cache

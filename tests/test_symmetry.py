@@ -551,9 +551,10 @@ def _action_oracle(q, act):
 
 
 def _outside_i_and_s(q):
-    """The elements that are neither identity rows nor in ``_generators``."""
+    """The elements that are neither identity rows nor in S, the chain of
+    ``groups._chain`` seeded with them."""
     ident = groups_module._identity_rows(q.op)
-    checked = set(ident) | set(groups_module._generators(q.op, ident))
+    checked = set(ident) | {s for s, _ in groups_module._chain(q.op, range(q.size), ident)}
     return [x for x in range(q.size) if x not in checked]
 
 
@@ -635,11 +636,7 @@ def _counting_checks(monkeypatch):
     real = symmetry._check_rows
 
     def counting(failures, *args):
-        def counted(rows):
-            rows = list(rows)
-            seen.extend(rows)
-            return failures(rows)
-        return real(counted, *args)
+        return real(lambda x: seen.append(x) or failures(x), *args)
     monkeypatch.setattr(symmetry, "_check_rows", counting)
     return seen
 
@@ -651,20 +648,26 @@ def test_checks_compare_only_the_identity_rows_and_s(monkeypatch, check):
     seen, walks = _counting_checks(monkeypatch), []
     real_walk = groups_module.walk
     monkeypatch.setattr(groups_module, "walk", lambda *a: walks.append(1) or real_walk(*a))
-    check(t343)   # every row is an identity row: S is empty, and no chain is walked
+    check(t343)   # every row is an identity row: each is compared once, none walked
     assert seen == list(range(343)) and not walks
     seen.clear()
     check(a732)   # no identity row; S = [0, 1, 7, 49], one walk each
     assert seen == [0, 1, 7, 49] and len(walks) == 4
 
 
-def test_a_failing_identity_row_sends_every_row_through(monkeypatch):
+def test_a_failing_identity_row_compares_each_row_once(monkeypatch):
     seen = _counting_checks(monkeypatch)
     q = trivial(343)
+    target = validate([[0, 2, 1, 3]] + [[0, 1, 2, 3]] * 3)
+    f = (0, 1) + (3,) * 341   # s_0 of the target swaps 1 and 2: row 0 fails at r = 1 only
+    rep = hom_check(f, q, target)
+    assert not rep.ok and rep.violations == _hom_oracle(f, q, target)[0] == ((0, 1),)
+    assert seen == list(range(343))
+    seen.clear()
     f = (1,) + (0,) * 342   # into dihedral(3), where 1 |> 0 = 2: identity row 0 fails
     rep = hom_check(f, q, dihedral(3))
     assert not rep.ok and rep.violations == _hom_oracle(f, q, dihedral(3))[0]
-    assert seen == list(range(343)) * 2
+    assert seen == [0]   # at each r > 0, so row 0 alone gives the 100 violations kept
 
 
 def test_iso_search_finds_and_rejects():
