@@ -306,7 +306,7 @@ def test_to_dict_and_to_json_share_one_schema():
         assert q.to_dict().keys() == q._fields().keys()
 
 
-# -- blocked axiom-3 check ------------------------------------------------------
+# -- axiom 3, row by row -------------------------------------------------------
 
 def _axiom3_full(tab):
     """Axiom-3 witnesses from the full n^3 arrays, in row-major order."""
@@ -363,7 +363,8 @@ def test_axiom3_rows_match_full_arrays():
 def test_check_memory_stays_bounded(tmp_path):
     # n = 343: full n^3 int64 arrays peaked near 690 MB, and int64 blocks of
     # 2^22 triples over every row 135 MB; checking the 4 rows of a
-    # generating set measured 38 MB on a 2-core x86-64 Linux VM
+    # generating set measured 38 MB as one block and 36 MB one row at a
+    # time, on a 2-core x86-64 Linux VM
     path = tmp_path / "a732.json"
     path.write_text(alexander(7, 3, 2).to_json())
     code, peak_mb, _ = cli_peak_mb("check", str(path))
@@ -397,8 +398,9 @@ def test_check_memory_stays_bounded_at_625(tmp_path):
 
 def test_check_memory_stays_bounded_on_the_pass_over_every_row(tmp_path):
     # n = 343 with row 300's entries 0 and 1 swapped: axioms 1 and 2 hold,
-    # a row of the generating set fails, and the blocked int32 pass over
-    # every row runs; about 70 MB measured on a 2-core x86-64 Linux VM
+    # and rows fail from row 0 on, so 26 rows are compared, one at a time,
+    # before 100 witnesses are found; 35 MB measured on a 2-core x86-64
+    # Linux VM (about 70 MB when blocks of rows were compared)
     tab = alexander(7, 3, 2).op.copy()
     tab[300, [0, 1]] = tab[300, [1, 0]]
     path = tmp_path / "a732_bad.json"
