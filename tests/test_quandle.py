@@ -316,11 +316,11 @@ def _axiom3_full(tab):
     return [tuple(int(x) for x in w) for w in np.argwhere(lhs != rhs)]
 
 
-def _corrupted(n):
-    """Dihedral table with two rows re-permuted off the diagonal, so only
-    axiom 3 fails."""
+def _corrupted(n, rows):
+    """Dihedral table with the first ``rows`` of rows 2, n - 1 and 4
+    re-permuted off the diagonal, so only axiom 3 fails."""
     tab = dihedral_table(n)
-    for q, r, s in ((2, 3, 5), (n - 1, 0, 1)):
+    for q, r, s in ((2, 3, 5), (n - 1, 0, 1), (4, 0, 6))[:rows]:
         tab[q][r], tab[q][s] = tab[q][s], tab[q][r]
     return tab
 
@@ -349,9 +349,12 @@ def test_axiom_witnesses_match_the_oracle(tab, cap):
     assert truncated == (len(want) > cap)
 
 
-def test_axiom3_rows_match_full_arrays():
+@pytest.mark.parametrize("rows", [1, 3])
+def test_axiom3_blocks_match_full_arrays(rows):
+    # one block of re-permuted rows, or three: the rows that pass and the
+    # closure skipped from them differ, the witnesses must not
     for n in (7, 10):
-        tab = _corrupted(n)
+        tab = _corrupted(n, rows)
         full = _axiom3_full(tab)
         for cap in (10**6, 7):
             got, truncated = axiom_violations(tab, cap=cap)
