@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_CAP = 10**6
-MAX_GROUP_ORDER = 4096   # largest FiniteGroup; building it peaks near 180 MB (the table)
+MAX_GROUP_ORDER = 4096   # largest FiniteGroup; C64 x C64 from permutations peaks near 64 MB
 
 
 class GroupError(Exception):
@@ -190,7 +190,7 @@ def parse_generator_lines(text: str, domain_size: int | None = None) -> list[tup
 # orbit walks
 
 def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = None):
-    """Breadth-first walk from ``roots`` along the rows of a (k x m) int64
+    """Breadth-first walk from ``roots`` along the rows of a (k x m) int
     array of maps of {0..m-1}.  Returns int64 arrays (points, parent, via):
     the points in the order a one-at-a-time BFS meets them (the roots in
     increasing order, then level by level, each point's images in map
@@ -275,6 +275,12 @@ def _row_failures(differs):
 # ---------------------------------------------------------------------------
 # permutation groups by Dimino's closure
 
+def _point_dtype(m: int) -> np.dtype:
+    """The dtype of every table, permutation and action of m points: the
+    narrowest unsigned one, uint8 up to 256 points and uint16 to 65536."""
+    return np.min_scalar_type(max(m - 1, 0))
+
+
 def _read_only(a, dtype=None) -> np.ndarray:
     """``a`` as a read-only array, copied only if it must change dtype: the
     view is frozen, so a caller's own array stays writeable."""
@@ -285,10 +291,10 @@ def _read_only(a, dtype=None) -> np.ndarray:
 
 def _perm_rows(rows, m: int, refuse) -> np.ndarray:
     """The permutations ``rows`` of {0..m-1}, given in ints (not bools), as one
-    int64 array; ``refuse(q, row)`` is raised for the first row q that is not
-    one.  The entry types are read in one pass and the rows scattered into a
-    hit mask; the rows are walked only when an entry is not an int or the
-    mask has a hole."""
+    int array (an int array as given, other rows as int64); ``refuse(q, row)``
+    is raised for the first row q that is not one.  The entry types are read
+    in one pass and the rows scattered into a hit mask; the rows are walked
+    only when an entry is not an int or the mask has a hole."""
     array = isinstance(rows, np.ndarray) and rows.dtype != object and rows.ndim == 2
     rows = rows if array else [tuple(r) for r in rows]
     kinds = {rows.dtype.type} if array else set(map(type, itertools.chain.from_iterable(rows)))
@@ -296,7 +302,7 @@ def _perm_rows(rows, m: int, refuse) -> np.ndarray:
     if (all(k is not bool and issubclass(k, (int, np.integer)) for k in kinds)
             and all(len(r) == m for r in rows)):
         with contextlib.suppress(OverflowError):   # an int past int64 is no point
-            a = np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
+            a = np.asarray(rows, dtype=None if array else np.int64).reshape(len(rows), m)
     hit = np.zeros((len(rows), m), dtype=bool)
     if a is not None and ((a >= 0) & (a < m)).all():
         hit[np.arange(len(rows))[:, None], a] = True
@@ -309,10 +315,10 @@ def _perm_rows(rows, m: int, refuse) -> np.ndarray:
 
 
 def _generator_rows(rows, m: int) -> np.ndarray:
-    """``_perm_rows`` in the narrowest int dtype that holds the points."""
+    """``_perm_rows`` in the dtype of ``_point_dtype(m)``."""
     a = _perm_rows(rows, m, lambda _, bad: GroupError(
         f"generator {tuple(bad)} is not a permutation of {m} points"))
-    return a.astype(np.min_scalar_type(max(m - 1, 0)))
+    return a.astype(_point_dtype(m), copy=False)
 
 
 def _keys(rows: np.ndarray, dtype) -> np.ndarray:
@@ -336,7 +342,7 @@ class PermutationGroup:
     """A group of permutations of {0..m-1}, enumerated by Dimino's algorithm.
 
     ``gens`` (the distinct generators) and ``perms`` (the sorted elements)
-    are read-only arrays in the narrowest int dtype that holds the points.
+    are read-only arrays of the dtype ``_point_dtype(domain_size)``.
     Closure is lazy; ``perms`` and ``order`` trigger it.  Orbits only walk
     the generators.  ``elements`` and ``generators`` are tuple views, built
     when first read.
@@ -443,31 +449,33 @@ def _check_order(n: int) -> None:
 
 
 def _cayley_table(left: np.ndarray, ident: int):
-    """Multiplication table and inverse map of the group whose left
-    translations x -> s.x by a few generators s are the rows of the int64
-    array ``left``.  The walk of the Cayley graph from the identity meets
-    each b as s.p with p met before it, so row b of the table, y -> s.p.y,
-    is row p mapped through left[s].  Parents are met in order, so each
-    block of rows whose parents are filled is filled at once, in C order."""
+    """Multiplication table and inverse map, of ``_point_dtype``, of the group
+    whose left translations x -> s.x by a few generators s are the rows of
+    ``left``.  The walk of the Cayley graph from the identity meets each b as
+    s.p with p met before it, so row b of the table, y -> s.p.y, is row p
+    mapped through left[s].  Parents are met in order, so each block of rows
+    whose parents are filled is filled at once, and b^-1 read off row b."""
     n = left.shape[1]
+    left = left.astype(_point_dtype(n), copy=False)
     points, parent, via = walk(left, [ident])
     after = np.argsort(points)[parent[1:]]   # where each row's parent lies in the walk
-    table = np.empty((n, n), dtype=np.int64)
-    table[ident], c = np.arange(n), 1
+    table, inv = np.empty((n, n), dtype=left.dtype), np.empty(n, dtype=left.dtype)
+    table[ident], inv[ident], c = np.arange(n), ident, 1
     while c < n:
         e = 1 + np.searchsorted(after, c)    # rows c..e-1 have their parents filled
-        table[points[c:e]] = left[via[c:e, None], table[parent[c:e]]]
+        rows = table[points[c:e]] = left[via[c:e, None], table[parent[c:e]]]
+        inv[points[c:e]] = (rows == ident).argmax(axis=1)
         c = e
-    return table, np.nonzero(table == ident)[1]
+    return table, inv
 
 
 class FiniteGroup:
     """A finite group on indices 0..order-1 with its full multiplication table.
 
-    The group is held only as read-only arrays: ``table`` (order x order),
-    ``inv_map`` and, for a group of permutations or matrices, ``perms``,
-    whose row i is element i.  The scalar accessors (``mul``, ``inv``,
-    ``conj``) read them and return Python ints.  Orders above
+    The group is held only as read-only arrays: ``table`` (order x order) and
+    ``inv_map`` of ``_point_dtype(order)`` and, for a group of permutations or
+    matrices, ``perms``, whose row i is element i.  The scalar accessors
+    (``mul``, ``inv``, ``conj``) read them and return Python ints.  Orders above
     ``MAX_GROUP_ORDER`` are refused with ``CapExceeded`` before a table is
     built.  ``elements`` (tuples) and the labels of permutations (cycle
     notation) are built when first read.
@@ -475,7 +483,7 @@ class FiniteGroup:
 
     def __init__(self, table, inv: Sequence[int], identity: int,
                  labels: Sequence[str] | None = None, perms=None):
-        self.table, self.inv_map = _read_only(table, np.int64), _read_only(inv, np.int64)
+        self.table, self.inv_map = (_read_only(a, _point_dtype(len(table))) for a in (table, inv))
         self.order = len(self.table)
         self.identity = int(identity)
         self._labels = tuple(labels) if labels is not None else None
@@ -505,9 +513,9 @@ class FiniteGroup:
         _check_order(n)
         if (all(isinstance(row, (list, tuple)) and len(row) == n for row in table)
                 and set(map(type, itertools.chain.from_iterable(table))) <= {int}):
-            with contextlib.suppress(OverflowError):   # an int past int64 is out of range
-                t = np.array(table, dtype=np.int64).reshape(n, n)
-        if t is None or not ((t >= 0) & (t < n)).all():
+            with contextlib.suppress(OverflowError):   # an int past the dtype is out of range
+                t = np.array(table, dtype=_point_dtype(n)).reshape(n, n)
+        if t is None or not (t < n).all():
             i = next(i for i, row in enumerate(table) if not isinstance(row, (list, tuple))
                      or len(row) != n or not all(type(x) is int and 0 <= x < n for x in row))
             raise GroupError(f"row {i} of multiplication table is malformed")
@@ -551,8 +559,8 @@ class FiniteGroup:
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         _check_order(n)
-        i = np.arange(n)
-        return cls((i[:, None] + i) % n, (-i) % n, 0,
+        i = np.arange(n, dtype=_point_dtype(2 * n))   # i + j < 2n and n - i do not wrap
+        return cls((i[:, None] + i) % n, (n - i) % n, 0,
                    labels=tuple(str(k) for k in range(n)))
 
     @classmethod

@@ -363,7 +363,7 @@ def count_colorings(diagram: KnotDiagram, quandle: FiniteQuandle,
     """
     steps = _plan(diagram.relations())
     free = diagram.class_count - sum(kind != "check" for kind, *_ in steps)
-    rows = np.zeros((1, diagram.class_count), dtype=np.int64)
+    rows = np.zeros((1, diagram.class_count), dtype=quandle.op.dtype)
     if not by_orbit:
         return ColoringCount(int(_tally(steps, 0, rows, quandle, None)[0])
                              * quandle.size ** free)

@@ -8,13 +8,15 @@ an automorphism.
 
 Carriers are always the integers 0..n-1; constructions attach a labeling for
 human-readable provenance.  A quandle is held only as two read-only n x n
-int64 arrays, its operation table and the table of its inverse operation.
+arrays of the narrowest unsigned dtype that holds {0..n-1} (uint8 up to 256
+points), its operation table and the table of its inverse operation.
 A validated FiniteQuandle is immutable and its operations are pure, so
 instances are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groups import _check_rows, _identity_rows, _read_only, walk
+from .groups import _check_rows, _identity_rows, _point_dtype, _read_only, walk
 
 MAX_VIOLATIONS = 100
 JSON_BLOCK_ENTRIES = 1 << 13    # table entries written per block
@@ -79,20 +81,20 @@ class ElementSymmetry:
 
 
 class FiniteQuandle:
-    """An n-element quandle held as two read-only n x n int64 arrays.
+    """An n-element quandle held as two read-only n x n arrays of ``_point_dtype(n)``.
 
     ``op[q, r]`` is q |> r and ``inv_op[q, r]`` is q |>^-1 r; row q of
     ``op`` is the symmetry s_q and row q of ``inv_op`` its inverse.  The
     inverse table is always materialized: the inverse operation shows up in
-    every orbit computation, and n^2 integers are trivial at desk scale.
-    The public maps (``symmetry``, ``right_translation``, ``to_dict``)
-    return Python ints.
+    every orbit computation.  Sums of entries would wrap in their unsigned
+    dtype, so the tables are only indexed with and compared.  The public
+    maps (``symmetry``, ``right_translation``, ``to_dict``) return Python ints.
 
     Do not call the constructor with unchecked tables; use ``validate``.
     """
 
     def __init__(self, op, inv_op, labels: Sequence[str] | None = None, record=None):
-        self.op, self.inv_op = _read_only(op, np.int64), _read_only(inv_op, np.int64)
+        self.op, self.inv_op = (_read_only(a, _point_dtype(len(op))) for a in (op, inv_op))
         self.size = len(self.op)
         self.labels = tuple(labels) if labels is not None else None
         self.record = record
@@ -218,9 +220,9 @@ def _json_chunks(obj):
 def _distributivity_failures(a: np.ndarray, acts=None):
     """The ``failures`` of axiom 3 on ``a``: row q yields each (q, r, s), (r, s) row-major,
     with q . (r . s) != (q |> r) . (q . s), where q . s is q |> s, or ``acts[q, s]`` for
-    an action's n x m int64 permutations; int32 copies halve the bytes gathered."""
-    a = a.astype(np.int32)
-    u = a if acts is None else acts.astype(np.int32)
+    an action's n x m permutations.  ``u[q][u]`` casts its narrow n x m index in
+    buffers, where ``np.take`` would first copy all of it to intp."""
+    u = a if acts is None else acts
 
     def failures(q):
         bad = u[a[q]].take(u[q], axis=1) != u[q][u]   # u[a[q, r], u[q, s]], u[q, u[r, s]]
@@ -229,20 +231,20 @@ def _distributivity_failures(a: np.ndarray, acts=None):
 
 
 def _violations(a: np.ndarray, cap: int):
-    """``axiom_violations`` of the int64 array ``a``, plus the inverse
-    table if ``a`` is a quandle (else None)."""
+    """``axiom_violations`` of the n x n array ``a`` of ``_point_dtype(n)``."""
     n = len(a)
-    inv = np.full_like(a, -1)
-    inv[np.arange(n)[:, None], a] = np.arange(n)
     # axiom 1 on the diagonal.  Axiom 2: row q is a permutation exactly when
-    # the row of ``inv`` scattered from it has no hole, and its first hole
-    # is the least value that row q misses
+    # the row of a hit mask scattered from it has no hole, and its first hole
+    # is the least value that row q misses.  No entry of ``a``'s dtype can
+    # mark a hole: -1 wraps to its largest value, and 256 to 0 in uint8
+    hit = np.zeros((n, n), dtype=bool)
+    hit[np.arange(n)[:, None], a] = True
     out = [AxiomViolation(1, (int(q),)) for q in np.flatnonzero(a.diagonal() != np.arange(n))]
-    out += [AxiomViolation(2, (int(q), int(inv[q].argmin())))
-            for q in np.flatnonzero(inv.min(axis=1) < 0)]
+    out += [AxiomViolation(2, (int(q), int(hit[q].argmin())))
+            for q in np.flatnonzero(~hit.all(axis=1))]
     more = _check_rows(_distributivity_failures(a), a, _identity_rows(a))
     out += (AxiomViolation(3, w) for w in itertools.islice(more, max(0, cap + 1 - len(out))))
-    return out[:cap], len(out) > cap, None if out else inv
+    return out[:cap], len(out) > cap
 
 
 def axiom_violations(table: Sequence[Sequence[int]],
@@ -257,23 +259,23 @@ def axiom_violations(table: Sequence[Sequence[int]],
     so row q |> r passes if row r does, whatever axioms 1 and 2 say.  The
     witnesses are those of the full n^3 comparison, in row-major order.
     """
-    out, truncated, _ = _violations(np.asarray(table, dtype=np.int64), cap)
-    return out, truncated
+    return _violations(np.asarray(table, dtype=_point_dtype(len(table))), cap)
 
 
 def _entries(table, n: int) -> np.ndarray:
-    """The rows of ``table`` as one n x n int64 array.  The entry types are
-    read in one pass; only when they are not all ints, or some int is out
-    of range, are the entries walked to name every bad position."""
-    kinds = ({table.dtype.type} if isinstance(table, np.ndarray) and table.dtype != object
-             else set(map(type, itertools.chain.from_iterable(table))))
+    """The rows of ``table`` as one n x n C-order array of ``_point_dtype(n)``.
+    The entry types are read in one pass; only when they are not all ints,
+    or some int is out of range, are the entries walked to name every bad
+    position.  A cast to an unsigned dtype wraps, so an int array's range is
+    checked first; Python ints parse into it (one past it raises), others
+    through int64."""
+    array = isinstance(table, np.ndarray) and table.dtype != object
+    kinds = {table.dtype.type} if array else set(map(type, itertools.chain.from_iterable(table)))
     if all(k is not bool and issubclass(k, (int, np.integer)) for k in kinds):
-        try:
-            a = np.array(table, dtype=np.int64, order="C")   # rows are read one at a time
-        except OverflowError:   # an int past int64 is out of range too
-            a = None
-        if a is not None and not ((a < 0) | (a >= n)).any():
-            return a
+        with contextlib.suppress(OverflowError):   # an int past its dtype is out of range
+            a = table if array else np.array(table, _point_dtype(n) if kinds == {int} else np.int64)
+            if a.min() >= 0 and a.max() < n:
+                return np.asarray(a, dtype=_point_dtype(n), order="C")   # read row by row
     bad = [(q, r) for q, row in enumerate(table) for r, x in enumerate(row)
            if not isinstance(x, (int, np.integer)) or isinstance(x, bool)
            or not 0 <= x < n]
@@ -288,8 +290,8 @@ def validate(table: Sequence[Sequence[int]],
     ``table`` is a sequence of rows or a 2-D integer array.  Raises
     RangeError for malformed tables and InvalidQuandleError carrying the
     full witness list (capped at 100) for axiom failures.  The quandle
-    keeps the checked int64 array as ``op``, and as ``inv_op`` the inverse
-    table that the axiom check built from its rows.
+    keeps the checked table as ``op``, of ``_point_dtype(n)`` (not copied if
+    it is already), and as ``inv_op`` the inverse scattered from its rows.
     """
     n = len(table)
     if n == 0:
@@ -302,7 +304,9 @@ def validate(table: Sequence[Sequence[int]],
     a = _entries(table, n)
     if a.ndim != 2:
         raise RangeError(f"table has {a.ndim} dimensions, expected 2")
-    violations, truncated, inv = _violations(a, MAX_VIOLATIONS)
+    violations, truncated = _violations(a, MAX_VIOLATIONS)
     if violations:
         raise InvalidQuandleError(violations, truncated)
+    inv = np.empty_like(a)   # row q of inv_op is the inverse of row q
+    inv[np.arange(n)[:, None], a] = np.arange(n, dtype=a.dtype)
     return FiniteQuandle(a, inv, labels=labels)

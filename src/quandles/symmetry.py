@@ -24,8 +24,8 @@ import numpy as np
 
 from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup, GroupAutomorphism,
-                     PermutationGroup, _check_rows, _find_rows, _perm_rows, _read_only,
-                     _row_failures, close, cycle_type, table_isomorphisms, walk)
+                     PermutationGroup, _check_rows, _find_rows, _perm_rows, _point_dtype,
+                     _read_only, _row_failures, close, cycle_type, table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
@@ -87,7 +87,8 @@ def random_transvection_word(quandle: FiniteQuandle, length: int,
 class QuandleAction:
     """An action of a quandle on {0..m-1}: one permutation per element, with
     q |> (r |> x) = (q |> r) |> (q |> x), checked as ``hom_check`` is (an identity
-    row may act non-trivially).  ``act``: a read-only n x m int64 array, row q for q."""
+    row may act non-trivially).  ``act``: a read-only n x m array of ``_point_dtype(m)``,
+    row q for q, uncopied if given so: ``natural`` shares the quandle's ``op``."""
 
     def __init__(self, quandle: FiniteQuandle, set_size: int,
                  act: Sequence[Sequence[int]]):
@@ -97,8 +98,9 @@ class QuandleAction:
         if len(rows) != quandle.size:
             raise ActionError(
                 f"need one permutation per quandle element ({quandle.size}), got {len(rows)}")
-        self.act = _read_only(_perm_rows(rows, set_size, lambda q, _: ActionError(
-            f"map for element {q} is not a permutation", witness=(q,))), np.int64)
+        act = _perm_rows(rows, set_size, lambda q, _: ActionError(
+            f"map for element {q} is not a permutation", witness=(q,)))
+        self.act = _read_only(act, _point_dtype(set_size))
         bad = next(_check_rows(_distributivity_failures(quandle.op, self.act), quandle.op), None)
         if bad is not None:
             raise ActionError(f"action is not compatible with |> at {bad[:2]}",

@@ -570,12 +570,12 @@ def test_make_prints_the_canonical_dump_of_each_small_corpus_quandle(tmp_path):
 
 
 def test_make_at_the_carrier_limit_streams_its_table():
-    # 1049 MB with the table as Python ints and one string; the table as
-    # arrays in `validate` alone sets a floor near 430 MB
+    # 1049 MB with the table as Python ints and one string, 430 MB with the
+    # tables int64; as uint16 arrays, 128 MB on a 2-core x86-64 Linux VM
     code, peak_mb, digest = cli_peak_mb_and_digest("make", "trivial", "--n", "4096")
     assert code == 0
     assert digest == "552fefe0d37538edda35d9e98c4832fd255a0ec60dfff8b7620f652ac3dcc5ac"
-    assert peak_mb < 600
+    assert peak_mb < 300
 
 
 def test_realize_json_costs_little_more_memory_than_realize(tmp_path):
@@ -587,6 +587,17 @@ def test_realize_json_costs_little_more_memory_than_realize(tmp_path):
     code, json_mb, err = cli_peak_mb("realize", "--json", u11)
     assert code == 0, err
     assert json_mb - plain_mb < 5   # 14-16 MB with Tr(u11)'s 660 x 660 table as Python ints
+
+
+def test_realize_json_of_u13_holds_its_group_table_narrow(tmp_path):
+    # Tr(u13) has order 1092: its table is 2.4 MB as uint16 against 9.5 MB as
+    # int64.  36.5 MB measured on a 2-core x86-64 Linux VM, 45 MB with int64 tables
+    from quandles import unipotent_class_quandle
+
+    u13 = write(tmp_path, "u13.json", unipotent_class_quandle(13).to_json())
+    code, peak_mb, err = cli_peak_mb("realize", "--json", u13)
+    assert code == 0, err
+    assert peak_mb < 40
 
 
 def test_thread_count_does_not_change_output(tmp_path, r5_file):

@@ -489,7 +489,7 @@ def test_unipotent_class_13_peak_memory():
     (["cocycle", "--x-size", "4097", "--abelian", "@z1", "--cocycle", "@zero"], "4097"),
 ])
 def test_carriers_past_the_limit_fail_fast(tmp_path, argv, size):
-    # `make trivial --n 4096`, at the limit, peaks near 430 MB; past it nothing is built
+    # `make trivial --n 4096`, at the limit, peaks near 130 MB; past it nothing is built
     (tmp_path / "z1").write_text(json.dumps(FiniteGroup.cyclic(1).to_dict()))
     (tmp_path / "zero").write_text("[[0]]")
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]

@@ -345,7 +345,7 @@ def test_action_of_a_trivial_quandle_needs_commuting_maps():
 
 def test_action_table_is_read_only():
     action = QuandleAction.natural(dihedral(3))
-    assert action.act.dtype == np.int64 and action.act.shape == (3, 3)
+    assert action.act.dtype == np.uint8 and action.act.shape == (3, 3)
     with pytest.raises(ValueError):
         action.act[0, 0] = 1
 
