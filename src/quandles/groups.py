@@ -223,20 +223,31 @@ def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = No
     return out[0, :c], out[1, :c], out[2, :c]
 
 
+def _join(t: np.ndarray, x: int, reached: np.ndarray, perms: list[int]):
+    """Grow ``reached``, a mask closed under the rows ``perms`` of the table t,
+    by x to its closure under them (x last in ``perms``: row x moves the old
+    points too).  Returns the points added as a Schreier vector over the rows
+    of t: each but x is t[via, parent], with parent met before it."""
+    old = reached.nonzero()[0] if perms[-1:] == [x] else np.empty(0, dtype=np.int64)
+    back, images = np.empty(len(t), dtype=np.int64), t[x][old]
+    back[images] = old   # row x inverted on the points reached before, one scatter
+    points, parent, via = walk(t[perms], images.tolist() + [x], reached)
+    root = (parent < 0) & (points != x)   # an image of a point reached before
+    parent[root], via[root] = back[points[root]], len(perms) - 1
+    return points, parent, np.array(perms + [-1])[via]
+
+
 def _chain(t: np.ndarray, order: Iterable[int], seed: Sequence[int] = ()):
     """Greedy generating chain of the table ``t``, row c the map y -> c.y:
-    each x of ``order`` not yet reached joins the chain, and yields (x,
-    walk(t[chain], [*seed, *chain])), the closure of seed and chain in a
-    quandle (seed rows the identity) or a group.  Each walk starts from a
-    fresh mask: the points already reached must meet the new row too."""
-    chain: list[int] = []
-    reached = np.zeros(len(t), dtype=bool)
+    each x of ``order`` not yet reached joins the chain and yields (x, what
+    ``_join`` adds to the closure of seed and chain in a quandle (seed rows
+    the identity) or a group)."""
+    chain, reached = [], np.zeros(len(t), dtype=bool)
     reached[list(seed)] = True
     for x in order:
         if not reached[x]:
             chain.append(x)
-            reached = np.zeros(len(t), dtype=bool)
-            yield x, walk(t[chain], [*seed, *chain], reached)
+            yield x, _join(t, x, reached, chain)
 
 
 def _identity_rows(t: np.ndarray) -> list[int]:
@@ -249,7 +260,7 @@ def _check_rows(failures, t: np.ndarray, seed: Sequence[int] = ()):
     and on a p whose map y -> t[p, y] is a permutation.  Rows in the closure C
     of the seed and the rows that passed, under the rows P that passed and are
     permutations other than the identity, pass and are skipped; a passing row
-    joins C by a walk from it and, if it joins P, from its images of C."""
+    joins C by ``_join`` (while P is empty, it is only marked)."""
     n = len(t)
     ident, reached, perms = np.arange(n), np.zeros(n, dtype=bool), []
     reached[list(seed)] = True
@@ -260,9 +271,9 @@ def _check_rows(failures, t: np.ndarray, seed: Sequence[int] = ()):
             yield from itertools.chain([first], fails)
         elif (t[x] != ident).any() and np.bincount(t[x], minlength=n).all():
             perms.append(x)
-            walk(t[perms], np.append(t[x][reached], x), reached)
+            _join(t, x, reached, perms)
         elif perms:
-            walk(t[perms], [x], reached)
+            _join(t, x, reached, perms)
         else:
             reached[x] = True
 
@@ -349,15 +360,12 @@ class PermutationGroup:
     """
 
     def __init__(self, domain_size: int, generators: Iterable[Sequence[int]],
-                 cap: int = DEFAULT_CAP, _elements=None):
+                 cap: int = DEFAULT_CAP):
         gens = _generator_rows(generators, domain_size)
         first = np.sort(np.unique(_keys(gens, gens.dtype), return_index=True)[1])
         self.domain_size = domain_size
         self.gens = _read_only(gens[first])
         self.cap = cap
-        self.used = np.arange(len(self.gens))   # until Dimino's closure picks its own
-        if _elements is not None:
-            self.perms = _read_only(_generator_rows(_elements, domain_size))
 
     @functools.cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -543,18 +551,13 @@ class FiniteGroup:
     def from_permutation_group(cls, grp: PermutationGroup) -> "FiniteGroup":
         """The table of the sorted ``grp.perms`` by ``_cayley_table``, along
         the left translations p -> s o p = s[p] by the generators that
-        Dimino's closure used, which generate the group."""
+        Dimino's closure used, which generate the group.  The identity, the
+        least permutation, is element 0."""
         perms = grp.perms
-        n, m = perms.shape
-        _check_order(n)
-        if not (perms[1:] != perms[:-1]).any(axis=1).all():
-            raise GroupError("permutation list has repeated elements")
-        ident = _find_rows(perms, np.arange(m)[None])
+        _check_order(n := len(perms))
         left = np.array([_find_rows(perms, s[perms]) for s in grp.gens[grp.used]],
                         dtype=np.int64).reshape(len(grp.used), n)
-        if ident[0] < 0 or (left < 0).any():
-            raise GroupError("permutations are not closed under composition")
-        return cls(*_cayley_table(left, int(ident[0])), ident[0], perms=perms)
+        return cls(*_cayley_table(left, 0), 0, perms=perms)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -565,11 +568,10 @@ class FiniteGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "FiniteGroup":
-        """All permutations of n points, in lexicographic order."""
+        """All permutations of n points, in lexicographic order: <n-cycle, (0 1)>."""
         _check_order(math.factorial(n))
-        perms, points = tuple(itertools.permutations(range(n))), np.arange(n)
-        gens = [np.roll(points, 1), np.r_[points[1::-1], points[2:]]]   # n-cycle, (0 1)
-        return cls.from_permutation_group(PermutationGroup(n, gens, _elements=perms))
+        points = np.arange(n)
+        return cls.from_permutations([np.roll(points, 1), np.r_[points[1::-1], points[2:]]])
 
     # -- operations ----------------------------------------------------------
 
@@ -729,7 +731,7 @@ def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence, pinned=None):
     group tables): s_1 is ``pinned[0]`` or the first element in (number of
     candidate images, index) order, and s_k the first in that order outside
     the closure C_{k-1} of the earlier ones.  Each other new element of C_k
-    is s.r on the Schreier vector of the walk, s in the chain and r met
+    is s.r on the Schreier vector of ``_join``, s in the chain and r met
     before it, so its image is forced.  The images of s_k are tried in
     increasing order (only ``pinned[1]`` for a pinned s_1), the forced images
     filled up to the first clash, and the new pairs of C_k x C_k compared as
@@ -748,21 +750,18 @@ def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence, pinned=None):
     order = [pinned[0]] if pinned is not None else []
     order += sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))
     b_rows = b.tolist()
-    chain: list[int] = []
-    old = np.zeros(n, dtype=bool)   # C_{k-1}
+    closure = np.empty(0, dtype=np.int64)   # C_{k-1}
     levels = []   # (s_k, its tries, [(x, s, r)], new pairs x, y, a[x, y])
     for s, (points, parent, via) in _chain(a, order):
-        chain.append(s)
-        fresh = ~old[points]
-        old[points] = True
-        new = fresh & (parent >= 0)   # s_k is the one new root
-        derived = list(zip(points[new].tolist(), np.array(chain)[via[new]].tolist(),
-                           parent[new].tolist()))
+        new = parent >= 0   # s_k is the one point with no parent
+        derived = list(zip(points[new].tolist(), via[new].tolist(), parent[new].tolist()))
         tries = cands[pa[s]]
         if pinned is not None and not levels:
             tries = [y for y in tries if y == pinned[1]]
+        fresh = np.arange(len(closure) + len(points)) >= len(closure)
+        closure = np.concatenate([closure, points])
         xi, yi = np.nonzero(fresh[:, None] | fresh)   # the new pairs of C_k x C_k
-        xs, ys = points[xi], points[yi]
+        xs, ys = closure[xi], closure[yi]
         levels.append((s, tries, derived, xs, ys, a[xs, ys]))
     f, fa = [-1] * n, np.full(n, -1)   # the same map, for scalar and array reads
     used = [False] * n

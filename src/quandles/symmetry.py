@@ -287,9 +287,9 @@ def hom_check(mapping: Sequence[int], source: FiniteQuandle,
     as an identity row may fail.  Row q gives f(q |>^-1 r) = f(q) |>^-1 f(r),
     so the rows that hold are a subquandle and ``preserves_inverse`` is
     ``ok``; ``violations``: the first 100, row-major."""
-    f = tuple(mapping)
-    if (len(f) != source.size
-            or any(type(x) is not int or not 0 <= x < target.size for x in f)):
+    f = tuple(mapping)   # ints and numpy ints, not bools
+    if len(f) != source.size or not all(
+            (type(x) is int or isinstance(x, np.integer)) and 0 <= x < target.size for x in f):
         raise QuandleError("mapping is not a total map of ints into the target")
     m, op = np.array(f, dtype=np.int64), source.op
     hom = _row_failures(lambda q: m[op[q]] != target.op[m[q], m])

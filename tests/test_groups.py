@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import quandles.groups as groups_module
 import quandles.symmetry as symmetry
-from quandles import alexander, inn, tr, unipotent_class_quandle, validate
+from quandles import alexander, dihedral, inn, tr, unipotent_class_quandle, validate
 from quandles.groups import (DEFAULT_CAP, CapExceeded, CosetSpace,
                              CycleParseError, FiniteGroup, GroupAutomorphism,
                              GroupError, NotASubgroup, NotAnAutomorphism,
@@ -315,6 +316,63 @@ def test_walk_rejects_roots_out_of_range():
     for bad in (-1, 3):
         with pytest.raises(GroupError, match=f"point {bad} out of range for 3 points"):
             walk(maps, [0, bad])
+
+
+def _fresh_mask_chain(t, order, seed=()):
+    """The oracle of ``groups._chain``: each new chain row re-walks seed and
+    chain under the chain's rows from a fresh mask, and yields (x, that walk),
+    the whole closure."""
+    chain = []
+    reached = np.zeros(len(t), dtype=bool)
+    reached[list(seed)] = True
+    for x in order:
+        if not reached[x]:
+            chain.append(x)
+            reached = np.zeros(len(t), dtype=bool)
+            yield x, walk(t[chain], [*seed, *chain], reached)
+
+
+@functools.cache
+def _chain_tables():
+    return [q.op for _, q in small_corpus()] + [g.table for _, g in corpus_groups()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chain_yields_what_each_row_adds_to_the_fresh_mask_closure(data):
+    t = data.draw(st.sampled_from(_chain_tables()))
+    n = len(t)
+    order = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    seed = data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+    got = list(groups_module._chain(t, order, seed))
+    want = list(_fresh_mask_chain(t, order, seed))
+    assert [x for x, _ in got] == [x for x, _ in want]
+    reached, rows = set(seed), []
+    for (x, (points, parent, via)), (_, oracle) in zip(got, want):
+        rows.append(x)
+        new = set(points.tolist())
+        assert len(new) == len(points) and not new & reached   # pairwise disjoint
+        for p, r, c in zip(points.tolist(), parent.tolist(), via.tolist()):
+            if p == x:
+                assert r == c == -1
+            else:
+                assert c in rows and r in reached and t[c, r] == p, (p, r, c)
+            reached.add(p)
+        assert reached == set(oracle[0].tolist())
+
+
+def test_chain_yields_each_point_of_a_union_of_dihedral_quandles_once():
+    # 300 copies of dihedral(3), acting trivially on each other: the chain
+    # takes two points of each copy, and the fresh-mask walks would yield
+    # the growing closure again at each of those 600 rows
+    k, d3 = 300, np.array(dihedral(3).op, dtype=np.uint16)
+    n = 3 * k
+    t = np.tile(np.arange(n, dtype=np.uint16), (n, 1))
+    for i in range(0, n, 3):
+        t[i:i + 3, i:i + 3] = i + d3
+    got = list(groups_module._chain(t, range(n)))
+    assert len(got) == 2 * k
+    assert sum(len(points) for _, (points, _, _) in got) == n
 
 
 def test_orbit_of_a_point_out_of_range():
@@ -821,7 +879,7 @@ def test_long_base_on_a_large_domain_matches_oracle(m):
     assert type(g.mul(3, 4)) is int and type(g.inv(3)) is int
 
 
-def test_automorphism_check_is_exhaustive_with_first_witness():
+def test_automorphism_check_gives_the_row_major_first_witness():
     # SL2(F_13) has order 2184: the check compares the rows of a generating set
     # and reports the row-major-least witness
     g = matrix_group_sl2(13)
@@ -931,19 +989,6 @@ def test_group_table_at_the_order_limit():
     code, peak_mb, err = python_peak_mb("-c", _C64_X_C64)
     assert code == 0, err
     assert peak_mb < 400
-
-
-def test_table_refuses_elements_not_closed_under_composition():
-    from quandles.groups import PermutationGroup
-    els = ((0, 1, 2), (1, 2, 0))  # the 3-cycle without its square
-    with pytest.raises(GroupError, match="not closed"):
-        FiniteGroup.from_permutation_group(PermutationGroup(3, els, _elements=els))
-
-
-def test_table_refuses_repeated_elements():
-    els = ((0, 1, 2), (0, 1, 2), (1, 2, 0), (2, 0, 1))   # C3 with the identity twice
-    with pytest.raises(GroupError, match="repeated elements"):
-        FiniteGroup.from_permutation_group(PermutationGroup(3, els, _elements=els))
 
 
 @settings(max_examples=100, deadline=None)

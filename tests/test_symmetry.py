@@ -486,6 +486,11 @@ def test_hom_check_identity_and_violations():
     assert rep.ok and rep.preserves_inverse
     rep = hom_check((0, 0, 1), r3, r3)
     assert not rep.ok and rep.violations
+    r5 = dihedral(5)   # numpy ints are ints too
+    for f in (np.arange(5), list(np.arange(5)), np.arange(5, dtype=np.uint8)):
+        rep = hom_check(f, r5, r5)
+        assert rep.ok and rep.preserves_inverse
+    assert hom_check(np.array([0, 0, 1]), r3, r3) == hom_check((0, 0, 1), r3, r3)
 
 
 def test_hom_check_matches_the_pair_loop():
@@ -514,8 +519,11 @@ def test_hom_check_matches_the_pair_loop():
 
 def test_hom_check_rejects_malformed_mappings():
     r3 = dihedral(3)
-    for f in ((0, 1, 2.0), (0, True, 2), (0, 1, "2"), (0, 1), (0, 1, 3), (0, 1, -1)):
-        with pytest.raises(QuandleError):
+    for f in ((0, 1, 2.0), (0, True, 2), (0, 1, "2"), (0, 1), (0, 1, 3), (0, 1, -1),
+              np.array([0, 1, 2.0]), np.array([False, True, True]), (0, np.bool_(True), 2),
+              (0, 1, np.float64(2)), np.array([0, 1, 3]), np.array([0, 1, -1]),
+              np.array([0, 1, 255], dtype=np.uint8)):
+        with pytest.raises(QuandleError, match="mapping is not a total map of ints into the target"):
             hom_check(f, r3, r3)
 
 
