@@ -6,19 +6,22 @@ digest recorded before the group layer was rewritten.  The ``orbits``,
 ``survey``, ``color``, ``make phi_space``/``make vedernikov`` and
 inter-orbit digests were recorded before the realization code was merged
 into one coset action, and the ``make unipotent_class`` digests for p < 13
-while the class was still read off the table of SL2(F_p).  Any change to a table, an element order, a label or
-a check shows up here byte for byte.
+while the class was still read off the table of SL2(F_p).  The ``aut`` and
+``iso`` digests were recorded while ``aut`` still listed every automorphism.
+Any change to a table, an element order, a label or a check shows up here
+byte for byte.
 """
 
 import functools
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from quandles import (FiniteGroup, conjugation, dihedral, inter_orbit_action,
-                      unipotent_class_quandle)
+                      unipotent_class_quandle, validate)
 from quandles.cli import run
 
 QUANDLES = {
@@ -45,6 +48,24 @@ FILES = {
     "conj_by_1": lambda: json.dumps(_s3_conjugation_by_1()),
     "trefoil": lambda: "X[1,4,2,5];X[3,6,4,1];X[5,2,6,3]",
 }
+
+# the carriers of the aut and iso digests: each quandle, and dihedral(63)
+AUT_CARRIERS = (*QUANDLES, "d63")
+
+
+def _relabelled(name: str) -> str:
+    """The carrier ``name`` with its points renamed by Random(0).sample."""
+    q = QUANDLES[name]() if name in QUANDLES else dihedral(63)
+    sigma = random.Random(0).sample(range(q.size), q.size)
+    op = q.op.tolist()
+    inv = sorted(range(q.size), key=sigma.__getitem__)
+    return validate([[sigma[op[inv[i]][inv[j]]] for j in range(q.size)]
+                     for i in range(q.size)]).to_json()
+
+
+FILES["d63"] = lambda: dihedral(63).to_json()
+FILES.update({f"{name}_relabelled": functools.partial(_relabelled, name)
+              for name in AUT_CARRIERS})
 
 # (quandle, q, r) of each pinned inter_orbit_action report
 INTER_ORBIT = (("conj_s4", 0, 9), ("conj_s4", 9, 9), ("u11", 0, 17))
@@ -132,6 +153,26 @@ DIGESTS = {
         "a4dbac1a423b1449b1713d714a847bf11e2e738c5f45c87f6e48da0da854dd3a",
     "u11:inter_orbit:0:17":
         "4f28e7ad0b042f89ddee1bfb82389ee3f6edf25cd9e9915c9162855a735f0b8b",
+    "u7:aut":
+        "32ce7f0f1b56ce87b6e20cefbe022862aeb135c65e54145e1ac3597845ae349e",
+    "u7:iso":
+        "7720c61a9c8a8cb1f40efab158931d3ce01f0875e49428bd93716c3a5b6dd6ca",
+    "u11:aut":
+        "184b59d8a08106271c8dae4b89538ca55078f316b3e12099f1e70688266c9fcd",
+    "u11:iso":
+        "1a82f39687481e4a20886d8ad6452b4fd367e04a2ada4a288d8d35bd2466fa40",
+    "conj_s4:aut":
+        "10162cb616e3939616deb1e051d3839316119441ea986dab20b844cac221da9d",
+    "conj_s4:iso":
+        "b1ff7985de975c5f8605b1a9928478fa408f698fcbd1878a3734e1edf0d95423",
+    "d5:aut":
+        "cc23566f939fc562865e49c32c5178040eb16357202824da29a4e99199e2ad2f",
+    "d5:iso":
+        "16b973e7e56e38a234707edcd97482a23556b68c14ea13017e78cc7eacdd1879",
+    "d63:aut":
+        "afbaf74f3da10924f8ab280905440ba72739894e95311211cf8a32ed8f13b4b2",
+    "d63:iso":
+        "46797700251e8d854041bbb17e544831c4a8f070b8ca74b5843ccab5fbe84cac",
 }
 
 
@@ -145,6 +186,9 @@ def _argvs():
     yield "survey", None, ["survey", "@DIR", "--json"]
     yield "d5:color_trefoil", None, ["color", "--diagram", "@trefoil",
                                      "--quandle", "@d5", "--by-orbit", "--json"]
+    for name in AUT_CARRIERS:
+        yield f"{name}:aut", None, ["aut", f"@{name}", "--json"]
+        yield f"{name}:iso", None, ["iso", f"@{name}", f"@{name}_relabelled", "--json"]
     for name in QUANDLES:
         yield f"{name}:quandle", name, None
         yield f"{name}:report", name, ["report", "FILE", "--json"]
