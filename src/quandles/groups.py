@@ -189,16 +189,17 @@ def parse_generator_lines(text: str, domain_size: int | None = None) -> list[tup
 # ---------------------------------------------------------------------------
 # orbit walks
 
-def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = None):
-    """Breadth-first walk from ``roots`` along the rows of a (k x m) int
-    array of maps of {0..m-1}.  Returns int64 arrays (points, parent, via):
-    the points in the order a one-at-a-time BFS meets them (the roots in
-    increasing order, then level by level, each point's images in map
-    order), and a Schreier vector: the point each was first met from and the
-    row of ``maps`` that took it there (-1 for a root).  The boolean mask
-    ``reached`` is updated in place; points already in it are skipped, and
-    the walk stops once it is full."""
-    k, m = maps.shape
+def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = None, rows=None):
+    """Breadth-first walk from ``roots`` along the rows (or the rows ``rows``,
+    read a level's columns at a time) of a (k x m) int array of maps of
+    {0..m-1}.  Returns int64 arrays (points, parent, via): the points in the
+    order a one-at-a-time BFS meets them (the roots in increasing order, then
+    level by level, each point's images in map order), and a Schreier vector:
+    the point each was first met from and the index of the map that took it
+    there (-1 for a root).  The boolean mask ``reached`` is updated in place;
+    points already in it are skipped, and the walk stops once it is full."""
+    k, m = maps.shape if rows is None else (len(rows), maps.shape[1])
+    rows = slice(None) if rows is None else np.asarray(rows, dtype=np.int64)[:, None]
     roots = np.fromiter(roots, dtype=np.int64)
     outside = roots[(roots < 0) | (roots >= m)]
     if len(outside):
@@ -211,7 +212,7 @@ def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = No
     c = len(level)
     out[0, :c], out[1:, :c] = level, -1
     while len(level) and not reached.all():
-        images = maps[:, level].T.ravel()             # x in level order, then g
+        images = maps[rows, level].T.ravel()          # x in level order, then g
         fresh = (~reached[images]).nonzero()[0]
         if not len(fresh):
             break
@@ -231,7 +232,7 @@ def _join(t: np.ndarray, x: int, reached: np.ndarray, perms: list[int]):
     old = reached.nonzero()[0] if perms[-1:] == [x] else np.empty(0, dtype=np.int64)
     back, images = np.empty(len(t), dtype=np.int64), t[x][old]
     back[images] = old   # row x inverted on the points reached before, one scatter
-    points, parent, via = walk(t[perms], images.tolist() + [x], reached)
+    points, parent, via = walk(t, images.tolist() + [x], reached, perms)
     root = (parent < 0) & (points != x)   # an image of a point reached before
     parent[root], via[root] = back[points[root]], len(perms) - 1
     return points, parent, np.array(perms + [-1])[via]
@@ -354,9 +355,9 @@ class PermutationGroup:
 
     ``gens`` (the distinct generators) and ``perms`` (the sorted elements)
     are read-only arrays of the dtype ``_point_dtype(domain_size)``.
-    Closure is lazy; ``perms`` and ``order`` trigger it.  Orbits only walk
-    the generators.  ``elements`` and ``generators`` are tuple views, built
-    when first read.
+    Closure is lazy; ``perms`` triggers it, and ``order`` unless ``aut`` set
+    it.  Orbits only walk the generators.  ``elements`` and ``generators``
+    are tuple views, built when first read.
     """
 
     def __init__(self, domain_size: int, generators: Iterable[Sequence[int]],
@@ -375,7 +376,7 @@ class PermutationGroup:
     def generators(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.gens.tolist()))
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         return len(self.perms)
 
@@ -723,6 +724,57 @@ def fixed_subgroup(group: FiniteGroup, phi: GroupAutomorphism) -> tuple[int, ...
     return fixed
 
 
+def _extensions(a, b, prof_a: Sequence, prof_b: Sequence, first: Sequence[int] = ()):
+    """The (s_k, images tried) of ``table_isomorphisms``, ``first`` leading its
+    order, and ``mappings(pins)``: a new search, level k < len(pins) trying ``pins[k]``."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    n = len(a)
+    ids: dict = {}
+    pa = [ids.setdefault(p, len(ids)) for p in prof_a]
+    pb = [ids.setdefault(p, len(ids)) for p in prof_b]
+    cands = [[y for y in range(n) if pb[y] == i] for i in range(len(ids))]
+    order = [*first, *sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))]
+    b_rows = b.tolist()
+    closure = np.empty(0, dtype=np.int64)   # C_{k-1}
+    levels = []   # (s_k, its tries, [(x, s, r)], new pairs x, y, a[x, y])
+    for s, (points, parent, via) in _chain(a, order):
+        new = parent >= 0   # s_k is the one point with no parent
+        derived = list(zip(points[new].tolist(), via[new].tolist(), parent[new].tolist()))
+        fresh = np.arange(len(closure) + len(points)) >= len(closure)
+        closure = np.concatenate([closure, points])
+        xi, yi = np.nonzero(fresh[:, None] | fresh)   # the new pairs of C_k x C_k
+        xs, ys = closure[xi], closure[yi]
+        levels.append((s, cands[pa[s]], derived, xs, ys, a[xs, ys]))
+
+    def mappings(pins):
+        f, fa, used = [-1] * n, np.full(n, -1), [False] * n   # fa: f, for array reads
+        def extend(k: int):
+            if k == len(levels):
+                yield tuple(f)
+                return
+            s, tries, derived, xs, ys, a_xy = levels[k]
+            for y in pins[k] if k < len(pins) else tries:
+                if used[y]:
+                    continue
+                f[s] = fa[s] = y
+                taken = [y]
+                used[y] = True
+                for x, l, r in derived:
+                    fx = b_rows[f[l]][f[r]]
+                    if used[fx] or pb[fx] != pa[x]:
+                        break
+                    f[x] = fa[x] = fx
+                    taken.append(fx)
+                    used[fx] = True
+                else:
+                    if (fa[a_xy] == b[fa[xs], fa[ys]]).all():
+                        yield from extend(k + 1)
+                for t in taken:
+                    used[t] = False
+        return extend(0)
+    return [level[:2] for level in levels], mappings
+
+
 def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence, pinned=None):
     """Lazily yield, as tuples, the bijections f with f[a[x, y]] ==
     b[f[x], f[y]] and prof_b[f[x]] == prof_a[x], for n x n tables a and b.
@@ -739,58 +791,29 @@ def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence, pinned=None):
     the mappings come out in lexicographic order of their images of the
     whole order.
     """
-    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    n = len(a)
-    if len(b) != n:
-        return
-    ids: dict = {}
-    pa = [ids.setdefault(p, len(ids)) for p in prof_a]
-    pb = [ids.setdefault(p, len(ids)) for p in prof_b]
-    cands = [[y for y in range(n) if pb[y] == i] for i in range(len(ids))]
-    order = [pinned[0]] if pinned is not None else []
-    order += sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))
-    b_rows = b.tolist()
-    closure = np.empty(0, dtype=np.int64)   # C_{k-1}
-    levels = []   # (s_k, its tries, [(x, s, r)], new pairs x, y, a[x, y])
-    for s, (points, parent, via) in _chain(a, order):
-        new = parent >= 0   # s_k is the one point with no parent
-        derived = list(zip(points[new].tolist(), via[new].tolist(), parent[new].tolist()))
-        tries = cands[pa[s]]
-        if pinned is not None and not levels:
-            tries = [y for y in tries if y == pinned[1]]
-        fresh = np.arange(len(closure) + len(points)) >= len(closure)
-        closure = np.concatenate([closure, points])
-        xi, yi = np.nonzero(fresh[:, None] | fresh)   # the new pairs of C_k x C_k
-        xs, ys = closure[xi], closure[yi]
-        levels.append((s, tries, derived, xs, ys, a[xs, ys]))
-    f, fa = [-1] * n, np.full(n, -1)   # the same map, for scalar and array reads
-    used = [False] * n
+    if len(a) == len(b):
+        levels, mappings = _extensions(a, b, prof_a, prof_b, pinned[:1] if pinned else ())
+        yield from mappings([[y for y in levels[0][1] if y == pinned[1]]] if pinned else [])
 
-    def extend(k: int):
-        if k == len(levels):
-            yield tuple(f)
-            return
-        s, tries, derived, xs, ys, a_xy = levels[k]
+
+def table_automorphisms(t, prof: Sequence) -> tuple[np.ndarray, int]:
+    """Strong generators (int64 rows) and order of the automorphism group of
+    ``table_isomorphisms(t, t, prof, prof)`` by Sims' orbit-stabilizer product
+    (1970): for k = K down to 1, each image y of s_k outside its orbit under the
+    generators so far (which fix C_{k-1}) is tried alone, with f = id on C_{k-1};
+    the first mapping found joins them, and none refutes y.  The order is the
+    product of the orbit lengths, each s_k's under the stabilizer of C_{k-1}."""
+    levels, mappings = _extensions(t, t, prof, prof)
+    gens, order = np.empty((0, len(t)), dtype=np.int64), 1
+    for k in reversed(range(len(levels))):
+        (s, tries), fixed = levels[k], [[x] for x, _ in levels[:k]]
+        orbit = walk(gens, [s])[0]
         for y in tries:
-            if used[y]:
-                continue
-            f[s] = fa[s] = y
-            taken = [y]
-            used[y] = True
-            for x, l, r in derived:
-                fx = b_rows[f[l]][f[r]]
-                if used[fx] or pb[fx] != pa[x]:
-                    break
-                f[x] = fa[x] = fx
-                taken.append(fx)
-                used[fx] = True
-            else:
-                if (fa[a_xy] == b[fa[xs], fa[ys]]).all():
-                    yield from extend(k + 1)
-            for t in taken:
-                used[t] = False
-
-    yield from extend(0)
+            if y not in orbit and (f := next(mappings(fixed + [[y]]), None)) is not None:
+                gens = np.vstack([gens, f])
+                orbit = walk(gens, [s])[0]
+        order *= len(orbit)
+    return gens, order
 
 
 def all_automorphisms(group: FiniteGroup, max_order: int = 64) -> list[GroupAutomorphism]:

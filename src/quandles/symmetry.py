@@ -25,7 +25,8 @@ import numpy as np
 from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup, GroupAutomorphism,
                      PermutationGroup, _check_rows, _find_rows, _perm_rows, _point_dtype,
-                     _read_only, _row_failures, close, cycle_type, table_isomorphisms, walk)
+                     _read_only, _row_failures, close, cycle_type, table_automorphisms,
+                     table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
@@ -321,31 +322,32 @@ def iso_search(q1: FiniteQuandle, q2: FiniteQuandle,
 
 def aut(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE,
         cap: int = REALIZE_CAP) -> PermutationGroup:
-    """The full automorphism group, listed by an exhaustive search.  More
-    than ``cap`` automorphisms raise ``CapExceeded``."""
+    """The full automorphism group, on the few strong generators of an
+    orbit-stabilizer search and knowing its order; its elements are listed
+    only when read.  An order above ``cap`` raises ``CapExceeded``."""
     if quandle.size > max_size:
         raise TooLarge(f"automorphism search limited to size {max_size}")
-    els = sorted(itertools.islice(_isomorphisms(quandle, quandle), cap + 1))
-    if len(els) > cap:
+    gens, order = table_automorphisms(quandle.op, _invariant_profiles(quandle))
+    if order > cap:
         raise CapExceeded(f"automorphism group exceeded cap of {cap} elements")
-    return PermutationGroup(quandle.size, els, cap=cap)   # closed again: few gens used
+    grp = PermutationGroup(quandle.size, gens, cap=cap)
+    grp.order = order
+    return grp
 
 
 def is_homogeneous(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE) -> bool:
     """Does the full automorphism group act transitively?
 
     Connected quandles are homogeneous (inner automorphisms already act
-    transitively).  Otherwise it suffices to find, for each orbit basepoint
-    r, one automorphism sending 0 to r: automorphism orbits are unions of
-    inner orbits.
+    transitively).  Otherwise the strong generators of ``aut``'s search
+    generate Aut(Q), so the orbit of 0 under them is its orbit.
     """
-    deco = orbits(quandle)
-    if deco.count == 1:
+    if orbits(quandle).count == 1:
         return True
     if quandle.size > max_size:
         raise TooLarge(f"automorphism search limited to size {max_size}")
-    return all(next(_isomorphisms(quandle, quandle, pinned=(0, r)), None) is not None
-               for r in deco.basepoints if deco.orbit_id[r] != deco.orbit_id[0])
+    gens, _ = table_automorphisms(quandle.op, _invariant_profiles(quandle))
+    return len(walk(gens, [0])[0]) == quandle.size
 
 
 # ---------------------------------------------------------------------------

@@ -448,8 +448,9 @@ def test_aut_at_the_size_limit():
 
 
 def test_aut_fails_fast_at_the_default_cap(tmp_path):
-    # Aut(trivial(12)) is S_12 of order 12! ~ 4.8e8; listing stops at the
-    # cap of 10^5 (2.6 s and 46 MB measured on a 2-core x86-64 Linux VM)
+    # Aut(trivial(12)) is S_12 of order 12! ~ 4.8e8; the orbit-stabilizer
+    # search finds that order on 11 generators and refuses it at the cap of
+    # 10^5 before listing anything
     path = tmp_path / "t12.json"
     path.write_text(trivial(12).to_json())
     code, peak_mb, err = cli_peak_mb("aut", str(path))
