@@ -50,12 +50,12 @@ FILES = {
 }
 
 # the carriers of the aut and iso digests: each quandle, and dihedral(63)
-AUT_CARRIERS = (*QUANDLES, "d63")
+AUT_CARRIERS = {**QUANDLES, "d63": lambda: dihedral(63)}
 
 
 def _relabelled(name: str) -> str:
     """The carrier ``name`` with its points renamed by Random(0).sample."""
-    q = QUANDLES[name]() if name in QUANDLES else dihedral(63)
+    q = AUT_CARRIERS[name]()
     sigma = random.Random(0).sample(range(q.size), q.size)
     op = q.op.tolist()
     inv = sorted(range(q.size), key=sigma.__getitem__)
@@ -63,7 +63,7 @@ def _relabelled(name: str) -> str:
                      for i in range(q.size)]).to_json()
 
 
-FILES["d63"] = lambda: dihedral(63).to_json()
+FILES["d63"] = lambda: AUT_CARRIERS["d63"]().to_json()
 FILES.update({f"{name}_relabelled": functools.partial(_relabelled, name)
               for name in AUT_CARRIERS})
 

@@ -440,6 +440,8 @@ def test_aut_too_large():
         aut(trivial(65))
     with pytest.raises(TooLarge):
         iso_search(trivial(65), trivial(65))
+    with pytest.raises(TooLarge):
+        is_homogeneous(trivial(65))
 
 
 def test_aut_at_the_size_limit():
@@ -460,7 +462,7 @@ def test_aut_fails_fast_at_the_default_cap(tmp_path):
 
 
 def test_invariant_profiles_are_computed_once_per_quandle(monkeypatch):
-    # _isomorphisms(q, q) reads them twice, and is_homogeneous once per basepoint
+    # aut and is_homogeneous each read them once, for both sides of one search
     calls = []
     monkeypatch.setattr(symmetry, "cycle_type",
                         lambda row: calls.append(1) or groups_module.cycle_type(row))
