@@ -330,9 +330,7 @@ def _cmd_survey(args, out, err) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise UsageError(f"{args.directory} is not a directory")
-    corpus = []
-    for path in sorted(directory.glob("*.json")):
-        corpus.append((path.stem, FiniteQuandle.from_json(path.read_text())))
+    corpus = [(path.stem, _load_quandle(str(path))) for path in sorted(directory.glob("*.json"))]
     cap = _closure_cap(symmetry.REALIZE_CAP, args)
     result = regularity.implication_survey(corpus, cap=cap)
     if args.json:

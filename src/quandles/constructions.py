@@ -15,8 +15,8 @@ from itertools import product
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAutomorphism, CosetSpace, conjugacy_class,
-                     is_prime, _chain, _check_sl2_prime, _row_failures)
-from .quandle import FiniteQuandle, QuandleError, validate
+                     is_prime, _chain, _check_sl2_prime, _point_dtype, _row_failures)
+from .quandle import JSON_BLOCK_ENTRIES, FiniteQuandle, QuandleError, validate
 
 MAX_CARRIER = 4096   # largest constructed carrier; `make trivial --n 4096` peaks near 130 MB
 
@@ -67,6 +67,15 @@ def _check_carrier(base: int, power: int = 1) -> None:
             f"carrier size {size} exceeds the limit of {MAX_CARRIER} elements")
 
 
+def _by_rows(n: int, rows) -> np.ndarray:
+    """The n x n table of ``_point_dtype(n)`` whose rows s are ``rows(s)``, computed
+    ``JSON_BLOCK_ENTRIES`` entries of whole rows at a time."""
+    table, step = np.empty((n, n), _point_dtype(n)), max(1, JSON_BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        table[lo:lo + step] = rows(slice(lo, lo + step))
+    return table
+
+
 def _finish(table, labels, family, parameters) -> FiniteQuandle:
     q = validate(table, labels=labels)
     q.record = ConstructionRecord(family, parameters, tuple(labels))
@@ -91,7 +100,7 @@ def dihedral(n: int) -> FiniteQuandle:
         raise ConstructionError("size must be positive")
     _check_carrier(n)
     i = np.arange(n)
-    return _finish((2 * i[:, None] - i) % n, tuple(map(str, range(n))),
+    return _finish(_by_rows(n, lambda s: (2 * i[s, None] - i) % n), tuple(map(str, range(n))),
                    "dihedral", {"n": n})
 
 
@@ -292,11 +301,12 @@ def alexander(p: int, n: int, a) -> FiniteQuandle:
     # a repeated code means a is not injective; np.unique would import numpy.ma
     if np.bincount(av @ p ** np.arange(n - 1, -1, -1)).max() > 1:
         raise ConstructionError("matrix is not invertible mod p")
-    # coordinate i of v + a(w - v) is (v - a v)_i + (a w)_i; Horner over i
-    table = np.zeros((len(v), len(v)), dtype=np.int64)
-    for i in range(n):
-        table = table * p + ((v[:, i] - av[:, i])[:, None] + av[:, i]) % p
-    return _finish(table, _vec_labels(v.tolist(), n), "alexander",
+    def rows(s):   # coordinate i of v + a(w - v) is (v - a v)_i + (a w)_i; Horner over i
+        table = 0
+        for i in range(n):
+            table = table * p + ((v[s, i] - av[s, i])[:, None] + av[:, i]) % p
+        return table
+    return _finish(_by_rows(len(v), rows), _vec_labels(v.tolist(), n), "alexander",
                    {"p": p, "n": n, "a": a_param})
 
 
@@ -312,12 +322,15 @@ def power_cocycle(p: int, n: int) -> FiniteQuandle:
         raise ConstructionError("dimension must be at least 2")
     _check_carrier(p, n)
     v = _vectors(p, n)
-    d = (v[:, 0] - v[:, 0, None]) % p   # [x, y] = y1 - x1
-    table, power = np.broadcast_to(v[:, 0], d.shape), d
-    for i in range(1, n):
-        power = power * d % p
-        table = table * p + (v[:, i] + power) % p
-    return _finish(table, _vec_labels(v.tolist(), n), "power_cocycle", {"p": p, "n": n})
+    def rows(s):
+        d = (v[:, 0] - v[s, 0, None]) % p   # [x, y] = y1 - x1
+        table, power = v[:, 0], d
+        for i in range(1, n):
+            power = power * d % p
+            table = table * p + (v[:, i] + power) % p
+        return table
+    return _finish(_by_rows(len(v), rows), _vec_labels(v.tolist(), n), "power_cocycle",
+                   {"p": p, "n": n})
 
 
 # ---------------------------------------------------------------------------

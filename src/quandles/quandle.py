@@ -19,6 +19,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import re
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,6 +30,7 @@ from .groups import _check_rows, _identity_rows, _point_dtype, _read_only, walk
 
 MAX_VIOLATIONS = 100
 JSON_BLOCK_ENTRIES = 1 << 13    # table entries written per block
+_WS = " \t\n\r"   # JSON's whitespace (RFC 8259)
 
 
 class QuandleError(Exception):
@@ -98,7 +101,7 @@ class FiniteQuandle:
         self.size = len(self.op)
         self.labels = tuple(labels) if labels is not None else None
         self.record = record
-        self._hash = hash(self.op.tobytes())
+        self._hash = zlib.crc32(np.ascontiguousarray(self.op))   # read in place
 
     # -- elementary maps -----------------------------------------------------
 
@@ -162,7 +165,7 @@ class FiniteQuandle:
         if "table" not in d:
             raise RangeError("quandle JSON needs a 'table' field")
         table = d["table"]
-        if not isinstance(table, list):
+        if not isinstance(table, (list, np.ndarray)):
             raise RangeError("quandle 'table' must be a list of rows")
         if "size" in d and d["size"] != len(table):
             raise RangeError("declared size does not match table")
@@ -175,7 +178,7 @@ class FiniteQuandle:
     @classmethod
     def from_json(cls, text: str) -> "FiniteQuandle":
         try:
-            d = json.loads(text)
+            d = _read_object(text) or json.loads(text)
         except json.JSONDecodeError as exc:
             raise RangeError(f"invalid JSON: {exc}") from exc
         if not isinstance(d, dict):
@@ -217,6 +220,52 @@ def _json_chunks(obj):
         yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _read_object(text: str) -> dict | None:
+    """The JSON object ``text`` with its last key "table" as an n x n array, or None.
+    ``json.loads`` reads the text with the table (the "[" after "table": to the last
+    "]") replaced by a NaN it marks; ``_read_rows`` reads the table in row blocks."""
+    key, ws, marks = text.rfind('"table"'), re.compile(f"[{_WS}]*"), []   # marks: NaNs read
+    start, stop = ws.match(text, ws.match(text, key + 7).end() + 1).end(), text.rfind("]") + 1
+    n = text.count(",", start, max(text.find("]", start, stop), start)) + 1
+    if key < 0 or not text.startswith("[", start) or 2 * n * n > stop - start:
+        return None   # the text must hold n^2 entries before n x n are allocated
+    try:
+        d = json.loads(text[:start] + "NaN" + text[stop:],
+                       parse_constant=lambda c: marks.append(c) or marks)
+    except (ValueError, RecursionError):
+        return None
+    if len(marks) != 1 or not isinstance(d, dict) or d.get("table") is not marks:
+        return None
+    out, row, pos, step = np.empty((n, n), _point_dtype(n)), 0, start + 1, 8 * JSON_BLOCK_ENTRIES
+    while row < n:   # whole rows, JSON_BLOCK_ENTRIES entries of up to 8 characters
+        k = max(text.rfind("]", pos, min(pos + step, stop - 1)), text.find("]", pos, stop - 1))
+        rows = _read_rows(("," if row == 0 else "") + text[pos:k + 1], n) if k >= 0 else None
+        if rows is None or row + len(rows) > n:
+            return None
+        out[row:row + len(rows)], row, pos = rows, row + len(rows), k + 1
+    return None if text[pos:stop - 1].strip(_WS) else {**d, "table": out}
+
+
+def _read_rows(chunk: str, n: int) -> np.ndarray | None:
+    """The rows of ``chunk``, JSON text "," "[" e, ..., e "]" ..., as an int64 array when
+    each e is one of 0..n-1 in digits, else None; ``np.fromstring`` stops at bad text."""
+    b = chunk.encode("ascii", "replace")   # any other character becomes "?"
+    c = b.translate(None, _WS.encode())
+    if len(c) < len(b) and re.search(f"[0-9][{_WS}]+[0-9]".encode(), b):
+        return None   # whitespace inside a number
+    a = np.frombuffer(c, np.uint8)
+    p = np.flatnonzero((a - 48) > 9)   # all but the digits; b"0" is 48
+    size, r = np.diff(p, append=len(a)) - 1, len(p) // (n + 2)   # the digits after each
+    form = np.frombuffer(b",[" + b"," * (n - 1) + b"]", np.uint8)   # a row and its separator
+    if (len(p) != r * (n + 2) or (a[p].reshape(r, n + 2) != form).any()
+            or ((size > 0).reshape(r, n + 2) != (np.arange(n + 2) % (n + 1) > 0)).any()):
+        return None   # only commas and brackets, and digits after each "[" and comma
+    if ((a[p[size > 0] + 1] == 48) & (size[size > 0] > 1)).any():
+        return None   # a leading zero
+    v = np.fromstring(c.translate(None, b"[]")[1:], np.int64, sep=",")   # saturates past int64
+    return v.reshape(r, n) if v.max() < n else None
+
+
 def _distributivity_failures(a: np.ndarray, acts=None):
     """The ``failures`` of axiom 3 on ``a``: row q yields each (q, r, s), (r, s) row-major,
     with q . (r . s) != (q |> r) . (q . s), where q . s is q |> s, or ``acts[q, s]`` for
@@ -233,15 +282,11 @@ def _distributivity_failures(a: np.ndarray, acts=None):
 def _violations(a: np.ndarray, cap: int):
     """``axiom_violations`` of the n x n array ``a`` of ``_point_dtype(n)``."""
     n = len(a)
-    # axiom 1 on the diagonal.  Axiom 2: row q is a permutation exactly when
-    # the row of a hit mask scattered from it has no hole, and its first hole
-    # is the least value that row q misses.  No entry of ``a``'s dtype can
-    # mark a hole: -1 wraps to its largest value, and 256 to 0 in uint8
-    hit = np.zeros((n, n), dtype=bool)
-    hit[np.arange(n)[:, None], a] = True
+    # axiom 1 on the diagonal.  Axiom 2, a row at a time: row q is a permutation exactly
+    # when its count of each value has no zero, and its first zero is the least it misses
     out = [AxiomViolation(1, (int(q),)) for q in np.flatnonzero(a.diagonal() != np.arange(n))]
-    out += [AxiomViolation(2, (int(q), int(hit[q].argmin())))
-            for q in np.flatnonzero(~hit.all(axis=1))]
+    out += [AxiomViolation(2, (q, int(np.bincount(a[q], minlength=n).argmin())))
+            for q in range(n) if not np.bincount(a[q], minlength=n).all()]
     more = _check_rows(_distributivity_failures(a), a, _identity_rows(a))
     out += (AxiomViolation(3, w) for w in itertools.islice(more, max(0, cap + 1 - len(out))))
     return out[:cap], len(out) > cap

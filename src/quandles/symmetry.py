@@ -169,17 +169,19 @@ def saturate_forward(quandle: FiniteQuandle, seed: Iterable[int]) -> SaturationC
 
     The chain is increasing because z = z |> z, and the fixpoint is stable
     under every s_q and s_q^-1 (a finite set with q |> W inside W forces
-    q |> W = W), so it equals the union of the inner orbits of Z.
-    """
+    q |> W = W), so it equals the union of the inner orbits of Z.  A mask
+    gathers Q |> Z, each step adding the columns of the points new to Z."""
     current = frozenset(seed)
     if not current:
         raise ValueError("seed set must be nonempty")
-    chain = [current]
+    chain, reached, new = [current], np.zeros(quandle.size, dtype=bool), current
     while True:
-        nxt = frozenset(quandle.op[:, list(current)].ravel().tolist())
+        for z in new:
+            reached[quandle.op[:, z]] = True
+        nxt = frozenset(np.flatnonzero(reached).tolist())
         if nxt == current:
             break
-        current = nxt
+        new, current = nxt - current, nxt
         chain.append(current)
     return SaturationChain(tuple(chain))
 

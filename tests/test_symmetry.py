@@ -935,3 +935,19 @@ def test_sbar_fibers_are_equal_symmetry_classes():
 def test_sbar_is_hom_on_corpus_sample():
     for _, q in small_corpus():
         assert sbar_hom(q, 0).is_homomorphism
+
+
+def _saturation_by_images(q, seed):
+    """The chain Z, Q |> Z, ... with each step the set of all images op[:, Z]."""
+    chain = [frozenset(seed)]
+    while (nxt := frozenset(q.op[:, sorted(chain[-1])].ravel().tolist())) != chain[-1]:
+        chain.append(nxt)
+    return tuple(chain)
+
+
+def test_saturation_chains_match_the_images_of_each_step():
+    from corpus_util import corpus
+    for name, q in corpus():
+        for seed in [{0}, {q.size - 1}, set(range(0, q.size, 3)),
+                     set(random.Random(q.size).sample(range(q.size), min(2, q.size)))]:
+            assert saturate_forward(q, seed).sets == _saturation_by_images(q, seed), (name, seed)
