@@ -236,8 +236,8 @@ def _read_object(text: str) -> dict | None:
         return None
     if len(marks) != 1 or not isinstance(d, dict) or d.get("table") is not marks:
         return None
-    out, row, pos, step = np.empty((n, n), _point_dtype(n)), 0, start + 1, 8 * JSON_BLOCK_ENTRIES
-    while row < n:   # whole rows, JSON_BLOCK_ENTRIES entries of up to 8 characters
+    out, row, pos, step = np.empty((n, n), _point_dtype(n)), 0, start + 1, JSON_BLOCK_ENTRIES
+    while row < n:   # blocks of whole rows, JSON_BLOCK_ENTRIES characters or one row
         k = max(text.rfind("]", pos, min(pos + step, stop - 1)), text.find("]", pos, stop - 1))
         rows = _read_rows(("," if row == 0 else "") + text[pos:k + 1], n) if k >= 0 else None
         if rows is None or row + len(rows) > n:
@@ -253,15 +253,16 @@ def _read_rows(chunk: str, n: int) -> np.ndarray | None:
     c = b.translate(None, _WS.encode())
     if len(c) < len(b) and re.search(f"[0-9][{_WS}]+[0-9]".encode(), b):
         return None   # whitespace inside a number
-    a = np.frombuffer(c, np.uint8)
-    p = np.flatnonzero((a - 48) > 9)   # all but the digits; b"0" is 48
-    size, r = np.diff(p, append=len(a)) - 1, len(p) // (n + 2)   # the digits after each
+    a = np.frombuffer(c + b"]]", np.uint8)   # two bytes past the end, so a[p + 2] is read
+    p = np.flatnonzero((a[:-2] < 48) | (a[:-2] > 57))   # all but the digits b"0" to b"9"
+    after, next2 = a[p + 1], a[p + 2]   # compared only: uint8 arithmetic costs a process 64 KB
     form = np.frombuffer(b",[" + b"," * (n - 1) + b"]", np.uint8)   # a row and its separator
+    r = len(p) // (n + 2)
     if (len(p) != r * (n + 2) or (a[p].reshape(r, n + 2) != form).any()
-            or ((size > 0).reshape(r, n + 2) != (np.arange(n + 2) % (n + 1) > 0)).any()):
-        return None   # only commas and brackets, and digits after each "[" and comma
-    if ((a[p[size > 0] + 1] == 48) & (size[size > 0] > 1)).any():
-        return None   # a leading zero
+            or (((after >= 48) & (after <= 57)).reshape(r, n + 2)
+                != (np.arange(n + 2) % (n + 1) > 0)).any()
+            or ((after == 48) & (next2 >= 48) & (next2 <= 57)).any()):
+        return None   # only commas and brackets, digits after each "[" and comma, no leading 0
     v = np.fromstring(c.translate(None, b"[]")[1:], np.int64, sep=",")   # saturates past int64
     return v.reshape(r, n) if v.max() < n else None
 

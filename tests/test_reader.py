@@ -145,7 +145,7 @@ def test_whitespace_variants_take_the_reader():
 ENTRIES = ["01", "00", "-0", "-1", "+1", "1e2", "1E0", "1.0", "0.", ".5", "0x1", "1_0",
            "3", "255", "256", "65535", "65536", "70000", str(2**63), str(2**64),
            "1" * 30, "1" * 5000, "true", "null", '"1"', "[]", "[0]", "NaN", "Infinity", "",
-           "0 0", "\u0663"]
+           "0 0", "\u0663", "0:", "0/", "1:1"]
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
