@@ -68,8 +68,7 @@ def _check_carrier(base: int, power: int = 1) -> None:
 
 
 def _by_rows(n: int, rows) -> np.ndarray:
-    """The n x n table of ``_point_dtype(n)`` whose rows s are ``rows(s)``, computed
-    ``JSON_BLOCK_ENTRIES`` entries of whole rows at a time."""
+    """The n x n ``_point_dtype(n)`` table of rows ``rows(s)``, JSON_BLOCK_ENTRIES at a time."""
     table, step = np.empty((n, n), _point_dtype(n)), max(1, JSON_BLOCK_ENTRIES // n)
     for lo in range(0, n, step):
         table[lo:lo + step] = rows(slice(lo, lo + step))

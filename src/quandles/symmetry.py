@@ -169,8 +169,8 @@ def saturate_forward(quandle: FiniteQuandle, seed: Iterable[int]) -> SaturationC
 
     The chain is increasing because z = z |> z, and the fixpoint is stable
     under every s_q and s_q^-1 (a finite set with q |> W inside W forces
-    q |> W = W), so it equals the union of the inner orbits of Z.  A mask
-    gathers Q |> Z, each step adding the columns of the points new to Z."""
+    q |> W = W), so it equals the union of the inner orbits of Z, gathered in a mask
+    to which each step adds the columns of the points new to Z."""
     current = frozenset(seed)
     if not current:
         raise ValueError("seed set must be nonempty")

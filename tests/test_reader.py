@@ -25,6 +25,16 @@ from quandles.quandle import RangeError, _read_object
 from corpus_util import cli_peak_mb, corpus
 
 D3 = dihedral(3).to_json()   # the small file every byte of which is mutated
+READ_MIN_ENTRIES = quandle_module.READ_MIN_ENTRIES
+
+
+@pytest.fixture(autouse=True, scope="module")
+def reader_on_every_size():
+    """A table below ``READ_MIN_ENTRIES`` entries goes to json.loads; in these
+    tests the reader reads every table."""
+    quandle_module.READ_MIN_ENTRIES = 0
+    yield
+    quandle_module.READ_MIN_ENTRIES = READ_MIN_ENTRIES
 
 
 def json_loads_reference(text: str) -> FiniteQuandle:
@@ -237,6 +247,17 @@ def test_random_whitespace_between_table_tokens(name, data):
     text = head + '"table":' + "".join(p + s for p, s in zip(pieces, spaces))
     assert np.array_equal(_read_object(text)["table"], q.op)
     assert_same(text)
+
+
+def test_tables_below_the_threshold_go_to_json_loads():
+    quandle_module.READ_MIN_ENTRIES = READ_MIN_ENTRIES
+    try:
+        assert READ_MIN_ENTRIES == 1 << 16
+        assert _read_object(dihedral(255).to_json()) is None   # 65025 entries
+        assert _read_object(dihedral(256).to_json())["table"].shape == (256, 256)
+        assert_same(dihedral(255).to_json())
+    finally:
+        quandle_module.READ_MIN_ENTRIES = 0
 
 
 def test_validate_keeps_the_array_the_reader_makes():
