@@ -222,9 +222,9 @@ def _json_chunks(obj):
 
 
 def _read_object(text: str) -> dict | None:
-    """The JSON object ``text`` with its last key "table" as an n x n array, or None.
-    ``json.loads`` reads the text with the table (the "[" after "table": to the last
-    "]") replaced by a NaN it marks; ``_read_rows`` reads the table in row blocks."""
+    """The JSON object ``text`` with its table as an n x n array when the table runs from
+    the "[" after the last "table": to the last "]", else None.  ``json.loads`` reads the
+    text with the table replaced by a NaN it marks; ``_read_rows`` reads the table."""
     key, ws, marks = text.rfind('"table"'), re.compile(f"[{_WS}]*"), []   # marks: NaNs read
     start, stop = ws.match(text, ws.match(text, key + 7).end() + 1).end(), text.rfind("]") + 1
     n = text.count(",", start, max(text.find("]", start, stop), start)) + 1
@@ -249,7 +249,7 @@ def _read_object(text: str) -> dict | None:
 
 
 def _read_rows(chunk: str, n: int) -> np.ndarray | None:
-    """The rows of ``chunk``, JSON text "," "[" e, ..., e "]" ..., as an int64 array when
+    """The rows of ``chunk``, a "," and rows "[e,...,e]" joined by commas, as int64 when
     each e is one of 0..n-1 in digits, else None; ``np.fromstring`` stops at bad text."""
     b = chunk.encode("ascii", "replace")   # any other character becomes "?"
     c = b.translate(None, _WS.encode())
