@@ -1,8 +1,9 @@
 """The numeric table reader against the parse it stands in for.
 
-``FiniteQuandle.from_json`` reads the table of a text whose last key is
-"table" straight into an array (``quandle._read_object``), and hands every
-other text to ``json.loads``.  Each test runs both side by side: the reader
+``FiniteQuandle.from_json`` reads a table that runs from the "[" after the
+text's last "table": to its last "]" straight into an array
+(``quandle._read_object``), and hands every other text to ``json.loads``.
+Each test runs both side by side: the reader
 as it is, and ``json.loads`` followed by ``from_dict``, and requires the same
 quandle or the same exception and message.  The CLI is compared the same
 way, with the reader switched off for the reference run.
