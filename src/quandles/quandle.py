@@ -30,7 +30,6 @@ from .groups import _check_rows, _identity_rows, _point_dtype, _read_only, walk
 
 MAX_VIOLATIONS = 100
 JSON_BLOCK_ENTRIES = 1 << 13    # table entries written per block
-READ_MIN_ENTRIES = 1 << 16      # smaller tables go to json.loads: a few ms, and a lower peak
 _WS = " \t\n\r"   # JSON's whitespace (RFC 8259)
 
 
@@ -228,8 +227,9 @@ def _read_object(text: str) -> dict | None:
     key, ws, marks = text.rfind('"table"'), re.compile(f"[{_WS}]*"), []   # marks: NaNs read
     start, stop = ws.match(text, ws.match(text, key + 7).end() + 1).end(), text.rfind("]") + 1
     n = text.count(",", start, max(text.find("]", start, stop), start)) + 1
-    if (key < 0 or not text.startswith("[", start)
-            or not READ_MIN_ENTRIES <= n * n <= (stop - start) // 2):
+    last = text.rfind("]", start, stop - 1)   # a table ends in "]]", whitespace between
+    if (key < 0 or not text.startswith("[", start) or n * n > (stop - start) // 2
+            or ws.match(text, last + 1).end() != stop - 1):
         return None   # the text must hold n^2 entries before n x n are allocated
     try:
         d = json.loads(text[:start] + "NaN" + text[stop:],

@@ -23,19 +23,9 @@ from quandles import FiniteQuandle, dihedral, trivial, validate
 from quandles.cli import run
 from quandles.quandle import RangeError, _read_object
 
-from corpus_util import cli_peak_mb, corpus
+from corpus_util import cli_peak_mb, corpus, python_peak_mb
 
 D3 = dihedral(3).to_json()   # the small file every byte of which is mutated
-READ_MIN_ENTRIES = quandle_module.READ_MIN_ENTRIES
-
-
-@pytest.fixture(autouse=True, scope="module")
-def reader_on_every_size():
-    """A table below ``READ_MIN_ENTRIES`` entries goes to json.loads; in these
-    tests the reader reads every table."""
-    quandle_module.READ_MIN_ENTRIES = 0
-    yield
-    quandle_module.READ_MIN_ENTRIES = READ_MIN_ENTRIES
 
 
 def json_loads_reference(text: str) -> FiniteQuandle:
@@ -250,15 +240,27 @@ def test_random_whitespace_between_table_tokens(name, data):
     assert_same(text)
 
 
-def test_tables_below_the_threshold_go_to_json_loads():
-    quandle_module.READ_MIN_ENTRIES = READ_MIN_ENTRIES
-    try:
-        assert READ_MIN_ENTRIES == 1 << 16
-        assert _read_object(dihedral(255).to_json()) is None   # 65025 entries
-        assert _read_object(dihedral(256).to_json())["table"].shape == (256, 256)
-        assert_same(dihedral(255).to_json())
-    finally:
-        quandle_module.READ_MIN_ENTRIES = 0
+def test_a_table_followed_by_another_key_is_refused_before_its_rows(monkeypatch):
+    # json.dumps(to_dict()) puts "labels" after "table"; no row is read before
+    # the text goes to json.loads
+    def read_rows(chunk, n):
+        raise AssertionError("rows read")
+    monkeypatch.setattr(quandle_module, "_read_rows", read_rows)
+    for q in (dihedral(5), dihedral(300)):
+        assert _read_object(json.dumps(q.to_dict())) is None
+        assert _read_object(_variants(q)["table-middle"]) is None
+
+
+def test_reading_a_file_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique without return_index imports numpy.ma, 16-26 ms of a cold process
+    path = tmp_path / "d300.json"
+    path.write_text(dihedral(300).to_json())
+    probe = ("import atexit, sys\n"
+             "atexit.register(lambda: print('numpy.ma' in sys.modules, file=sys.stderr))\n"
+             "from quandles.cli import main; main()")
+    for command in ("check", "orbits", "connected"):
+        code, _, err = python_peak_mb("-c", probe, command, str(path))
+        assert code == 0 and err.split() == ["False"], (command, err)
 
 
 def test_validate_keeps_the_array_the_reader_makes():
