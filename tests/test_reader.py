@@ -23,7 +23,7 @@ from quandles import FiniteQuandle, dihedral, trivial, validate
 from quandles.cli import run
 from quandles.quandle import RangeError, _read_object
 
-from corpus_util import cli_peak_mb, corpus, python_peak_mb
+from corpus_util import cli_peak_mb, corpus
 
 D3 = dihedral(3).to_json()   # the small file every byte of which is mutated
 
@@ -249,18 +249,6 @@ def test_a_table_followed_by_another_key_is_refused_before_its_rows(monkeypatch)
     for q in (dihedral(5), dihedral(300)):
         assert _read_object(json.dumps(q.to_dict())) is None
         assert _read_object(_variants(q)["table-middle"]) is None
-
-
-def test_reading_a_file_leaves_numpy_ma_unloaded(tmp_path):
-    # np.unique without return_index imports numpy.ma, 16-26 ms of a cold process
-    path = tmp_path / "d300.json"
-    path.write_text(dihedral(300).to_json())
-    probe = ("import atexit, sys\n"
-             "atexit.register(lambda: print('numpy.ma' in sys.modules, file=sys.stderr))\n"
-             "from quandles.cli import main; main()")
-    for command in ("check", "orbits", "connected"):
-        code, _, err = python_peak_mb("-c", probe, command, str(path))
-        assert code == 0 and err.split() == ["False"], (command, err)
 
 
 def test_validate_keeps_the_array_the_reader_makes():

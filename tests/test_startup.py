@@ -156,6 +156,8 @@ def test_library_paths_leave_numpy_ma_unloaded(tmp_path):
              "atexit.register(lambda: print('numpy.ma' in sys.modules, file=sys.stderr))\n"
              "from quandles.cli import main; main()")
     for argv in (["sbar", str(r5), "--basepoint", "0"],
+                 ["check", str(r5)],
+                 ["connected", str(r5)],
                  ["make", "conj_class", "--group", str(s3), "--element", "1"],
                  ["make", "alexander", "--p", "5", "--a", "3"],
                  ["make", "alexander", "--p", "3", "--n", "2", "--a", "[[1,1],[0,1]]"],
