@@ -9,14 +9,17 @@ so re-serializing a parsed output reproduces it byte for byte.
 from __future__ import annotations
 
 import gc
+import os
+import sys
+
+if "numpy" not in sys.modules:   # no OpenBLAS thread pool: the library never calls BLAS
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 _gc_was_enabled = gc.isenabled()
 gc.disable()   # until the end of the module: collecting would only rescan what it builds
 try:
     import argparse
     import json
-    import os
-    import sys
     from pathlib import Path
 
     from . import knots

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import time
 from collections import deque
 
 import numpy as np
@@ -126,25 +127,118 @@ def test_inn_and_tr_match_the_bfs_oracle(name, q):
         assert list(grp.elements) == _bfs_closure(grp.generators, q.size)
 
 
-def test_inn_closure_composes_about_once_per_element(monkeypatch):
+def _dimino(gens, m, cap=DEFAULT_CAP):
+    """Reference closure by Dimino's algorithm (Butler 1991), as the groups
+    module ran it before the stabilizer chain: the sorted elements and the
+    indices of the generators that enlarged the group, a generator already
+    in it skipped.  The group is listed as whole right cosets prev.r of the
+    subgroup it grew from, and the cap is checked before each coset."""
+    gens = np.array(gens, dtype=np.int64).reshape(len(gens), m)
+    prev, used = np.arange(m)[None], []
+    seen = {tuple(range(m))}
+    for i, s in enumerate(gens):
+        if tuple(s.tolist()) in seen:
+            continue
+        used.append(i)
+        blocks = [prev]
+        for block in blocks:   # grows as it is walked
+            for t in gens[used]:
+                r = block[0][t]
+                if tuple(r.tolist()) not in seen:
+                    if (len(blocks) + 1) * len(prev) > cap:
+                        raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+                    blocks.append(prev[:, r])
+                    seen.update(map(tuple, blocks[-1].tolist()))
+        prev = np.concatenate(blocks)
+    return sorted(map(tuple, prev.tolist())), used
+
+
+def _assert_chain_matches_dimino(gens, m, others=()):
+    """Order, sorted elements, generators used, membership of the elements,
+    of ``others`` and of what is no permutation of m points, and the cap
+    outcome at the order and one below it, against ``_dimino``."""
+    grp = close(gens, domain_size=m)
+    want, used = _dimino(grp.generators, m)
+    assert grp.order == len(want)
+    assert grp.used.tolist() == used
+    assert all(p in grp for p in want)
+    members = set(want)
+    assert all((tuple(p) in grp) == (tuple(p) in members) for p in others)
+    wrong = [tuple(range(m + 1)), tuple(range(m))[:-1], (m,) + tuple(range(1, m))]
+    assert not any(p in grp for p in wrong + ([(0,) * m] if m > 1 else []))
+    assert "perms" not in vars(grp)
+    assert list(grp.elements) == want
+    for cap in {len(want), len(want) - 1} - {0}:
+        got = _outcome(lambda: [close(gens, cap=cap, domain_size=m).order])
+        assert got == _outcome(lambda: [len(_dimino(grp.generators, m, cap)[0])])
+        assert got == ([len(want)] if cap >= len(want)
+                       else f"group closure exceeded cap of {cap} elements")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_lists(), st.data())
+def test_chain_matches_dimino_on_drawn_generators(case, data):
+    m, gens = case
+    others = data.draw(st.lists(st.permutations(range(m)), max_size=8))
+    _assert_chain_matches_dimino(gens, m, others)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.permutations(range(6)), min_size=1, max_size=4),
+       st.lists(st.permutations(range(6)), max_size=20))
+def test_chain_matches_dimino_on_subgroups_of_s6(gens, others):
+    _assert_chain_matches_dimino([tuple(p) for p in gens], 6, others)
+
+
+@pytest.mark.parametrize("name,q", small_corpus())
+def test_chain_matches_dimino_on_inn_and_tr(name, q):
+    every = list(itertools.permutations(range(q.size))) if q.size <= 6 else []
+    for grp in (inn(q), tr(q)):
+        _assert_chain_matches_dimino(grp.gens, q.size, every)
+
+
+def test_queries_leave_the_group_unlisted():
+    # order and membership read the chain, orbits walk the generators
+    q = alexander(7, 3, 2)
+    for grp in (inn(q), tr(q)):
+        assert grp.is_transitive() and tuple(grp.gens[5].tolist()) in grp
+        assert (tuple(q.op[0].tolist()) in grp) == (grp.order == 1029)   # s_0: in Inn, not Tr
+        assert "perms" not in vars(grp) and "elements" not in vars(grp)
+
+
+def test_the_inn_and_tr_commands_leave_the_group_unlisted(tmp_path, monkeypatch):
+    from quandles.cli import run
+    path = tmp_path / "a732.json"
+    path.write_text(alexander(7, 3, 2).to_json())
+    made = []
+    for name in ("inn", "tr"):
+        monkeypatch.setattr(symmetry, name, lambda *args, build=getattr(symmetry, name), **kw:
+                            made.append(build(*args, **kw)) or made[-1])
+    for argv in (["inn", path], ["inn", "--json", path], ["tr", path], ["tr", "--json", path]):
+        assert run([str(a) for a in argv], stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    assert len(made) == 4 and not any("perms" in vars(grp) for grp in made)
+
+
+def test_inn_composes_under_three_rows_per_element(monkeypatch):
     # a breadth-first closure over all 343 generators of Inn composed each
-    # with every element, about 353k compositions.  Dimino's closure makes
-    # each element but the identity in one coset gather, np.take, so the
-    # rows it gathers count its compositions
+    # with every element, about 353k compositions.  The chain composes its
+    # transversals, forms each Schreier generator s.u_d and sifts it, and
+    # sifts each input generator: 2744 rows of 343 points for order 1029,
+    # every one through ``_compose_rows``
     q = alexander(7, 3, 2)
     rows = 0
-    take = np.take
+    compose = groups_module._compose_rows
 
-    def counting_take(a, *args, **kwargs):
+    def counting_compose(p, q, *args):
         nonlocal rows
-        rows += len(a)
-        return take(a, *args, **kwargs)
+        rows += len(q)
+        return compose(p, q, *args)
 
-    monkeypatch.setattr(np, "take", counting_take)
+    monkeypatch.setattr(groups_module, "_compose_rows", counting_compose)
     grp = inn(q)
     monkeypatch.undo()
     assert grp.order == 1029 and len(grp.generators) == 343
-    assert grp.order - 1 <= rows < 5 * 1029
+    assert grp.order <= rows < 3 * grp.order
 
 
 def _transposition_table(n):
@@ -185,6 +279,28 @@ def test_inn_at_scale_peaks_below_the_tuple_closure(tmp_path):
     assert code == 0, err
     assert "inn: order 14406 on 2401 points" in err
     assert peak_mb < 560
+
+
+def test_inn_of_a_2401_point_carrier_lists_no_group(a743_json):
+    # Dimino's closure listed Inn, order 14406 on 2401 points, at 263 MB;
+    # the chain holds two levels, of 2401 and 6 points
+    code, peak_mb, err = cli_peak_mb("inn", str(a743_json))
+    assert code == 0, err
+    assert peak_mb < 150
+
+
+def test_inn_of_the_transpositions_of_s10_past_the_default_cap(tmp_path):
+    # S_10 of order 10!: Dimino's closure took 3.0-5.5 s and 751 MB to list
+    # it under this cap; the chain has eight levels of at most 45 points
+    path = tmp_path / "t10.json"
+    path.write_text(json.dumps({"size": 45, "table": _transposition_table(10)}))
+    start = time.perf_counter()
+    code, peak_mb, err = python_peak_mb(
+        "-c", "import sys; sys.stdout = sys.stderr; from quandles.cli import main; main()",
+        "inn", "--cap", "4000000", str(path))
+    assert time.perf_counter() - start < 2
+    assert code == 0, err
+    assert "inn: order 3628800 on 45 points" in err
 
 
 _NOT_MEMBERS = [(0, 1), (0, 1, 2, 3), (0, 0, 1), (256, 1, 2), (-1, 1, 2), (1, 0, 2)]

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import quandles
 
 SRC = str(Path(quandles.__file__).resolve().parents[1])
@@ -90,6 +92,24 @@ def test_importing_the_cli_leaves_the_collector_as_it_was():
     probe = "import gc{}\nimport quandles.cli\nprint(gc.isenabled(), gc.get_freeze_count())"
     assert python("-c", probe.format("")).stdout.split() == ["True", "0"]
     assert python("-c", probe.format("; gc.disable()")).stdout.split() == ["False", "0"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_the_cli_starts_no_blas_thread_pool():
+    # importing numpy starts an OpenBLAS worker per core; the library's @
+    # products are on int arrays and never call BLAS
+    probe = ("import os, quandles.cli\n"
+             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+
+    def threads_and_setting(env):
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+    assert threads_and_setting(env) == ["1", "1"]
+    assert threads_and_setting(dict(env, OPENBLAS_NUM_THREADS="2"))[1] == "2"
 
 
 def test_no_collection_walks_the_import_time_objects():
