@@ -9,8 +9,8 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +41,13 @@ class NotFixed(ConstructionError):
         super().__init__(f"subgroup elements moved by the automorphism: {self.moved}")
 
 
-@dataclass(frozen=True)
-class ConstructionRecord:
+class ConstructionRecord(NamedTuple):
     """Provenance of a constructed quandle: ``parameters`` are the keyword
     arguments of the family's constructor, groups and automorphisms held as
     the objects given, so replaying it rebuilds the table."""
 
     family: str
-    parameters: dict = field(hash=False)
+    parameters: dict
     labeling: tuple[str, ...]
 
     def replay(self) -> FiniteQuandle:

@@ -15,9 +15,8 @@ merged into color classes before counting.  Counts are exact integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +45,7 @@ class InconsistentArcs(Exception):
         super().__init__(message + (": " + ", ".join(detail) if detail else ""))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One oriented crossing; all four fields are 0-based arc indices."""
 
     over_in: int
@@ -276,8 +274,7 @@ def parse_braid(word: str, strands: int) -> KnotDiagram:
 # ---------------------------------------------------------------------------
 # coloring counts
 
-@dataclass(frozen=True)
-class ColoringCount:
+class ColoringCount(NamedTuple):
     """Exact number of colorings; ``by_orbit[i]`` counts those whose image
     lies inside the i-th inner orbit of the coloring quandle."""
 

@@ -21,8 +21,7 @@ import itertools
 import json
 import re
 import zlib
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .groups import _check_rows, _identity_rows, _point_dtype, _read_only, walk
 
 MAX_VIOLATIONS = 100
 JSON_BLOCK_ENTRIES = 1 << 13    # table entries written per block
+_TABLE_DTYPES = (np.uint8, np.uint16)   # at most 65536 tokens
 _WS = " \t\n\r"   # JSON's whitespace (RFC 8259)
 
 
@@ -45,8 +45,7 @@ class RangeError(QuandleError):
         self.positions = tuple(positions)
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     """One failed quandle axiom with a witness tuple.
 
     axiom 1: idempotence, witness (q,);
@@ -72,8 +71,7 @@ class InvalidQuandleError(QuandleError):
         super().__init__(f"{len(self.violations)} axiom violation(s): {head}{more}{suffix}")
 
 
-@dataclass(frozen=True)
-class ElementSymmetry:
+class ElementSymmetry(NamedTuple):
     """The left translation s_q; always a quandle automorphism."""
 
     base: int
@@ -201,23 +199,45 @@ class FiniteQuandle:
 def _json_chunks(obj):
     """The canonical JSON text of ``obj`` (sorted keys, compact separators), in
     chunks.  A dict holding a dict or an array is written key by key (its keys
-    are strings), an int array ``JSON_BLOCK_ENTRIES`` entries of whole rows at a
-    time, so only one block is ever Python ints or text; any other value is one
+    are strings), and a nonempty 2-D uint8 or uint16 array (every table the
+    program writes) by ``_table_chunks``; any other value is one
     ``json.dumps``, which keeps its escaping and number format."""
-    if isinstance(obj, np.ndarray):
-        step = max(1, JSON_BLOCK_ENTRIES * len(obj) // max(1, obj.size))
-        yield "["
-        for i in range(0, len(obj), step):
-            text = json.dumps(obj[i:i + step].tolist(), separators=(",", ":"))
-            yield ("," if i else "") + text[1:-1]
-        yield "]"
+    if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size
+            and obj.dtype in _TABLE_DTYPES):
+        yield from _table_chunks(obj)
     elif isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray)) for v in obj.values()):
         for i, key in enumerate(sorted(obj)):
             yield ("," if i else "{") + json.dumps(key) + ":"
             yield from _json_chunks(obj[key])
         yield "}"
     else:
+        obj = obj.tolist() if isinstance(obj, np.ndarray) else obj
         yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _table_chunks(a: np.ndarray):
+    """The JSON text of the table ``a``, ``JSON_BLOCK_ENTRIES`` entries of whole rows
+    at a time.  For v = 0..max, ``tok[v]`` is the digits of v, NUL padding and a
+    comma, and ``end[v]`` the same with "]" for the last entry of a row.  A block
+    is b",[" and the tokens of each row: its bytes, less the NULs, read ",[0,1],[1,0]"."""
+    m, n = int(a.max()) + 1, a.shape[1]
+    width = len(str(m - 1))
+    digits = np.full((2, m, width + 1), ord(","), np.uint8)
+    digits[:, :, :width] = np.arange(m).astype(f"S{width}")[:, None].view(np.uint8)
+    digits[1, :, width] = ord("]")
+    tok, end = digits.view(f"S{width + 1}")[..., 0]
+    step = max(1, JSON_BLOCK_ENTRIES // n)
+    buf = np.empty((min(step, len(a)), n + 1), tok.dtype)
+    buf[:, 0] = b",["
+    yield "["
+    for i in range(0, len(a), step):
+        rows = a[i:i + step]
+        block = buf[:len(rows)]
+        np.take(tok, rows[:, :-1], out=block[:, 1:-1])
+        block[:, -1] = end[rows[:, -1]]
+        text = block.tobytes().replace(b"\0", b"").decode()
+        yield text if i else text[1:]
+    yield "]"
 
 
 def _read_object(text: str) -> dict | None:

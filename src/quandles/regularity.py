@@ -15,8 +15,7 @@ On a finite carrier the conditions collapse to checkable statements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,8 +39,7 @@ def surjective_translations(quandle: FiniteQuandle) -> tuple[bool, ...]:
     return tuple((columns == np.arange(quandle.size)[:, None]).all(axis=0).tolist())
 
 
-@dataclass(frozen=True)
-class OrbitRealizationSummary:
+class OrbitRealizationSummary(NamedTuple):
     basepoint: int
     orbit_size: int
     group_order: int
@@ -49,8 +47,7 @@ class OrbitRealizationSummary:
     ok: bool
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     size: int
     i_prime: bool
     d_prime: bool
@@ -106,14 +103,12 @@ def regularity_report(quandle: FiniteQuandle, cap: int = REALIZE_CAP) -> Regular
                             fixed, surj, tuple(summaries), (COMPONENT_NOTE,))
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     name: str
     flags: dict
 
 
-@dataclass(frozen=True)
-class SurveyResult:
+class SurveyResult(NamedTuple):
     """Condition co-occurrence over a corpus of quandles.
 
     ``implications`` maps "A => B" to the list of names violating it; an
@@ -160,8 +155,7 @@ def implication_survey(corpus: Iterable[tuple[str, FiniteQuandle]],
     return SurveyResult(tuple(rows), implications)
 
 
-@dataclass(frozen=True)
-class IsolationConsequenceReport:
+class IsolationConsequenceReport(NamedTuple):
     """What isolated fixed points buy on a finite carrier.
 
     When every fixed set is a singleton, some right translation is expected

@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +45,7 @@ class ActionError(QuandleError):
 # ---------------------------------------------------------------------------
 # signed words
 
-@dataclass(frozen=True)
-class SignedWord:
+class SignedWord(NamedTuple):
     """A word in the symmetries: letters (q, sign) applied left to right."""
 
     letters: tuple[tuple[int, int], ...]
@@ -150,8 +148,7 @@ def tr_action_group(action: QuandleAction, cap: int = DEFAULT_CAP,
 # ---------------------------------------------------------------------------
 # saturation and orbits
 
-@dataclass(frozen=True)
-class SaturationChain:
+class SaturationChain(NamedTuple):
     """The increasing chain Z, Q|>Z, ... up to its fixpoint."""
 
     sets: tuple[frozenset[int], ...]
@@ -195,8 +192,7 @@ def saturate_mixed(action: QuandleAction, seed: Iterable[int]) -> frozenset[int]
     return frozenset(walk(action.act, seed)[0].tolist())
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(NamedTuple):
     """Partition of the carrier into inner orbits, with witness words mapping
     each orbit's basepoint to each of its elements."""
 
@@ -245,8 +241,7 @@ def tr_orbit(quandle: FiniteQuandle, q: int, base: int = 0) -> frozenset[int]:
     return frozenset(walk(quandle.op[:, quandle.inv_op[base]], [q])[0].tolist())
 
 
-@dataclass(frozen=True)
-class ConnectednessReport:
+class ConnectednessReport(NamedTuple):
     connected: bool
     witness_words: tuple[SignedWord, ...] | None  # spanning words when connected
     separating_pair: tuple[int, int] | None       # two points in distinct orbits
@@ -277,8 +272,7 @@ def is_connected(quandle: FiniteQuandle) -> ConnectednessReport:
 # ---------------------------------------------------------------------------
 # homomorphisms, isomorphisms, automorphisms
 
-@dataclass(frozen=True)
-class HomReport:
+class HomReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[int, int], ...]
     preserves_inverse: bool
@@ -355,8 +349,7 @@ def is_homogeneous(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE) -> bool
 # ---------------------------------------------------------------------------
 # open subquandles
 
-@dataclass(frozen=True)
-class OpenSubquandleReport:
+class OpenSubquandleReport(NamedTuple):
     subset: tuple[int, ...]
     is_whole_carrier: bool
     meets_every_orbit: bool
@@ -439,8 +432,7 @@ def _cosets_at(g: FiniteGroup, q: int) -> tuple[CosetSpace, tuple[int, ...]]:
     return cs, tuple(images[list(cs.reps)].tolist())
 
 
-@dataclass(frozen=True)
-class CosetRealization:
+class CosetRealization(NamedTuple):
     """An orbit realized as a coset quandle of the transvection group.
 
     group:      Tr(Q) as an explicit finite group of permutations;
@@ -508,8 +500,7 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
     return CosetRealization(q, g, phi, stab, cs, pi, orbit, checks)
 
 
-@dataclass(frozen=True)
-class InterOrbitReport:
+class InterOrbitReport(NamedTuple):
     """The action of one coset space on another through psi(g) = s_q g s_r^-1,
     verified to be well-defined and compatible with |> through the pi maps."""
 
@@ -554,8 +545,7 @@ def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int,
 # ---------------------------------------------------------------------------
 # the symmetry-comparison homomorphism into a twisted group quandle
 
-@dataclass(frozen=True)
-class SbarReport:
+class SbarReport(NamedTuple):
     """The map x -> s_x s_q^-1 into Inn(Q) carrying the twisted operation
     a |> b = a phi(b a^-1), phi = conjugation by s_q."""
 

@@ -185,3 +185,26 @@ def test_library_paths_leave_numpy_ma_unloaded(tmp_path):
         done = python("-c", probe, *argv)
         assert done.returncode == 0, (argv, done.stderr)
         assert done.stderr.split() == ["False"], argv
+
+
+def test_cli_commands_leave_dataclasses_unloaded(tmp_path):
+    # the library's records are NamedTuples: importing dataclasses and
+    # building 19 dataclasses cost a cold process about 10 ms
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    r5 = corpus / "r5.json"
+    r5.write_text(quandles.dihedral(5).to_json())
+    probe = ("import atexit, sys\n"
+             "atexit.register(lambda: print('dataclasses' in sys.modules, file=sys.stderr))\n"
+             "from quandles.cli import main; main()")
+    for argv in (["make", "dihedral", "--n", "5"],
+                 ["check", str(r5)],
+                 ["realize", "--json", str(r5)],
+                 ["report", "--json", str(r5)],
+                 ["survey", str(corpus)],
+                 ["aut", str(r5)],
+                 ["color", "--braid", "s1 s1 s1", "--strands", "2", "--quandle", str(r5),
+                  "--by-orbit"]):
+        done = python("-c", probe, *argv)
+        assert done.returncode == 0, (argv, done.stderr)
+        assert done.stderr.split() == ["False"], argv
