@@ -57,7 +57,9 @@ def _read_text(path: str) -> str:
 
 
 def _load_quandle(path: str) -> FiniteQuandle:
-    return FiniteQuandle.from_json(_read_text(path))
+    """The quandle in the file ``path`` (stdin for "-"), read as a stream: its text is held
+    whole only when the table reader refuses it."""
+    return FiniteQuandle.from_json(sys.stdin.read() if path == "-" else Path(path))
 
 
 def _load_group(args) -> FiniteGroup:

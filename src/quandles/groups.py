@@ -333,11 +333,10 @@ def _generator_rows(rows, m: int) -> np.ndarray:
     return a.astype(_point_dtype(m), copy=False)
 
 
-def _keys(rows: np.ndarray, dtype, order: str = ">") -> np.ndarray:
-    """Each row of ints as one bytes scalar of ``dtype`` entries: big-endian,
-    so keys sort and compare as the rows do lexicographically, or in native
-    ``order`` "=", which only compares so and needs no copy."""
-    be = np.ascontiguousarray(rows, dtype=np.dtype(dtype).newbyteorder(order))
+def _keys(rows: np.ndarray, dtype) -> np.ndarray:
+    """Each row of ints as one bytes scalar of ``dtype`` entries, big-endian,
+    so keys sort and compare as the rows do lexicographically."""
+    be = np.ascontiguousarray(rows, dtype=np.dtype(dtype).newbyteorder(">"))
     width = be.itemsize * be.shape[1]
     return be.view(f"V{width}").ravel() if width else np.zeros(len(be), dtype="V1")
 
@@ -355,15 +354,15 @@ class _Level:
     """One level of a stabilizer chain: its base point, the strong generators
     that fix the earlier base points (``maps``), the basic orbit in walk
     order, each point's place in it (``at``, -1 outside) and, per orbit
-    point d, a transversal u with u[base] = d, as the rows of ``u``, and
-    its inverse in ``uinv`` once a level below has joined (a sift composes
-    with it on every level but the last).  ``pairs`` lists (map, place of
-    d) in the order they arose, but for the edges of the walk, whose
-    Schreier generators are the identity; the first ``done`` are sifted."""
+    point d, a transversal u with u[base] = d, as the rows of ``u``; no
+    inverse is kept (a sift inverts the rows it composes with).  ``pairs``
+    lists (map, place of d) in the order they arose, but for the edges of
+    the walk, whose Schreier generators are the identity; the first
+    ``done`` are sifted."""
 
     def __init__(self, base: int, ident: np.ndarray):
         self.base, self.maps = base, np.empty((0, len(ident)), ident.dtype)
-        self.orbit, self.u, self.uinv = np.array([base]), ident[None], None
+        self.orbit, self.u = np.array([base]), ident[None]
         self.at = np.full(len(ident), -1, dtype=np.int64)
         self.at[base] = 0
         self.pairs, self.done = np.empty((2, 0), dtype=np.int64), 0
@@ -392,19 +391,18 @@ class _Level:
             e = min(c + int(np.searchsorted(filled, j)), j + _BATCH)
             self.u[j:e] = _compose_rows(self.maps, self.u[par[j - c:e - c]], via[j - c:e - c])
             j = e
-        if self.uinv is not None:
-            self.invert(c)
-
-    def invert(self, c: int = 0) -> None:
-        """Fill ``uinv`` from row c on, a batch of rows in one scatter each."""
-        self.uinv = np.concatenate([self.uinv[:c] if c else self.u[:0], np.empty_like(self.u[c:])])
-        for j in range(c, len(self.u), _BATCH):
-            rows = self.u[j:j + _BATCH]
-            flat = rows + np.arange(0, rows.size, rows.shape[1])[:, None]
-            self.uinv[j:j + _BATCH].reshape(-1)[flat] = self.u[0]   # u[0] is the identity
 
 
 _BATCH = 64   # rows composed or sifted at once: an intp index of 64 x m entries
+
+
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """The inverse of each permutation row of ``rows``, a batch of rows in one scatter each."""
+    out, ident = np.empty_like(rows), np.arange(rows.shape[1], dtype=rows.dtype)
+    for j in range(0, len(rows), _BATCH):
+        batch = rows[j:j + _BATCH]
+        out[j:j + _BATCH].reshape(-1)[batch + np.arange(0, batch.size, len(ident))[:, None]] = ident
+    return out
 
 
 def _compose_rows(p: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -419,8 +417,9 @@ def _first_residue(levels: list, rows: np.ndarray, start: int):
     identity: its index, its residue and the level it left the chain at
     (``len(levels)`` if it passed them all); None if every row sifts to the
     identity.  The rows are sifted a batch at a time; a level sifts on only
-    the rows before the first that left the chain, and the last compares
-    each with its transversal instead of composing."""
+    the rows before the first that left the chain, composing each with the
+    inverse of its transversal (the batch's rows inverted by one scatter),
+    and the last compares each with its transversal instead."""
     last = len(levels) - 1
     for a in range(0, len(rows), _BATCH):
         g, hit = rows[a:a + _BATCH], None
@@ -431,13 +430,13 @@ def _first_residue(levels: list, rows: np.ndarray, start: int):
                 hit = (a + int(out[0]), g[out[0]], i)
                 g, at = g[:out[0]], at[:out[0]]
             if i < last:
-                g = _compose_rows(levels[i].uinv, g, at)
+                g = _compose_rows(_inverse_rows(levels[i].u[at]), g, np.arange(len(g)))
             else:
                 want = levels[i].u[at]
         if len(moved := np.flatnonzero((g != want).any(axis=1))):
             k = int(moved[0])
             if start <= last:   # the residue u^-1 g, u the last level's transversal
-                return a + k, np.argsort(levels[last].u[at[k]]).astype(g.dtype)[g[k]], len(levels)
+                return a + k, _inverse_rows(levels[last].u[at[k:k + 1]])[0][g[k]], len(levels)
             return a + k, g[k], len(levels)
         if hit is not None:
             return hit
@@ -447,8 +446,10 @@ def _first_residue(levels: list, rows: np.ndarray, start: int):
 class PermutationGroup:
     """A group of permutations of {0..m-1}, held as a stabilizer chain.
 
-    ``gens`` (the distinct generators) and ``perms`` (the sorted elements)
-    are read-only arrays of the dtype ``_point_dtype(domain_size)``.  The
+    ``gens`` (the distinct generators in the order given, each row compared
+    only with the earlier rows that share the hash of its bytes, so no
+    n-wide rows are sorted) and ``perms`` (the sorted elements) are
+    read-only arrays of the dtype ``_point_dtype(domain_size)``.  The
     chain is built lazily by deterministic Schreier–Sims; ``order`` (unless
     ``aut`` set it) and membership read it, and ``perms``, the products of
     its transversals, is listed only when read.  Building it sets ``used``,
@@ -459,8 +460,12 @@ class PermutationGroup:
 
     def __init__(self, domain_size: int, generators: Iterable[Sequence[int]],
                  cap: int = DEFAULT_CAP):
-        gens = _generator_rows(generators, domain_size)
-        first = np.sort(np.unique(_keys(gens, gens.dtype, "="), return_index=True)[1])
+        gens, seen, first = _generator_rows(generators, domain_size), {}, []
+        for i, row in enumerate(gens):
+            twins = seen.setdefault(hash(row.tobytes()), [])
+            if not any(np.array_equal(row, gens[j]) for j in twins):
+                twins.append(i)
+                first.append(i)
         self.domain_size = domain_size
         self.gens = _read_only(gens if len(first) == len(gens) else gens[first])
         self.cap = cap
@@ -494,8 +499,6 @@ class PermutationGroup:
 
         def join(y: np.ndarray, lo: int, hi: int) -> int:
             if hi == len(levels):
-                if levels:
-                    levels[-1].invert()
                 levels.append(_Level(int(np.argmax(y != ident)), ident))
             for level in levels[lo:hi + 1]:
                 level.add(y)

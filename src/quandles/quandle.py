@@ -7,9 +7,9 @@ The left translations s_q are called the symmetries of the quandle; each is
 an automorphism.
 
 Carriers are always the integers 0..n-1; constructions attach a labeling for
-human-readable provenance.  A quandle is held only as two read-only n x n
-arrays of the narrowest unsigned dtype that holds {0..n-1} (uint8 up to 256
-points), its operation table and the table of its inverse operation.
+human-readable provenance.  A quandle is held as one read-only n x n array of
+the narrowest unsigned dtype that holds {0..n-1} (uint8 up to 256 points), its
+operation table; the table of its inverse operation is built when first read.
 A validated FiniteQuandle is immutable and its operations are pure, so
 instances are safe to share across threads.
 """
@@ -17,18 +17,21 @@ instances are safe to share across threads.
 from __future__ import annotations
 
 import contextlib
+import functools
+import io
 import itertools
 import json
+import os
 import re
 import zlib
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import _check_rows, _identity_rows, _point_dtype, _read_only, walk
+from .groups import _check_rows, _identity_rows, _inverse_rows, _point_dtype, _read_only, walk
 
 MAX_VIOLATIONS = 100
-JSON_BLOCK_ENTRIES = 1 << 13    # table entries written per block
+JSON_BLOCK_ENTRIES = 1 << 13    # table entries written, and file bytes read, per block
 _TABLE_DTYPES = (np.uint8, np.uint16)   # at most 65536 tokens
 _WS = " \t\n\r"   # JSON's whitespace (RFC 8259)
 
@@ -82,24 +85,30 @@ class ElementSymmetry(NamedTuple):
 
 
 class FiniteQuandle:
-    """An n-element quandle held as two read-only n x n arrays of ``_point_dtype(n)``.
+    """An n-element quandle held as one read-only n x n array of ``_point_dtype(n)``.
 
-    ``op[q, r]`` is q |> r and ``inv_op[q, r]`` is q |>^-1 r; row q of
-    ``op`` is the symmetry s_q and row q of ``inv_op`` its inverse.  The
-    inverse table is always materialized: the inverse operation shows up in
-    every orbit computation.  Sums of entries would wrap in their unsigned
-    dtype, so the tables are only indexed with and compared.  The public
-    maps (``symmetry``, ``right_translation``, ``to_dict``) return Python ints.
+    ``op[q, r]`` is q |> r, and row q of ``op`` is the symmetry s_q.
+    ``inv_op[q, r]`` is q |>^-1 r, row q the inverse of s_q: a second n x n
+    table, built by one scatter when first read and then kept.  Only
+    ``is_closed_subset``, ``SignedWord`` and coloring counts read it whole;
+    the orbit, closure and realization code inverts the one row it needs.
+    Sums of entries would wrap in their unsigned dtype, so the tables are
+    only indexed with and compared.  The public maps (``symmetry``,
+    ``right_translation``, ``to_dict``) return Python ints.
 
-    Do not call the constructor with unchecked tables; use ``validate``.
+    Do not call the constructor with an unchecked table; use ``validate``.
     """
 
-    def __init__(self, op, inv_op, labels: Sequence[str] | None = None, record=None):
-        self.op, self.inv_op = (_read_only(a, _point_dtype(len(op))) for a in (op, inv_op))
+    def __init__(self, op, labels: Sequence[str] | None = None, record=None):
+        self.op = _read_only(op, _point_dtype(len(op)))
         self.size = len(self.op)
         self.labels = tuple(labels) if labels is not None else None
         self.record = record
         self._hash = zlib.crc32(np.ascontiguousarray(self.op))   # read in place
+
+    @functools.cached_property
+    def inv_op(self) -> np.ndarray:
+        return _read_only(_inverse_rows(self.op))
 
     # -- elementary maps -----------------------------------------------------
 
@@ -174,9 +183,21 @@ class FiniteQuandle:
         return validate(table, labels=tuple(labels) if labels else None)
 
     @classmethod
-    def from_json(cls, text: str) -> "FiniteQuandle":
+    def from_json(cls, source) -> "FiniteQuandle":
+        """The quandle of the JSON text ``source``, or of the UTF-8 file at the path
+        ``source`` (an ``os.PathLike``).  Either is read as a stream of bytes by
+        ``_read_object``; only a text it refuses is parsed whole by ``json.loads`` (a
+        file decoded as ``Path.read_text`` decodes it), so every message is unchanged."""
+        is_path = isinstance(source, os.PathLike)
+        with open(source, "rb") if is_path else io.BytesIO(
+                source.encode("utf-8", "surrogatepass")) as stream:
+            d = _read_object(stream)
         try:
-            d = _read_object(text) or json.loads(text)
+            if d is None and is_path:
+                with open(source, encoding="utf-8") as f:
+                    d = json.loads(f.read())
+            elif d is None:
+                d = json.loads(source)
         except json.JSONDecodeError as exc:
             raise RangeError(f"invalid JSON: {exc}") from exc
         if not isinstance(d, dict):
@@ -240,38 +261,74 @@ def _table_chunks(a: np.ndarray):
     yield "]"
 
 
-def _read_object(text: str) -> dict | None:
-    """The JSON object ``text`` with its table as an n x n array when the table runs from
-    the "[" after the last "table": to the last "]", else None.  ``json.loads`` reads the
-    text with the table replaced by a NaN it marks; ``_read_rows`` reads the table."""
-    key, ws, marks = text.rfind('"table"'), re.compile(f"[{_WS}]*"), []   # marks: NaNs read
-    start, stop = ws.match(text, ws.match(text, key + 7).end() + 1).end(), text.rfind("]") + 1
-    n = text.count(",", start, max(text.find("]", start, stop), start)) + 1
-    last = text.rfind("]", start, stop - 1)   # a table ends in "]]", whitespace between
-    if (key < 0 or not text.startswith("[", start) or n * n > (stop - start) // 2
-            or ws.match(text, last + 1).end() != stop - 1):
-        return None   # the text must hold n^2 entries before n x n are allocated
-    try:
-        d = json.loads(text[:start] + "NaN" + text[stop:],
-                       parse_constant=lambda c: marks.append(c) or marks)
-    except (ValueError, RecursionError):
+_KEY = re.compile(f'"table"[{_WS}]*:[{_WS}]*\\['.encode())   # up to the table's "["
+
+
+def _read_object(stream) -> dict | None:
+    """The JSON object in the seekable binary ``stream``, read from its start, with its table as
+    an n x n array, else None.  The head before the first "table": [ is held, the table's rows
+    are read ``JSON_BLOCK_ENTRIES`` bytes of whole rows at a time by ``_read_table``, and
+    ``json.loads`` reads head, a NaN it marks and the rest, which must leave the NaN as the
+    object's table.  When they do not, the next "table": [ is tried, read again from the stream."""
+    size, head, pos = stream.seek(0, 2), bytearray(), 0
+    stream.seek(0)
+    while True:
+        if (key := _KEY.search(head, pos)) is None:
+            if not (block := stream.read(JSON_BLOCK_ENTRIES)):
+                return None
+            k = head.rfind(b'"table"', pos)   # a key cut by the block's end starts at the last
+            pos = k if k >= 0 else max(pos, len(head) - 6)
+            head += block
+            continue
+        start, marks = key.end(), []   # marks: the NaNs json.loads reads
+        table = _read_table(stream, bytes(head[start:]), size - start)
+        try:
+            d = None if table is None else json.loads(
+                (head[:start - 1] + b"NaN" + table[1]).decode(),
+                parse_constant=lambda c: marks.append(c) or marks)
+        except (ValueError, RecursionError):   # UnicodeDecodeError is a ValueError
+            d = None
+        if len(marks) == 1 and isinstance(d, dict) and d.get("table") is marks:
+            return {**d, "table": table[0]}
+        stream.seek(len(head))
+        pos = key.start() + 1
+
+
+def _read_table(stream, buf: bytes, size: int) -> tuple[np.ndarray, bytes] | None:
+    """The n x n table whose rows follow its "[" in ``buf`` and then ``stream``, ``size`` bytes
+    from that "[" to the end, and the bytes after its "]"; None when they are not n rows of n
+    entries (n from row 0) for ``_read_rows``, or ``size`` is too small for n^2 entries, which
+    is checked before n x n are allocated."""
+    while (k := buf.find(b"]")) < 0:   # row 0, its commas counted as it is read
+        if (buf.count(b",") + 1) ** 2 > size // 2 or not (block := stream.read(JSON_BLOCK_ENTRIES)):
+            return None
+        buf += block
+    n = buf.count(b",", 0, k) + 1
+    if n * n > size // 2:
         return None
-    if len(marks) != 1 or not isinstance(d, dict) or d.get("table") is not marks:
-        return None
-    out, row, pos, step = np.empty((n, n), _point_dtype(n)), 0, start + 1, JSON_BLOCK_ENTRIES
-    while row < n:   # blocks of whole rows, JSON_BLOCK_ENTRIES characters or one row
-        k = max(text.rfind("]", pos, min(pos + step, stop - 1)), text.find("]", pos, stop - 1))
-        rows = _read_rows(("," if row == 0 else "") + text[pos:k + 1], n) if k >= 0 else None
+    out, row, sep = np.empty((n, n), _point_dtype(n)), 0, b","   # row 0 has no "," before it
+    while row < n:
+        if buf.count(b"]") > n - row:   # the table's own "]" and what follows it
+            k = -1
+            for _ in range(n - row):
+                k = buf.find(b"]", k + 1)
+        elif (k := buf.rfind(b"]")) < 0 or len(buf) < JSON_BLOCK_ENTRIES:
+            if block := stream.read(JSON_BLOCK_ENTRIES):
+                buf += block
+                continue
+            if k < 0:
+                return None
+        rows = _read_rows(sep + buf[:k + 1], n)
         if rows is None or row + len(rows) > n:
             return None
-        out[row:row + len(rows)], row, pos = rows, row + len(rows), k + 1
-    return None if text[pos:stop - 1].strip(_WS) else {**d, "table": out}
+        out[row:row + len(rows)], row, buf, sep = rows, row + len(rows), buf[k + 1:], b""
+    rest = (buf + stream.read()).lstrip(_WS.encode())
+    return (out, rest[1:]) if rest.startswith(b"]") else None
 
 
-def _read_rows(chunk: str, n: int) -> np.ndarray | None:
-    """The rows of ``chunk``, a "," and rows "[e,...,e]" joined by commas, as int64 when
+def _read_rows(b: bytes, n: int) -> np.ndarray | None:
+    """The rows of ``b``, a "," and rows "[e,...,e]" joined by commas, as int64 when
     each e is one of 0..n-1 in digits, else None; ``np.fromstring`` stops at bad text."""
-    b = chunk.encode("ascii", "replace")   # any other character becomes "?"
     c = b.translate(None, _WS.encode())
     if len(c) < len(b) and re.search(f"[0-9][{_WS}]+[0-9]".encode(), b):
         return None   # whitespace inside a number
@@ -292,13 +349,25 @@ def _read_rows(chunk: str, n: int) -> np.ndarray | None:
 def _distributivity_failures(a: np.ndarray, acts=None):
     """The ``failures`` of axiom 3 on ``a``: row q yields each (q, r, s), (r, s) row-major,
     with q . (r . s) != (q |> r) . (q . s), where q . s is q |> s, or ``acts[q, s]`` for
-    an action's n x m permutations.  ``u[q][u]`` casts its narrow n x m index in
-    buffers, where ``np.take`` would first copy all of it to intp."""
+    an action's n x m permutations, compared a block of about ``JSON_BLOCK_ENTRIES``
+    entries (rows r) at a time.  Row q is compared only through a[q] and u[q], so a
+    row equal in both to one that passed passes; a row equal to one that failed is
+    compared again, for its own witnesses."""
     u = a if acts is None else acts
+    step, passed = max(1, JSON_BLOCK_ENTRIES // u.shape[1]), {}   # passed: hash -> rows
 
     def failures(q):
-        bad = u[a[q]].take(u[q], axis=1) != u[q][u]   # u[a[q, r], u[q, s]], u[q, u[r, s]]
-        return ((q, r, s) for r, s in (np.argwhere(bad).tolist() if bad.any() else ()))
+        twins = passed.setdefault(hash(a[q].tobytes() + u[q].tobytes()), [])
+        if any(np.array_equal(a[q], a[p]) and np.array_equal(u[q], u[p]) for p in twins):
+            return
+        failed = False
+        for r in range(0, len(a), step):   # u[a[q, r], u[q, s]], u[q, u[r, s]]
+            bad = u[a[q, r:r + step]].take(u[q], axis=1) != u[q][u[r:r + step]]
+            if bad.any():
+                failed = True
+                yield from ((q, r + i, s) for i, s in np.argwhere(bad).tolist())
+        if not failed:
+            twins.append(q)
     return failures
 
 
@@ -359,7 +428,7 @@ def validate(table: Sequence[Sequence[int]],
     RangeError for malformed tables and InvalidQuandleError carrying the
     full witness list (capped at 100) for axiom failures.  The quandle
     keeps the checked table as ``op``, of ``_point_dtype(n)`` (not copied if
-    it is already), and as ``inv_op`` the inverse scattered from its rows.
+    it is already); it builds no inverse table.
     """
     n = len(table)
     if n == 0:
@@ -375,6 +444,4 @@ def validate(table: Sequence[Sequence[int]],
     violations, truncated = _violations(a, MAX_VIOLATIONS)
     if violations:
         raise InvalidQuandleError(violations, truncated)
-    inv = np.empty_like(a)   # row q of inv_op is the inverse of row q
-    inv[np.arange(n)[:, None], a] = np.arange(n, dtype=a.dtype)
-    return FiniteQuandle(a, inv, labels=labels)
+    return FiniteQuandle(a, labels=labels)

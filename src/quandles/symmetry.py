@@ -23,9 +23,9 @@ import numpy as np
 
 from .constructions import ConstructionError, coset_action, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup, GroupAutomorphism,
-                     PermutationGroup, _check_rows, _find_rows, _perm_rows, _point_dtype,
-                     _read_only, _row_failures, close, cycle_type, table_automorphisms,
-                     table_isomorphisms, walk)
+                     PermutationGroup, _check_rows, _find_rows, _inverse_rows, _perm_rows,
+                     _point_dtype, _read_only, _row_failures, close, cycle_type,
+                     table_automorphisms, table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
@@ -116,6 +116,11 @@ class QuandleAction:
 # ---------------------------------------------------------------------------
 # inner and transvection groups
 
+def _sinv(quandle: FiniteQuandle, q: int) -> np.ndarray:
+    """s_q^-1, row q of ``inv_op``, inverted alone: the whole inverse table is not built."""
+    return _inverse_rows(quandle.op[q:q + 1])[0]
+
+
 def inn(quandle: FiniteQuandle, cap: int = DEFAULT_CAP) -> PermutationGroup:
     """Inn(Q): closure of all symmetries s_q."""
     return close(quandle.op, cap=cap, domain_size=quandle.size)
@@ -129,7 +134,7 @@ def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP, base: int = 0) -> Permuta
     pair s_a s_b^-1 factors as (s_a s_base^-1)(s_b s_base^-1)^-1, so this
     n-element generating set suffices.
     """
-    gens = quandle.op[:, quandle.inv_op[base]]   # row q: s_q s_base^-1
+    gens = quandle.op[:, _sinv(quandle, base)]   # row q: s_q s_base^-1
     return close(gens, cap=cap, domain_size=quandle.size)
 
 
@@ -238,7 +243,7 @@ def orbits(quandle: FiniteQuandle) -> OrbitDecomposition:
 
 def tr_orbit(quandle: FiniteQuandle, q: int, base: int = 0) -> frozenset[int]:
     """Orbit of q under Tr(Q), walking generators only (no closure)."""
-    return frozenset(walk(quandle.op[:, quandle.inv_op[base]], [q])[0].tolist())
+    return frozenset(walk(quandle.op[:, _sinv(quandle, base)], [q])[0].tolist())
 
 
 class ConnectednessReport(NamedTuple):
@@ -382,8 +387,8 @@ def open_subquandle_check(quandle: FiniteQuandle, subset: Iterable[int]) -> Open
                 for orb_set in (set(o) for o in deco.orbits))
     n, u_rows = quandle.size, quandle.op[list(u)]
     u_op = _orbit_of_each(n, u_rows)
-    u_tr = _orbit_of_each(n, u_rows[:, quandle.inv_op[u[0]]])
-    full_tr = _orbit_of_each(n, quandle.op[:, quandle.inv_op[0]])
+    u_tr = _orbit_of_each(n, u_rows[:, _sinv(quandle, u[0])])
+    full_tr = _orbit_of_each(n, quandle.op[:, _sinv(quandle, 0)])
     op_agree = [u_op[z] == frozenset(deco.orbit_of(z)) for z in range(n)]
     tr_agree = [u_tr[z] == full_tr[z] for z in range(n)]
     whole = len(u) == n
@@ -474,7 +479,7 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
     """
     q = _check_basepoint(quandle, basepoint)
     g = _tr_group(quandle, cap)
-    phi_map = _twist(g, quandle.op[q], quandle.inv_op[q])
+    phi_map = _twist(g, quandle.op[q], _sinv(quandle, q))
     checks: dict = {"phi_closed": phi_map is not None}
     if phi_map is None:
         raise QuandleError("conjugation by s_q left the transvection group")
@@ -525,7 +530,7 @@ def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int,
     _check_basepoint(quandle, q)
     _check_basepoint(quandle, r)
     g = _tr_group(quandle, cap)
-    psi = _twist(g, quandle.op[q], quandle.inv_op[r])
+    psi = _twist(g, quandle.op[q], _sinv(quandle, r))
     checks: dict = {"psi_closed": psi is not None}
     if psi is None:
         raise QuandleError("s_q g s_r^-1 left the transvection group")
@@ -573,7 +578,7 @@ def sbar_hom(quandle: FiniteQuandle, basepoint: int,
     """
     q = _check_basepoint(quandle, basepoint)
     g = FiniteGroup.from_permutation_group(inn(quandle, cap=cap))
-    op, sq_inv = quandle.op, quandle.inv_op[q]
+    op, sq_inv = quandle.op, _sinv(quandle, q)
     phi = GroupAutomorphism(g, _twist(g, op[q], sq_inv), check=True)
     m = _indices(g, op[:, sq_inv])
     twisted = vedernikov_op(g, phi, m[:, None], m[None, :])

@@ -12,6 +12,8 @@ way, with the reader switched off for the reference run.
 import contextlib
 import io
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,11 @@ from quandles.quandle import RangeError, _read_object
 from corpus_util import cli_peak_mb, corpus
 
 D3 = dihedral(3).to_json()   # the small file every byte of which is mutated
+
+
+def read_object(text: str):
+    """``_read_object`` on the stream of ``text``, as ``from_json`` reads it."""
+    return _read_object(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
 def json_loads_reference(text: str) -> FiniteQuandle:
@@ -82,7 +89,7 @@ def assert_cli_same(path, data: bytes, commands=("check", "connected")):
 def test_every_corpus_file_takes_the_reader():
     for name, q in corpus():
         text = q.to_json()
-        d = _read_object(text)
+        d = read_object(text)
         assert d is not None, name
         ref = json.loads(text)
         assert d["table"].dtype == q.op.dtype and d["table"].tolist() == ref["table"], name
@@ -139,7 +146,7 @@ def test_whitespace_variants_take_the_reader():
     for name in ("indent", "indent-0", "tabs-crlf", "padded", "duplicate-table",
                  "table-in-a-label", "non-ascii-label"):
         text = _variants(q)[name]
-        d = _read_object(text)
+        d = read_object(text)
         assert d is not None and np.array_equal(d["table"], q.op), name
 
 
@@ -152,7 +159,7 @@ ENTRIES = ["01", "00", "-0", "-1", "+1", "1e2", "1E0", "1.0", "0.", ".5", "0x1",
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_entries_the_reader_refuses(entry, tmp_path):
     text = '{"size":3,"table":[[0,2,1],[2,1,%s],[1,0,2]]}' % entry
-    assert _read_object(text) is None
+    assert read_object(text) is None
     assert_same(text)
     assert_cli_same(tmp_path / "q.json", text.encode("utf-8"), commands=("check",))
 
@@ -163,7 +170,7 @@ def test_entries_the_reader_refuses_on_two_digit_tables(entry, tmp_path):
     entries = [list(map(str, row)) for row in dihedral(12).op.tolist()]
     entries[5][2] = entry
     text = '{"table":[%s]}' % ",".join("[%s]" % ",".join(row) for row in entries)
-    assert _read_object(text) is None
+    assert read_object(text) is None
     assert_same(text)
     assert_cli_same(tmp_path / "q.json", text.encode(), commands=("check",))
 
@@ -197,7 +204,7 @@ def test_a_table_too_large_for_its_text_is_not_allocated():
     # row 0 promises n = 10^6 entries a row; the text is far too short for
     # n^2, so the reader refuses before allocating, and json.loads reports
     text = '{"table":[[' + ",".join(["0"] * 10**6) + "]]}"
-    assert _read_object(text) is None
+    assert read_object(text) is None
     assert_same(text)
 
 
@@ -206,7 +213,7 @@ def test_invalid_quandles_report_the_same_witnesses():
     bad[3, [1, 2]] = bad[3, [2, 1]]
     for table in (bad, np.zeros((4, 4), int), np.eye(5, dtype=int) * 4):
         text = json.dumps({"size": len(table), "table": table.tolist()})
-        assert _read_object(text) is not None
+        assert read_object(text) is not None
         assert_same(text)
 
 
@@ -236,23 +243,21 @@ def test_random_whitespace_between_table_tokens(name, data):
     spaces = data.draw(st.lists(st.sampled_from(["", " ", "\n", "\t", "\r\n", "  "]),
                                 min_size=len(pieces), max_size=len(pieces)))
     text = head + '"table":' + "".join(p + s for p, s in zip(pieces, spaces))
-    assert np.array_equal(_read_object(text)["table"], q.op)
+    assert np.array_equal(read_object(text)["table"], q.op)
     assert_same(text)
 
 
-def test_a_table_followed_by_another_key_is_refused_before_its_rows(monkeypatch):
-    # json.dumps(to_dict()) puts "labels" after "table"; no row is read before
-    # the text goes to json.loads
-    def read_rows(chunk, n):
-        raise AssertionError("rows read")
-    monkeypatch.setattr(quandle_module, "_read_rows", read_rows)
+def test_a_table_followed_by_another_key_is_read_in_the_stream():
+    # json.dumps(to_dict()) puts "labels" after "table": the rows are read as they
+    # stream past, and json.loads reads the head, a NaN and the labels after them
     for q in (dihedral(5), dihedral(300)):
-        assert _read_object(json.dumps(q.to_dict())) is None
-        assert _read_object(_variants(q)["table-middle"]) is None
+        for text in (json.dumps(q.to_dict()), _variants(q)["table-middle"]):
+            d = read_object(text)
+            assert np.array_equal(d["table"], q.op) and d["labels"] == list(q.labels)
 
 
 def test_validate_keeps_the_array_the_reader_makes():
-    table = _read_object(dihedral(300).to_json())["table"]
+    table = read_object(dihedral(300).to_json())["table"]
     assert np.shares_memory(validate(table).op, table)
 
 
@@ -264,3 +269,87 @@ def test_a_2401_point_carrier_loads_without_python_ints(a743_json, command):
     code, peak_mb, err = cli_peak_mb(command, str(a743_json))
     assert code == 0, err
     assert peak_mb < 150
+
+
+@contextlib.contextmanager
+def block_size(entries):
+    """The reader (and writer) at ``entries`` bytes a block, so that rows and numbers
+    split across block edges."""
+    original = quandle_module.JSON_BLOCK_ENTRIES
+    quandle_module.JSON_BLOCK_ENTRIES = entries
+    try:
+        yield
+    finally:
+        quandle_module.JSON_BLOCK_ENTRIES = original
+
+
+def cli_stdin(argv, data: bytes):
+    """``cli(argv)`` with ``data`` on stdin, decoded as the interpreter's stdin is."""
+    original = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        return cli(argv)
+    finally:
+        sys.stdin = original
+
+
+_BAD = dihedral(5).op.astype(np.int64)
+_BAD[1] = _BAD[3] = [0, 1, 3, 2, 4]   # axiom 3 fails on both rows
+_STREAMED = [dihedral(3), trivial(1), trivial(2), dihedral(5), dihedral(12)]
+
+
+@st.composite
+def _streamed_texts(draw):
+    """A quandle file in one of the layouts the stream reader must agree on, with
+    whitespace anywhere, maybe truncated and maybe with a non-ASCII character."""
+    q = draw(st.sampled_from(_STREAMED))
+    rows = draw(st.sampled_from([q.op.tolist(), _BAD.tolist()]))
+    table = json.dumps(rows, separators=(",", ":"))
+    labels = json.dumps([f'"table":{table}' if i == 0 else str(i) for i in range(len(rows))])
+    text = draw(st.sampled_from([
+        '{"labels":%s,"size":%d,"table":%s}' % (labels, len(rows), table),
+        '{"table":%s,"size":%d}' % (table, len(rows)),
+        '{"table":[[9]],"table":%s}' % table,
+        '{"table":%s,"table":[[0]]}' % table,
+        '{"x":{"table":%s},"table":%s}' % (table, table),
+    ]))
+    pieces = re.split(r"([,:\[\]{}])", text)
+    spaces = draw(st.lists(st.sampled_from(["", "", " ", "\n", "\t", "\r\n"]),
+                           min_size=len(pieces), max_size=len(pieces)))
+    text = "".join(p + s for p, s in zip(pieces, spaces))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["é", " ", "٣", "﻿"])) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_streamed_texts(), st.integers(1, 16))
+def test_the_stream_reader_agrees_with_json_loads_at_small_blocks(text, entries):
+    with block_size(entries):
+        assert_same(text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_streamed_texts(), st.integers(1, 16))
+def test_files_and_stdin_agree_with_json_loads_through_the_cli(tmp_path_factory, text, entries):
+    path, data = tmp_path_factory.mktemp("streamed") / "q.json", text.encode()
+    path.write_bytes(data)
+    with reader_off():
+        want = cli(["check", "--json", str(path)])
+        want_stdin = cli_stdin(["check", "--json", "-"], data)
+    with block_size(entries):
+        assert cli(["check", "--json", str(path)]) == want
+        assert cli_stdin(["check", "--json", "-"], data) == want_stdin
+    assert want_stdin[:2] == want[:2]
+
+
+def test_the_stream_reader_takes_padded_tables_at_every_block_size():
+    q = dihedral(12)
+    for entries in range(1, 17):
+        with block_size(entries):
+            for name in ("indent", "padded", "table-first", "table-middle", "duplicate-table",
+                         "table-in-a-label", "escaped-table-label"):
+                assert np.array_equal(read_object(_variants(q)[name])["table"], q.op), name
