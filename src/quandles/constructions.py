@@ -18,7 +18,7 @@ from .groups import (FiniteGroup, GroupAutomorphism, CosetSpace, conjugacy_class
                      is_prime, _chain, _check_sl2_prime, _point_dtype, _row_failures)
 from .quandle import JSON_BLOCK_ENTRIES, FiniteQuandle, QuandleError, validate
 
-MAX_CARRIER = 4096   # largest constructed carrier; `make trivial --n 4096` peaks near 130 MB
+MAX_CARRIER = 4096   # largest constructed carrier; `make trivial --n 4096` peaks near 62 MB cold
 
 
 class ConstructionError(QuandleError):

@@ -189,15 +189,20 @@ def parse_generator_lines(text: str, domain_size: int | None = None) -> list[tup
 # ---------------------------------------------------------------------------
 # orbit walks
 
-def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = None, rows=None):
+def walk(maps, roots: Iterable[int], reached: np.ndarray | None = None, rows=None,
+         cols=None):
     """Breadth-first walk from ``roots`` along the rows (or the rows ``rows``,
     read a level's columns at a time) of a (k x m) int array of maps of
-    {0..m-1}.  Returns int64 arrays (points, parent, via): the points in the
+    {0..m-1}, each read through the column map ``cols`` if given (row r maps
+    x to maps[r, cols[x]]); ``maps`` may be a ``GeneratorRows``, walked so.
+    Returns int64 arrays (points, parent, via): the points in the
     order a one-at-a-time BFS meets them (the roots in increasing order, then
     level by level, each point's images in map order), and a Schreier vector:
     the point each was first met from and the index of the map that took it
     there (-1 for a root).  The boolean mask ``reached`` is updated in place;
     points already in it are skipped, and the walk stops once it is full."""
+    if isinstance(maps, GeneratorRows):
+        maps, rows, cols = maps.src, maps.rows, maps.cols
     k, m = maps.shape if rows is None else (len(rows), maps.shape[1])
     rows = slice(None) if rows is None else np.asarray(rows, dtype=np.int64)[:, None]
     roots = np.fromiter(roots, dtype=np.int64)
@@ -212,7 +217,7 @@ def walk(maps: np.ndarray, roots: Iterable[int], reached: np.ndarray | None = No
     c = len(level)
     out[0, :c], out[1:, :c] = level, -1
     while len(level) and not reached.all():
-        images = maps[rows, level].T.ravel()          # x in level order, then g
+        images = maps[rows, level if cols is None else cols[level]].T.ravel()   # x in level order, then g
         fresh = (~reached[images]).nonzero()[0]
         if not len(fresh):
             break
@@ -301,12 +306,24 @@ def _read_only(a, dtype=None) -> np.ndarray:
     return view
 
 
+_BATCH_ENTRIES = 1 << 13   # entries checked, composed or sifted at once, as axiom 3 compares them
+
+
+def _batch(m: int) -> int:
+    """Rows of m points checked, composed or sifted at once: about ``_BATCH_ENTRIES``
+    entries, so an intp index over them stays near 64 KB, and at least 8 rows,
+    as the fixed cost of each call dominates a block of one or two long rows."""
+    return max(8, _BATCH_ENTRIES // max(m, 1))
+
+
 def _perm_rows(rows, m: int, refuse) -> np.ndarray:
     """The permutations ``rows`` of {0..m-1}, given in ints (not bools), as one
     int array (an int array as given, other rows as int64); ``refuse(q, row)``
     is raised for the first row q that is not one.  The entry types are read
-    in one pass and the rows scattered into a hit mask; the rows are walked
-    only when an entry is not an int or the mask has a hole."""
+    in one pass, and the rows checked a block of about ``_BATCH_ENTRIES``
+    entries at a time: in range (only below m for an unsigned array) and
+    scattered into a hit mask.  The rows are walked only when an entry is not
+    an int or a block fails."""
     array = isinstance(rows, np.ndarray) and rows.dtype != object and rows.ndim == 2
     rows = rows if array else [tuple(r) for r in rows]
     kinds = {rows.dtype.type} if array else set(map(type, itertools.chain.from_iterable(rows)))
@@ -315,10 +332,18 @@ def _perm_rows(rows, m: int, refuse) -> np.ndarray:
             and all(len(r) == m for r in rows)):
         with contextlib.suppress(OverflowError):   # an int past int64 is no point
             a = np.asarray(rows, dtype=None if array else np.int64).reshape(len(rows), m)
-    hit = np.zeros((len(rows), m), dtype=bool)
-    if a is not None and ((a >= 0) & (a < m)).all():
-        hit[np.arange(len(rows))[:, None], a] = True
-    if a is None or not hit.all():
+    ok = a is not None
+    for j in range(0, len(a) if ok else 0, step := _batch(m)):
+        at = a[j:j + step].astype(np.intp)
+        if not ((at < m).all() and (a.dtype.kind == "u" or (at >= 0).all())):
+            ok = False
+            break
+        at += np.arange(len(at))[:, None] * m
+        hit = np.zeros(at.size, dtype=bool)
+        hit[at] = True
+        if not (ok := bool(hit.all())):
+            break
+    if not ok:
         q = next(q for q, r in enumerate(rows)
                  if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
                             for x in r) or sorted(r) != list(range(m)))
@@ -350,27 +375,65 @@ def _find_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
     return np.where(keys[at] == q, at, -1)
 
 
+class GeneratorRows:
+    """The rows ``rows`` of the permutation array ``src``, each read through the
+    column map ``cols``: row i maps x to src[rows[i], cols[x]].  Generators held
+    so (``symmetry.tr``'s s_q s_b^-1 are the rows of ``op`` read through
+    s_b^-1) are formed where they are read: a batch of rows by indexing, all
+    of them only by ``np.asarray`` or ``tolist``; ``walk`` reads the columns
+    it needs."""
+
+    def __init__(self, src: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        self.src, self.rows, self.cols = src, rows, cols
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return np.take(self.src[self.rows[key]], self.cols, axis=-1)   # C-contiguous
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:].astype(dtype or self.dtype, copy=False)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.src.dtype
+
+    def tolist(self) -> list:
+        return self[:].tolist()
+
+
+_SIFT = 3   # index batches in a batch of rows sifted at once
+_TRACE = 4   # rows formed per transversal element read, at most, before a level keeps its rows
+
+
 class _Level:
     """One level of a stabilizer chain: its base point, the strong generators
-    that fix the earlier base points (``maps``), the basic orbit in walk
-    order, each point's place in it (``at``, -1 outside) and, per orbit
-    point d, a transversal u with u[base] = d, as the rows of ``u``; no
-    inverse is kept (a sift inverts the rows it composes with).  ``pairs``
-    lists (map, place of d) in the order they arose, but for the edges of
-    the walk, whose Schreier generators are the identity; the first
-    ``done`` are sifted."""
+    that fix the earlier base points (``maps``), the basic orbit in walk order,
+    each point's place in it (``at``, -1 outside) and a Schreier vector over
+    the places: for the point at each place, the place it was met from
+    (``parent``, -1 at the base) and ``via``, the map that took it there.
+    The transversal u with u[base] = d of an orbit point d is read off them
+    by ``rows``: it is ``kept[row]`` where ``row`` is set (the identity at the
+    base, a view of the map of a point one map from it, or a row that
+    ``keep_rows`` formed); a generator of the group, ``given[-2 - via]``,
+    where ``via`` is below -1 (``adopt``); else the map ``via`` after u of
+    the parent.  ``pairs`` lists (map, place of d) in the order they arose,
+    but for the edges of the walk, whose Schreier generators are the
+    identity; the first ``done`` are sifted.  A level with no ``given``
+    keeps the rows of its points at once."""
 
-    def __init__(self, base: int, ident: np.ndarray):
-        self.base, self.maps = base, np.empty((0, len(ident)), ident.dtype)
-        self.orbit, self.u = np.array([base]), ident[None]
+    def __init__(self, base: int, ident: np.ndarray, given=None):
+        self.base, self.maps, self.given = base, np.empty((0, len(ident)), ident.dtype), given
+        self.orbit, self.parent, self.via, self.row = (np.array([x]) for x in (base, -1, -1, 0))
+        self.kept = [ident]
         self.at = np.full(len(ident), -1, dtype=np.int64)
         self.at[base] = 0
         self.pairs, self.done = np.empty((2, 0), dtype=np.int64), 0
 
     def add(self, y: np.ndarray) -> None:
-        """Join y to ``maps`` and walk the orbit on from y's images of it; each
-        new u is that of the point it was met from, mapped through the map
-        that met it, a block of rows whose parents are filled at a time."""
+        """Join y to ``maps`` and walk the orbit on from y's images of it; a
+        new point one map from the base keeps a view of that map."""
         m, c = len(y), len(self.orbit)
         self.maps = np.vstack([self.maps, y])
         images, back = y[self.orbit], np.empty(m, dtype=np.int64)
@@ -379,95 +442,189 @@ class _Level:
         root = parent < 0
         parent[root], via[root] = back[points[root]], len(self.maps) - 1
         self.at[points] = np.arange(c, c + len(points))
-        self.orbit = np.concatenate([self.orbit, points])
-        par = self.at[parent]
+        par, row = self.at[parent], np.full(len(points), -1)
+        first = np.flatnonzero(par == 0)
+        row[first] = np.arange(len(self.kept), len(self.kept) + len(first))
+        self.kept.extend(self.maps[v] for v in via[first].tolist())
+        self.orbit, self.parent, self.via, self.row = (
+            np.concatenate(pair) for pair in ((self.orbit, points), (self.parent, par),
+                                              (self.via, via), (self.row, row)))
         fresh = np.zeros((len(self.maps), len(self.orbit)), dtype=bool)
         fresh[:, c:] = fresh[-1] = True   # the old maps on the new points, y on all
         fresh[via, par] = False
         self.pairs = np.hstack([self.pairs, np.nonzero(fresh)])
-        self.u = np.concatenate([self.u, np.empty((len(points), m), y.dtype)])
-        filled, j = np.maximum.accumulate(par), c
-        while j < len(self.orbit):   # rows j..e-1 have their parents filled
-            e = min(c + int(np.searchsorted(filled, j)), j + _BATCH)
-            self.u[j:e] = _compose_rows(self.maps, self.u[par[j - c:e - c]], via[j - c:e - c])
-            j = e
+        if self.given is None:
+            self.keep_rows()
 
+    def adopt(self, rows: np.ndarray, index: np.ndarray) -> None:
+        """Read u of each point that one of ``rows`` takes the base to, and
+        that has no row, as that row: the generator ``given[index]``.  It lies
+        in the group (it sifted to the identity) and differs from the old u
+        by an element of the levels below (the sift shows it), so every sift
+        and Schreier generator checked before stays valid."""
+        places = self.at[rows[:, self.base]]
+        take = (self.row[places] < 0) & (self.via[places] >= 0)
+        self.parent[places[take]], self.via[places[take]] = 0, -2 - index[take]
 
-_BATCH = 64   # rows composed or sifted at once: an intp index of 64 x m entries
+    def rows(self, places: np.ndarray) -> np.ndarray:
+        """u of the points at ``places``, one row each.  The points read along
+        the Schreier vector and their ancestors without a row are formed once
+        each (``_form``); if there are more than ``_TRACE`` per place read,
+        the level keeps its rows first (``keep_rows``): no row is formed along
+        a deep tree at every read."""
+        via = self.via[places]
+        if via.max(initial=0) < -1:   # every u a generator: the common read of a Latin carrier
+            return self.given[-2 - via]
+        row, given = self.row[places], via < -1
+        if walking := (walked := ~given & (row < 0)).any():
+            need, new = np.zeros(len(self.orbit), dtype=bool), places[walked]
+            while len(new) and np.count_nonzero(need) <= _TRACE * len(places):
+                need[new] = True
+                new = self.parent[new]
+                new = new[(self.via[new] >= 0) & (self.row[new] < 0) & ~need[new]]
+            if len(new):
+                self.keep_rows()
+                return self.rows(places)
+            todo = np.flatnonzero(need)
+            formed = self._form(todo)[np.searchsorted(todo, places[walked])]
+        out = np.empty((len(places), len(self.at)), dtype=self.maps.dtype)
+        if given.any():
+            out[given] = self.given[-2 - via[given]]
+        if (kept := row >= 0).any():
+            out[kept] = [self.kept[r] for r in row[kept].tolist()]
+        if walking:
+            out[walked] = formed
+        return out
+
+    def _form(self, todo: np.ndarray) -> np.ndarray:
+        """u of the points at the increasing places ``todo``, which hold every
+        point without a row that one of them descends from, in that order: the
+        map ``via`` after u of the parent, for all the points of one depth
+        below the points with rows at once."""
+        par = self.parent[todo]
+        inner = np.minimum(np.searchsorted(todo, par), len(todo) - 1)
+        local = todo[inner] == par   # parents formed here; the others have rows
+        up = np.append(np.where(local, inner, len(todo)), len(todo))   # len(todo): none
+        depth = np.append(np.where(local, 1, 0), 0)
+        while (up[:-1] < len(todo)).any():   # pointer jumping: log(depth) rounds
+            depth, up = depth + depth[up], up[up]
+        out = np.empty((len(todo), len(self.at)), dtype=self.maps.dtype)
+        for d in range(int(depth.max()) + 1):
+            at = np.flatnonzero(depth[:-1] == d)
+            parents = out[inner[at]] if d else self.rows(par[at])
+            out[at] = _compose_rows(self.maps, parents, self.via[todo[at]])
+        return out
+
+    def keep_rows(self) -> None:
+        """Keep u of every point read along the Schreier vector, formed by
+        ``_form`` in one block of rows; the rows kept before are not copied."""
+        todo = np.flatnonzero((self.via >= 0) & (self.row < 0))
+        formed = self._form(todo)
+        self.row[todo] = np.arange(len(self.kept), len(self.kept) + len(todo))
+        self.kept.extend(formed)
 
 
 def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     """The inverse of each permutation row of ``rows``, a batch of rows in one scatter each."""
     out, ident = np.empty_like(rows), np.arange(rows.shape[1], dtype=rows.dtype)
-    for j in range(0, len(rows), _BATCH):
-        batch = rows[j:j + _BATCH]
-        out[j:j + _BATCH].reshape(-1)[batch + np.arange(0, batch.size, len(ident))[:, None]] = ident
+    for j in range(0, len(rows), step := _batch(len(ident))):
+        at = rows[j:j + step].astype(np.intp)   # an index built in place, not by a cast sum
+        at += np.arange(len(at))[:, None] * len(ident)
+        out[j:j + step].reshape(-1)[at] = ident
     return out
 
 
 def _compose_rows(p: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row rows[i] of p after row i of q, as one flat take: about three
-    times as fast as ``np.take_along_axis``."""
-    return np.take(p, q + rows[:, None] * p.shape[1])
+    """Row rows[i] of p after row i of q, as one flat take a batch of rows at
+    a time: about three times as fast as ``np.take_along_axis``."""
+    m, out = p.shape[1], np.empty(q.shape, dtype=p.dtype)
+    for j in range(0, len(q), step := _batch(m)):
+        at = q[j:j + step].astype(np.intp)
+        at += rows[j:j + step, None] * m
+        np.take(p, at, out=out[j:j + step], mode="clip")   # "raise" would buffer the output
+    return out
+
+
+def _divide_rows(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """u_i^-1 g_i for each row i of the permutations ``u`` and ``g``, written
+    over ``u``: u_i inverted by one scatter and read at g_i by one flat take,
+    a batch of rows at a time."""
+    m, step = u.shape[1], _batch(u.shape[1])
+    ident, inv = np.arange(m, dtype=u.dtype), np.empty_like(u[:step])
+    for j in range(0, len(u), step):
+        at = u[j:j + step].astype(np.intp)
+        at += (offsets := np.arange(len(at))[:, None] * m)
+        inv.reshape(-1)[at] = ident
+        at = g[j:j + step].astype(np.intp)
+        at += offsets
+        np.take(inv, at, out=u[j:j + step], mode="clip")
+    return u
 
 
 def _first_residue(levels: list, rows: np.ndarray, start: int):
-    """The first of ``rows``, permutations that fix the base points before
-    level ``start``, that does not sift through levels start.. to the
+    """The first of ``rows``, a batch of permutations that fix the base points
+    before level ``start``, that does not sift through levels start.. to the
     identity: its index, its residue and the level it left the chain at
     (``len(levels)`` if it passed them all); None if every row sifts to the
-    identity.  The rows are sifted a batch at a time; a level sifts on only
-    the rows before the first that left the chain, composing each with the
-    inverse of its transversal (the batch's rows inverted by one scatter),
-    and the last compares each with its transversal instead."""
-    last = len(levels) - 1
-    for a in range(0, len(rows), _BATCH):
-        g, hit = rows[a:a + _BATCH], None
+    identity.  A level sifts on only the rows before the first that left the
+    chain, composing each with the inverse of its transversal (the rows
+    inverted by one scatter), and the last compares each with its
+    transversal instead."""
+    last, g, hit, want = len(levels) - 1, rows, None, None
+    for i in range(start, len(levels)):
+        at = levels[i].at[g[:, levels[i].base]]
+        if (out := at < 0).any():
+            k = int(out.argmax())
+            hit, g, at = (k, g[k].copy(), i), g[:k], at[:k]   # a copy frees the batch
+        if i < last:   # the rows read are formed afresh, so each can take its quotient
+            g = _divide_rows(levels[i].rows(at), g)
+        else:
+            want = levels[i].rows(at)
+    if start > last:
         want = np.arange(rows.shape[1], dtype=rows.dtype)
-        for i in range(start, len(levels)):
-            at = levels[i].at[g[:, levels[i].base]]
-            if len(out := np.flatnonzero(at < 0)):
-                hit = (a + int(out[0]), g[out[0]], i)
-                g, at = g[:out[0]], at[:out[0]]
-            if i < last:
-                g = _compose_rows(_inverse_rows(levels[i].u[at]), g, np.arange(len(g)))
-            else:
-                want = levels[i].u[at]
-        if len(moved := np.flatnonzero((g != want).any(axis=1))):
-            k = int(moved[0])
-            if start <= last:   # the residue u^-1 g, u the last level's transversal
-                return a + k, _inverse_rows(levels[last].u[at[k:k + 1]])[0][g[k]], len(levels)
-            return a + k, g[k], len(levels)
-        if hit is not None:
-            return hit
-    return None
+    if len(moved := np.flatnonzero((g != want).any(axis=1))):
+        k = int(moved[0])
+        if start <= last:   # the residue u^-1 g, u the last level's transversal
+            return k, _inverse_rows(levels[last].rows(at[k:k + 1]))[0][g[k]], len(levels)
+        return k, g[k].copy(), len(levels)
+    return hit
 
 
 class PermutationGroup:
     """A group of permutations of {0..m-1}, held as a stabilizer chain.
 
-    ``gens`` (the distinct generators in the order given, each row compared
-    only with the earlier rows that share the hash of its bytes, so no
-    n-wide rows are sorted) and ``perms`` (the sorted elements) are
-    read-only arrays of the dtype ``_point_dtype(domain_size)``.  The
-    chain is built lazily by deterministic Schreier–Sims; ``order`` (unless
-    ``aut`` set it) and membership read it, and ``perms``, the products of
-    its transversals, is listed only when read.  Building it sets ``used``,
-    the indices of the generators that did not sift to the identity, which
-    generate the group.  Orbits only walk the generators.  ``elements`` and
-    ``generators`` are tuple views, built when first read.
+    ``gens`` holds the distinct generators in the order given, each row
+    compared only with the earlier rows that share the hash of its bytes, so
+    no n-wide rows are sorted.  It is a read-only array of the dtype
+    ``_point_dtype(domain_size)`` (the array given, uncopied, when its rows
+    are distinct), or, given a column map ``cols``, a ``GeneratorRows``: the
+    rows of ``generators`` read through ``cols``, formed where they are read
+    (two are equal exactly when their given rows are).  ``perms`` (the sorted
+    elements) is a read-only array.  The chain is built lazily by
+    deterministic Schreier–Sims; ``order`` (unless ``aut`` set it) and
+    membership read it, and ``perms``, the products of its transversals, is
+    listed only when read.  Building it sets ``used``, the indices of the
+    generators that did not sift to the identity, which generate the group.
+    Orbits only walk the generators.  ``elements`` and ``generators`` are
+    tuple views, built when first read.
     """
 
     def __init__(self, domain_size: int, generators: Iterable[Sequence[int]],
-                 cap: int = DEFAULT_CAP):
+                 cap: int = DEFAULT_CAP, cols=None):
         gens, seen, first = _generator_rows(generators, domain_size), {}, []
-        for i, row in enumerate(gens):
+        for i, row in enumerate(gens):   # rows equal as given are equal through any column map
             twins = seen.setdefault(hash(row.tobytes()), [])
             if not any(np.array_equal(row, gens[j]) for j in twins):
                 twins.append(i)
                 first.append(i)
         self.domain_size = domain_size
-        self.gens = _read_only(gens if len(first) == len(gens) else gens[first])
+        if cols is None:
+            self.gens = _read_only(gens if len(first) == len(gens) else gens[first])
+        else:
+            cols = _perm_rows(np.asarray(cols)[None], domain_size, lambda *_: GroupError(
+                f"column map is not a permutation of {domain_size} points"))[0]
+            self.gens = GeneratorRows(_read_only(gens), np.array(first, dtype=np.int64),
+                                      _read_only(cols, np.int64))
         self.cap = cap
 
     @functools.cached_property
@@ -485,21 +642,26 @@ class PermutationGroup:
     @functools.cached_property
     def _levels(self) -> list[_Level]:
         # Deterministic Schreier–Sims (Sims 1970; Seress 2003, ch. 4).  The
-        # generators are sifted in order, and one that sifts to the identity
-        # is already in the group and skipped; the residue of one that does
-        # not joins the levels down to where it left the chain (``used``).
-        # Then, from that level up, every Schreier generator of a level is
-        # sifted through the levels below it, and the first residue joins
-        # them in turn; a level is done when all of its sift to the identity.
-        # The product of the orbit lengths never exceeds the order, so the
-        # closure fails, as soon as it passes the cap, exactly when the
+        # generators are sifted in order, a batch at a time, and one that
+        # sifts to the identity is in the group and skipped; its image of the
+        # first base point then reads its transversal off it (``adopt``), so
+        # on a Latin carrier the first level keeps no rows.  The first that
+        # does not sift, once the levels are closed, is ``used``: its residue
+        # joins the levels down to where it left the chain.  Closing sifts,
+        # from the last level up, every Schreier generator of a level through
+        # the levels below it, and the first residue joins them in turn; a
+        # level is done when all of its sift to the identity.  The levels are
+        # closed only before a generator is judged not in the group, and at
+        # the end.  The product of the orbit lengths never exceeds the order,
+        # so the closure fails, as soon as it passes the cap, exactly when the
         # order exceeds it.
         gens, levels, used = self.gens, [], []
         ident = np.arange(self.domain_size, dtype=gens.dtype)
+        step = _SIFT * _batch(self.domain_size)
 
         def join(y: np.ndarray, lo: int, hi: int) -> int:
             if hi == len(levels):
-                levels.append(_Level(int(np.argmax(y != ident)), ident))
+                levels.append(_Level(int(np.argmax(y != ident)), ident, None if levels else gens))
             for level in levels[lo:hi + 1]:
                 level.add(y)
             if math.prod(len(level.orbit) for level in levels) > self.cap:
@@ -508,24 +670,40 @@ class PermutationGroup:
 
         def schreier_residue(i: int):
             level = levels[i]
-            for a in range(level.done, level.pairs.shape[1], _BATCH):
-                k, d = level.pairs[:, a:a + _BATCH]   # s u_d, sifted through level i,
-                rows = _compose_rows(level.maps, level.u[d], k)   # leaves u_{s(d)}^-1 s u_d
-                hit = _first_residue(levels, rows, i)
-                level.done = a + _BATCH if hit is None else a + hit[0]
+            for a in range(level.done, level.pairs.shape[1], step):
+                k, d = level.pairs[:, a:a + step]   # s u_d, sifted through level i, leaves
+                hit = _first_residue(levels, _compose_rows(level.maps, level.rows(d), k), i)
+                level.done = a + step if hit is None else a + hit[0]   # u_{s(d)}^-1 s u_d
                 if hit is not None:
                     return hit[1:]
             level.done = level.pairs.shape[1]
             return None
 
-        start = 0
-        while (hit := _first_residue(levels, gens[start:], 0)) is not None:
-            used.append(start + hit[0])
-            i = join(hit[1], 0, hit[2])
+        def close_levels() -> None:
+            i = len(levels) - 1
             while i >= 0:
                 hit = schreier_residue(i)
                 i = i - 1 if hit is None else join(hit[0], i + 1, hit[1])
-            start = used[-1] + 1
+
+        a, closed = 0, True
+        while a < len(gens):
+            batch = gens[a:a + step]
+            hit = _first_residue(levels, batch, 0)
+            k = len(batch) if hit is None else hit[0]
+            if levels:
+                levels[0].adopt(batch[:k], np.arange(a, a + k))
+            a += k
+            if hit is None:
+                continue
+            if closed:
+                used.append(a)
+                join(hit[1], 0, hit[2])
+                a += 1
+            else:
+                close_levels()   # then sift row a again
+            closed = not closed
+        if not closed:
+            close_levels()
         self.used = np.array(used, dtype=np.int64)
         return levels
 
@@ -534,7 +712,8 @@ class PermutationGroup:
         """u_1 u_2 ... u_k over the transversals of the chain, sorted once."""
         perms = np.arange(self.domain_size, dtype=self.gens.dtype)[None]
         for level in self._levels:   # the identity times u_1 is u_1, uncopied
-            perms = level.u if len(perms) == 1 else np.take(perms, level.u, axis=1).reshape(
+            u = level.rows(np.arange(len(level.orbit)))
+            perms = u if len(perms) == 1 else np.take(perms, u, axis=1).reshape(
                 -1, self.domain_size)
         return _read_only(perms[np.argsort(_keys(perms, perms.dtype))])
 
@@ -560,16 +739,16 @@ class PermutationGroup:
         return f"PermutationGroup(domain={self.domain_size}, gens={len(self.gens)}{extra})"
 
 
-def close(generators, cap: int = DEFAULT_CAP,
-          domain_size: int | None = None) -> PermutationGroup:
-    """Close a generator list or array into a PermutationGroup: build its
-    stabilizer chain now, so cap errors surface here; its elements are not
-    listed."""
+def close(generators, cap: int = DEFAULT_CAP, domain_size: int | None = None,
+          cols=None) -> PermutationGroup:
+    """Close a generator list or array (its rows read through the column map
+    ``cols``, if given) into a PermutationGroup: build its stabilizer chain
+    now, so cap errors surface here; its elements are not listed."""
     gens = generators if isinstance(generators, np.ndarray) else list(generators)
     m = domain_size if domain_size is not None else len(gens[0]) if len(gens) else 0
     if any(len(g) != m for g in gens):
         raise GroupError("generators live on different domains")
-    grp = PermutationGroup(m, gens, cap=cap)
+    grp = PermutationGroup(m, gens, cap=cap, cols=cols)
     grp.order   # builds the chain
     return grp
 
@@ -687,9 +866,9 @@ class FiniteGroup:
         _check_order(n := len(perms))
         keys, left = _keys(perms, perms.dtype), np.empty((len(grp.used), n), dtype=np.int64)
         for s, row in zip(grp.gens[grp.used], left):
-            for a in range(0, n, _BATCH):
-                images = s[perms[a:a + _BATCH]]
-                row[a:a + _BATCH] = np.searchsorted(keys, _keys(images, perms.dtype))
+            for a in range(0, n, step := _batch(grp.domain_size)):
+                images = s[perms[a:a + step]]
+                row[a:a + step] = np.searchsorted(keys, _keys(images, perms.dtype))
         del keys
         return cls(*_cayley_table(left, 0), 0, perms=perms)
 

@@ -28,7 +28,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import _check_rows, _identity_rows, _inverse_rows, _point_dtype, _read_only, walk
+from .groups import (GeneratorRows, _check_rows, _identity_rows, _inverse_rows, _point_dtype,
+                     _read_only, walk)
 
 MAX_VIOLATIONS = 100
 JSON_BLOCK_ENTRIES = 1 << 13    # table entries written, and file bytes read, per block
@@ -221,12 +222,15 @@ def _json_chunks(obj):
     """The canonical JSON text of ``obj`` (sorted keys, compact separators), in
     chunks.  A dict holding a dict or an array is written key by key (its keys
     are strings), and a nonempty 2-D uint8 or uint16 array (every table the
-    program writes) by ``_table_chunks``; any other value is one
+    program writes) by ``_table_chunks``; rows formed where read (a
+    ``groups.GeneratorRows``) are formed first.  Any other value is one
     ``json.dumps``, which keeps its escaping and number format."""
+    obj = np.asarray(obj) if isinstance(obj, GeneratorRows) else obj
     if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size
             and obj.dtype in _TABLE_DTYPES):
         yield from _table_chunks(obj)
-    elif isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray)) for v in obj.values()):
+    elif isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray, GeneratorRows))
+                                       for v in obj.values()):
         for i, key in enumerate(sorted(obj)):
             yield ("," if i else "{") + json.dumps(key) + ":"
             yield from _json_chunks(obj[key])

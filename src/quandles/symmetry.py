@@ -134,8 +134,8 @@ def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP, base: int = 0) -> Permuta
     pair s_a s_b^-1 factors as (s_a s_base^-1)(s_b s_base^-1)^-1, so this
     n-element generating set suffices.
     """
-    gens = quandle.op[:, _sinv(quandle, base)]   # row q: s_q s_base^-1
-    return close(gens, cap=cap, domain_size=quandle.size)
+    return close(quandle.op, cap=cap, domain_size=quandle.size,   # row q: s_q s_base^-1,
+                 cols=_sinv(quandle, base))                     # formed where read
 
 
 def op_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
@@ -243,7 +243,7 @@ def orbits(quandle: FiniteQuandle) -> OrbitDecomposition:
 
 def tr_orbit(quandle: FiniteQuandle, q: int, base: int = 0) -> frozenset[int]:
     """Orbit of q under Tr(Q), walking generators only (no closure)."""
-    return frozenset(walk(quandle.op[:, _sinv(quandle, base)], [q])[0].tolist())
+    return frozenset(walk(quandle.op, [q], cols=_sinv(quandle, base))[0].tolist())
 
 
 class ConnectednessReport(NamedTuple):

@@ -1,11 +1,14 @@
 """Carrier commands hold one n x n table: the quandle's ``op``.
 
-The inverse table is built only when read, and the stabilizer chain keeps no
-inverse transversals; the CLI's peaks at 4095 points follow from both.
+The inverse table is built only when read, the stabilizer chain keeps no
+inverse transversals, its first level reads its transversal off the
+generators, and ``tr``'s generators are formed where they are read; the
+CLI's peaks at 4095 points follow from these.
 """
 
 import io
 
+import numpy as np
 import pytest
 
 import quandles.cli as cli_module
@@ -14,7 +17,8 @@ from quandles.cli import run
 
 from corpus_util import cli_peak_mb
 
-LEVEL_FIELDS = {"base", "maps", "orbit", "u", "at", "pairs", "done"}
+LEVEL_FIELDS = {"base", "maps", "given", "orbit", "at", "parent", "via", "row", "kept", "pairs",
+                "done"}
 
 
 @pytest.mark.parametrize("command", ["check", "orbits", "connected", "inn", "tr"])
@@ -36,11 +40,19 @@ def test_the_inverse_table_is_built_once_when_read():
 
 
 def test_no_chain_level_holds_inverse_rows():
-    # Inn(alexander(7, 3, 2)) has order 1029 on a chain of two levels, Tr order 343 on one
+    # Inn(alexander(7, 3, 2)) has order 1029 on a chain of two levels, Tr order 343 on one.
+    # Every row a level keeps is a transversal u, which takes the base to its point
     for grp in (symmetry.inn(alexander(7, 3, 2)), symmetry.tr(alexander(7, 3, 2))):
         grp.order
         for level in grp._levels:
             assert set(vars(level)) == LEVEL_FIELDS
+            kept = np.flatnonzero(level.row >= 0)
+            assert all(level.kept[level.row[p]][level.base] == level.orbit[p] for p in kept)
+        # the first level stores no row: its points are the base, one strong
+        # generator from it, or the image of the base under a given generator
+        first = grp._levels[0]
+        assert not ((first.row >= 0) & (first.parent > 0)).any()
+        assert ((first.via < -1) | (first.parent <= 0)).all()
 
 
 @pytest.fixture(scope="module")
@@ -51,11 +63,13 @@ def d4095_json(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("command, budget", [("check", 80), ("tr", 150)])
+@pytest.mark.parametrize("command, budget", [("check", 80), ("inn", 90), ("tr", 90)])
 def test_peaks_at_4095_points(d4095_json, command, budget):
-    # at the parent of this layout 217 MB for check (the file's bytes, its str and
-    # the inverse table) and 270 MB for tr (also the chain's inverse transversals);
-    # 64 and 130 MB after, on a 2-core x86-64 Linux VM
+    # 217 MB for check (the file's bytes, its str and the inverse table) and 270 MB
+    # for tr (also the chain's inverse transversals) before the one-table layout;
+    # 62, 100 and 128 MB for check, inn and tr while the chain stored an n x n
+    # first-level transversal and tr an n x n generator array; 62, 64 and 63 MB
+    # since, on a 2-core x86-64 Linux VM
     code, peak_mb, err = cli_peak_mb(command, str(d4095_json))
     assert code == 0, err
     assert peak_mb < budget
