@@ -5,24 +5,21 @@ submodule is imported when it or one of its names is first read."""
 import importlib
 
 _EXPORTS = {
-    "quandle": """AxiomViolation ElementSymmetry FiniteQuandle InvalidQuandleError
-                  QuandleError RangeError axiom_violations validate""",
+    "quandle": """AxiomViolation FiniteQuandle InvalidQuandleError QuandleError RangeError
+                  axiom_violations validate""",
     "groups": """CapExceeded CosetSpace CycleParseError FiniteGroup GroupAutomorphism
                  GroupError NotASubgroup NotAnAutomorphism PermutationGroup
-                 all_automorphisms close compose conjugacy_class cosets cycle_type
-                 fixed_subgroup format_cycles identity_perm invert matrix_group_sl2
-                 parse_cycles parse_generator_lines""",
+                 all_automorphisms close conjugacy_class cycle_type format_cycles
+                 identity_perm matrix_group_sl2 parse_cycles parse_generator_lines""",
     "constructions": """CocycleError ConstructionError ConstructionRecord NotAbelian
                         NotFixed alexander cocycle_extension conj_class conjugation
-                        dihedral phi_space power_cocycle trivial twisted_orbit_action
-                        unipotent_class_quandle vedernikov""",
+                        dihedral phi_space power_cocycle trivial unipotent_class_quandle
+                        vedernikov""",
     "symmetry": """ActionError ConnectednessReport CosetRealization HomReport
                    InterOrbitReport OrbitDecomposition QuandleAction SaturationChain
                    SbarReport SignedWord TooLarge aut coset_realization hom_check inn
-                   inter_orbit_action is_connected is_homogeneous iso_search op_group
-                   orbits open_subquandle_check random_transvection_word
-                   saturate_forward saturate_mixed sbar_hom tr tr_action_group
-                   tr_orbit""",
+                   inter_orbit_action is_connected iso_search op_group orbits
+                   saturate_forward sbar_hom tr tr_action_group tr_orbit""",
     "regularity": """RegularityReport SurveyResult fixed_points implication_survey
                      isolated_connected_consequence regularity_report""",
     "knots": """ColoringCount Crossing InconsistentArcs KnotDiagram count_colorings

@@ -248,16 +248,6 @@ def vedernikov(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     return _finish(table, labels, "vedernikov", {"group": group, "phi": phi})
 
 
-def twisted_orbit_action(group: FiniteGroup, phi: GroupAutomorphism):
-    """The action x . a = x a phi(x^-1) of G on the carrier of vedernikov(G, phi).
-
-    Returns one permutation of {0..|G|-1} per group element.  The orbit of
-    the identity is a subquandle isomorphic to phi_space(G, phi, G^phi).
-    """
-    t, x = group.table, np.arange(group.order)[:, None]
-    return tuple(map(tuple, t[t[x, x.T], phi.mapping[group.inv_map[x]]].tolist()))
-
-
 # ---------------------------------------------------------------------------
 # linear families over prime fields
 

@@ -1,8 +1,7 @@
 """Finite groups, permutation closures, automorphisms and coset spaces.
 
-A permutation of {0..m-1} maps ``i`` to ``p[i]``: a tuple for the helpers
-(``compose(p, q)`` applies ``q`` first, then ``p``), a row of an int array
-inside a group.  Everything here is exact integer arithmetic; groups are
+A permutation of {0..m-1} maps ``i`` to ``p[i]``: a tuple for the helpers,
+a row of an int array inside a group.  Everything here is exact integer arithmetic; groups are
 immutable once built and safe to share.
 """
 
@@ -55,18 +54,6 @@ class CycleParseError(GroupError):
 
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
-
-
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """p after q: (p o q)(i) = p[q[i]]."""
-    return tuple(p[x] for x in q)
-
-
-def invert(p: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def is_permutation(p: Sequence[int]) -> bool:
@@ -901,9 +888,6 @@ class FiniteGroup:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
-    def element_order(self, i: int) -> int:
-        return self.element_orders.item(i)
-
     @functools.cached_property
     def element_orders(self) -> np.ndarray:
         """The order of every element, as a read-only array: the powers of all
@@ -947,18 +931,6 @@ class FiniteGroup:
                 return ("product", a, s[out[0]])
         return None
 
-    def is_subgroup(self, subset: Iterable[int]) -> bool:
-        return self.subgroup_witness(subset) is None
-
-    def subgroup_closure(self, subset: Iterable[int]) -> tuple[int, ...]:
-        """The subgroup generated by ``subset``: the right products of its
-        elements, walked from the identity."""
-        s = sorted(set(subset))
-        if s and not 0 <= s[0] <= s[-1] < self.order:
-            raise GroupError(f"element {s[0] if s[0] < 0 else s[-1]} out of range "
-                             f"for order {self.order}")
-        return tuple(np.sort(walk(self.table.T[s], [self.identity])[0]).tolist())
-
     def _fields(self) -> dict:
         """The JSON object of the group, with ``table`` as its ``mul``."""
         d = {"order": self.order, "mul": self.table}
@@ -988,7 +960,7 @@ class FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
-# automorphisms, fixed subgroups, cosets
+# automorphisms and cosets
 
 class GroupAutomorphism:
     """An automorphism of a FiniteGroup: ``mapping`` is a read-only int64
@@ -1025,15 +997,6 @@ class GroupAutomorphism:
 
     def __repr__(self):
         return f"GroupAutomorphism(order={self.group.order})"
-
-
-def fixed_subgroup(group: FiniteGroup, phi: GroupAutomorphism) -> tuple[int, ...]:
-    """Elements fixed by ``phi``; always verified to form a subgroup."""
-    fixed = phi.fixed_points()
-    witness = group.subgroup_witness(fixed)
-    if witness is not None:
-        raise GroupError(f"fixed set is not a subgroup: {witness}")
-    return fixed
 
 
 def _extensions(a, b, prof_a: Sequence, prof_b: Sequence, first: Sequence[int] = ()):
@@ -1165,10 +1128,6 @@ class CosetSpace:
 
     def __repr__(self):
         return f"CosetSpace(group={self.group.order}, subgroup={len(self.subgroup)}, cosets={self.count})"
-
-
-def cosets(group: FiniteGroup, subgroup: Iterable[int]) -> CosetSpace:
-    return CosetSpace(group, subgroup)
 
 
 def conjugacy_class(group: FiniteGroup, g: int) -> tuple[int, ...]:

@@ -75,16 +75,6 @@ class InvalidQuandleError(QuandleError):
         super().__init__(f"{len(self.violations)} axiom violation(s): {head}{more}{suffix}")
 
 
-class ElementSymmetry(NamedTuple):
-    """The left translation s_q; always a quandle automorphism."""
-
-    base: int
-    perm: tuple[int, ...]
-
-    def __call__(self, r: int) -> int:
-        return self.perm[r]
-
-
 class FiniteQuandle:
     """An n-element quandle held as one read-only n x n array of ``_point_dtype(n)``.
 
@@ -94,8 +84,8 @@ class FiniteQuandle:
     ``is_closed_subset``, ``SignedWord`` and coloring counts read it whole;
     the orbit, closure and realization code inverts the one row it needs.
     Sums of entries would wrap in their unsigned dtype, so the tables are
-    only indexed with and compared.  The public maps (``symmetry``,
-    ``right_translation``, ``to_dict``) return Python ints.
+    only indexed with and compared.  The public maps (``right_translation``,
+    ``to_dict``) return Python ints.
 
     Do not call the constructor with an unchecked table; use ``validate``.
     """
@@ -112,11 +102,6 @@ class FiniteQuandle:
         return _read_only(_inverse_rows(self.op))
 
     # -- elementary maps -----------------------------------------------------
-
-    def symmetry(self, q: int) -> ElementSymmetry:
-        if not 0 <= q < self.size:
-            raise IndexError(f"element {q} out of range for size {self.size}")
-        return ElementSymmetry(q, tuple(self.op[q].tolist()))
 
     def right_translation(self, q: int) -> tuple[int, ...]:
         """The column map r -> r |> q.  Not a bijection in general."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,34 +49,10 @@ class SignedWord(NamedTuple):
 
     letters: tuple[tuple[int, int], ...]
 
-    @property
-    def exponent_sum(self) -> int:
-        return sum(sign for _, sign in self.letters)
-
-    def is_transvection_word(self) -> bool:
-        return self.exponent_sum == 0
-
     def apply(self, quandle: FiniteQuandle, x: int) -> int:
         for q, sign in self.letters:
             x = (quandle.op if sign > 0 else quandle.inv_op).item(q, x)
         return x
-
-    def as_permutation(self, quandle: FiniteQuandle) -> tuple[int, ...]:
-        perm = np.arange(quandle.size)
-        for q, sign in self.letters:
-            perm = (quandle.op if sign > 0 else quandle.inv_op)[q, perm]
-        return tuple(perm.tolist())
-
-    def __len__(self):
-        return len(self.letters)
-
-
-def random_transvection_word(quandle: FiniteQuandle, length: int,
-                             rng: random.Random) -> SignedWord:
-    """A random signed word with equal counts of +1 and -1 letters."""
-    signs = [1] * length + [-1] * length
-    rng.shuffle(signs)
-    return SignedWord(tuple((rng.randrange(quandle.size), s) for s in signs))
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +120,9 @@ def op_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
 
 def tr_action_group(action: QuandleAction, cap: int = DEFAULT_CAP,
                     base: int = 0) -> PermutationGroup:
-    """Tr(Q, X): closure of {act_q act_base^-1}."""
-    gens = action.act[:, np.argsort(action.act[base])]   # row q: act_q act_base^-1
-    return close(gens, cap=cap, domain_size=action.set_size)
+    """Tr(Q, X): closure of {act_q act_base^-1}, formed where read as ``tr``'s are."""
+    return close(action.act, cap=cap, domain_size=action.set_size,
+                 cols=_inverse_rows(action.act[[base]])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +136,6 @@ class SaturationChain(NamedTuple):
     @property
     def stable(self) -> frozenset[int]:
         return self.sets[-1]
-
-    def __len__(self):
-        return len(self.sets)
 
 
 def saturate_forward(quandle: FiniteQuandle, seed: Iterable[int]) -> SaturationChain:
@@ -186,15 +158,6 @@ def saturate_forward(quandle: FiniteQuandle, seed: Iterable[int]) -> SaturationC
         new, current = nxt - current, nxt
         chain.append(current)
     return SaturationChain(tuple(chain))
-
-
-def saturate_mixed(action: QuandleAction, seed: Iterable[int]) -> frozenset[int]:
-    """Closure of a subset of X under all act_q and act_q^-1: the Op-orbit union."""
-    seed = list(seed)
-    if not seed:
-        raise ValueError("seed set must be nonempty")
-    # a finite group's orbits need no inverses
-    return frozenset(walk(action.act, seed)[0].tolist())
 
 
 class OrbitDecomposition(NamedTuple):
@@ -334,73 +297,6 @@ def aut(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE,
     grp = PermutationGroup(quandle.size, gens, cap=cap)
     grp.order = order
     return grp
-
-
-def is_homogeneous(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE) -> bool:
-    """Does the full automorphism group act transitively?
-
-    Connected quandles are homogeneous (inner automorphisms already act
-    transitively).  Otherwise the strong generators of ``aut``'s search
-    generate Aut(Q), so the orbit of 0 under them is its orbit.
-    """
-    if orbits(quandle).count == 1:
-        return True
-    if quandle.size > max_size:
-        raise TooLarge(f"automorphism search limited to size {max_size}")
-    gens, _ = table_automorphisms(quandle.op, _invariant_profiles(quandle))
-    return len(walk(gens, [0])[0]) == quandle.size
-
-
-# ---------------------------------------------------------------------------
-# open subquandles
-
-class OpenSubquandleReport(NamedTuple):
-    subset: tuple[int, ...]
-    is_whole_carrier: bool
-    meets_every_orbit: bool
-    density_hypothesis_met: bool      # the only dense subset of a finite carrier is everything
-    op_orbit_agrees: tuple[bool, ...]   # per point: orbit under {s_u: u in U} vs full
-    tr_orbit_agrees: tuple[bool, ...]
-    all_agree: bool
-
-
-def _orbit_of_each(n: int, generators: np.ndarray) -> dict[int, frozenset[int]]:
-    """Per point of {0..n-1}, its orbit under the generated group."""
-    return {x: orb for orb in PermutationGroup(n, generators).orbits() for x in orb}
-
-
-def open_subquandle_check(quandle: FiniteQuandle, subset: Iterable[int]) -> OpenSubquandleReport:
-    """Compare orbits generated by a subquandle's symmetries with the full ones.
-
-    For a dense open subquandle of an irreducible carrier the two orbit
-    systems agree; on a finite carrier density collapses to "all of Q", so
-    any proper subquandle fails the hypothesis and the report flags it while
-    still computing the comparison (which can agree or not).
-    """
-    u = tuple(sorted(set(subset)))
-    if not u:
-        raise QuandleError("subset must be nonempty")
-    if not quandle.is_closed_subset(u):
-        raise QuandleError("subset is not closed under |> and |>^-1")
-    deco = orbits(quandle)
-    meets = all(any(x in orb_set for x in u)
-                for orb_set in (set(o) for o in deco.orbits))
-    n, u_rows = quandle.size, quandle.op[list(u)]
-    u_op = _orbit_of_each(n, u_rows)
-    u_tr = _orbit_of_each(n, u_rows[:, _sinv(quandle, u[0])])
-    full_tr = _orbit_of_each(n, quandle.op[:, _sinv(quandle, 0)])
-    op_agree = [u_op[z] == frozenset(deco.orbit_of(z)) for z in range(n)]
-    tr_agree = [u_tr[z] == full_tr[z] for z in range(n)]
-    whole = len(u) == n
-    return OpenSubquandleReport(
-        subset=u,
-        is_whole_carrier=whole,
-        meets_every_orbit=meets,
-        density_hypothesis_met=whole,
-        op_orbit_agrees=tuple(op_agree),
-        tr_orbit_agrees=tuple(tr_agree),
-        all_agree=all(op_agree) and all(tr_agree),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from quandles import (CocycleError, ConstructionError, ConstructionRecord, Finit
                       all_automorphisms, cocycle_extension, conj_class, conjugacy_class,
                       conjugation,
                       coset_realization, dihedral,
-                      fixed_subgroup, identity_perm, inter_orbit_action, iso_search,
+                      identity_perm, inter_orbit_action, iso_search,
                       matrix_group_sl2, phi_space, saturate_forward,
-                      power_cocycle, trivial, twisted_orbit_action,
+                      power_cocycle, trivial,
                       unipotent_class_quandle, validate, vedernikov)
 from quandles.constructions import MAX_CARRIER, coset_action
 from quandles.groups import CosetSpace
@@ -130,7 +130,7 @@ def test_coset_action_matches_the_oracle_on_the_corpus_groups():
     # well-defined, H = Fix(phi) included, which needs 2 or 3 generators
     for name, g in corpus_groups():
         for phi in all_automorphisms(g):
-            fixed = fixed_subgroup(g, phi)
+            fixed = phi.fixed_points()
             subgroups = {(g.identity,), fixed}
             subgroups |= {tuple(_powers(g, x)) for x in fixed}
             for sub in subgroups:
@@ -164,7 +164,7 @@ def test_coset_action_matches_the_oracle_on_mutated_maps():
     # two trivial groups
     seen = set()
     for name, g in corpus_groups():
-        fixes = {fixed_subgroup(g, phi): phi for phi in all_automorphisms(g)}
+        fixes = {phi.fixed_points(): phi for phi in all_automorphisms(g)}
         for sub, phi in fixes.items():
             spaces = CosetSpace(g, sub), CosetSpace(g, (g.identity,))
             for source, target in ((spaces[0], spaces[0]), spaces, spaces[::-1]):
@@ -299,9 +299,6 @@ def test_tables_match_scalar_products():
     assert cls == tuple(sorted({s4.conj(h, 3) for h in range(n)}))
     assert conj_class(s4, 3).op.tolist() == [[cls.index(s4.conj(a, b)) for b in cls]
                                              for a in cls]
-    phi = GroupAutomorphism(s4, [s4.conj(3, x) for x in range(n)])
-    assert twisted_orbit_action(s4, phi) == tuple(
-        tuple(s4.mul(s4.mul(x, a), phi(s4.inv(x))) for a in range(n)) for x in range(n))
     z4 = FiniteGroup.cyclic(4)
     f = [[0, 3, 1], [2, 0, 1], [3, 3, 0]]
     q = cocycle_extension(3, z4, f)
@@ -351,17 +348,13 @@ def test_vedernikov_orbit_of_identity_matches_phi_space():
     s3 = FiniteGroup.symmetric(3)
     for phi in all_automorphisms(s3):
         v = vedernikov(s3, phi)
-        acts = twisted_orbit_action(s3, phi)
-        orbit = {s3.identity}
-        while True:
-            new = {a[x] for a in acts for x in orbit} | orbit
-            if new == orbit:
-                break
-            orbit = new
+        # the orbit of the identity under x . a = x a phi(x^-1) is
+        # {x |> e = x phi(x^-1)}, the column of e
+        orbit = set(v.right_translation(s3.identity))
         sub, _ = v.subquandle_closure(orbit)
         # the twisted orbit is already closed under the quandle operation
         assert sub.size == len(orbit)
-        target = phi_space(s3, phi, fixed_subgroup(s3, phi))
+        target = phi_space(s3, phi, phi.fixed_points())
         assert sub.size == target.size
         assert iso_search(sub, target) is not None
 

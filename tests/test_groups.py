@@ -18,11 +18,9 @@ from quandles import alexander, dihedral, inn, tr, unipotent_class_quandle, vali
 from quandles.groups import (DEFAULT_CAP, CapExceeded, CosetSpace,
                              CycleParseError, FiniteGroup, GroupAutomorphism,
                              GroupError, NotASubgroup, NotAnAutomorphism,
-                             PermutationGroup,
-                             all_automorphisms, close, compose,
-                             conjugacy_class, cosets,
-                             cycle_type, fixed_subgroup, format_cycles,
-                             identity_perm, invert, is_permutation,
+                             PermutationGroup, all_automorphisms, close,
+                             conjugacy_class, cycle_type, format_cycles,
+                             identity_perm, is_permutation,
                              matrix_group_sl2, parse_cycles,
                              parse_generator_lines, perm_cycles, walk)
 
@@ -30,11 +28,11 @@ from corpus_util import cli_peak_mb, corpus_groups, python_peak_mb, small_corpus
 
 
 def test_compose_and_invert():
-    p = (1, 2, 0)
-    q = (0, 2, 1)
-    assert compose(p, q) == (1, 0, 2)  # p after q
-    assert compose(invert(p), p) == identity_perm(3)
-    assert cycle_type(p) == (3,) and cycle_type(q) == (1, 2)
+    p = np.array((1, 2, 0))
+    q = np.array((0, 2, 1))
+    assert p[q].tolist() == [1, 0, 2]  # p after q
+    assert np.argsort(p)[p].tolist() == list(identity_perm(3))
+    assert cycle_type(p.tolist()) == (3,) and cycle_type(q.tolist()) == (1, 2)
     assert perm_cycles(p) == [(0, 1, 2)]
 
 
@@ -74,17 +72,15 @@ def test_close_mixed_domains():
 
 
 def _bfs_closure(gens, m, cap=DEFAULT_CAP):
-    """Reference closure: every generator times every element, breadth-first."""
-    ident = identity_perm(m)
-    els, frontier = {ident}, [ident]
-    for b in frontier:
-        for g in gens:
-            c = compose(g, b)
-            if c not in els:
-                if len(els) >= cap:
-                    raise CapExceeded(f"group closure exceeded cap of {cap} elements")
-                els.add(c)
-                frontier.append(c)
+    """Reference closure: every generator times every element, breadth-first,
+    a level at a time (g[b] is g after b)."""
+    gens = np.array(gens, dtype=np.int64).reshape(-1, m)
+    els = level = {identity_perm(m)}
+    while level:
+        level = set(map(tuple, gens[:, sorted(level)].reshape(-1, m).tolist())) - els
+        if len(els) + len(level) > cap:
+            raise CapExceeded(f"group closure exceeded cap of {cap} elements")
+        els = els | level
     return sorted(els)
 
 
@@ -102,7 +98,8 @@ def _generator_lists(draw):
     products of earlier generators, in any order."""
     m = draw(st.integers(1, 6))
     gens = [tuple(p) for p in draw(st.lists(st.permutations(range(m)), max_size=4))]
-    extra = [identity_perm(m)] + gens + [compose(p, q) for p in gens for q in gens]
+    extra = [identity_perm(m)] + gens + [tuple(np.array(p)[list(q)].tolist())
+                                         for p in gens for q in gens]
     gens += draw(st.lists(st.sampled_from(extra), max_size=4))
     return m, draw(st.permutations(gens))
 
@@ -555,17 +552,10 @@ def test_subgroup_closure_matches_the_pair_bfs_on_s4():
     rng = random.Random(0)
     subsets = [()] + [(a,) for a in range(24)] + list(itertools.combinations(range(24), 2))
     subsets += [tuple(rng.sample(range(24), k)) for k in (3, 4, 5) for _ in range(40)]
-    for sub in subsets:
-        got = s4.subgroup_closure(sub)
+    for sub in subsets:   # right products of sub, walked from the identity
+        got = tuple(np.sort(walk(s4.table.T[list(sub)], [s4.identity])[0]).tolist())
         assert got == _pair_closure(s4, sub), sub
-        assert s4.is_subgroup(got)
-
-
-def test_subgroup_closure_rejects_elements_out_of_range():
-    s3 = FiniteGroup.symmetric(3)
-    for bad in (-1, 6):
-        with pytest.raises(GroupError, match=f"element {bad} out of range for order 6"):
-            s3.subgroup_closure({1, bad})
+        assert s4.subgroup_witness(got) is None
 
 
 # -- explicit groups ----------------------------------------------------------
@@ -721,7 +711,7 @@ def test_symmetric_group():
 
 def test_element_order():
     s3 = FiniteGroup.symmetric(3)
-    orders = sorted(s3.element_order(i) for i in range(6))
+    orders = sorted(s3.element_orders[i] for i in range(6))
     assert orders == [1, 2, 2, 2, 3, 3]
 
 
@@ -740,16 +730,14 @@ def test_element_orders_match_the_scalar_loop():
     groups += [FiniteGroup.from_permutation_group(tr(q)) for _, q in small_corpus()]
     for g in groups:
         expected = [_scalar_element_order(g, i) for i in range(g.order)]
-        assert [g.element_order(i) for i in range(g.order)] == expected, g
-        assert g.element_orders.tolist() == expected and not g.element_orders.flags.writeable
-        assert all(type(g.element_order(i)) is int for i in range(g.order))
+        assert g.element_orders.tolist() == expected and not g.element_orders.flags.writeable, g
 
 
 def test_subgroup_closure_and_check():
     s3 = FiniteGroup.symmetric(3)
     t = s3.elements.index((1, 0, 2))
-    sub = s3.subgroup_closure({t})
-    assert len(sub) == 2 and s3.is_subgroup(sub)
+    sub = walk(s3.table.T[[t]], [s3.identity])[0].tolist()
+    assert len(sub) == 2 and s3.subgroup_witness(sub) is None
     assert s3.subgroup_witness((t,)) is not None
 
 
@@ -774,20 +762,20 @@ def test_group_json_round_trip():
 def test_fixed_subgroup_identity():
     z5 = FiniteGroup.cyclic(5)
     phi = GroupAutomorphism(z5, identity_perm(5))
-    assert fixed_subgroup(z5, phi) == (0, 1, 2, 3, 4)
+    assert phi.fixed_points() == (0, 1, 2, 3, 4)
 
 
 def test_fixed_subgroup_doubling():
     z5 = FiniteGroup.cyclic(5)
     phi = GroupAutomorphism(z5, tuple((2 * x) % 5 for x in range(5)))
-    assert fixed_subgroup(z5, phi) == (0,)
+    assert phi.fixed_points() == (0,)
 
 
 def test_fixed_subgroup_conjugation():
     s3 = FiniteGroup.symmetric(3)
     t = s3.elements.index((1, 0, 2))
     phi = GroupAutomorphism(s3, tuple(s3.conj(t, x) for x in range(6)))
-    assert fixed_subgroup(s3, phi) == (s3.identity, t)
+    assert phi.fixed_points() == (s3.identity, t)
 
 
 def test_not_an_automorphism():
@@ -843,8 +831,8 @@ def test_all_automorphisms_s3():
 
 def test_cosets_whole_and_trivial():
     s3 = FiniteGroup.symmetric(3)
-    assert cosets(s3, range(6)).count == 1
-    cs = cosets(s3, (s3.identity,))
+    assert CosetSpace(s3, range(6)).count == 1
+    cs = CosetSpace(s3, (s3.identity,))
     assert cs.count == 6 and cs.reps == tuple(range(6))
 
 
@@ -881,7 +869,7 @@ def test_conjugacy_class_s3():
     t = s3.elements.index((1, 0, 2))
     cls = conjugacy_class(s3, t)
     assert len(cls) == 3
-    assert all(s3.element_order(x) == 2 for x in cls)
+    assert all(s3.element_orders[x] == 2 for x in cls)
 
 
 def test_sl2_orders():
@@ -972,17 +960,19 @@ def test_permutation_backed_group_multiplies_consistently():
     s4 = FiniteGroup.symmetric(4)
     for i in (0, 3, 17):
         for j in (1, 5, 23):
-            expected = s4.elements.index(compose(s4.elements[i], s4.elements[j]))
+            expected = s4.elements.index(tuple(s4.perms[i][s4.perms[j]].tolist()))
             assert s4.mul(i, j) == expected
-    assert is_permutation(invert(s4.elements[7]))
+    assert is_permutation(np.argsort(s4.perms[7]).tolist())
 
 
 # -- the array-backed table -----------------------------------------------------
 
 def _oracle_table(elements):
-    """Products by composing the permutations and looking them up by value."""
+    """Products by composing the permutations and looking them up by value:
+    a[perms] holds a[b], a after b, for every b."""
     index = {p: i for i, p in enumerate(elements)}
-    return [[index[compose(a, b)] for b in elements] for a in elements]
+    perms = np.array(elements, dtype=np.int64)
+    return [[index[ab] for ab in map(tuple, a[perms].tolist())] for a in perms]
 
 
 def _transposition(a, b, m):
@@ -1151,7 +1141,7 @@ def test_cayley_table_matches_the_oracle(case):
     assert g.table.tolist() == _oracle_table(g.elements)
     ident = g.elements[g.identity]
     assert ident == identity_perm(len(ident))
-    assert all(compose(p, g.elements[g.inv(i)]) == ident for i, p in enumerate(g.elements))
+    assert (g.perms[np.arange(g.order)[:, None], g.perms[g.inv_map]] == ident).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])

@@ -104,7 +104,7 @@ def reference_all_automorphisms(group):
     """Every automorphism's mapping, by backtracking over element orders
     with a partial consistency check and a full recheck of each result."""
     n = group.order
-    orders = [group.element_order(i) for i in range(n)]
+    orders = group.element_orders.tolist()
     by_order: dict = {}
     for i, o in enumerate(orders):
         by_order.setdefault(o, []).append(i)
@@ -294,6 +294,6 @@ def test_schreier_vector_search_matches_the_pair_loop(data):
 
 def test_group_automorphisms_match_the_pair_loop():
     for name, g in corpus_groups() + [("Z12", FiniteGroup.cyclic(12))]:
-        orders = [g.element_order(i) for i in range(g.order)]
+        orders = g.element_orders.tolist()
         assert (list(table_isomorphisms(g.table, g.table, orders, orders))
                 == list(_pair_loop_isomorphisms(g.table, g.table, orders, orders))), name

@@ -15,17 +15,17 @@ import quandles.groups as groups_module
 import quandles.quandle as quandle_module
 import quandles.symmetry as symmetry
 from quandles import (ActionError, FiniteGroup, GroupError, OrbitDecomposition,
-                      QuandleAction, QuandleError,
-                      SignedWord, TooLarge, alexander, aut, compose,
+                      QuandleAction, QuandleError, SaturationChain,
+                      SignedWord, TooLarge, alexander, aut,
                       conj_class, conjugation, coset_realization, dihedral,
-                      hom_check, inn, inter_orbit_action, invert,
-                      is_connected, is_homogeneous, iso_search, op_group,
-                      open_subquandle_check, orbits, phi_space,
-                      random_transvection_word, regularity_report,
-                      saturate_forward, saturate_mixed, sbar_hom,
+                      hom_check, inn, inter_orbit_action,
+                      is_connected, iso_search, op_group,
+                      orbits, phi_space, regularity_report,
+                      saturate_forward, sbar_hom,
                       power_cocycle, tr, tr_action_group, tr_orbit, trivial,
                       unipotent_class_quandle, validate)
 from quandles.cli import run
+from quandles.groups import GeneratorRows, close
 
 from corpus_util import cli_peak_mb, small_corpus
 
@@ -45,16 +45,15 @@ def test_tr_orders():
     els = set(grp.elements)
     # cyclic: generated by a single element
     g = next(e for e in els if e != (0, 1, 2))
-    assert {(0, 1, 2), g, compose(g, g)} == els
+    assert {(0, 1, 2), g, tuple(np.array(g)[list(g)].tolist())} == els
 
 
 def test_tr_is_normal_in_inn():
     for _, q in small_corpus():
         trg = tr(q)
-        for row in q.op:
-            for gen in trg.generators:
-                conj = compose(compose(row, gen), invert(row))
-                assert conj in trg
+        for row in q.op:   # row gen row^-1
+            for gen in trg.gens:
+                assert row[gen[np.argsort(row)]] in trg
 
 
 def test_tr_base_choice_is_irrelevant():
@@ -65,49 +64,38 @@ def test_tr_base_choice_is_irrelevant():
 def test_conjugation_identity_for_automorphisms():
     # f s_q f^-1 = s_{f(q)} for every automorphism
     for q in (dihedral(4), trivial(4), conj_class(FiniteGroup.symmetric(3), 1)):
-        rows = q.op.tolist()
-        for f in aut(q).elements:
-            f_inv = invert(f)
-            for a in range(q.size):
-                assert compose(compose(f, rows[a]), f_inv) == tuple(rows[f[a]])
+        for f in aut(q).perms:   # row a: f s_a f^-1
+            assert (f[q.op[:, np.argsort(f)]] == q.op[f]).all()
 
 
 def test_gathering_identity():
     # s_a^-1 s_b = s_{a |>^-1 b} s_a^-1
     for _, q in small_corpus():
-        for a in range(q.size):
-            sa_inv = invert(q.op[a])
-            for b in range(q.size):
-                lhs = compose(sa_inv, q.op[b])
-                rhs = compose(q.op[q.inv_op[a][b]], sa_inv)
-                assert lhs == rhs
-
-
-def test_random_transvection_words_land_in_tr():
-    q = dihedral(5)
-    grp = tr(q)
-    rng = random.Random(0)
-    seen = set()
-    for _ in range(1000):
-        w = random_transvection_word(q, rng.randrange(1, 5), rng)
-        assert w.is_transvection_word()
-        perm = w.as_permutation(q)
-        assert perm in grp
-        seen.add(perm)
-    # with 1000 seeded samples the whole 5-element group is realized
-    assert seen == set(grp.elements)
+        for a in range(q.size):   # row b of each side
+            sa_inv = np.argsort(q.op[a])
+            assert (sa_inv[q.op] == q.op[q.inv_op[a][:, None], sa_inv]).all()
 
 
 # -- signed words ---------------------------------------------------------------
 
 def test_signed_word_apply_matches_permutation():
     q = dihedral(6)
-    w = SignedWord(((2, 1), (5, -1), (1, 1), (0, -1)))
-    assert w.exponent_sum == 0 and w.is_transvection_word()
-    perm = w.as_permutation(q)
-    for x in range(q.size):
-        assert w.apply(q, x) == perm[x]
-    assert not SignedWord(((1, 1),)).is_transvection_word()
+    w = SignedWord(((2, 1), (5, -1), (1, 1), (0, -1)))   # left to right
+    perm = q.inv_op[0, q.op[1, q.inv_op[5, q.op[2]]]]
+    assert [w.apply(q, x) for x in range(q.size)] == perm.tolist()
+    assert perm in tr(q)   # as many positive letters as negative
+    assert [SignedWord(((1, 1),)).apply(q, x) for x in range(q.size)] == q.op[1].tolist()
+
+
+def test_records_replace_and_make_with_a_two_element_field():
+    # len() of either record counts its one field, as _replace and _make check
+    letters = ((0, 1), (2, -1))
+    word = SignedWord(((1, 1),))._replace(letters=letters)
+    assert word.letters == letters and SignedWord._make([letters]) == word
+    sets = (frozenset({0}), frozenset({0, 1, 2}))
+    chain = saturate_forward(dihedral(3), {0})._replace(sets=sets)
+    assert chain.stable == sets[-1] and SaturationChain._make([sets]) == chain
+    assert len(word) == len(chain) == 1
 
 
 # -- orbits and saturation -------------------------------------------------------
@@ -224,20 +212,20 @@ def test_saturate_mixed_matches_forward_on_natural_action():
     for _, q in small_corpus():
         action = QuandleAction.natural(q)
         for x in range(q.size):
-            assert saturate_mixed(action, {x}) == saturate_forward(q, {x}).stable
+            assert op_group(action).orbit(x) == saturate_forward(q, {x}).stable
 
 
 def test_saturate_mixed_translation_action():
     t1 = trivial(1)
     shift = [tuple((x + 1) % 12 for x in range(12))]
     action = QuandleAction(t1, 12, shift)
-    assert saturate_mixed(action, {0}) == frozenset(range(12))
+    assert op_group(action).orbit(0) == frozenset(range(12))
 
 
 def test_identity_action_leaves_sets_alone():
     t3 = trivial(3)
     action = QuandleAction(t3, 5, [tuple(range(5))] * 3)
-    assert saturate_mixed(action, {1, 2}) == frozenset({1, 2})
+    assert op_group(action).orbit(1) | op_group(action).orbit(2) == frozenset({1, 2})
 
 
 # -- quandle actions -------------------------------------------------------------
@@ -258,10 +246,11 @@ def test_action_validation():
 def _compose_witness(quandle, acts):
     """The reference: the first (q, r) in row-major order where
     act_q act_r != act_{q |> r} act_q, or None."""
-    for q, row in enumerate(quandle.op.tolist()):
-        for r, qr in enumerate(row):
-            if compose(acts[q], acts[r]) != compose(acts[qr], acts[q]):
-                return (q, r)
+    a = np.array(acts)
+    for q, row in enumerate(quandle.op):   # row r of each side
+        bad = (a[q][a] != a[row][:, a[q]]).any(axis=1)
+        if bad.any():
+            return (q, int(bad.argmax()))
     return None
 
 
@@ -381,6 +370,21 @@ def test_op_and_tr_action_groups():
     assert tr_action_group(ident).order == 1
 
 
+def test_tr_action_group_reads_act_through_a_column_map():
+    # row q, act_q act_base^-1, is row q of act read through act_base^-1, with
+    # no n x m copy; the gathered rows it replaced are the reference
+    shift = QuandleAction(trivial(1), 12, [tuple((x + 1) % 12 for x in range(12))])
+    for action in [shift] + [QuandleAction.natural(q) for _, q in small_corpus()]:
+        for base in (0, action.quandle.size - 1):
+            trg = tr_action_group(action, base=base)
+            assert isinstance(trg.gens, GeneratorRows)
+            assert np.shares_memory(trg.gens.src, action.act)
+            gathered = action.act[:, np.argsort(action.act[base])]
+            ref = close(gathered, domain_size=action.set_size)
+            assert (trg.order, trg.orbits()) == (ref.order, ref.orbits())
+    assert tr_action_group(shift).orbit(0) == frozenset({0})
+
+
 # -- connectedness ----------------------------------------------------------------
 
 def test_connectedness_reports():
@@ -407,24 +411,24 @@ def test_alexander_connected_iff_a_not_one():
 
 def test_aut_trivial_is_symmetric():
     assert aut(trivial(4)).order == math.factorial(4)
-    assert is_homogeneous(trivial(6))
+    assert aut(trivial(6)).is_transitive()
 
 
 def test_aut_dihedral_4():
     grp = aut(dihedral(4))
     assert grp.order == 8
     assert orbits(dihedral(4)).count == 2  # inner orbits are evens and odds
-    assert is_homogeneous(dihedral(4))     # the translation x+1 is outer
+    assert grp.is_transitive()             # the translation x+1 is outer
 
 
 def test_connected_implies_homogeneous():
     for q in (dihedral(5), unipotent_class_quandle(3), alexander(7, 1, 3)):
-        assert is_connected(q).connected and is_homogeneous(q)
+        assert is_connected(q).connected and aut(q).is_transitive()
 
 
 def test_not_homogeneous():
-    assert not is_homogeneous(conjugation(FiniteGroup.symmetric(3)))
-    assert not is_homogeneous(conjugation(FiniteGroup.symmetric(4)))
+    assert not aut(conjugation(FiniteGroup.symmetric(3))).is_transitive()
+    assert not aut(conjugation(FiniteGroup.symmetric(4))).is_transitive()
 
 
 def test_power_cocycle_is_homogeneous_but_not_connected():
@@ -432,7 +436,7 @@ def test_power_cocycle_is_homogeneous_but_not_connected():
     # homogeneous even though the inner orbits are the first-coordinate fibers
     q = power_cocycle(3, 2)
     assert orbits(q).count == 3
-    assert is_homogeneous(q)
+    assert aut(q).is_transitive()
 
 
 def test_aut_too_large():
@@ -441,7 +445,7 @@ def test_aut_too_large():
     with pytest.raises(TooLarge):
         iso_search(trivial(65), trivial(65))
     with pytest.raises(TooLarge):
-        is_homogeneous(trivial(65))
+        aut(trivial(65)).is_transitive()
 
 
 def test_aut_at_the_size_limit():
@@ -462,16 +466,16 @@ def test_aut_fails_fast_at_the_default_cap(tmp_path):
 
 
 def test_invariant_profiles_are_computed_once_per_quandle(monkeypatch):
-    # aut and is_homogeneous each read them once, for both sides of one search
+    # aut and iso_search each read them once, for both sides of one search
     calls = []
     monkeypatch.setattr(symmetry, "cycle_type",
                         lambda row: calls.append(1) or groups_module.cycle_type(row))
-    for search in (aut, is_homogeneous):
-        q = power_cocycle(3, 2)   # three inner orbits
+    q = power_cocycle(3, 2)   # three inner orbits
+    for search in (aut, lambda q: iso_search(q, q)):
         symmetry._invariant_profiles.cache_clear()
         calls.clear()
         search(q)
-        assert len(calls) == q.size, search.__name__
+        assert len(calls) == q.size, search
     assert isinstance(symmetry._invariant_profiles(q), tuple)
 
 
@@ -690,41 +694,6 @@ def test_iso_search_finds_and_rejects():
     assert iso_search(dihedral(3), dihedral(4)) is None
 
 
-# -- open subquandles ------------------------------------------------------------------
-
-def test_open_subquandle_whole():
-    r3 = dihedral(3)
-    rep = open_subquandle_check(r3, range(3))
-    assert rep.is_whole_carrier and rep.density_hypothesis_met and rep.all_agree
-
-
-def test_open_subquandle_proper_in_connected():
-    r5 = dihedral(5)
-    rep = open_subquandle_check(r5, {0})
-    assert not rep.density_hypothesis_met
-    assert rep.meets_every_orbit  # only one orbit, so any subset meets it
-    assert not rep.all_agree      # {s_0} cannot move 0 around the 5-cycle
-
-
-def test_open_subquandle_conjugation_class():
-    s3 = FiniteGroup.symmetric(3)
-    q = conjugation(s3)
-    transpositions = tuple(i for i in range(6) if s3.element_order(i) == 2)
-    rep = open_subquandle_check(q, transpositions)
-    assert not rep.meets_every_orbit
-    assert len(rep.op_orbit_agrees) == 6
-
-
-def test_open_subquandle_rejects_non_closed():
-    s3 = FiniteGroup.symmetric(3)
-    q = conjugation(s3)
-    transposition = s3.elements.index((1, 0, 2))
-    three_cycle = s3.elements.index((1, 2, 0))
-    assert not q.is_closed_subset({transposition, three_cycle})
-    with pytest.raises(Exception):
-        open_subquandle_check(q, (transposition, three_cycle))
-
-
 # -- coset realization -------------------------------------------------------------------
 
 def test_realize_singleton():
@@ -756,8 +725,8 @@ def test_realize_stabilizer_commutes():
     assert real.ok
     sq = q.op[0]
     for i in real.stabilizer:
-        p = real.group.elements[i]
-        assert compose(p, sq) == compose(sq, p)
+        p = real.group.perms[i]
+        assert (p[sq] == sq[p]).all()
 
 
 def test_implied_realization_checks_match_their_loops():
@@ -768,10 +737,9 @@ def test_implied_realization_checks_match_their_loops():
             real = coset_realization(q, b)
             g, sq, sq_inv = real.group, q.op[b], q.inv_op[b]
             assert real.checks["stabilizer_commutes_with_sq"] == all(
-                compose(g.elements[i], sq) == compose(sq, g.elements[i])
-                for i in real.stabilizer), (name, b)
-            index = {p: i for i, p in enumerate(g.elements)}
-            phi = tuple(index[compose(sq, compose(p, sq_inv))] for p in g.elements)
+                (g.perms[i][sq] == sq[g.perms[i]]).all() for i in real.stabilizer), (name, b)
+            index = {p: i for i, p in enumerate(g.elements)}   # sq p sq^-1 for every p
+            phi = tuple(index[p] for p in map(tuple, sq[g.perms[:, sq_inv]].tolist()))
             rep = inter_orbit_action(q, b, b)
             assert rep.checks["reduces_to_phi"] == (rep.psi == phi), (name, b)
             assert rep.psi == tuple(real.phi.mapping.tolist()), (name, b)
