@@ -19,7 +19,7 @@ _EXPORTS = {
                    InterOrbitReport OrbitDecomposition QuandleAction SaturationChain
                    SbarReport SignedWord TooLarge aut coset_realization hom_check inn
                    inter_orbit_action is_connected iso_search op_group orbits
-                   saturate_forward sbar_hom tr tr_action_group tr_orbit""",
+                   saturate_forward sbar_hom tr tr_action_group""",
     "regularity": """RegularityReport SurveyResult fixed_points implication_survey
                      isolated_connected_consequence regularity_report""",
     "knots": """ColoringCount Crossing InconsistentArcs KnotDiagram count_colorings

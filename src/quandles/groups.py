@@ -17,6 +17,7 @@ import numpy as np
 
 DEFAULT_CAP = 10**6
 MAX_GROUP_ORDER = 4096   # largest FiniteGroup; C64 x C64 from permutations peaks near 64 MB
+AUT_ENUM_MAX_ORDER = 64   # largest group whose automorphisms all_automorphisms lists
 
 
 class GroupError(Exception):
@@ -145,25 +146,25 @@ def parse_cycles(text: str, domain_size: int | None = None,
     return tuple(mapping.get(x, x) for x in range(size))
 
 
-def parse_generator_lines(text: str, domain_size: int | None = None) -> list[tuple[int, ...]]:
+def parse_generator_lines(text: str) -> list[tuple[int, ...]]:
     """Parse a generator file: one cycle-notation permutation per line.
 
     Blank lines denote the identity.  All permutations share one domain,
-    inferred as the largest point mentioned plus one unless given.
+    the largest point mentioned plus one.
     """
     raw: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0]
         raw.append((lineno, body))
     # first pass for the domain
-    size = domain_size or 0
+    size = 0
     for lineno, body in raw:
         for tok in body.replace("(", " ").replace(")", " ").split():
             if not tok.isdigit():
                 raise CycleParseError(f"unexpected token {tok!r}", lineno)
             size = max(size, int(tok) + 1)
     if size == 0:
-        raise CycleParseError("no points found and no domain size given")
+        raise CycleParseError("no points found")
     out = []
     for lineno, body in raw:
         if body.strip() == "":
@@ -176,20 +177,18 @@ def parse_generator_lines(text: str, domain_size: int | None = None) -> list[tup
 # ---------------------------------------------------------------------------
 # orbit walks
 
-def walk(maps, roots: Iterable[int], reached: np.ndarray | None = None, rows=None,
-         cols=None):
+def walk(maps, roots: Iterable[int], reached: np.ndarray | None = None, rows=None):
     """Breadth-first walk from ``roots`` along the rows (or the rows ``rows``,
     read a level's columns at a time) of a (k x m) int array of maps of
-    {0..m-1}, each read through the column map ``cols`` if given (row r maps
-    x to maps[r, cols[x]]); ``maps`` may be a ``GeneratorRows``, walked so.
+    {0..m-1}, or of a ``GeneratorRows``, each row read through its column map.
     Returns int64 arrays (points, parent, via): the points in the
     order a one-at-a-time BFS meets them (the roots in increasing order, then
     level by level, each point's images in map order), and a Schreier vector:
     the point each was first met from and the index of the map that took it
     there (-1 for a root).  The boolean mask ``reached`` is updated in place;
     points already in it are skipped, and the walk stops once it is full."""
-    if isinstance(maps, GeneratorRows):
-        maps, rows, cols = maps.src, maps.rows, maps.cols
+    maps, rows, cols = ((maps.src, maps.rows, maps.cols) if isinstance(maps, GeneratorRows)
+                        else (maps, rows, None))
     k, m = maps.shape if rows is None else (len(rows), maps.shape[1])
     rows = slice(None) if rows is None else np.asarray(rows, dtype=np.int64)[:, None]
     roots = np.fromiter(roots, dtype=np.int64)
@@ -243,8 +242,8 @@ def _chain(t: np.ndarray, order: Iterable[int], seed: Sequence[int] = ()):
             yield x, _join(t, x, reached, chain)
 
 
-def _identity_rows(t: np.ndarray) -> list[int]:   # compared one row at a time
-    return [q for q in np.flatnonzero(t[:, 0] == 0).tolist() if (t[q] == np.arange(len(t))).all()]
+def _identity_rows(t: np.ndarray) -> list[int]:   # one row at a time; none in an empty t
+    return [q for q in np.flatnonzero(t[:, :1] == 0).tolist() if (t[q] == np.arange(len(t))).all()]
 
 
 def _check_rows(failures, t: np.ndarray, seed: Sequence[int] = ()):
@@ -334,7 +333,7 @@ def _perm_rows(rows, m: int, refuse) -> np.ndarray:
         q = next(q for q, r in enumerate(rows)
                  if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
                             for x in r) or sorted(r) != list(range(m)))
-        raise refuse(q, rows[q])
+        raise refuse(q, tuple(x.item() if isinstance(x, np.generic) else x for x in rows[q]))
     return a
 
 
@@ -838,9 +837,8 @@ class FiniteGroup:
         return cls(t, inv, ident, labels=labels)
 
     @classmethod
-    def from_permutations(cls, perms: Iterable[Sequence[int]],
-                          cap: int = DEFAULT_CAP) -> "FiniteGroup":
-        return cls.from_permutation_group(close(list(perms), cap=cap))
+    def from_permutations(cls, perms: Iterable[Sequence[int]]) -> "FiniteGroup":
+        return cls.from_permutation_group(close(list(perms)))
 
     @classmethod
     def from_permutation_group(cls, grp: PermutationGroup) -> "FiniteGroup":
@@ -848,9 +846,10 @@ class FiniteGroup:
         the left translations p -> s o p = s[p] by the generators ``used``,
         which generate the group, each image found among the keys of the
         elements a row batch at a time.  The identity, the least
-        permutation, is element 0."""
+        permutation, is element 0.  The order, read off the chain, is
+        checked before the elements are listed."""
+        _check_order(n := grp.order)
         perms = grp.perms
-        _check_order(n := len(perms))
         keys, left = _keys(perms, perms.dtype), np.empty((len(grp.used), n), dtype=np.int64)
         for s, row in zip(grp.gens[grp.used], left):
             for a in range(0, n, step := _batch(grp.domain_size)):
@@ -999,16 +998,16 @@ class GroupAutomorphism:
         return f"GroupAutomorphism(order={self.group.order})"
 
 
-def _extensions(a, b, prof_a: Sequence, prof_b: Sequence, first: Sequence[int] = ()):
-    """The (s_k, images tried) of ``table_isomorphisms``, ``first`` leading its
-    order, and ``mappings(pins)``: a new search, level k < len(pins) trying ``pins[k]``."""
+def _extensions(a, b, prof_a: Sequence, prof_b: Sequence):
+    """The (s_k, images tried) of ``table_isomorphisms``, and ``mappings(pins)``:
+    a new search, level k < len(pins) trying ``pins[k]``."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     n = len(a)
     ids: dict = {}
     pa = [ids.setdefault(p, len(ids)) for p in prof_a]
     pb = [ids.setdefault(p, len(ids)) for p in prof_b]
     cands = [[y for y in range(n) if pb[y] == i] for i in range(len(ids))]
-    order = [*first, *sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))]
+    order = sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))
     b_rows = b.tolist()
     closure = np.empty(0, dtype=np.int64)   # C_{k-1}
     levels = []   # (s_k, its tries, [(x, s, r)], new pairs x, y, a[x, y])
@@ -1050,25 +1049,22 @@ def _extensions(a, b, prof_a: Sequence, prof_b: Sequence, first: Sequence[int] =
     return [level[:2] for level in levels], mappings
 
 
-def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence, pinned=None):
+def table_isomorphisms(a, b, prof_a: Sequence, prof_b: Sequence):
     """Lazily yield, as tuples, the bijections f with f[a[x, y]] ==
     b[f[x], f[y]] and prof_b[f[x]] == prof_a[x], for n x n tables a and b.
 
     f is extended along the chain of ``_chain`` (a and b are quandle or
-    group tables): s_1 is ``pinned[0]`` or the first element in (number of
-    candidate images, index) order, and s_k the first in that order outside
-    the closure C_{k-1} of the earlier ones.  Each other new element of C_k
-    is s.r on the Schreier vector of ``_join``, s in the chain and r met
-    before it, so its image is forced.  The images of s_k are tried in
-    increasing order (only ``pinned[1]`` for a pinned s_1), the forced images
-    filled up to the first clash, and the new pairs of C_k x C_k compared as
-    one array.  Every element before s_k in the order lies in C_{k-1}, so
-    the mappings come out in lexicographic order of their images of the
-    whole order.
+    group tables): s_k is the first element in (number of candidate images,
+    index) order outside the closure C_{k-1} of the earlier ones.  Each
+    other new element of C_k is s.r on the Schreier vector of ``_join``, s
+    in the chain and r met before it, so its image is forced.  The images of
+    s_k are tried in increasing order, the forced images filled up to the
+    first clash, and the new pairs of C_k x C_k compared as one array.
+    Every element before s_k in the order lies in C_{k-1}, so the mappings
+    come out in lexicographic order of their images of the whole order.
     """
     if len(a) == len(b):
-        levels, mappings = _extensions(a, b, prof_a, prof_b, pinned[:1] if pinned else ())
-        yield from mappings([[y for y in levels[0][1] if y == pinned[1]]] if pinned else [])
+        yield from _extensions(a, b, prof_a, prof_b)[1]([])
 
 
 def table_automorphisms(t, prof: Sequence) -> tuple[np.ndarray, int]:
@@ -1091,11 +1087,11 @@ def table_automorphisms(t, prof: Sequence) -> tuple[np.ndarray, int]:
     return gens, order
 
 
-def all_automorphisms(group: FiniteGroup, max_order: int = 64) -> list[GroupAutomorphism]:
-    """Every automorphism of a small group: the bijections that keep element
-    orders and the table, in ``table_isomorphisms`` order."""
-    if group.order > max_order:
-        raise GroupError(f"automorphism enumeration limited to order {max_order}")
+def all_automorphisms(group: FiniteGroup) -> list[GroupAutomorphism]:
+    """Every automorphism of a group of order at most ``AUT_ENUM_MAX_ORDER``: the
+    bijections that keep element orders and the table, in ``table_isomorphisms`` order."""
+    if group.order > AUT_ENUM_MAX_ORDER:
+        raise GroupError(f"automorphism enumeration limited to order {AUT_ENUM_MAX_ORDER}")
     orders = group.element_orders.tolist()
     return [GroupAutomorphism(group, f, check=False)
             for f in table_isomorphisms(group.table, group.table, orders, orders)]

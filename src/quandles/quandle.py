@@ -81,7 +81,7 @@ class FiniteQuandle:
     ``op[q, r]`` is q |> r, and row q of ``op`` is the symmetry s_q.
     ``inv_op[q, r]`` is q |>^-1 r, row q the inverse of s_q: a second n x n
     table, built by one scatter when first read and then kept.  Only
-    ``is_closed_subset``, ``SignedWord`` and coloring counts read it whole;
+    ``SignedWord`` and coloring counts read it whole;
     the orbit, closure and realization code inverts the one row it needs.
     Sums of entries would wrap in their unsigned dtype, so the tables are
     only indexed with and compared.  The public maps (``right_translation``,
@@ -90,11 +90,11 @@ class FiniteQuandle:
     Do not call the constructor with an unchecked table; use ``validate``.
     """
 
-    def __init__(self, op, labels: Sequence[str] | None = None, record=None):
+    def __init__(self, op, labels: Sequence[str] | None = None):
         self.op = _read_only(op, _point_dtype(len(op)))
         self.size = len(self.op)
         self.labels = tuple(labels) if labels is not None else None
-        self.record = record
+        self.record = None   # a construction's ConstructionRecord, set after validate
         self._hash = zlib.crc32(np.ascontiguousarray(self.op))   # read in place
 
     @functools.cached_property
@@ -134,9 +134,10 @@ class FiniteQuandle:
         return validate(sub, labels=labels), tuple(emb.tolist())
 
     def is_closed_subset(self, subset: Iterable[int]) -> bool:
+        """Closed under |> and |>^-1.  Each s_q is injective, so on a finite subset
+        closed under |> it permutes the subset, and closure under |>^-1 follows."""
         member = self._members(subset)
-        s = np.ix_(*[np.flatnonzero(member)] * 2)
-        return bool(member[self.op[s]].all() and member[self.inv_op[s]].all())
+        return bool(member[self.op[np.ix_(*[np.flatnonzero(member)] * 2)]].all())
 
     # -- serialization -------------------------------------------------------
 
@@ -343,7 +344,7 @@ def _distributivity_failures(a: np.ndarray, acts=None):
     row equal in both to one that passed passes; a row equal to one that failed is
     compared again, for its own witnesses."""
     u = a if acts is None else acts
-    step, passed = max(1, JSON_BLOCK_ENTRIES // u.shape[1]), {}   # passed: hash -> rows
+    step, passed = max(1, JSON_BLOCK_ENTRIES // max(u.shape[1], 1)), {}   # passed: hash -> rows
 
     def failures(q):
         twins = passed.setdefault(hash(a[q].tobytes() + u[q].tobytes()), [])

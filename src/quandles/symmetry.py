@@ -101,16 +101,16 @@ def inn(quandle: FiniteQuandle, cap: int = DEFAULT_CAP) -> PermutationGroup:
     return close(quandle.op, cap=cap, domain_size=quandle.size)
 
 
-def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP, base: int = 0) -> PermutationGroup:
-    """Tr(Q): closure of {s_q s_base^-1}.
+def tr(quandle: FiniteQuandle, cap: int = DEFAULT_CAP) -> PermutationGroup:
+    """Tr(Q): closure of {s_q s_0^-1}.
 
     Any word with equal counts of positive and negative letters can be
     rewritten with all inverses gathered on one side, and every adjacent
-    pair s_a s_b^-1 factors as (s_a s_base^-1)(s_b s_base^-1)^-1, so this
+    pair s_a s_b^-1 factors as (s_a s_0^-1)(s_b s_0^-1)^-1, so this
     n-element generating set suffices.
     """
-    return close(quandle.op, cap=cap, domain_size=quandle.size,   # row q: s_q s_base^-1,
-                 cols=_sinv(quandle, base))                     # formed where read
+    return close(quandle.op, cap=cap, domain_size=quandle.size,   # row q: s_q s_0^-1,
+                 cols=_sinv(quandle, 0))                        # formed where read
 
 
 def op_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
@@ -118,11 +118,10 @@ def op_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
     return close(action.act, cap=cap, domain_size=action.set_size)
 
 
-def tr_action_group(action: QuandleAction, cap: int = DEFAULT_CAP,
-                    base: int = 0) -> PermutationGroup:
-    """Tr(Q, X): closure of {act_q act_base^-1}, formed where read as ``tr``'s are."""
+def tr_action_group(action: QuandleAction, cap: int = DEFAULT_CAP) -> PermutationGroup:
+    """Tr(Q, X): closure of {act_q act_0^-1}, formed where read as ``tr``'s are."""
     return close(action.act, cap=cap, domain_size=action.set_size,
-                 cols=_inverse_rows(action.act[[base]])[0])
+                 cols=_inverse_rows(action.act[:1])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +203,6 @@ def orbits(quandle: FiniteQuandle) -> OrbitDecomposition:
                               tuple(basepoints), tuple(words))
 
 
-def tr_orbit(quandle: FiniteQuandle, q: int, base: int = 0) -> frozenset[int]:
-    """Orbit of q under Tr(Q), walking generators only (no closure)."""
-    return frozenset(walk(quandle.op, [q], cols=_sinv(quandle, base))[0].tolist())
-
-
 class ConnectednessReport(NamedTuple):
     connected: bool
     witness_words: tuple[SignedWord, ...] | None  # spanning words when connected
@@ -270,27 +264,20 @@ def _invariant_profiles(quandle: FiniteQuandle) -> tuple:
                  for q, row in enumerate(quandle.op.tolist()))
 
 
-def _isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, pinned=None):
-    """Every isomorphism q1 -> q2, in ``table_isomorphisms`` order."""
-    return table_isomorphisms(q1.op, q2.op, _invariant_profiles(q1),
-                              _invariant_profiles(q2), pinned)
+def iso_search(q1: FiniteQuandle, q2: FiniteQuandle) -> tuple[int, ...] | None:
+    """First isomorphism found, in ``table_isomorphisms`` order, or None."""
+    if q1.size > AUT_MAX_SIZE or q2.size > AUT_MAX_SIZE:
+        raise TooLarge(f"isomorphism search limited to size {AUT_MAX_SIZE}")
+    return next(table_isomorphisms(q1.op, q2.op, _invariant_profiles(q1),
+                                   _invariant_profiles(q2)), None)
 
 
-def iso_search(q1: FiniteQuandle, q2: FiniteQuandle,
-               max_size: int = AUT_MAX_SIZE) -> tuple[int, ...] | None:
-    """First isomorphism found, or None."""
-    if q1.size > max_size or q2.size > max_size:
-        raise TooLarge(f"isomorphism search limited to size {max_size}")
-    return next(_isomorphisms(q1, q2), None)
-
-
-def aut(quandle: FiniteQuandle, max_size: int = AUT_MAX_SIZE,
-        cap: int = REALIZE_CAP) -> PermutationGroup:
+def aut(quandle: FiniteQuandle, cap: int = REALIZE_CAP) -> PermutationGroup:
     """The full automorphism group, on the few strong generators of an
     orbit-stabilizer search and knowing its order; its elements are listed
     only when read.  An order above ``cap`` raises ``CapExceeded``."""
-    if quandle.size > max_size:
-        raise TooLarge(f"automorphism search limited to size {max_size}")
+    if quandle.size > AUT_MAX_SIZE:
+        raise TooLarge(f"automorphism search limited to size {AUT_MAX_SIZE}")
     gens, order = table_automorphisms(quandle.op, _invariant_profiles(quandle))
     if order > cap:
         raise CapExceeded(f"automorphism group exceeded cap of {cap} elements")
@@ -417,15 +404,14 @@ class InterOrbitReport(NamedTuple):
         return all(self.checks.values())
 
 
-def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int,
-                       cap: int = REALIZE_CAP) -> InterOrbitReport:
+def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int) -> InterOrbitReport:
     """Build (gG_q, hG_r) -> g psi(g^-1 h) G_r and verify it exactly:
     well-definedness over representative choices on generators of G_q and
     G_r (``coset_action``), and the compatibility pi_r(gG_q . hG_r) =
     pi_q(gG_q) |> pi_r(hG_r) on every coset pair."""
     _check_basepoint(quandle, q)
     _check_basepoint(quandle, r)
-    g = _tr_group(quandle, cap)
+    g = _tr_group(quandle, REALIZE_CAP)
     psi = _twist(g, quandle.op[q], _sinv(quandle, r))
     checks: dict = {"psi_closed": psi is not None}
     if psi is None:

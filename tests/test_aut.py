@@ -1,8 +1,9 @@
 """``aut``'s orbit-stabilizer search against the listing it replaced.
 
-The reference is the old ``aut``: every automorphism that ``_isomorphisms(q, q)``
-yields, sorted; and, for ``is_transitive``, one pinned search from 0 to
-each other inner-orbit basepoint.  ``power_cocycle_3_3`` is left out, as the
+The reference is the old ``aut``: every automorphism that ``table_isomorphisms``
+yields on q's table and invariant profiles, sorted; and, for ``is_transitive``,
+one pinned search of the reference backtracker from 0 to each other
+inner-orbit basepoint.  ``power_cocycle_3_3`` is left out, as the
 listing gives no answer on it within 30 s; carriers past 64 points are
 refused by both."""
 
@@ -14,19 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles import CapExceeded, aut, hom_check, trivial, validate
-from quandles.symmetry import AUT_MAX_SIZE, REALIZE_CAP, _isomorphisms, orbits
+from quandles.groups import table_isomorphisms
+from quandles.symmetry import AUT_MAX_SIZE, REALIZE_CAP, _invariant_profiles, orbits
 
 from corpus_util import corpus, small_corpus
+from test_isomorphisms import reference_iso_backtrack
 
 
 def listing(q):
-    return sorted(_isomorphisms(q, q))
+    prof = _invariant_profiles(q)
+    return sorted(table_isomorphisms(q.op, q.op, prof, prof))
 
 
 def pinned_homogeneous(q):
     deco = orbits(q)
     return deco.count == 1 or all(
-        next(_isomorphisms(q, q, pinned=(0, r)), None) is not None
+        next(reference_iso_backtrack(q, q, pinned={0: r}), None) is not None
         for r in deco.basepoints if deco.orbit_id[r] != deco.orbit_id[0])
 
 

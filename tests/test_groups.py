@@ -354,6 +354,14 @@ def test_a_generator_entry_that_is_not_an_int_is_refused(gen):
         PermutationGroup(3, [(1, 2, 0), gen])
 
 
+@pytest.mark.parametrize("rows", [np.array([[0, 0, 1]]), np.array([[0, 0, 1]], dtype=np.uint8),
+                                  [np.array([0, 0, 1])]], ids=["int64", "uint8", "row-list"])
+def test_a_refused_generator_is_shown_in_python_ints(rows):
+    # the message reads as for a list of ints, with no np.int64(...) reprs
+    with pytest.raises(GroupError, match=r"^generator \(0, 0, 1\) is not a permutation of 3 points$"):
+        close(rows)
+
+
 def test_narrow_dtypes_follow_the_domain_size():
     for m, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
         shift = tuple(range(1, m)) + (0,)
@@ -575,6 +583,18 @@ def test_from_table_validation():
             [4, 3, 1, 2, 0]]
     with pytest.raises(GroupError):
         FiniteGroup.from_table(loop)
+
+
+def test_an_empty_multiplication_table_has_no_identity(tmp_path):
+    from quandles.cli import run
+    with pytest.raises(GroupError, match="^no identity element in multiplication table$"):
+        FiniteGroup.from_table([])
+    path = tmp_path / "empty.json"
+    path.write_text('{"mul": []}')
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["make", "conj", "--group", str(path)], stdout=out, stderr=err) == 1
+    assert err.getvalue() == "input error: no identity element in multiplication table\n"
+    assert out.getvalue() == ""
 
 
 def test_associativity_witness_really_fails():
@@ -926,6 +946,8 @@ def test_parse_generator_lines():
     with pytest.raises(CycleParseError) as exc:
         parse_generator_lines("(0 1)\n(2 2)")
     assert exc.value.line == 2
+    with pytest.raises(CycleParseError, match="^no points found$"):   # no domain size to give
+        parse_generator_lines("\n# only a comment\n")
 
 
 def test_format_cycles_round_trip():
@@ -1108,6 +1130,24 @@ def test_group_order_limit_fails_fast(tmp_path):
     assert run(["make", "conj", "--gens", str(path)], stdout=out, stderr=err) == 1
     assert "group order 4160 exceeds the limit of 4096" in err.getvalue()
     assert out.getvalue() == ""
+
+
+def test_group_order_limit_is_checked_before_the_elements_are_listed(tmp_path):
+    # C251 x C257, order 64507 on 508 points: its order is read off the
+    # stabilizer chain, and the 64507 x 508 element array is never listed
+    # (158 MB peak when it was, on a 2-core x86-64 Linux VM)
+    gens = [_cycle(0, 251, 508), _cycle(251, 257, 508)]
+    grp = close(gens)
+    with pytest.raises(CapExceeded, match="^group order 64507 exceeds the limit of 4096 "):
+        FiniteGroup.from_permutation_group(grp)
+    assert "perms" not in vars(grp)
+    path = tmp_path / "gens.txt"
+    path.write_text("\n".join(format_cycles(p) for p in gens) + "\n")
+    code, peak_mb, err = cli_peak_mb("make", "conj", "--gens", str(path))
+    assert code == 1
+    assert err == ("input error: group order 64507 exceeds the limit of 4096 elements "
+                   "for a multiplication table\n")
+    assert peak_mb < 60
 
 
 _C64_X_C64 = """

@@ -1,5 +1,5 @@
-"""The one isomorphism search, ``groups.table_isomorphisms`` (through
-``symmetry._isomorphisms`` for quandles), against the two backtrackers it
+"""The one isomorphism search, ``groups.table_isomorphisms`` (on a quandle's
+table and invariant profiles, as ``iso_search`` calls it), against the two backtrackers it
 replaced, kept here as reference implementations: the mappings must come
 out as the same sequence, not just the same set."""
 
@@ -15,7 +15,7 @@ from quandles import (FiniteGroup, GroupAutomorphism, NotAnAutomorphism,
                       all_automorphisms, cycle_type, hom_check, iso_search,
                       validate)
 from quandles.groups import table_isomorphisms
-from quandles.symmetry import _invariant_profiles, _isomorphisms, orbits
+from quandles.symmetry import _invariant_profiles, orbits
 
 from corpus_util import corpus, corpus_groups, small_corpus
 
@@ -171,11 +171,9 @@ def test_automorphisms_in_reference_order_on_corpus():
     for name, q in corpus():
         if name == "power_cocycle_3_3":
             continue
-        assert (list(itertools.islice(_isomorphisms(q, q), 500))
+        prof = _invariant_profiles(q)
+        assert (list(itertools.islice(table_isomorphisms(q.op, q.op, prof, prof), 500))
                 == list(itertools.islice(reference_iso_backtrack(q, q), 500))), name
-        for r in orbits(q).basepoints:
-            assert (next(_isomorphisms(q, q, pinned=(0, r)), None)
-                    == next(reference_iso_backtrack(q, q, pinned={0: r}), None)), (name, r)
 
 
 def test_first_isomorphism_matches_reference_on_same_size_pairs():
@@ -209,7 +207,7 @@ def test_iso_search_finds_a_relabelling(data):
     assert hom_check(f, q, target).ok
 
 
-def _pair_loop_isomorphisms(a, b, prof_a, prof_b, pinned=None):
+def _pair_loop_isomorphisms(a, b, prof_a, prof_b):
     """The reference: ``table_isomorphisms`` as it was with the closure of
     the chain grown by a pair loop, each forced element read off the first
     product l.r of members that meets it."""
@@ -221,8 +219,7 @@ def _pair_loop_isomorphisms(a, b, prof_a, prof_b, pinned=None):
     pa = [ids.setdefault(p, len(ids)) for p in prof_a]
     pb = [ids.setdefault(p, len(ids)) for p in prof_b]
     cands = [[y for y in range(n) if pb[y] == i] for i in range(len(ids))]
-    order = [pinned[0]] if pinned is not None else []
-    order += sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))
+    order = sorted(range(n), key=lambda x: (len(cands[pa[x]]), x))
     a_rows, b_rows = a.tolist(), b.tolist()
     members: list[int] = []
     inside = [False] * n
@@ -243,8 +240,6 @@ def _pair_loop_isomorphisms(a, b, prof_a, prof_b, pinned=None):
                         members.append(z)
                         derived.append((z, l, r))
         tries = cands[pa[s]]
-        if pinned is not None and not levels:
-            tries = [y for y in tries if y == pinned[1]]
         cur, fresh = np.array(members), np.arange(len(members)) >= lo
         xi, yi = np.nonzero(fresh[:, None] | fresh)
         xs, ys = cur[xi], cur[yi]
@@ -285,11 +280,8 @@ def test_schreier_vector_search_matches_the_pair_loop(data):
     q = data.draw(st.sampled_from([q for _, q in small_corpus()]))
     target = _relabel(q, data.draw(st.permutations(range(q.size))))
     pq, pt = _invariant_profiles(q), _invariant_profiles(target)
-    pinned = data.draw(st.none() | st.tuples(st.integers(0, q.size - 1),
-                                             st.integers(0, q.size - 1)))
-    assert (list(itertools.islice(table_isomorphisms(q.op, target.op, pq, pt, pinned), 200))
-            == list(itertools.islice(_pair_loop_isomorphisms(q.op, target.op, pq, pt,
-                                                             pinned), 200)))
+    assert (list(itertools.islice(table_isomorphisms(q.op, target.op, pq, pt), 200))
+            == list(itertools.islice(_pair_loop_isomorphisms(q.op, target.op, pq, pt), 200)))
 
 
 def test_group_automorphisms_match_the_pair_loop():

@@ -212,6 +212,25 @@ def test_subquandle_closure_and_closed_subsets_match_loops():
         dihedral(3).is_closed_subset({0, 3})
 
 
+def _two_table_closed(q, subset):
+    """The reference: closure under |> and |>^-1, read off both tables."""
+    member = np.isin(np.arange(q.size), list(subset))
+    s = np.ix_(*[np.flatnonzero(member)] * 2)
+    return bool(member[q.op[s]].all() and member[q.inv_op[s]].all())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_is_closed_subset_reads_op_alone(data):
+    q = data.draw(st.sampled_from([q for _, q in small_corpus()]))
+    subset = data.draw(st.sets(st.integers(0, q.size - 1), max_size=q.size))
+    if subset and data.draw(st.booleans()):
+        subset = q.subquandle_closure(subset)[1]
+    fresh = validate(q.op)
+    assert fresh.is_closed_subset(subset) == _two_table_closed(q, subset)
+    assert "inv_op" not in vars(fresh)
+
+
 def test_subquandle_closure_empty_seed():
     with pytest.raises(ValueError):
         trivial(3).subquandle_closure(set())

@@ -2,6 +2,7 @@
 each subcommand import only the modules they run, and the garbage collector
 is left as the importer found it."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -34,7 +35,7 @@ EXPORTED = {
     "orbits", "parse_braid", "parse_cycles",
     "parse_generator_lines", "parse_pd", "phi_space", "power_cocycle", "quandle",
     "regularity", "regularity_report", "saturate_forward",
-    "sbar_hom", "symmetry", "tr", "tr_action_group", "tr_orbit",
+    "sbar_hom", "symmetry", "tr", "tr_action_group",
     "trivial", "unipotent_class_quandle", "validate",
     "vedernikov",
 }
@@ -42,7 +43,7 @@ EXPORTED = {
 # names that restated code that stays, or that no command, demo or routine reached
 REMOVED = {
     "ElementSymmetry", "compose", "cosets", "fixed_subgroup", "invert", "is_homogeneous",
-    "open_subquandle_check", "random_transvection_word", "saturate_mixed",
+    "open_subquandle_check", "random_transvection_word", "saturate_mixed", "tr_orbit",
     "twisted_orbit_action",
 }
 REMOVED_METHODS = {
@@ -50,6 +51,22 @@ REMOVED_METHODS = {
     "FiniteQuandle": ("symmetry",),
     "SignedWord": ("exponent_sum", "is_transvection_word", "as_permutation"),
 }
+# parameters that only tests set, each now the one value in use:
+# (module, function or Class.method, parameters)
+REMOVED_PARAMETERS = (
+    ("groups", "table_isomorphisms", ("pinned",)),
+    ("groups", "_extensions", ("first",)),
+    ("groups", "walk", ("cols",)),
+    ("groups", "all_automorphisms", ("max_order",)),
+    ("groups", "FiniteGroup.from_permutations", ("cap",)),
+    ("groups", "parse_generator_lines", ("domain_size",)),
+    ("quandle", "FiniteQuandle.__init__", ("record",)),
+    ("symmetry", "tr", ("base",)),
+    ("symmetry", "tr_action_group", ("base",)),
+    ("symmetry", "aut", ("max_size",)),
+    ("symmetry", "iso_search", ("max_size",)),
+    ("symmetry", "inter_orbit_action", ("cap",)),
+)
 
 
 def python(*argv):
@@ -166,6 +183,16 @@ def test_all_names_resolve():
     assert not any(hasattr(quandles, name) for name in REMOVED)
     assert not any(hasattr(getattr(quandles, home), name)
                    for home, names in REMOVED_METHODS.items() for name in names)
+
+
+def test_parameters_without_a_caller_are_gone():
+    for module, attr, params in REMOVED_PARAMETERS:
+        fn = getattr(quandles, module)
+        for part in attr.split("."):
+            fn = getattr(fn, part)
+        assert not set(params) & set(inspect.signature(fn).parameters), (module, attr)
+    assert not hasattr(quandles.symmetry, "tr_orbit")
+    assert not hasattr(quandles.symmetry, "_isomorphisms")
 
 
 def test_console_script_matches_python_m(tmp_path):

@@ -22,7 +22,7 @@ from quandles import (ActionError, FiniteGroup, GroupError, OrbitDecomposition,
                       is_connected, iso_search, op_group,
                       orbits, phi_space, regularity_report,
                       saturate_forward, sbar_hom,
-                      power_cocycle, tr, tr_action_group, tr_orbit, trivial,
+                      power_cocycle, tr, tr_action_group, trivial,
                       unipotent_class_quandle, validate)
 from quandles.cli import run
 from quandles.groups import GeneratorRows, close
@@ -57,8 +57,10 @@ def test_tr_is_normal_in_inn():
 
 
 def test_tr_base_choice_is_irrelevant():
+    # tr closes only the s_a s_0^-1; every s_a s_b^-1 generates the same group
     for _, q in small_corpus():
-        assert set(tr(q, base=0).elements) == set(tr(q, base=q.size - 1).elements)
+        every_pair = q.op[:, np.argsort(q.op, axis=1)].reshape(-1, q.size)   # [a, b]: s_a s_b^-1
+        assert set(tr(q).elements) == set(close(every_pair, domain_size=q.size).elements)
 
 
 def test_conjugation_identity_for_automorphisms():
@@ -172,14 +174,15 @@ def test_orbits_match_the_one_at_a_time_bfs(q, seed):
 def test_tr_orbit_of_a_point_out_of_range():
     for bad in (-1, 5):
         with pytest.raises(GroupError):
-            tr_orbit(dihedral(5), bad)
+            tr(dihedral(5)).orbit(bad)
 
 
 def test_inn_and_tr_orbits_agree():
+    # s_q(x) = (s_q s_x^-1)(x), so Tr reaches what Inn does
     for _, q in small_corpus():
-        deco = orbits(q)
+        deco, trg = orbits(q), tr(q)
         for x in range(q.size):
-            assert tr_orbit(q, x) == frozenset(deco.orbit_of(x))
+            assert trg.orbit(x) == frozenset(deco.orbit_of(x))
 
 
 def test_saturate_forward_fixpoint_is_orbit():
@@ -241,6 +244,18 @@ def test_action_validation():
         # maps that are bijections but break q |> (r |> x) = (q |> r) |> (q |> x)
         QuandleAction(r3, 3, [(1, 2, 0), (0, 1, 2), (0, 1, 2)])
     assert exc.value.witness is not None
+
+
+def test_an_action_on_the_empty_set(tmp_path):
+    action = QuandleAction(dihedral(3), 0, [[], [], []])
+    assert op_group(action).order == tr_action_group(action).order == 1
+    assert op_group(action).orbits() == []
+    q, act = tmp_path / "d3.json", tmp_path / "empty.json"
+    q.write_text(dihedral(3).to_json())
+    act.write_text('{"set_size": 0, "act": [[], [], []]}')
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["action", "--quandle", str(q), "--action", str(act)], stdout=out, stderr=err) == 0
+    assert out.getvalue() == "op group order 1, orbits []\ntr group order 1, orbits []\n"
 
 
 def _compose_witness(quandle, acts):
@@ -371,17 +386,16 @@ def test_op_and_tr_action_groups():
 
 
 def test_tr_action_group_reads_act_through_a_column_map():
-    # row q, act_q act_base^-1, is row q of act read through act_base^-1, with
+    # row q, act_q act_0^-1, is row q of act read through act_0^-1, with
     # no n x m copy; the gathered rows it replaced are the reference
     shift = QuandleAction(trivial(1), 12, [tuple((x + 1) % 12 for x in range(12))])
     for action in [shift] + [QuandleAction.natural(q) for _, q in small_corpus()]:
-        for base in (0, action.quandle.size - 1):
-            trg = tr_action_group(action, base=base)
-            assert isinstance(trg.gens, GeneratorRows)
-            assert np.shares_memory(trg.gens.src, action.act)
-            gathered = action.act[:, np.argsort(action.act[base])]
-            ref = close(gathered, domain_size=action.set_size)
-            assert (trg.order, trg.orbits()) == (ref.order, ref.orbits())
+        trg = tr_action_group(action)
+        assert isinstance(trg.gens, GeneratorRows)
+        assert np.shares_memory(trg.gens.src, action.act)
+        gathered = action.act[:, np.argsort(action.act[0])]
+        ref = close(gathered, domain_size=action.set_size)
+        assert (trg.order, trg.orbits()) == (ref.order, ref.orbits())
     assert tr_action_group(shift).orbit(0) == frozenset({0})
 
 
