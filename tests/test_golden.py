@@ -2,7 +2,8 @@
 
 Each case builds a quandle in process, writes it to a file, runs one CLI
 subcommand through ``cli.run`` and compares the sha256 of stdout with a
-digest recorded before the group layer was rewritten.  The ``orbits``,
+digest recorded before the group layer was rewritten (the conj(S5) cases
+before the realization moved onto the stabilizer chain).  The ``orbits``,
 ``survey``, ``color``, ``make phi_space``/``make vedernikov`` and
 inter-orbit digests were recorded before the realization code was merged
 into one coset action, and the ``make unipotent_class`` digests for p < 13
@@ -66,6 +67,12 @@ def _relabelled(name: str) -> str:
 FILES["d63"] = lambda: AUT_CARRIERS["d63"]().to_json()
 FILES.update({f"{name}_relabelled": functools.partial(_relabelled, name)
               for name in AUT_CARRIERS})
+
+# conj(S5) is read by realize and report alone: at 120 points it is past
+# aut's limit, and in the survey directory it would move that digest.  Its
+# orbit basepoints other than 0 lie outside the first basic orbit of Tr's
+# stabilizer chain.
+S5_BASEPOINTS = (0, 1, 3, 7, 9, 27, 33)
 
 # (quandle, q, r) of each pinned inter_orbit_action report
 INTER_ORBIT = (("conj_s4", 0, 9), ("conj_s4", 9, 9), ("u11", 0, 17))
@@ -173,6 +180,22 @@ DIGESTS = {
         "afbaf74f3da10924f8ab280905440ba72739894e95311211cf8a32ed8f13b4b2",
     "d63:iso":
         "46797700251e8d854041bbb17e544831c4a8f070b8ca74b5843ccab5fbe84cac",
+    "conj_s5:report":
+        "153c0ad7fa752af320cdeee10a98feabd160fc1681971d87af5e12e612ab4247",
+    "conj_s5:realize:0":
+        "5c6779ba6aa45a07d86166a2aeab4f38d7660fa0898761ed849df7627ebed047",
+    "conj_s5:realize:1":
+        "fd709c9d7b7af24fcc67333ebff5e063163011df38c21e96d2f8d41875792c5e",
+    "conj_s5:realize:3":
+        "ca278a3c1867c928f3ba1a38ac3c03a1e10374c7555e91b752daaa8ba30a54dc",
+    "conj_s5:realize:7":
+        "f26ce36ea0eb3472408686c9ee6363b4508d64290450d8fd655d71a4084da714",
+    "conj_s5:realize:9":
+        "367395be2e26fa7da0220ff3aba63f461556771f0ddae52c40843da898f47c20",
+    "conj_s5:realize:27":
+        "40750839f6de395259c57cfadfaf35a783a3fc24750a15c5de8a126b74dcfff1",
+    "conj_s5:realize:33":
+        "bb00a82362c97610a913cb35e22a28656f0961d8deaf7a22344e4ae5e0b0e16c",
 }
 
 
@@ -201,8 +224,15 @@ def _argvs():
 CASES = list(_argvs())
 
 
+S5_CASES = [("conj_s5:report", ["report", "FILE", "--json"])] + [
+    (f"conj_s5:realize:{bp}", ["realize", "FILE", "--basepoint", str(bp), "--json"])
+    for bp in S5_BASEPOINTS]
+
+
 @functools.cache
 def quandle_json(name: str) -> str:
+    if name == "conj_s5":
+        return conjugation(FiniteGroup.symmetric(5)).to_json()
     return QUANDLES[name]().to_json()
 
 
@@ -242,6 +272,12 @@ def output(tmp_path, name, argv) -> bytes:
 @pytest.mark.parametrize("case,name,argv", CASES, ids=[c[0] for c in CASES])
 def test_golden_digest(tmp_path, case, name, argv):
     digest = hashlib.sha256(output(tmp_path, name, argv)).hexdigest()
+    assert digest == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case,argv", S5_CASES, ids=[c[0] for c in S5_CASES])
+def test_conj_s5_digest(tmp_path, case, argv):
+    digest = hashlib.sha256(output(tmp_path, "conj_s5", argv)).hexdigest()
     assert digest == DIGESTS[case]
 
 
