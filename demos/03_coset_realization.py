@@ -4,7 +4,8 @@ For a basepoint q, conjugation by s_q is an automorphism phi of G = Tr(Q),
 the stabilizer H = {g : g(q) = q} sits inside the fixed subgroup of phi,
 and gH -> g(q) identifies (G/H, twisted by phi) with the orbit of q.
 Between two orbits, psi(g) = s_q g s_r^-1 gives a compatible action of one
-coset space on the other.
+coset space on the other.  G is held as its stabilizer chain, so no group
+table is built and a G past the table limit is realized too.
 """
 
 from quandles import (FiniteGroup, conjugation, coset_realization, dihedral,
@@ -16,7 +17,7 @@ from quandles import (FiniteGroup, conjugation, coset_realization, dihedral,
 real = coset_realization(dihedral(5), 0)
 print("R_5 at basepoint 0:")
 print("  transvection group order:", real.group.order)
-print("  stabilizer size:", len(real.stabilizer))
+print("  stabilizer size:", real.stabilizer_size)
 print("  pi (coset -> element):", real.pi)
 print("  all checks pass:", real.ok)
 
@@ -30,13 +31,18 @@ print("  stabilizer inside fixed subgroup of phi:",
       real.checks["stabilizer_fixed_by_phi"])
 print("  coset quandle isomorphic to the orbit:", real.ok)
 
+u29 = unipotent_class_quandle(29)
+real = coset_realization(u29, 0)
+print(f"unipotent class at p=29 ({u29.size} elements): Tr(Q) order {real.group.order},",
+      "all checks pass:", real.ok)
+
 # -- realization works orbit by orbit on a disconnected quandle -------------------
 
 q = conjugation(FiniteGroup.symmetric(3))
 for base in orbits(q).basepoints:
     real = coset_realization(q, base)
     print(f"conj(S_3), orbit of {base}: |G|={real.group.order} "
-          f"|H|={len(real.stabilizer)} cosets={real.cosets.count} ok={real.ok}")
+          f"|H|={real.stabilizer_size} cosets={len(real.pi)} ok={real.ok}")
 
 # -- the action of one orbit on another -------------------------------------------
 

@@ -271,14 +271,16 @@ def _cmd_realize(args, out, err) -> int:
     q = _load_quandle(args.quandle)
     cap = _closure_cap(symmetry.REALIZE_CAP, args)
     real = symmetry.coset_realization(q, args.basepoint, cap=cap)
-    if args.json:
+    if args.json:   # the table is built for "group" alone; past MAX_GROUP_ORDER it is refused
+        group, b = FiniteGroup.from_permutation_group(real.group), real.basepoint
+        stabilizer, reps, pi = symmetry._cosets(group.perms, b)
         _print_json({
-            "basepoint": real.basepoint,
-            "group": real.group._fields(),
-            "phi": real.phi.mapping.tolist(),
-            "stabilizer": list(real.stabilizer),
-            "coset_reps": list(real.cosets.reps),
-            "pi": list(real.pi),
+            "basepoint": b,
+            "group": group._fields(),
+            "phi": symmetry._psi(q, group.perms, b, b).tolist(),
+            "stabilizer": stabilizer.tolist(),
+            "coset_reps": reps.tolist(),
+            "pi": pi.tolist(),
             "orbit": list(real.orbit),
             "checks": dict(sorted(real.checks.items())),
             "ok": real.ok,
@@ -286,7 +288,7 @@ def _cmd_realize(args, out, err) -> int:
     else:
         print(f"orbit of {real.basepoint}: size {len(real.orbit)}", file=out)
         print(f"transvection group order {real.group.order}, "
-              f"stabilizer size {len(real.stabilizer)}", file=out)
+              f"stabilizer size {real.stabilizer_size}", file=out)
         for k, v in sorted(real.checks.items()):
             print(f"  {k}: {str(v).lower()}", file=out)
     return 0 if real.ok else 2

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAutomorphism, CosetSpace, conjugacy_class,
-                     is_prime, _chain, _check_sl2_prime, _point_dtype, _row_failures)
+                     is_prime, _chain, _check_prime, _point_dtype, _row_failures)
 from .quandle import JSON_BLOCK_ENTRIES, FiniteQuandle, QuandleError, validate
 
 MAX_CARRIER = 4096   # largest constructed carrier; `make trivial --n 4096` peaks near 62 MB cold
@@ -164,16 +164,16 @@ def unipotent_class_quandle(p: int) -> FiniteQuandle:
     tabulated.  Matrices are keyed a p^3 + b p^2 + c p + d and listed in
     key order, the order of ``conj_class(matrix_group_sl2(p), J1)``.
     """
-    _check_sl2_prime(p)
+    _check_prime(p)
+    _check_carrier(max(3, (p * p - 1) // 2))
     code = p ** np.arange(3, -1, -1)   # (a, b, c, d) -> a p^3 + b p^2 + c p + d
     a, c = np.divmod(np.arange(1, p * p), p)   # every nonzero first column
-    seen = np.zeros(p**4, dtype=bool)
-    seen[np.stack([1 - a * c, a * a, -c * c, 1 + a * c], axis=1) % p @ code] = True
-    keys = np.flatnonzero(seen)   # each matrix of the class once, in key order
+    keys = np.unique(np.stack([1 - a * c, a * a, -c * c, 1 + a * c], axis=1) % p @ code,
+                     return_index=True)[0]   # each matrix once, in key order; no numpy.ma
     x = (keys[:, None] // code % p).reshape(-1, 2, 2)
     adj = x[:, ::-1, ::-1].transpose(0, 2, 1) * [[1, -1], [-1, 1]]   # x^-1 = [[d,-b],[-c,a]]
-    conj = (adj[:, None] @ x @ x[:, None]) % p   # [x, y] = x^-1 y x
-    table = np.searchsorted(keys, conj.reshape(len(keys), -1, 4) @ code)
+    table = _by_rows(len(x), lambda s: np.searchsorted(   # [x, y] = x^-1 y x
+        keys, (adj[s, None] @ x @ x[s, None]).reshape(-1, len(x), 4) % p @ code))
     labels = tuple(f"[[{a},{b}],[{c},{d}]]" for a, b, c, d in x.reshape(-1, 4).tolist())
     return _finish(table, labels, "unipotent_class", {"p": p})
 

@@ -18,6 +18,7 @@ import numpy as np
 DEFAULT_CAP = 10**6
 MAX_GROUP_ORDER = 4096   # largest FiniteGroup; C64 x C64 from permutations peaks near 64 MB
 AUT_ENUM_MAX_ORDER = 64   # largest group whose automorphisms all_automorphisms lists
+SL2_MAX_PRIME = 13   # largest p of matrix_group_sl2, whose table has p(p^2-1) rows
 
 
 class GroupError(Exception):
@@ -750,24 +751,32 @@ def _check_order(n: int) -> None:
             f"for a multiplication table")
 
 
+def _tree_blocks(after: np.ndarray, m: int):
+    """Blocks c..e-1 of the places 1.. of a walk, at most ``_batch(m)`` each,
+    whose parents (place k's at ``after[k - 1]``) lie before c."""
+    c = 1
+    while c <= len(after):
+        e = min(1 + int(np.searchsorted(after, c)), c + _batch(m))
+        yield c, e
+        c = e
+
+
 def _cayley_table(left: np.ndarray, ident: int):
     """Multiplication table and inverse map, of ``_point_dtype``, of the group
     whose left translations x -> s.x by a few generators s are the rows of
     ``left``.  The walk of the Cayley graph from the identity meets each b as
     s.p with p met before it, so row b of the table, y -> s.p.y, is row p
-    mapped through left[s].  Parents are met in order, so each block of rows
-    whose parents are filled is filled at once, and b^-1 read off row b."""
+    mapped through left[s], a ``_tree_blocks`` block at a time, and b^-1 is
+    read off row b."""
     n = left.shape[1]
     left = left.astype(_point_dtype(n), copy=False)
     points, parent, via = walk(left, [ident])
     after = np.argsort(points)[parent[1:]]   # where each row's parent lies in the walk
     table, inv = np.empty((n, n), dtype=left.dtype), np.empty(n, dtype=left.dtype)
-    table[ident], inv[ident], c = np.arange(n), ident, 1
-    while c < n:
-        e = 1 + np.searchsorted(after, c)    # rows c..e-1 have their parents filled
-        rows = table[points[c:e]] = left[via[c:e, None], table[parent[c:e]]]
+    table[ident], inv[ident] = np.arange(n), ident
+    for c, e in _tree_blocks(after, n):
+        rows = table[points[c:e]] = _compose_rows(left, table[parent[c:e]], via[c:e])
         inv[points[c:e]] = (rows == ident).argmax(axis=1)
-        c = e
     return table, inv
 
 
@@ -794,7 +803,7 @@ class FiniteGroup:
     @property
     def labels(self) -> tuple[str, ...] | None:
         if self._labels is None and self.perms is not None:
-            self._labels = tuple(format_cycles(p) or "()" for p in self.perms.tolist())
+            self._labels = tuple(format_cycles(p.tolist()) or "()" for p in self.perms)
         return self._labels
 
     @functools.cached_property
@@ -1142,21 +1151,21 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def _check_sl2_prime(p: int) -> None:
-    """Refuse a p that is not prime, or past 13, for a 2x2 matrix family over F_p."""
+def _check_prime(p: int) -> None:
+    """Refuse a p that is not prime for a 2x2 matrix family over F_p."""
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
-    if p > 13:
-        raise GroupError(f"p={p} too large (limit 13)")
 
 
 def matrix_group_sl2(p: int) -> FiniteGroup:
     """All 2x2 matrices of determinant 1 over F_p; order p(p^2-1).
 
     Elements are row-major 4-tuples (a, b, c, d) in lexicographic order,
-    labelled "[[a,b],[c,d]]".  Guarded to p <= 13 to keep tables desk-sized.
+    labelled "[[a,b],[c,d]]".  Guarded to p <= SL2_MAX_PRIME, tables desk-sized.
     """
-    _check_sl2_prime(p)
+    _check_prime(p)
+    if p > SL2_MAX_PRIME:
+        raise GroupError(f"p={p} too large (limit {SL2_MAX_PRIME})")
     code = p ** np.arange(3, -1, -1)   # (a, b, c, d) -> a p^3 + b p^2 + c p + d
     quads = (np.arange(p**4)[:, None] // code) % p   # lexicographic order
     a, b, c, d = quads.T

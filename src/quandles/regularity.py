@@ -97,7 +97,7 @@ def regularity_report(quandle: FiniteQuandle, cap: int = REALIZE_CAP) -> Regular
         summaries.append(OrbitRealizationSummary(
             basepoint=b, orbit_size=len(real.orbit),
             group_order=real.group.order,
-            stabilizer_size=len(real.stabilizer), ok=real.ok))
+            stabilizer_size=real.stabilizer_size, ok=real.ok))
     phi_prime = all(s.ok for s in summaries)
     return RegularityReport(n, i_prime, d_prime, connected, phi_prime,
                             fixed, surj, tuple(summaries), (COMPONENT_NOTE,))

@@ -9,7 +9,8 @@ Q|>(Q|>Z), ... stabilizes to a set that is stable under both |> and |>^-1.
 
 The coset realization expresses each orbit as a coset quandle of Tr(Q)
 twisted by the conjugation automorphism g -> s_q g s_q^-1, and verifies the
-defining properties exactly (no check samples).
+defining properties exactly (no check samples) on Tr's stabilizer chain,
+with no group table.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constructions import ConstructionError, coset_action, vedernikov_op
-from .groups import (DEFAULT_CAP, CapExceeded, CosetSpace, FiniteGroup, GroupAutomorphism,
-                     PermutationGroup, _check_rows, _find_rows, _inverse_rows, _perm_rows,
-                     _point_dtype, _read_only, _row_failures, close, cycle_type,
+from .constructions import ConstructionError, vedernikov_op
+from .groups import (DEFAULT_CAP, CapExceeded, FiniteGroup, GroupAutomorphism,
+                     PermutationGroup, _batch, _check_rows, _compose_rows, _divide_rows,
+                     _find_rows, _first_residue, _inverse_rows, _perm_rows, _point_dtype,
+                     _read_only, _row_failures, _tree_blocks, close, cycle_type,
                      table_automorphisms, table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
@@ -290,21 +292,8 @@ def aut(quandle: FiniteQuandle, cap: int = REALIZE_CAP) -> PermutationGroup:
 # coset realization of orbits
 
 @functools.lru_cache(maxsize=32)
-def _tr_group(quandle: FiniteQuandle, cap: int) -> FiniteGroup:
-    return FiniteGroup.from_permutation_group(tr(quandle, cap=cap))
-
-
-def _indices(g: FiniteGroup, perms: np.ndarray) -> np.ndarray | None:
-    """Element indices in ``g`` of the rows of ``perms``, as an int64 array,
-    or None if one is not in g."""
-    out = _find_rows(g.perms, perms)
-    return None if (out < 0).any() else out
-
-
-def _twist(g: FiniteGroup, left: np.ndarray, right: np.ndarray) -> np.ndarray | None:
-    """Element indices of left o p o right for every element p of ``g``, in
-    element order, or None if one of them leaves the group."""
-    return _indices(g, left[g.perms[:, right]])
+def _tr(quandle: FiniteQuandle, cap: int) -> PermutationGroup:
+    return tr(quandle, cap=cap)   # one chain for every orbit of a report
 
 
 def _check_basepoint(quandle: FiniteQuandle, q: int) -> int:
@@ -313,30 +302,59 @@ def _check_basepoint(quandle: FiniteQuandle, q: int) -> int:
     return q
 
 
-def _cosets_at(g: FiniteGroup, q: int) -> tuple[CosetSpace, tuple[int, ...]]:
-    """The cosets of the stabilizer of q, and pi: coset index -> rep(q)."""
-    images = g.perms[:, q]
-    cs = CosetSpace(g, np.flatnonzero(images == q).tolist())
-    return cs, tuple(images[list(cs.reps)].tolist())
+def _psi(quandle: FiniteQuandle, perms: np.ndarray, q: int, r: int) -> np.ndarray:
+    """Index in the sorted listing ``perms`` of s_q p s_r^-1 for each of its
+    rows p, or -1 where that is not listed."""
+    return _find_rows(perms, quandle.op[q][perms[:, _sinv(quandle, r)]])
+
+
+def _cosets(perms: np.ndarray, q: int):
+    """Indices in the sorted listing ``perms`` of the stabilizer of q and of
+    the least element of each of its cosets, in order, and pi: their images of q."""
+    images = perms[:, q]
+    reps = np.sort(np.unique(images, return_index=True)[1])
+    return np.flatnonzero(images == q), reps, images[reps]
+
+
+def _transversal(quandle: FiniteQuandle, grp: PermutationGroup, q: int, points):
+    """The orbit O of q walked along the generators ``grp.used``, x_a with
+    x_a(q) = a for each a of it (the generator after x of the parent), and, a
+    ``_batch`` of rows x_a at a time, whether the Schreier generators
+    x_{g(a)}^-1 g x_a of the stabilizer of q commute with s_q and whether
+    s_a x_a = x_a s_q, i.e. x_a s_q x_a^-1 = s_a, at ``points``."""
+    gens, m = grp.gens[grp.used], quandle.size
+    orbit, parent, via = walk(gens, [q])
+    place = np.empty(m, dtype=np.int64)
+    place[orbit] = np.arange(len(orbit))
+    after, x = place[parent[1:]], np.empty((len(orbit), m), dtype=gens.dtype)
+    x[0] = np.arange(m)
+    for c, e in _tree_blocks(after, m):
+        x[c:e] = _compose_rows(gens, x[after[c - 1:e - 1]], via[c:e])
+    sq, op, commutes, hom = quandle.op[q], quandle.op, True, True
+    for c in range(0, len(orbit), step := _batch(m)):
+        xa = x[c:c + step]
+        hom = hom and bool((op[orbit[c:c + step, None], xa[:, points]] == xa[:, sq[points]]).all())
+        for g in gens:
+            h = _divide_rows(x[place[g[orbit[c:c + step]]]], g[xa])
+            commutes = commutes and bool((h[:, sq] == sq[h]).all())
+    return orbit, x, commutes, hom
 
 
 class CosetRealization(NamedTuple):
-    """An orbit realized as a coset quandle of the transvection group.
+    """An orbit O realized as the coset quandle (G/H, |>_phi) of G = Tr(Q).
 
-    group:      Tr(Q) as an explicit finite group of permutations;
-    phi:        conjugation by s_q, verified to be a group automorphism;
-    stabilizer: indices of transvections fixing the basepoint;
-    pi:         coset index -> quandle element, a bijection onto the orbit.
+    group:           G as its stabilizer chain, its elements not listed;
+    stabilizer_size: |H| = |G|/|O|, H = {g : g(q) = q};
+    pi:              coset index -> quandle element, O in walk order (coset
+                     k is xH with x(q) = pi[k]), a bijection onto the orbit.
 
-    The coset quandle itself, validated, is
-    ``phi_space(group, phi, stabilizer)``.
+    phi is conjugation by s_q.  ``realize --json`` reads phi, H and each
+    coset's least element off the sorted elements of G.
     """
 
     basepoint: int
-    group: FiniteGroup
-    phi: GroupAutomorphism
-    stabilizer: tuple[int, ...]
-    cosets: CosetSpace
+    group: PermutationGroup
+    stabilizer_size: int
     pi: tuple[int, ...]
     orbit: tuple[int, ...]
     checks: dict
@@ -348,44 +366,29 @@ class CosetRealization(NamedTuple):
 
 def coset_realization(quandle: FiniteQuandle, basepoint: int,
                       cap: int = REALIZE_CAP) -> CosetRealization:
-    """Realize the orbit of ``basepoint`` as a coset quandle of Tr(Q).
-
-    Builds G = Tr(Q) explicitly, phi(g) = s_q g s_q^-1, H = {g : g(q) = q},
-    and pi: gH -> g(q).  Verifies exactly: conjugation keeps G inside
-    itself, phi is a group automorphism (by ``_check_rows``, on a chain), H
-    is fixed by phi elementwise, the coset operation is well-defined, and pi
-    is a bijection onto the orbit and a homomorphism.  The orbit is a
-    subquandle of the validated Q, so these make the coset table a quandle
-    isomorphic to it, and pi^-1 a homomorphism too.  Since phi(h) = s_q h
-    s_q^-1, phi fixes h exactly when h commutes with s_q, so
-    ``stabilizer_commutes_with_sq`` is ``stabilizer_fixed_by_phi``.
+    """Realize the orbit of ``basepoint`` as a coset quandle of G = Tr(Q) on
+    its stabilizer chain, phi(g) = s_q g s_q^-1, H = {g : g(q) = q} and pi:
+    x_a H -> a (``_transversal``), verified exactly with no group table.
+    ``phi_closed``: s_q g s_q^-1 sifts for each generator g, so phi maps G
+    into itself and, injective, onto it (``phi_automorphism``).
+    ``stabilizer_fixed_by_phi``: H's Schreier generators commute with s_q, so
+    H does (``stabilizer_commutes_with_sq``) and xH |> yH = x phi(x^-1 y) H
+    is well-defined.  ``pi_bijective``: the walk reaches q's inner orbit.
+    ``pi_homomorphism``: pi(x_a H |> x_b H) = x_a s_q x_a^-1 (b) = s_a(b).
+    The orbit is a subquandle of the validated Q, so these make the coset
+    quandle isomorphic to it, and pi^-1 a homomorphism too.
     """
     q = _check_basepoint(quandle, basepoint)
-    g = _tr_group(quandle, cap)
-    phi_map = _twist(g, quandle.op[q], _sinv(quandle, q))
-    checks: dict = {"phi_closed": phi_map is not None}
-    if phi_map is None:
-        raise QuandleError("conjugation by s_q left the transvection group")
-    phi = GroupAutomorphism(g, phi_map, check=True)
-    checks["phi_automorphism"] = True
-
-    cs, pi = _cosets_at(g, q)
-    stab = cs.subgroup
-    checks["stabilizer_fixed_by_phi"] = bool((phi.mapping[list(stab)] == stab).all())
-    checks["stabilizer_commutes_with_sq"] = checks["stabilizer_fixed_by_phi"]
-    orbit = orbits(quandle).orbit_of(q)
-    checks["pi_bijective"] = sorted(pi) == list(orbit)  # orbit is sorted, no repeats
-
-    table, bad = coset_action(g, phi.mapping, cs, cs)
-    if bad is not None:
-        raise ConstructionError(
-            f"coset operation not well-defined at representatives {bad}")
-    p = np.array(pi)
-    checks["pi_homomorphism"] = bool(
-        (p[table] == quandle.op[p[:, None], p]).all())
-    checks["pi_inverse_homomorphism"] = (checks["pi_bijective"]
-                                         and checks["pi_homomorphism"])
-    return CosetRealization(q, g, phi, stab, cs, pi, orbit, checks)
+    g, inner = _tr(quandle, cap), orbits(quandle).orbit_of(q)
+    gens, sq = g.gens[g.used], quandle.op[q]
+    closed = _first_residue(g._levels, sq[gens[:, _sinv(quandle, q)]], 0) is None
+    orbit, _, fixed, hom = _transversal(quandle, g, q, list(inner))
+    bijective = sorted(orbit.tolist()) == list(inner)   # inner is sorted, no repeats
+    checks = {"phi_closed": closed, "phi_automorphism": closed,
+              "stabilizer_fixed_by_phi": fixed, "stabilizer_commutes_with_sq": fixed,
+              "pi_bijective": bijective, "pi_homomorphism": hom,
+              "pi_inverse_homomorphism": bijective and hom}
+    return CosetRealization(q, g, g.order // len(orbit), tuple(orbit.tolist()), inner, checks)
 
 
 class InterOrbitReport(NamedTuple):
@@ -405,25 +408,26 @@ class InterOrbitReport(NamedTuple):
 
 
 def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int) -> InterOrbitReport:
-    """Build (gG_q, hG_r) -> g psi(g^-1 h) G_r and verify it exactly:
-    well-definedness over representative choices on generators of G_q and
-    G_r (``coset_action``), and the compatibility pi_r(gG_q . hG_r) =
-    pi_q(gG_q) |> pi_r(hG_r) on every coset pair."""
+    """Build (gG_q, hG_r) -> g psi(g^-1 h) G_r, psi and the cosets read off
+    the sorted listing of G = Tr(Q), and verify it exactly (``_transversal``).
+    That coset is read off g psi(g^-1 h)(r) = g s_q g^-1 (h(r)), so it is
+    well-defined when G_q commutes with s_q, and ``compatible``, pi_r(gG_q .
+    hG_r) = pi_q(gG_q) |> pi_r(hG_r), when g s_q g^-1 is s_{g(q)} on r's orbit."""
     _check_basepoint(quandle, q)
     _check_basepoint(quandle, r)
-    g = _tr_group(quandle, REALIZE_CAP)
-    psi = _twist(g, quandle.op[q], _sinv(quandle, r))
-    checks: dict = {"psi_closed": psi is not None}
-    if psi is None:
+    g = _tr(quandle, REALIZE_CAP)
+    psi = _psi(quandle, g.perms, q, r)
+    checks: dict = {"psi_closed": bool((psi >= 0).all())}
+    if not checks["psi_closed"]:
         raise QuandleError("s_q g s_r^-1 left the transvection group")
-    cs_q, pi_q = _cosets_at(g, q)
-    cs_r, pi_r = _cosets_at(g, r)
-    table, bad = coset_action(g, psi, cs_q, cs_r)
-    checks["well_defined"] = bad is None
-    p_q, p_r = np.array(pi_q), np.array(pi_r)
-    checks["compatible"] = bool(
-        (p_r[table] == quandle.op[p_q[:, None], p_r]).all())
-    if q == r:   # psi is then phi, from the very _twist call that builds phi
+    pi_q, pi_r = _cosets(g.perms, q)[2], _cosets(g.perms, r)[2]
+    orbit, x, checks["well_defined"], checks["compatible"] = _transversal(quandle, g, q, pi_r)
+    at, img = x[:, pi_r], x[:, quandle.op[q][pi_r]]   # x_a s_q x_a^-1 takes at to img
+    k = np.empty((2, quandle.size), dtype=np.int64)   # a point -> its coset of G_q, of G_r
+    k[0, pi_q], k[1, pi_r] = np.arange(len(pi_q)), np.arange(len(pi_r))
+    table = np.empty((len(pi_q), len(pi_r)), dtype=np.int64)
+    table[k[0, orbit][:, None], k[1, at]] = k[1, img]
+    if q == r:   # psi is then phi, read off the listing as ``realize --json`` reads it
         checks["reduces_to_phi"] = checks["psi_closed"]
     return InterOrbitReport(q, r, g.order, tuple(psi.tolist()),
                             tuple(map(tuple, table.tolist())), checks)
@@ -460,9 +464,9 @@ def sbar_hom(quandle: FiniteQuandle, basepoint: int,
     """
     q = _check_basepoint(quandle, basepoint)
     g = FiniteGroup.from_permutation_group(inn(quandle, cap=cap))
-    op, sq_inv = quandle.op, _sinv(quandle, q)
-    phi = GroupAutomorphism(g, _twist(g, op[q], sq_inv), check=True)
-    m = _indices(g, op[:, sq_inv])
+    op = quandle.op
+    phi = GroupAutomorphism(g, _psi(quandle, g.perms, q, q), check=True)
+    m = _find_rows(g.perms, op[:, _sinv(quandle, q)])
     twisted = vedernikov_op(g, phi, m[:, None], m[None, :])
     is_hom = bool((twisted == m[op]).all())
     fibers = tuple(tuple(np.flatnonzero(m == a).tolist())   # np.unique would

@@ -240,9 +240,26 @@ def test_iso_size_limit(tmp_path):
 
 
 def test_unipotent_class_prime_limit():
-    code, out, err = invoke(["make", "unipotent_class", "--p", "13"])
-    assert code == 0 and json.loads(out)["size"] == 84, err
-    _assert_input_error(["make", "unipotent_class", "--p", "17"], "limit 13")
+    # the class is limited by its carrier, (p^2-1)/2 points, not by SL2's p <= 13
+    code, out, err = invoke(["make", "unipotent_class", "--p", "17"])
+    assert code == 0 and json.loads(out)["size"] == 144, err
+    _assert_input_error(["make", "unipotent_class", "--p", "97"],
+                        "carrier size 4704 exceeds the limit of 4096 elements")
+
+
+def test_realize_past_the_table_limit(tmp_path):
+    # |Tr(u23)| = 6072 > MAX_GROUP_ORDER: the text answers, realize --json still
+    # refuses to print the group's table
+    from quandles import unipotent_class_quandle
+
+    path = write(tmp_path, "u23.json", unipotent_class_quandle(23).to_json())
+    code, out, err = invoke(["realize", path, "--basepoint", "5"])
+    assert code == 0 and "transvection group order 6072, stabilizer size 23" in out, err
+    code, out, err = invoke(["report", path, "--json"])
+    assert code == 0 and json.loads(out)["realizations"][0]["group_order"] == 6072, err
+    _assert_input_error(["realize", path, "--json"],
+                        "group order 6072 exceeds the limit of 4096 elements "
+                        "for a multiplication table")
 
 
 # -- library paths read the group arrays; no Python copy of the table exists -------

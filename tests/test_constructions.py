@@ -19,6 +19,7 @@ from quandles import (CocycleError, ConstructionError, ConstructionRecord, Finit
 from quandles.constructions import MAX_CARRIER, coset_action
 from quandles.groups import CosetSpace
 
+import table_route
 from corpus_util import cli_peak_mb, corpus, corpus_groups
 
 
@@ -80,7 +81,7 @@ def _first_bad_pair(g, psi, cs, target=None):
 
 
 def test_coset_action_finds_first_bad_pair_above_old_sampling_limit():
-    real = coset_realization(unipotent_class_quandle(11), 0)
+    real = table_route.realization(unipotent_class_quandle(11), 0)
     g, cs, phi = real.group, real.cosets, real.phi.mapping
     assert g.order == 660  # past the order (512) above which pairs were sampled
     table, bad = coset_action(g, phi, cs, cs)
@@ -189,10 +190,10 @@ def test_coset_action_matches_the_oracle_on_mutated_maps():
     ids=["conj(S4)", "u7"])
 def test_coset_action_matches_the_oracle_on_inter_orbit_pairs(build, pairs):
     quandle = build()
-    g = symmetry._tr_group(quandle, symmetry.REALIZE_CAP)
+    g = table_route.tr_group(quandle)
     for q, r in pairs:
-        psi = symmetry._twist(g, quandle.op[q], quandle.inv_op[r])
-        cs_q, cs_r = symmetry._cosets_at(g, q)[0], symmetry._cosets_at(g, r)[0]
+        psi = table_route.twist(g, quandle.op[q], quandle.inv_op[r])
+        cs_q, cs_r = table_route.cosets_at(g, q)[0], table_route.cosets_at(g, r)[0]
         table, bad = coset_action(g, psi, cs_q, cs_r)
         assert bad is None and inter_orbit_action(quandle, q, r).checks["well_defined"]
         assert table.tolist() == _first_bad_pair(g, psi, cs_q, cs_r)[0], (q, r)
@@ -208,7 +209,7 @@ def test_coset_action_matches_the_oracle_on_inter_orbit_pairs(build, pairs):
 
 
 def test_well_defined_coset_action_scans_no_rows(monkeypatch):
-    real = coset_realization(unipotent_class_quandle(11), 0)
+    real = table_route.realization(unipotent_class_quandle(11), 0)
     g, cs, phi = real.group, real.cosets, real.phi.mapping
 
     def refuse(differs):
@@ -430,12 +431,32 @@ def test_unipotent_class_builds_no_group(monkeypatch):
     assert q.size == 60 and q.record.replay() == q
 
 
-@pytest.mark.parametrize("p, message", [(4, "4 is not prime"), (1, "1 is not prime"),
-                                        (17, "p=17 too large (limit 13)")])
+@pytest.mark.parametrize("p, message", [(4, "4 is not prime"), (1, "1 is not prime")])
 def test_unipotent_class_refuses_like_sl2(p, message):
+    # past p = 13 only SL2 itself is refused: the class is limited by its carrier
     for build in (unipotent_class_quandle, matrix_group_sl2):
         with pytest.raises(GroupError, match=re.escape(message)):
             build(p)
+    with pytest.raises(GroupError, match=re.escape("p=17 too large (limit 13)")):
+        matrix_group_sl2(17)
+    assert unipotent_class_quandle(17).size == 144
+
+
+def test_unipotent_class_is_limited_by_its_carrier():
+    assert unipotent_class_quandle(89).size == 3960 <= MAX_CARRIER
+    with pytest.raises(ConstructionError, match="carrier size 4704 exceeds the limit of 4096"):
+        unipotent_class_quandle(97)
+
+
+def test_unipotent_class_is_conjugation_past_the_old_prime_limit():
+    # x |> y = x^-1 y x on the labelled matrices, where SL2 itself is refused
+    for p in (17, 19):
+        q = unipotent_class_quandle(p)
+        mats = [np.array(json.loads(label)) for label in q.labels]
+        index = {m.tobytes(): i for i, m in enumerate(mats)}
+        for i, x in enumerate(mats):
+            x_inv = np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]])
+            assert q.op[i].tolist() == [index[(x_inv @ y @ x % p).tobytes()] for y in mats]
 
 
 def test_unipotent_class_13_peak_memory_without_sl2():

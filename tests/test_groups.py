@@ -24,6 +24,7 @@ from quandles.groups import (DEFAULT_CAP, CapExceeded, CosetSpace,
                              matrix_group_sl2, parse_cycles,
                              parse_generator_lines, perm_cycles, walk)
 
+import table_route
 from corpus_util import cli_peak_mb, corpus_groups, python_peak_mb, small_corpus
 
 
@@ -1073,8 +1074,8 @@ def _s4_conjugation():
 
 def _tr_u11_conjugation():
     q = unipotent_class_quandle(11)   # phi = conjugation by s_0 on Tr(u11), order 660
-    g = symmetry._tr_group(q, symmetry.REALIZE_CAP)
-    return g, symmetry._twist(g, q.op[0], q.inv_op[0]).tolist()
+    g = table_route.tr_group(q)
+    return g, table_route.twist(g, q.op[0], q.inv_op[0]).tolist()
 
 
 @pytest.mark.parametrize("build", [_s4_conjugation, _tr_u11_conjugation], ids=["S4", "Tr(u11)"])

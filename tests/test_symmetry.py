@@ -27,6 +27,7 @@ from quandles import (ActionError, FiniteGroup, GroupError, OrbitDecomposition,
 from quandles.cli import run
 from quandles.groups import GeneratorRows, close
 
+import table_route
 from corpus_util import cli_peak_mb, small_corpus
 
 
@@ -713,7 +714,7 @@ def test_iso_search_finds_and_rejects():
 def test_realize_singleton():
     real = coset_realization(trivial(1), 0)
     assert real.ok
-    assert real.group.order == 1 and len(real.stabilizer) == 1
+    assert real.group.order == 1 and real.stabilizer_size == 1
     assert real.pi == (0,)
 
 
@@ -721,7 +722,7 @@ def test_realize_dihedral_3():
     real = coset_realization(dihedral(3), 0)
     assert real.ok
     assert real.group.order == 3
-    assert len(real.stabilizer) == 1
+    assert real.stabilizer_size == 1
     assert sorted(real.pi) == [0, 1, 2]
 
 
@@ -737,8 +738,9 @@ def test_realize_stabilizer_commutes():
     q = unipotent_class_quandle(3)
     real = coset_realization(q, 0)
     assert real.ok
-    sq = q.op[0]
-    for i in real.stabilizer:
+    sq, stabilizer = q.op[0], symmetry._cosets(real.group.perms, 0)[0]
+    assert len(stabilizer) == real.stabilizer_size
+    for i in stabilizer:
         p = real.group.perms[i]
         assert (p[sq] == sq[p]).all()
 
@@ -750,18 +752,19 @@ def test_implied_realization_checks_match_their_loops():
         for b in orbits(q).basepoints:
             real = coset_realization(q, b)
             g, sq, sq_inv = real.group, q.op[b], q.inv_op[b]
+            stabilizer = symmetry._cosets(g.perms, b)[0]
             assert real.checks["stabilizer_commutes_with_sq"] == all(
-                (g.perms[i][sq] == sq[g.perms[i]]).all() for i in real.stabilizer), (name, b)
+                (g.perms[i][sq] == sq[g.perms[i]]).all() for i in stabilizer), (name, b)
             index = {p: i for i, p in enumerate(g.elements)}   # sq p sq^-1 for every p
             phi = tuple(index[p] for p in map(tuple, sq[g.perms[:, sq_inv]].tolist()))
             rep = inter_orbit_action(q, b, b)
             assert rep.checks["reduces_to_phi"] == (rep.psi == phi), (name, b)
-            assert rep.psi == tuple(real.phi.mapping.tolist()), (name, b)
+            assert rep.psi == tuple(symmetry._psi(q, g.perms, b, b).tolist()), (name, b)
 
 
 def test_cycle_labels_are_formatted_on_first_read(monkeypatch):
     d171, u7 = dihedral(171), unipotent_class_quandle(7)
-    symmetry._tr_group.cache_clear()
+    symmetry._tr.cache_clear()
     calls = []
     format_cycles = groups_module.format_cycles
     monkeypatch.setattr(groups_module, "format_cycles",
@@ -775,7 +778,8 @@ def test_cycle_labels_are_formatted_on_first_read(monkeypatch):
 
 def _pi_inverse_homomorphism_oracle(quandle, real):
     """pi^-1(x |> y) = pi^-1(x) |> pi^-1(y) on every pair of the orbit,
-    one scalar at a time against the validated coset quandle."""
+    one scalar at a time against the validated coset quandle of the table
+    route."""
     cq = phi_space(real.group, real.phi, real.stabilizer)
     pi_inv = {x: k for k, x in enumerate(real.pi)}
     return (sorted(real.pi) == list(real.orbit)
@@ -788,7 +792,7 @@ def test_pi_inverse_homomorphism_matches_the_scalar_oracle():
         for b in orbits(q).basepoints:
             real = coset_realization(q, b)
             assert real.checks["pi_inverse_homomorphism"] == \
-                _pi_inverse_homomorphism_oracle(q, real), (name, b)
+                _pi_inverse_homomorphism_oracle(q, table_route.realization(q, b)), (name, b)
 
 
 def test_realization_neither_validates_nor_serializes(monkeypatch):
@@ -809,14 +813,13 @@ def test_a_wrong_coset_table_fails_pi(tmp_path, monkeypatch):
     q = dihedral(5)
     path = tmp_path / "d5.json"
     path.write_text(q.to_json())
-    real_action = symmetry.coset_action
+    compose = symmetry._compose_rows
 
-    def corrupt(*args):
-        table, bad = real_action(*args)
-        table[0, 0] = (table[0, 0] + 1) % table.shape[1]
-        return table, bad
+    def corrupt(*args):   # every x_a past q followed by (0 1): the cosets x_a H move
+        rows = compose(*args)
+        return rows[:, [1, 0, *range(2, rows.shape[1])]]
 
-    monkeypatch.setattr(symmetry, "coset_action", corrupt)
+    monkeypatch.setattr(symmetry, "_compose_rows", corrupt)
     real = coset_realization(q, 0)
     assert real.checks["pi_bijective"]
     assert not real.checks["pi_homomorphism"]
@@ -825,6 +828,62 @@ def test_a_wrong_coset_table_fails_pi(tmp_path, monkeypatch):
     code = run(["realize", str(path), "--json"], stdout=io.StringIO(),
                stderr=io.StringIO())
     assert code == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_chain_realization_matches_the_table_route(data):
+    name, q = data.draw(st.sampled_from(small_corpus()))
+    b, r = (data.draw(st.integers(0, q.size - 1)) for _ in range(2))
+    real, oracle = coset_realization(q, b), table_route.realization(q, b)
+    perms = real.group.perms
+    assert real.group.order == oracle.group.order and np.array_equal(perms, oracle.group.perms)
+    stabilizer, reps, pi = symmetry._cosets(perms, b)
+    assert tuple(stabilizer.tolist()) == oracle.stabilizer, name
+    assert real.stabilizer_size == len(oracle.stabilizer), name
+    assert tuple(reps.tolist()) == oracle.cosets.reps, name
+    assert tuple(pi.tolist()) == oracle.pi and sorted(real.pi) == sorted(oracle.pi), name
+    assert symmetry._psi(q, perms, b, b).tolist() == oracle.phi.mapping.tolist(), name
+    assert real.checks == oracle.checks and real.orbit == oracle.orbit, name
+    # the coset quandle on the oracle's table is the orbit, through pi
+    cq = phi_space(oracle.group, oracle.phi, oracle.stabilizer)
+    assert hom_check(oracle.pi, cq, q).ok and sorted(oracle.pi) == list(real.orbit), name
+    rep = inter_orbit_action(q, b, r)
+    assert (rep.psi, rep.action, rep.checks) == table_route.inter_orbit(q, b, r), (name, b, r)
+
+
+def test_realization_builds_no_group_table(tmp_path, monkeypatch):
+    quandles = {"s4": conjugation(FiniteGroup.symmetric(4)), "u7": unipotent_class_quandle(7),
+                "d5": dihedral(5)}
+    for name, q in quandles.items():
+        (tmp_path / f"{name}.json").write_text(q.to_json())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FiniteGroup was built")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    symmetry._tr.cache_clear()
+    s4 = quandles["s4"]
+    assert all(coset_realization(s4, b).ok for b in orbits(s4).basepoints)
+    assert inter_orbit_action(s4, 0, 9).ok and regularity_report(s4).phi_prime
+    for argv in (["report", "s4.json"], ["report", "u7.json", "--json"],
+                 ["realize", "s4.json", "--basepoint", "9"], ["realize", "u7.json"],
+                 ["survey", "."], ["survey", ".", "--json"]):
+        argv = [str(tmp_path / a) if a.endswith(".json") or a == "." else a for a in argv]
+        err = io.StringIO()
+        assert run(argv, stdout=io.StringIO(), stderr=err) == 0, (argv, err.getvalue())
+
+
+def test_realization_past_the_table_limit():
+    # |Tr(u29)| = 12180 = |PSL2(F_29)| > MAX_GROUP_ORDER, on 420 points
+    q = unipotent_class_quandle(29)
+    real = coset_realization(q, 0)
+    assert real.group.order == 12180 > groups_module.MAX_GROUP_ORDER
+    assert len(real.orbit) == 420 and real.stabilizer_size == 29
+    assert real.ok and all(real.checks.values())
+    assert "perms" not in vars(real.group)
+    rep = regularity_report(q)
+    assert rep.phi_prime and rep.realizations[0].group_order == 12180
 
 
 def test_basepoints_out_of_range():
@@ -883,7 +942,7 @@ def test_tuple_views_are_built_on_first_read_only(monkeypatch):
     # every library path reads the element and generator arrays; the tuple
     # views are for callers, built once when first read
     q, u7, d171 = power_cocycle(3, 2), unipotent_class_quandle(7), dihedral(171)
-    symmetry._tr_group.cache_clear()
+    symmetry._tr.cache_clear()
     views = [(groups_module.PermutationGroup, "elements"),
              (groups_module.PermutationGroup, "generators"), (FiniteGroup, "elements")]
     reads = []
@@ -893,7 +952,7 @@ def test_tuple_views_are_built_on_first_read_only(monkeypatch):
         groups = [inn(q), tr(q), aut(dihedral(6))]
         groups += [coset_realization(q, b).group for b in orbits(q).basepoints]
         assert regularity_report(u7).phi_prime
-        groups += [symmetry._tr_group(u7, symmetry.REALIZE_CAP), sbar_hom(d171, 0).group]
+        groups += [symmetry._tr(u7, symmetry.REALIZE_CAP), sbar_hom(d171, 0).group]
         assert groups[2].is_transitive()
     assert reads == []
     for g in groups:
