@@ -23,7 +23,7 @@ import numpy as np
 
 from .constructions import ConstructionError, vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, FiniteGroup, GroupAutomorphism,
-                     PermutationGroup, _batch, _check_rows, _compose_rows, _divide_rows,
+                     PermutationGroup, _batch, _check_rows, _compose_rows,
                      _find_rows, _first_residue, _inverse_rows, _perm_rows, _point_dtype,
                      _read_only, _row_failures, _tree_blocks, close, cycle_type,
                      table_automorphisms, table_isomorphisms, walk)
@@ -316,28 +316,31 @@ def _cosets(perms: np.ndarray, q: int):
     return np.flatnonzero(images == q), reps, images[reps]
 
 
-def _transversal(quandle: FiniteQuandle, grp: PermutationGroup, q: int, points):
-    """The orbit O of q walked along the generators ``grp.used``, x_a with
-    x_a(q) = a for each a of it (the generator after x of the parent), and, a
-    ``_batch`` of rows x_a at a time, whether the Schreier generators
-    x_{g(a)}^-1 g x_a of the stabilizer of q commute with s_q and whether
-    s_a x_a = x_a s_q, i.e. x_a s_q x_a^-1 = s_a, at ``points``."""
+def _conjugates(quandle: FiniteQuandle, grp: PermutationGroup, q: int, points):
+    """The orbit O of q walked along the generators ``grp.used`` and, for each
+    a of it in walk order, c_a = x_a s_q x_a^-1, x_a(q) = a the product of the
+    generators along the Schreier tree: c_q = s_q, and c_{g(a)} = g c_a g^-1
+    for a tree edge, a ``_tree_blocks`` block at a time.  Also, a ``_batch``
+    of rows at a time, whether g c_a g^-1 = c_{g(a)} for every a and generator
+    g, that is, whether each Schreier generator x_{g(a)}^-1 g x_a of the
+    stabilizer of q, and so the stabilizer, commutes with s_q; and whether
+    c_a = s_a at ``points``."""
     gens, m = grp.gens[grp.used], quandle.size
+    inv = _inverse_rows(gens)
     orbit, parent, via = walk(gens, [q])
     place = np.empty(m, dtype=np.int64)
     place[orbit] = np.arange(len(orbit))
-    after, x = place[parent[1:]], np.empty((len(orbit), m), dtype=gens.dtype)
-    x[0] = np.arange(m)
-    for c, e in _tree_blocks(after, m):
-        x[c:e] = _compose_rows(gens, x[after[c - 1:e - 1]], via[c:e])
-    sq, op, commutes, hom = quandle.op[q], quandle.op, True, True
-    for c in range(0, len(orbit), step := _batch(m)):
-        xa = x[c:c + step]
-        hom = hom and bool((op[orbit[c:c + step, None], xa[:, points]] == xa[:, sq[points]]).all())
-        for g in gens:
-            h = _divide_rows(x[place[g[orbit[c:c + step]]]], g[xa])
-            commutes = commutes and bool((h[:, sq] == sq[h]).all())
-    return orbit, x, commutes, hom
+    after, c = place[parent[1:]], np.empty((len(orbit), m), dtype=gens.dtype)
+    c[0] = quandle.op[q]
+    for a, e in _tree_blocks(after, m):   # g after c of the parent after g^-1
+        c[a:e] = _compose_rows(gens, _compose_rows(c[after[a - 1:e - 1]], inv[via[a:e]],
+                                                   np.arange(e - a)), via[a:e])
+    step, op = _batch(m), quandle.op
+    commutes = all(bool((g[c[a:a + step][:, g_inv]] == c[place[g[orbit[a:a + step]]]]).all())
+                   for g, g_inv in zip(gens, inv) for a in range(0, len(orbit), step))
+    hom = all(bool((c[a:a + step][:, points] == op[orbit[a:a + step]][:, points]).all())
+              for a in range(0, len(orbit), step))
+    return orbit, c, commutes, hom
 
 
 class CosetRealization(NamedTuple):
@@ -368,7 +371,7 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
                       cap: int = REALIZE_CAP) -> CosetRealization:
     """Realize the orbit of ``basepoint`` as a coset quandle of G = Tr(Q) on
     its stabilizer chain, phi(g) = s_q g s_q^-1, H = {g : g(q) = q} and pi:
-    x_a H -> a (``_transversal``), verified exactly with no group table.
+    x_a H -> a (``_conjugates``), verified exactly with no group table.
     ``phi_closed``: s_q g s_q^-1 sifts for each generator g, so phi maps G
     into itself and, injective, onto it (``phi_automorphism``).
     ``stabilizer_fixed_by_phi``: H's Schreier generators commute with s_q, so
@@ -382,7 +385,7 @@ def coset_realization(quandle: FiniteQuandle, basepoint: int,
     g, inner = _tr(quandle, cap), orbits(quandle).orbit_of(q)
     gens, sq = g.gens[g.used], quandle.op[q]
     closed = _first_residue(g._levels, sq[gens[:, _sinv(quandle, q)]], 0) is None
-    orbit, _, fixed, hom = _transversal(quandle, g, q, list(inner))
+    orbit, _, fixed, hom = _conjugates(quandle, g, q, np.array(inner))
     bijective = sorted(orbit.tolist()) == list(inner)   # inner is sorted, no repeats
     checks = {"phi_closed": closed, "phi_automorphism": closed,
               "stabilizer_fixed_by_phi": fixed, "stabilizer_commutes_with_sq": fixed,
@@ -409,7 +412,7 @@ class InterOrbitReport(NamedTuple):
 
 def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int) -> InterOrbitReport:
     """Build (gG_q, hG_r) -> g psi(g^-1 h) G_r, psi and the cosets read off
-    the sorted listing of G = Tr(Q), and verify it exactly (``_transversal``).
+    the sorted listing of G = Tr(Q), and verify it exactly (``_conjugates``).
     That coset is read off g psi(g^-1 h)(r) = g s_q g^-1 (h(r)), so it is
     well-defined when G_q commutes with s_q, and ``compatible``, pi_r(gG_q .
     hG_r) = pi_q(gG_q) |> pi_r(hG_r), when g s_q g^-1 is s_{g(q)} on r's orbit."""
@@ -421,12 +424,11 @@ def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int) -> InterOrbitRepo
     if not checks["psi_closed"]:
         raise QuandleError("s_q g s_r^-1 left the transvection group")
     pi_q, pi_r = _cosets(g.perms, q)[2], _cosets(g.perms, r)[2]
-    orbit, x, checks["well_defined"], checks["compatible"] = _transversal(quandle, g, q, pi_r)
-    at, img = x[:, pi_r], x[:, quandle.op[q][pi_r]]   # x_a s_q x_a^-1 takes at to img
+    orbit, c, checks["well_defined"], checks["compatible"] = _conjugates(quandle, g, q, pi_r)
     k = np.empty((2, quandle.size), dtype=np.int64)   # a point -> its coset of G_q, of G_r
     k[0, pi_q], k[1, pi_r] = np.arange(len(pi_q)), np.arange(len(pi_r))
     table = np.empty((len(pi_q), len(pi_r)), dtype=np.int64)
-    table[k[0, orbit][:, None], k[1, at]] = k[1, img]
+    table[k[0, orbit][:, None], k[1, pi_r]] = k[1, c[:, pi_r]]   # g s_q g^-1 (h(r)), g = x_a
     if q == r:   # psi is then phi, read off the listing as ``realize --json`` reads it
         checks["reduces_to_phi"] = checks["psi_closed"]
     return InterOrbitReport(q, r, g.order, tuple(psi.tolist()),

@@ -431,19 +431,20 @@ def test_unipotent_class_builds_no_group(monkeypatch):
     assert q.size == 60 and q.record.replay() == q
 
 
-@pytest.mark.parametrize("p, message", [(4, "4 is not prime"), (1, "1 is not prime")])
+@pytest.mark.parametrize("p, message", [(4, "4 is not prime"), (1, "1 is not prime"),
+                                        (17, "p=17 too large (limit 13)")])
 def test_unipotent_class_refuses_like_sl2(p, message):
-    # past p = 13 only SL2 itself is refused: the class is limited by its carrier
-    for build in (unipotent_class_quandle, matrix_group_sl2):
+    # past SL2_MAX_PRIME only SL2 itself is refused: the class is limited by its carrier
+    sl2_only = p > groups_module.SL2_MAX_PRIME
+    for build in (matrix_group_sl2,) if sl2_only else (unipotent_class_quandle, matrix_group_sl2):
         with pytest.raises(GroupError, match=re.escape(message)):
             build(p)
-    with pytest.raises(GroupError, match=re.escape("p=17 too large (limit 13)")):
-        matrix_group_sl2(17)
-    assert unipotent_class_quandle(17).size == 144
+    if sl2_only:
+        assert unipotent_class_quandle(p).size == (p * p - 1) // 2
 
 
 def test_unipotent_class_is_limited_by_its_carrier():
-    assert unipotent_class_quandle(89).size == 3960 <= MAX_CARRIER
+    assert unipotent_class_quandle(61).size == 1860   # 89, 3960 points, is the largest
     with pytest.raises(ConstructionError, match="carrier size 4704 exceeds the limit of 4096"):
         unipotent_class_quandle(97)
 

@@ -813,13 +813,14 @@ def test_a_wrong_coset_table_fails_pi(tmp_path, monkeypatch):
     q = dihedral(5)
     path = tmp_path / "d5.json"
     path.write_text(q.to_json())
-    compose = symmetry._compose_rows
+    walk = symmetry.walk
 
-    def corrupt(*args):   # every x_a past q followed by (0 1): the cosets x_a H move
-        rows = compose(*args)
-        return rows[:, [1, 0, *range(2, rows.shape[1])]]
+    def corrupt(*args):   # the last point of a walk met from the one before's parent:
+        points, parent, via = walk(*args)   # its x_a, and its row of the coset table, is wrong
+        parent[-1], via[-1] = parent[-2], via[-2]
+        return points, parent, via
 
-    monkeypatch.setattr(symmetry, "_compose_rows", corrupt)
+    monkeypatch.setattr(symmetry, "walk", corrupt)
     real = coset_realization(q, 0)
     assert real.checks["pi_bijective"]
     assert not real.checks["pi_homomorphism"]
