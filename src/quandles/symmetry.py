@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constructions import ConstructionError, vedernikov_op
+from .constructions import vedernikov_op
 from .groups import (DEFAULT_CAP, CapExceeded, FiniteGroup, GroupAutomorphism,
                      PermutationGroup, _batch, _check_rows, _compose_rows,
                      _find_rows, _first_residue, _inverse_rows, _perm_rows, _point_dtype,

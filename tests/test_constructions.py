@@ -6,7 +6,6 @@ import pytest
 
 import quandles.constructions as constructions
 import quandles.groups as groups_module
-import quandles.symmetry as symmetry
 from quandles import (CocycleError, ConstructionError, ConstructionRecord, FiniteGroup,
                       GroupAutomorphism, GroupError, NotAbelian, NotFixed, alexander,
                       all_automorphisms, cocycle_extension, conj_class, conjugacy_class,
