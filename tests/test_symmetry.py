@@ -831,26 +831,29 @@ def test_a_wrong_coset_table_fails_pi(tmp_path, monkeypatch):
     assert code == 2
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_chain_realization_matches_the_table_route(data):
+    # every basepoint b of a drawn small-corpus quandle, and the action of b's
+    # cosets on those of a drawn r
     name, q = data.draw(st.sampled_from(small_corpus()))
-    b, r = (data.draw(st.integers(0, q.size - 1)) for _ in range(2))
-    real, oracle = coset_realization(q, b), table_route.realization(q, b)
-    perms = real.group.perms
-    assert real.group.order == oracle.group.order and np.array_equal(perms, oracle.group.perms)
-    stabilizer, reps, pi = symmetry._cosets(perms, b)
-    assert tuple(stabilizer.tolist()) == oracle.stabilizer, name
-    assert real.stabilizer_size == len(oracle.stabilizer), name
-    assert tuple(reps.tolist()) == oracle.cosets.reps, name
-    assert tuple(pi.tolist()) == oracle.pi and sorted(real.pi) == sorted(oracle.pi), name
-    assert symmetry._psi(q, perms, b, b).tolist() == oracle.phi.mapping.tolist(), name
-    assert real.checks == oracle.checks and real.orbit == oracle.orbit, name
-    # the coset quandle on the oracle's table is the orbit, through pi
-    cq = phi_space(oracle.group, oracle.phi, oracle.stabilizer)
-    assert hom_check(oracle.pi, cq, q).ok and sorted(oracle.pi) == list(real.orbit), name
-    rep = inter_orbit_action(q, b, r)
-    assert (rep.psi, rep.action, rep.checks) == table_route.inter_orbit(q, b, r), (name, b, r)
+    r = data.draw(st.integers(0, q.size - 1))
+    for b in range(q.size):
+        real, oracle = coset_realization(q, b), table_route.realization(q, b)
+        perms = real.group.perms
+        assert real.group.order == oracle.group.order and np.array_equal(perms, oracle.group.perms)
+        stabilizer, reps, pi = symmetry._cosets(perms, b)
+        assert tuple(stabilizer.tolist()) == oracle.stabilizer, (name, b)
+        assert real.stabilizer_size == len(oracle.stabilizer), (name, b)
+        assert tuple(reps.tolist()) == oracle.cosets.reps, (name, b)
+        assert tuple(pi.tolist()) == oracle.pi and sorted(real.pi) == sorted(oracle.pi), (name, b)
+        assert symmetry._psi(q, perms, b, b).tolist() == oracle.phi.mapping.tolist(), (name, b)
+        assert real.checks == oracle.checks and real.orbit == oracle.orbit, (name, b)
+        # the coset quandle on the oracle's table is the orbit, through pi
+        cq = phi_space(oracle.group, oracle.phi, oracle.stabilizer)
+        assert hom_check(oracle.pi, cq, q).ok and sorted(oracle.pi) == list(real.orbit), (name, b)
+        rep = inter_orbit_action(q, b, r)
+        assert (rep.psi, rep.action, rep.checks) == table_route.inter_orbit(q, b, r), (name, b, r)
 
 
 def test_realization_builds_no_group_table(tmp_path, monkeypatch):
