@@ -3,7 +3,9 @@
 Each case builds a quandle in process, writes it to a file, runs one CLI
 subcommand through ``cli.run`` and compares the sha256 of stdout with a
 digest recorded before the group layer was rewritten (the conj(S5) cases
-before the realization moved onto the stabilizer chain).  The ``orbits``,
+before the realization moved onto the stabilizer chain, and its ``sbar``
+cases and those on non-injective carriers while ``sbar`` still tabulated
+Inn(Q)).  The ``orbits``,
 ``survey``, ``color``, ``make phi_space``/``make vedernikov`` and
 inter-orbit digests were recorded before the realization code was merged
 into one coset action, and the ``make unipotent_class`` digests for p < 13
@@ -22,7 +24,7 @@ import random
 import pytest
 
 from quandles import (FiniteGroup, conjugation, dihedral, inter_orbit_action,
-                      unipotent_class_quandle, validate)
+                      power_cocycle, trivial, unipotent_class_quandle, validate)
 from quandles.cli import run
 
 QUANDLES = {
@@ -34,6 +36,12 @@ QUANDLES = {
 
 # the second basepoint of each quandle, next to 0
 OTHER_BASEPOINT = {"u7": 5, "u11": 17, "conj_s4": 9, "d5": 3}
+
+# carriers read by sbar alone, at the basepoints given: both are not
+# injective, as power_cocycle(3, 2)'s symmetries depend on the first
+# coordinate only and trivial(4)'s are all the identity
+SBAR_CARRIERS = {"pc32": lambda: power_cocycle(3, 2), "t4": lambda: trivial(4)}
+SBAR_BASEPOINTS = {"pc32": (0, 4), "t4": (0,)}
 
 
 def _s3_conjugation_by_1() -> list:
@@ -68,7 +76,7 @@ FILES["d63"] = lambda: AUT_CARRIERS["d63"]().to_json()
 FILES.update({f"{name}_relabelled": functools.partial(_relabelled, name)
               for name in AUT_CARRIERS})
 
-# conj(S5) is read by realize and report alone: at 120 points it is past
+# conj(S5) is read by realize, report and sbar alone: at 120 points it is past
 # aut's limit, and in the survey directory it would move that digest.  Its
 # orbit basepoints other than 0 lie outside the first basic orbit of Tr's
 # stabilizer chain.
@@ -196,6 +204,26 @@ DIGESTS = {
         "40750839f6de395259c57cfadfaf35a783a3fc24750a15c5de8a126b74dcfff1",
     "conj_s5:realize:33":
         "bb00a82362c97610a913cb35e22a28656f0961d8deaf7a22344e4ae5e0b0e16c",
+    "pc32:sbar:0":
+        "d88dc15cdf718b93995917b1db3f76ac0c9684f464c3bab74ee46f7a7053910c",
+    "pc32:sbar:4":
+        "c91ed52e21b1b4dd6cdac7a00974493237c05e56b5731ba4e5d4d7a3c663d5c4",
+    "t4:sbar:0":
+        "333ba451d1cd816d1c275918e307b98c961ba3e09d884ce8eb09ac9dd92b1261",
+    "conj_s5:sbar:0":
+        "f979b5e775e0c92f943eec27c0e52474e0c8fa94e424d484c7396d40a4705d53",
+    "conj_s5:sbar:1":
+        "88ae072c91b4239d2ecab11c730358176d8f2a9239cc7aaef22f506f5fc7c6ec",
+    "conj_s5:sbar:3":
+        "0577c5d17d8d868add49718629ec6950b7654dffa0bf095717160a7b60c1a78e",
+    "conj_s5:sbar:7":
+        "59d73816ed198c7239590beb3e57b4d2e580ee407cb10f68b0be69a5f45984ad",
+    "conj_s5:sbar:9":
+        "47d0d317e3701a9d0e9586b6f44f176f8cea7b97a020d9770887e2b7b54d83a7",
+    "conj_s5:sbar:27":
+        "1a24629e70fd37d75dbefcfaeda7e1bdf56956ba6b0d923f2aac431736660670",
+    "conj_s5:sbar:33":
+        "b2c35f25dd5778c77d33ab0865e7afc5bedf1fd01c92262ac988b5bba661aab5",
 }
 
 
@@ -219,21 +247,24 @@ def _argvs():
         for bp in (0, OTHER_BASEPOINT[name]):
             for cmd in ("realize", "sbar"):
                 yield f"{name}:{cmd}:{bp}", name, [cmd, "FILE", "--basepoint", str(bp), "--json"]
+    for name, basepoints in SBAR_BASEPOINTS.items():
+        for bp in basepoints:
+            yield f"{name}:sbar:{bp}", name, ["sbar", "FILE", "--basepoint", str(bp), "--json"]
 
 
 CASES = list(_argvs())
 
 
 S5_CASES = [("conj_s5:report", ["report", "FILE", "--json"])] + [
-    (f"conj_s5:realize:{bp}", ["realize", "FILE", "--basepoint", str(bp), "--json"])
-    for bp in S5_BASEPOINTS]
+    (f"conj_s5:{cmd}:{bp}", [cmd, "FILE", "--basepoint", str(bp), "--json"])
+    for cmd in ("realize", "sbar") for bp in S5_BASEPOINTS]
 
 
 @functools.cache
 def quandle_json(name: str) -> str:
     if name == "conj_s5":
         return conjugation(FiniteGroup.symmetric(5)).to_json()
-    return QUANDLES[name]().to_json()
+    return {**QUANDLES, **SBAR_CARRIERS}[name]().to_json()
 
 
 def _path(tmp_path, token: str) -> str:
