@@ -181,34 +181,29 @@ def unipotent_class_quandle(p: int) -> FiniteQuandle:
 # ---------------------------------------------------------------------------
 # coset quandles from a group automorphism
 
-def coset_action(group: FiniteGroup, psi: np.ndarray, source: CosetSpace,
-                 target: CosetSpace) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """The table (xH, yK) -> F(x, y)K on coset representatives, where
+def coset_action(group: FiniteGroup, psi: np.ndarray,
+                 cosets: CosetSpace) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The table (xH, yH) -> F(x, y)H on coset representatives, where
     F(x, y) = x psi(x^-1 y) for psi an int64 array of element indices, and
-    the first pair of elements (x, y) in row-major order whose F(x, y)K
+    the first pair of elements (x, y) in row-major order whose F(x, y)H
     differs from the table's entry for their cosets, or None.
 
-    F(gx, gy) = g F(x, y) for every psi, so F(xh, yk) = x F(h, zk) with
-    z = x^-1 y, and F is well-defined exactly when, for every z, (a)
-    F(h, z)K = F(e, z)K for each h of a generating set of H and (b)
-    F(e, zk)K = F(e, z)K for each k of one of K.  Each holds for a product
-    once it holds for the factors: F(hh', z)K = h F(h', h^-1 z)K =
-    h F(e, h^-1 z)K = F(h, z)K, and zkk' = (zk)k'.  So F(h, zk)K =
-    F(e, zk)K = F(e, z)K on all of H and K.  The generating sets are the
-    chains of ``groups._chain``, one if H = K; only if (a) or (b) fails is each row scanned.
+    F(gx, gy) = g F(x, y) for every psi, so F(xh, yh') = x F(h, zh') with
+    z = x^-1 y, and F is well-defined exactly when, for every z and each h
+    of a generating set of H (the chain of ``groups._chain``), (a)
+    F(h, z)H = F(e, z)H and (b) F(e, zh)H = F(e, z)H.  Both pass to products:
+    F(hh', z)H = h F(h', h^-1 z)H = h F(e, h^-1 z)H = F(h, z)H, and
+    zhh' = (zh)h'.  Only if (a) or (b) fails is each row scanned.
     """
-    t, inv, e = group.table, group.inv_map, group.identity
-    src, tgt = np.asarray(source.index_of), np.asarray(target.index_of)
-    x, y = np.asarray(source.reps)[:, None], np.asarray(target.reps)
-    table = tgt[t[x, psi[t[inv[x], y]]]]
-    h = np.array([s for s, _ in _chain(t, source.subgroup, [e])], dtype=np.int64)
-    k = h if target.subgroup == source.subgroup else np.array(
-        [s for s, _ in _chain(t, target.subgroup, [e])], dtype=np.int64)
-    base = tgt[psi]   # F(e, z)K for every z
-    if ((tgt[t[h[:, None], psi[t[inv[h]]]]] == base).all()
-            and (tgt[psi[t[:, k]]] == base[:, None]).all()):
+    t, inv = group.table, group.inv_map
+    index, reps = np.asarray(cosets.index_of), np.asarray(cosets.reps)
+    table = index[t[reps[:, None], psi[t[inv[reps][:, None], reps]]]]
+    h = np.array([s for s, _ in _chain(t, cosets.subgroup, [group.identity])], dtype=np.int64)
+    base = index[psi]   # F(e, z)H for every z
+    if ((index[t[h[:, None], psi[t[inv[h]]]]] == base).all()
+            and (index[psi[t[:, h]]] == base[:, None]).all()):
         return table, None
-    row = _row_failures(lambda r: tgt[t[r, psi[t[inv[r]]]]] != table[src[r], tgt])
+    row = _row_failures(lambda r: index[t[r, psi[t[inv[r]]]]] != table[index[r], index])
     return table, next((w for r in range(group.order) for w in row(r)), None)
 
 
@@ -225,7 +220,7 @@ def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQua
     moved = [x for x in cosets.subgroup if phi(x) != x]
     if moved:
         raise NotFixed(moved)
-    table, bad = coset_action(group, phi.mapping, cosets, cosets)
+    table, bad = coset_action(group, phi.mapping, cosets)
     if bad is not None:
         raise ConstructionError(
             f"coset operation not well-defined at representatives {bad}")
@@ -234,16 +229,10 @@ def phi_space(group: FiniteGroup, phi: GroupAutomorphism, subgroup) -> FiniteQua
                    {"group": group, "phi": phi, "subgroup": cosets.subgroup})
 
 
-def vedernikov_op(group: FiniteGroup, phi: GroupAutomorphism, a, b) -> np.ndarray:
-    """x |> y = x phi(y x^-1) of ``vedernikov(group, phi)`` on index arrays
-    a and b, broadcast against each other."""
-    return group.table[a, phi.mapping[group.table[b, group.inv_map[a]]]]
-
-
 def vedernikov(group: FiniteGroup, phi: GroupAutomorphism) -> FiniteQuandle:
     """The whole group with x |> y = x phi(y x^-1)."""
-    x = np.arange(group.order)
-    table = vedernikov_op(group, phi, x[:, None], x[None, :])
+    x = np.arange(group.order)[:, None]
+    table = group.table[x, phi.mapping[group.table[x.T, group.inv_map[x]]]]
     labels = tuple(group.label(i) for i in range(group.order))
     return _finish(table, labels, "vedernikov", {"group": group, "phi": phi})
 

@@ -21,12 +21,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .constructions import vedernikov_op
-from .groups import (DEFAULT_CAP, CapExceeded, FiniteGroup, GroupAutomorphism,
-                     PermutationGroup, _batch, _check_rows, _compose_rows,
-                     _find_rows, _first_residue, _inverse_rows, _perm_rows, _point_dtype,
-                     _read_only, _row_failures, _tree_blocks, close, cycle_type,
-                     table_automorphisms, table_isomorphisms, walk)
+from .groups import (DEFAULT_CAP, CapExceeded, PermutationGroup, _batch, _check_order,
+                     _check_rows, _compose_rows, _find_rows, _first_residue, _inverse_rows,
+                     _perm_rows, _point_dtype, _read_only, _row_failures, _tree_blocks, close,
+                     cycle_type, table_automorphisms, table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
 
 REALIZE_CAP = 10**5
@@ -439,11 +437,12 @@ def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int) -> InterOrbitRepo
 # the symmetry-comparison homomorphism into a twisted group quandle
 
 class SbarReport(NamedTuple):
-    """The map x -> s_x s_q^-1 into Inn(Q) carrying the twisted operation
-    a |> b = a phi(b a^-1), phi = conjugation by s_q."""
+    """The map m: x -> s_x s_q^-1 into G = Inn(Q), held as its chain, carrying
+    the twisted operation a |> b = a phi(b a^-1), phi = conjugation by s_q;
+    ``mapping`` gives the index of each m(x) in the sorted listing of G."""
 
     basepoint: int
-    group: FiniteGroup
+    group: PermutationGroup
     mapping: tuple[int, ...]
     fibers: tuple[tuple[int, ...], ...]
     is_homomorphism: bool
@@ -454,24 +453,35 @@ class SbarReport(NamedTuple):
         return self.is_homomorphism
 
 
+def _twist_differs(rows: np.ndarray, sq: np.ndarray, op: np.ndarray, x: int) -> np.ndarray:
+    """Whether a s_q b a^-1 s_q^-1 = a phi(b a^-1) differs from m(x |> y), for
+    each y: a = m(x) and b = m(y) rows of ``rows``, a ``_batch`` of b at a time."""
+    left, right = rows[x][sq], _inverse_rows(sq[rows[x]][None])[0]   # a s_q, a^-1 s_q^-1
+    step = _batch(rows.shape[1])
+    return np.concatenate([(left[rows[j:j + step][:, right]] != rows[op[x, j:j + step]]).any(axis=1)
+                           for j in range(0, len(rows), step)])
+
+
 def sbar_hom(quandle: FiniteQuandle, basepoint: int,
              cap: int = DEFAULT_CAP) -> SbarReport:
-    """Map each element to its symmetry, compared against the basepoint's.
-
-    The homomorphism property is checked on all n^2 pairs as one array
-    comparison against the twisted operation of Inn(Q), without building
-    the |Inn|^2 twisted quandle.  The fibers are exactly the classes of
-    elements with equal symmetries, so the map is injective precisely when
-    distinct elements have distinct rows.
+    """Map each element x to m(x) = s_x s_q^-1 in G = Inn(Q), held as its
+    ``PermutationGroup``: its order, read off the chain, is refused past
+    ``MAX_GROUP_ORDER`` before the |G| x n listing that indexes m.  phi is
+    inner (s_q lies in G), so it needs no automorphism check.  m(x) s_q m(y)
+    m(x)^-1 s_q^-1 = m(x |> y) is compared on permutation rows, row x by
+    ``_check_rows`` as in ``hom_check`` (the rows that pass are closed under
+    |>), and only at the least x of each fiber, as row x depends on x only
+    through s_x.  The fibers are the classes of elements with equal symmetries.
     """
     q = _check_basepoint(quandle, basepoint)
-    g = FiniteGroup.from_permutation_group(inn(quandle, cap=cap))
-    op = quandle.op
-    phi = GroupAutomorphism(g, _psi(quandle, g.perms, q, q), check=True)
-    m = _find_rows(g.perms, op[:, _sinv(quandle, q)])
-    twisted = vedernikov_op(g, phi, m[:, None], m[None, :])
-    is_hom = bool((twisted == m[op]).all())
+    g, op = inn(quandle, cap=cap), quandle.op
+    _check_order(g.order)
+    rows = op[:, _sinv(quandle, q)]   # row x: m(x)
+    m = _find_rows(g.perms, rows)
     fibers = tuple(tuple(np.flatnonzero(m == a).tolist())   # np.unique would
                    for a in np.flatnonzero(np.bincount(m)))   # import numpy.ma
-    return SbarReport(q, g, tuple(m.tolist()), fibers, is_hom,
+    lead = np.zeros(quandle.size, dtype=bool)
+    lead[[f[0] for f in fibers]] = True
+    twist = _row_failures(lambda x: _twist_differs(rows, op[q], op, x) if lead[x] else ())
+    return SbarReport(q, g, tuple(m.tolist()), fibers, next(_check_rows(twist, op), None) is None,
                       all(len(f) == 1 for f in fibers))

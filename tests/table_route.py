@@ -1,11 +1,14 @@
-"""The table route of the coset realization, kept as the tests' oracle.
+"""The table routes of the coset realization and of sbar, kept as the
+tests' oracles.
 
 Tr(Q) is built as an explicit ``FiniteGroup`` with its |G|^2 multiplication
 table; phi is checked as a ``GroupAutomorphism`` on it, the cosets of the
 stabilizer are a ``CosetSpace`` and the coset operation is tabulated by
-``coset_action``.  This is how ``symmetry.coset_realization`` and
-``symmetry.inter_orbit_action`` worked before they moved onto Tr's
-stabilizer chain; every field they report is compared against it.
+``coset_action`` (between two coset spaces, by ``coset_table``).  This is
+how ``symmetry.coset_realization`` and ``symmetry.inter_orbit_action``
+worked before they moved onto Tr's stabilizer chain, and ``sbar`` is how
+``symmetry.sbar_hom`` worked on Inn(Q) before it moved onto Inn's; every
+field they report is compared against these.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from quandles import CosetSpace, FiniteGroup, GroupAutomorphism, orbits, tr
+from quandles import CosetSpace, FiniteGroup, GroupAutomorphism, inn, orbits, tr
 from quandles.constructions import coset_action
 from quandles.groups import _find_rows
-from quandles.symmetry import REALIZE_CAP
+from quandles.symmetry import REALIZE_CAP, SbarReport
 
 
 @functools.lru_cache(maxsize=32)
@@ -67,12 +70,25 @@ def realization(quandle, q: int) -> TableRealization:
         (g.perms[h][sq] == sq[g.perms[h]]).all() for h in stab)
     orbit = orbits(quandle).orbit_of(q)
     checks["pi_bijective"] = sorted(pi) == list(orbit)
-    table, bad = coset_action(g, phi.mapping, cs, cs)
+    table, bad = coset_action(g, phi.mapping, cs)
     assert bad is None
     p = np.array(pi)
     checks["pi_homomorphism"] = bool((p[table] == quandle.op[p[:, None], p]).all())
     checks["pi_inverse_homomorphism"] = checks["pi_bijective"] and checks["pi_homomorphism"]
     return TableRealization(q, g, phi, stab, cs, pi, orbit, checks)
+
+
+def coset_table(g: FiniteGroup, psi, source: CosetSpace, target: CosetSpace):
+    """The table (xH, yK) -> x psi(x^-1 y)K on coset representatives, and
+    the first pair of elements (x, y) in row-major order whose coset
+    differs from the table's entry for theirs, or None: every pair of
+    elements tabulated and compared."""
+    src, tgt, t = np.asarray(source.index_of), np.asarray(target.index_of), g.table
+    x = np.arange(g.order)[:, None]
+    full = tgt[t[x, psi[t[g.inv_map[x], x.T]]]]
+    table = full[np.asarray(source.reps)[:, None], np.asarray(target.reps)]
+    bad = np.argwhere(full != table[src[:, None], tgt])
+    return table, tuple(bad[0].tolist()) if len(bad) else None
 
 
 def inter_orbit(quandle, q: int, r: int):
@@ -81,10 +97,23 @@ def inter_orbit(quandle, q: int, r: int):
     g = tr_group(quandle)
     psi = twist(g, quandle.op[q], quandle.inv_op[r])
     (cs_q, pi_q), (cs_r, pi_r) = cosets_at(g, q), cosets_at(g, r)
-    table, bad = coset_action(g, psi, cs_q, cs_r)
+    table, bad = coset_table(g, psi, cs_q, cs_r)
     p_q, p_r = np.array(pi_q), np.array(pi_r)
     checks = {"psi_closed": psi is not None, "well_defined": bad is None,
               "compatible": bool((p_r[table] == quandle.op[p_q[:, None], p_r]).all())}
     if q == r:
         checks["reduces_to_phi"] = psi.tolist() == realization(quandle, q).phi.mapping.tolist()
     return tuple(psi.tolist()), tuple(map(tuple, table.tolist())), checks
+
+
+def sbar(quandle, q: int) -> SbarReport:
+    """x -> s_x s_q^-1 into the tabulated Inn(Q): phi checked as a
+    ``GroupAutomorphism`` and x phi(y x^-1) compared through the table on
+    all n^2 pairs."""
+    g = FiniteGroup.from_permutation_group(inn(quandle))
+    phi = GroupAutomorphism(g, twist(g, quandle.op[q], quandle.inv_op[q]), check=True)
+    m = _find_rows(g.perms, quandle.op[:, quandle.inv_op[q]])
+    x, y = m[:, None], m[None, :]
+    is_hom = bool((g.table[x, phi.mapping[g.table[y, g.inv_map[x]]]] == m[quandle.op]).all())
+    fibers = tuple(tuple(np.flatnonzero(m == a).tolist()) for a in sorted(set(m.tolist())))
+    return SbarReport(q, g, tuple(m.tolist()), fibers, is_hom, all(len(f) == 1 for f in fibers))

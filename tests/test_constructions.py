@@ -83,14 +83,14 @@ def test_coset_action_finds_first_bad_pair_above_old_sampling_limit():
     real = table_route.realization(unipotent_class_quandle(11), 0)
     g, cs, phi = real.group, real.cosets, real.phi.mapping
     assert g.order == 660  # past the order (512) above which pairs were sampled
-    table, bad = coset_action(g, phi, cs, cs)
+    table, bad = coset_action(g, phi, cs)
     assert bad is None
     assert table.tolist() == _first_bad_pair(g, phi, cs)[0]
 
     psi = phi.copy()
     a, b = cs.reps[5], cs.reps[9]  # two entries in different cosets
     psi[a], psi[b] = psi[b], psi[a]
-    table, bad = coset_action(g, psi, cs, cs)
+    table, bad = coset_action(g, psi, cs)
     expected_table, expected_bad = _first_bad_pair(g, psi, cs)
     assert expected_bad is not None
     assert bad == expected_bad
@@ -99,20 +99,18 @@ def test_coset_action_finds_first_bad_pair_above_old_sampling_limit():
         phi_space(g, GroupAutomorphism(g, psi, check=False), cs.subgroup)
 
 
-def _failing_generators(g, psi, source, target):
-    """For each generator h of the source subgroup H, whether some z has
-    h psi(h^-1 z)K != psi(z)K, and for each generator k of the target
-    subgroup K, whether some z has psi(zk)K != psi(z)K: the two conditions
-    coset_action checks, by scalar products."""
-    def gens(cs):
-        return [s for s, _ in groups_module._chain(g.table, cs.subgroup, [g.identity])]
+def _failing_generators(g, psi, cs):
+    """For each generator h of the subgroup H, whether some z has
+    h psi(h^-1 z)H != psi(z)H, and whether some z has psi(zh)H != psi(z)H:
+    the two conditions coset_action checks, by scalar products."""
+    gens = [s for s, _ in groups_module._chain(g.table, cs.subgroup, [g.identity])]
 
     def coset(x):
-        return target.index_of[x]
+        return cs.index_of[x]
     zs = range(g.order)
     h_side = [any(coset(g.mul(h, psi[g.mul(g.inv(h), z)])) != coset(psi[z]) for z in zs)
-              for h in gens(source)]
-    k_side = [any(coset(psi[g.mul(z, k)]) != coset(psi[z]) for z in zs) for k in gens(target)]
+              for h in gens]
+    k_side = [any(coset(psi[g.mul(z, h)]) != coset(psi[z]) for z in zs) for h in gens]
     return h_side, k_side
 
 
@@ -135,7 +133,7 @@ def test_coset_action_matches_the_oracle_on_the_corpus_groups():
             subgroups |= {tuple(_powers(g, x)) for x in fixed}
             for sub in subgroups:
                 cs = CosetSpace(g, sub)
-                table, bad = coset_action(g, phi.mapping, cs, cs)
+                table, bad = coset_action(g, phi.mapping, cs)
                 assert bad is None, (name, sub)
                 assert table.tolist() == _first_bad_pair(g, phi.mapping, cs)[0], (name, sub)
 
@@ -160,24 +158,21 @@ def _mutated_maps(g, phi, sub):
 
 
 def test_coset_action_matches_the_oracle_on_mutated_maps():
-    # H and K are Fix(phi) and the trivial group, in every combination but
-    # two trivial groups
+    # H = Fix(phi), on both sides of the coset action
     seen = set()
     for name, g in corpus_groups():
         fixes = {phi.fixed_points(): phi for phi in all_automorphisms(g)}
         for sub, phi in fixes.items():
-            spaces = CosetSpace(g, sub), CosetSpace(g, (g.identity,))
-            for source, target in ((spaces[0], spaces[0]), spaces, spaces[::-1]):
-                for psi in _mutated_maps(g, phi, sub):
-                    table, bad = coset_action(g, psi, source, target)
-                    expected = _first_bad_pair(g, psi, source, target)
-                    assert (table.tolist(), bad) == expected, (name, sub, psi)
-                    h_side, k_side = _failing_generators(g, psi, source, target)
-                    assert (bad is None) == (not any(h_side + k_side)), (name, sub, psi)
-                    seen.add(("H only", any(h_side) and not any(k_side)))
-                    seen.add(("K only", any(k_side) and not any(h_side)))
-                    seen.add(("H past first", h_side[:1] == [False] and any(h_side)))
-                    seen.add(("K past first", k_side[:1] == [False] and any(k_side)))
+            cs = CosetSpace(g, sub)
+            for psi in _mutated_maps(g, phi, sub):
+                table, bad = coset_action(g, psi, cs)
+                assert (table.tolist(), bad) == _first_bad_pair(g, psi, cs), (name, sub, psi)
+                h_side, k_side = _failing_generators(g, psi, cs)
+                assert (bad is None) == (not any(h_side + k_side)), (name, sub, psi)
+                seen.add(("H only", any(h_side) and not any(k_side)))
+                seen.add(("K only", any(k_side) and not any(h_side)))
+                seen.add(("H past first", h_side[:1] == [False] and any(h_side)))
+                seen.add(("K past first", k_side[:1] == [False] and any(k_side)))
     assert all((case, True) in seen for case in ("H only", "K only", "H past first",
                                                   "K past first")), seen
 
@@ -188,12 +183,18 @@ def test_coset_action_matches_the_oracle_on_mutated_maps():
     (lambda: unipotent_class_quandle(7), [(0, 0), (0, 1), (0, 17), (5, 23)])],
     ids=["conj(S4)", "u7"])
 def test_coset_action_matches_the_oracle_on_inter_orbit_pairs(build, pairs):
+    # one coset space (q = r) by coset_action, two by the oracle's full scan
     quandle = build()
     g = table_route.tr_group(quandle)
+
+    def tabulate(psi, cs_q, cs_r):
+        return (coset_action(g, psi, cs_q) if cs_q is cs_r
+                else table_route.coset_table(g, psi, cs_q, cs_r))
     for q, r in pairs:
         psi = table_route.twist(g, quandle.op[q], quandle.inv_op[r])
-        cs_q, cs_r = table_route.cosets_at(g, q)[0], table_route.cosets_at(g, r)[0]
-        table, bad = coset_action(g, psi, cs_q, cs_r)
+        cs_q = table_route.cosets_at(g, q)[0]
+        cs_r = cs_q if q == r else table_route.cosets_at(g, r)[0]
+        table, bad = tabulate(psi, cs_q, cs_r)
         assert bad is None and inter_orbit_action(quandle, q, r).checks["well_defined"]
         assert table.tolist() == _first_bad_pair(g, psi, cs_q, cs_r)[0], (q, r)
         if cs_r.count == 1:   # every map is well-defined into one coset
@@ -203,7 +204,7 @@ def test_coset_action_matches_the_oracle_on_inter_orbit_pairs(build, pairs):
         wrong[0], wrong[a] = psi[a], psi[0]
         expected = _first_bad_pair(g, wrong, cs_q, cs_r)
         assert expected[1] is not None
-        table, bad = coset_action(g, wrong, cs_q, cs_r)
+        table, bad = tabulate(wrong, cs_q, cs_r)
         assert (table.tolist(), bad) == expected, (q, r)
 
 
@@ -214,13 +215,13 @@ def test_well_defined_coset_action_scans_no_rows(monkeypatch):
     def refuse(differs):
         raise AssertionError("rows scanned")
     monkeypatch.setattr(constructions, "_row_failures", refuse)
-    table, bad = coset_action(g, phi, cs, cs)
+    table, bad = coset_action(g, phi, cs)
     assert bad is None and table.shape == (cs.count, cs.count)
     assert coset_realization(unipotent_class_quandle(11), 0).ok
     psi = phi.copy()   # the control: a map that is not well-defined scans them
     psi[cs.reps[5]], psi[cs.reps[9]] = psi[cs.reps[9]], psi[cs.reps[5]]
     with pytest.raises(AssertionError, match="rows scanned"):
-        coset_action(g, psi, cs, cs)
+        coset_action(g, psi, cs)
 
 
 def test_alexander_special_cases():

@@ -113,8 +113,7 @@ def test_color_without_by_orbit_skips_the_heavy_modules(tmp_path):
     loaded = loaded_by_cli(*color)
     assert {"quandles.cli", "quandles.knots", "quandles.quandle"} <= loaded
     assert not loaded & heavy
-    assert loaded_by_cli(*color, "--by-orbit") & heavy == {"quandles.symmetry",
-                                                           "quandles.constructions"}
+    assert loaded_by_cli(*color, "--by-orbit") & heavy == {"quandles.symmetry"}
 
 
 def test_importing_the_cli_leaves_the_collector_as_it_was():

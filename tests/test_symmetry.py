@@ -769,7 +769,7 @@ def test_cycle_labels_are_formatted_on_first_read(monkeypatch):
     format_cycles = groups_module.format_cycles
     monkeypatch.setattr(groups_module, "format_cycles",
                         lambda p: calls.append(p) or format_cycles(p))
-    g = sbar_hom(d171, 0).group
+    g = FiniteGroup.from_permutation_group(inn(d171))
     regularity_report(u7)
     assert calls == []
     assert g.labels == tuple(format_cycles(p) or "()" for p in g.elements)
@@ -980,6 +980,78 @@ def test_sbar_fibers_are_equal_symmetry_classes():
 def test_sbar_is_hom_on_corpus_sample():
     for _, q in small_corpus():
         assert sbar_hom(q, 0).is_homomorphism
+
+
+def test_sbar_matches_the_table_route():
+    for name, q in small_corpus():
+        for b in range(q.size):
+            rep, oracle = sbar_hom(q, b), table_route.sbar(q, b)
+            assert rep.group.order == oracle.group.order, (name, b)
+            assert np.array_equal(rep.group.perms, oracle.group.perms), (name, b)
+            assert rep._replace(group=None) == oracle._replace(group=None), (name, b)
+
+
+def test_sbar_builds_no_group_table(tmp_path, monkeypatch):
+    quandles = {"s4": conjugation(FiniteGroup.symmetric(4)), "u7": unipotent_class_quandle(7),
+                "pc": power_cocycle(3, 2)}
+    for name, q in quandles.items():
+        (tmp_path / f"{name}.json").write_text(q.to_json())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FiniteGroup was built")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", refuse)
+    for q in quandles.values():
+        assert all(sbar_hom(q, b).ok for b in orbits(q).basepoints)
+    for argv in (["sbar", "s4.json", "--basepoint", "9"], ["sbar", "u7.json", "--json"],
+                 ["sbar", "pc.json", "--basepoint", "4", "--json"]):
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        err = io.StringIO()
+        assert run(argv, stdout=io.StringIO(), stderr=err) == 0, (argv, err.getvalue())
+
+
+def _count_twist_rows(monkeypatch):
+    calls = []
+    twist = symmetry._twist_differs
+    monkeypatch.setattr(symmetry, "_twist_differs",
+                        lambda rows, sq, op, x: calls.append(x) or twist(rows, sq, op, x))
+    return calls
+
+
+def test_sbar_checks_one_row_of_a_trivial_quandle(monkeypatch):
+    # every element is in the one fiber, whose least element alone is compared
+    calls = _count_twist_rows(monkeypatch)
+    rep = sbar_hom(trivial(64), 5)
+    assert rep.ok and rep.fibers == (tuple(range(64)),)
+    assert calls == [0]
+    calls.clear()
+    rep = sbar_hom(power_cocycle(3, 2), 4)   # three fibers, led by 0, 3 and 6
+    assert rep.ok and sorted(f[0] for f in rep.fibers) == [0, 3, 6]
+    assert set(calls) <= {0, 3, 6} and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("build", [lambda: unipotent_class_quandle(11),
+                                   lambda: conjugation(FiniteGroup.symmetric(4))],
+                         ids=["u11", "conj(S4)"])
+def test_a_wrong_twist_fails_sbar(monkeypatch, build):
+    # phi by s_1 in place of s_0, with the map x -> s_x s_0^-1 kept
+    q = build()
+    assert sbar_hom(q, 0).ok
+    twist = symmetry._twist_differs
+    monkeypatch.setattr(symmetry, "_twist_differs",
+                        lambda rows, sq, op, x: twist(rows, q.op[1], op, x))
+    assert not sbar_hom(q, 0).ok
+
+
+def test_sbar_refuses_inn_past_the_table_limit_before_listing_it(monkeypatch):
+    # |Inn(R_2049)| = 4098: the order is read off the chain
+    def refuse(self):
+        raise AssertionError("the elements were listed")
+
+    monkeypatch.setattr(groups_module.PermutationGroup, "perms", property(refuse))
+    with pytest.raises(groups_module.CapExceeded, match="^group order 4098 exceeds the limit "
+                       "of 4096 elements for a multiplication table$"):
+        sbar_hom(dihedral(2049), 0)
 
 
 def _saturation_by_images(q, seed):
