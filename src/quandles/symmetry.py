@@ -480,8 +480,7 @@ def sbar_hom(quandle: FiniteQuandle, basepoint: int,
     m = _find_rows(g.perms, rows)
     fibers = tuple(tuple(np.flatnonzero(m == a).tolist())   # np.unique would
                    for a in np.flatnonzero(np.bincount(m)))   # import numpy.ma
-    lead = np.zeros(quandle.size, dtype=bool)
-    lead[[f[0] for f in fibers]] = True
-    twist = _row_failures(lambda x: _twist_differs(rows, op[q], op, x) if lead[x] else ())
+    lead = {f[0] for f in fibers}
+    twist = _row_failures(lambda x: _twist_differs(rows, op[q], op, x) if x in lead else ())
     return SbarReport(q, g, tuple(m.tolist()), fibers, next(_check_rows(twist, op), None) is None,
                       all(len(f) == 1 for f in fibers))

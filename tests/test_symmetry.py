@@ -956,7 +956,8 @@ def test_tuple_views_are_built_on_first_read_only(monkeypatch):
         groups = [inn(q), tr(q), aut(dihedral(6))]
         groups += [coset_realization(q, b).group for b in orbits(q).basepoints]
         assert regularity_report(u7).phi_prime
-        groups += [symmetry._tr(u7, symmetry.REALIZE_CAP), sbar_hom(d171, 0).group]
+        groups += [symmetry._tr(u7, symmetry.REALIZE_CAP), sbar_hom(d171, 0).group,
+                   FiniteGroup.from_permutation_group(inn(d171))]
         assert groups[2].is_transitive()
     assert reads == []
     for g in groups:
@@ -1010,17 +1011,11 @@ def test_sbar_builds_no_group_table(tmp_path, monkeypatch):
         assert run(argv, stdout=io.StringIO(), stderr=err) == 0, (argv, err.getvalue())
 
 
-def _count_twist_rows(monkeypatch):
-    calls = []
-    twist = symmetry._twist_differs
-    monkeypatch.setattr(symmetry, "_twist_differs",
-                        lambda rows, sq, op, x: calls.append(x) or twist(rows, sq, op, x))
-    return calls
-
-
 def test_sbar_checks_one_row_of_a_trivial_quandle(monkeypatch):
     # every element is in the one fiber, whose least element alone is compared
-    calls = _count_twist_rows(monkeypatch)
+    calls, twist = [], symmetry._twist_differs
+    monkeypatch.setattr(symmetry, "_twist_differs",
+                        lambda rows, sq, op, x: calls.append(x) or twist(rows, sq, op, x))
     rep = sbar_hom(trivial(64), 5)
     assert rep.ok and rep.fibers == (tuple(range(64)),)
     assert calls == [0]
