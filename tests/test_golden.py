@@ -5,7 +5,8 @@ subcommand through ``cli.run`` and compares the sha256 of stdout with a
 digest recorded before the group layer was rewritten (the conj(S5) cases
 before the realization moved onto the stabilizer chain, and its ``sbar``
 cases and those on non-injective carriers while ``sbar`` still tabulated
-Inn(Q)).  The ``orbits``,
+Inn(Q)); the ``realize`` digests on u13, trivial(3) and dihedral(4) were
+recorded while ``realize --json`` still built Tr(Q)'s whole table.  The ``orbits``,
 ``survey``, ``color``, ``make phi_space``/``make vedernikov`` and
 inter-orbit digests were recorded before the realization code was merged
 into one coset action, and the ``make unipotent_class`` digests for p < 13
@@ -42,6 +43,13 @@ OTHER_BASEPOINT = {"u7": 5, "u11": 17, "conj_s4": 9, "d5": 3}
 # coordinate only and trivial(4)'s are all the identity
 SBAR_CARRIERS = {"pc32": lambda: power_cocycle(3, 2), "t4": lambda: trivial(4)}
 SBAR_BASEPOINTS = {"pc32": (0, 4), "t4": (0,)}
+
+# carriers read by realize alone: u13's table of Tr (order 1092) is written in
+# many row blocks, trivial(3)'s Tr is the trivial group, whose chain has no
+# base point, and dihedral(4)'s Tr is not transitive
+REALIZE_CARRIERS = {"u13": lambda: unipotent_class_quandle(13), "t3": lambda: trivial(3),
+                    "d4": lambda: dihedral(4)}
+REALIZE_BASEPOINTS = {"u13": (0,), "t3": (0, 2), "d4": (0, 1)}
 
 
 def _s3_conjugation_by_1() -> list:
@@ -224,6 +232,16 @@ DIGESTS = {
         "1a24629e70fd37d75dbefcfaeda7e1bdf56956ba6b0d923f2aac431736660670",
     "conj_s5:sbar:33":
         "b2c35f25dd5778c77d33ab0865e7afc5bedf1fd01c92262ac988b5bba661aab5",
+    "u13:realize:0":
+        "1d8da2b0740748c7747d4bbfcd79dd43e4f1ba3450ee811f6db2a2c4b0c6fbe1",
+    "t3:realize:0":
+        "73d186c443054c52ca134e7eef466a40d1a4866fcd0b56a7f76827e525204f55",
+    "t3:realize:2":
+        "b2f482025a6996b523dde31559f1b2e4f9b4e2da119799571e75af709ceab8cb",
+    "d4:realize:0":
+        "ef88e8c4d761ed097b70bda2dc1463bf31dce8b221b019cd14239273d3d73863",
+    "d4:realize:1":
+        "cd30b226bc2db21e93dc782251a59c0d7b0929290e0fa8d1f2edd57f8a26d2f8",
 }
 
 
@@ -250,6 +268,10 @@ def _argvs():
     for name, basepoints in SBAR_BASEPOINTS.items():
         for bp in basepoints:
             yield f"{name}:sbar:{bp}", name, ["sbar", "FILE", "--basepoint", str(bp), "--json"]
+    for name, basepoints in REALIZE_BASEPOINTS.items():
+        for bp in basepoints:
+            yield f"{name}:realize:{bp}", name, ["realize", "FILE", "--basepoint", str(bp),
+                                                 "--json"]
 
 
 CASES = list(_argvs())
@@ -264,7 +286,7 @@ S5_CASES = [("conj_s5:report", ["report", "FILE", "--json"])] + [
 def quandle_json(name: str) -> str:
     if name == "conj_s5":
         return conjugation(FiniteGroup.symmetric(5)).to_json()
-    return {**QUANDLES, **SBAR_CARRIERS}[name]().to_json()
+    return {**QUANDLES, **SBAR_CARRIERS, **REALIZE_CARRIERS}[name]().to_json()
 
 
 def _path(tmp_path, token: str) -> str:
