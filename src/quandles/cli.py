@@ -23,8 +23,8 @@ try:
     from pathlib import Path
 
     from . import knots
-    from .groups import (FiniteGroup, GroupAutomorphism, GroupError,
-                         NotAnAutomorphism, parse_cycles, parse_generator_lines)
+    from .groups import (FiniteGroup, GroupAutomorphism, GroupError, NotAnAutomorphism,
+                         cycle_labels, parse_cycles, parse_generator_lines)
     from .quandle import FiniteQuandle, InvalidQuandleError, QuandleError, _json_chunks
 except BaseException:
     if _gc_was_enabled:
@@ -271,13 +271,14 @@ def _cmd_realize(args, out, err) -> int:
     q = _load_quandle(args.quandle)
     cap = _closure_cap(symmetry.REALIZE_CAP, args)
     real = symmetry.coset_realization(q, args.basepoint, cap=cap)
-    if args.json:   # the table is built for "group" alone; past MAX_GROUP_ORDER it is refused
-        group, b = FiniteGroup.from_permutation_group(real.group), real.basepoint
-        stabilizer, reps, pi = symmetry._cosets(group.perms, b)
+    if args.json:   # G's table and labels are written a block of rows at a time
+        g, b = real.group, real.basepoint
+        mul = g.table_rows()   # past MAX_GROUP_ORDER, refused before a byte is written
+        stabilizer, reps, pi = symmetry._cosets(g.perms, b)
         _print_json({
             "basepoint": b,
-            "group": group._fields(),
-            "phi": symmetry._psi(q, group.perms, b, b).tolist(),
+            "group": {"labels": cycle_labels(g.perms), "mul": mul, "order": g.order},
+            "phi": symmetry._psi(q, g, b, b).tolist(),
             "stabilizer": stabilizer.tolist(),
             "coset_reps": reps.tolist(),
             "pi": pi.tolist(),

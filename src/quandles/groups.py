@@ -80,6 +80,43 @@ def perm_cycles(p: Sequence[int], include_fixed: bool = False) -> list[tuple[int
     return cycles
 
 
+def cycle_labels(perms: np.ndarray):
+    """The cycle notation of each row of ``perms``, as ``format_cycles`` writes
+    it ("()" for the identity), as an iterator of lists of labels, a block of
+    about ``_BATCH_ENTRIES`` / 2 points at a time: no list of all of them is
+    held.  A block is written at once, on int32 indices of its points: each
+    point's cycle minimum is found by pointer jumping, and every cycle is
+    walked from its minimum, all of them together.  Each point becomes "(" at
+    a cycle's start, then its digits, then " " or ")"."""
+    m = perms.shape[1]
+    width = len(str(max(m - 1, 0)))
+    digits = np.arange(m).astype(f"S{width}").view(np.uint8).reshape(m, width)
+    for a in range(0, len(perms), step := max(1, _BATCH_ENTRIES // 2 // max(m, 1))):
+        rows = perms[a:a + step]
+        nxt = rows.astype(np.int32)
+        nxt += np.arange(len(rows), dtype=np.int32)[:, None] * np.int32(m)
+        nxt = nxt.ravel()
+        low = point = np.arange(len(nxt), dtype=np.int32)
+        jump = nxt
+        while not np.array_equal(low, fall := np.minimum(low, low[jump])):
+            low, jump = fall, jump[jump]
+        first = np.flatnonzero((low == point) & (nxt != point))   # of each cycle, in order
+        length = np.bincount(low, minlength=len(nxt))[first]
+        at = np.cumsum(length) - length   # where each cycle's points start
+        walked = np.empty(int(length.sum()), dtype=np.int32)
+        cur, place, left = first, at, length
+        while len(cur):
+            walked[place] = cur
+            live = left > 1
+            cur, place, left = nxt[cur[live]], place[live] + 1, left[live] - 1
+        text = np.zeros((len(walked), width + 2), dtype=np.uint8)
+        text[:, 1:-1], text[:, -1] = digits[walked % m], ord(" ")
+        text[at, 0], text[at + length - 1, -1] = ord("("), ord(")")
+        ends = np.searchsorted(walked // m, np.arange(len(rows) + 1)) * (width + 2)
+        text = text.tobytes()
+        yield [text[b:e].replace(b"\0", b"").decode() or "()" for b, e in zip(ends, ends[1:])]
+
+
 def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
     """Multiset of cycle lengths (fixed points included), sorted."""
     return tuple(sorted(len(c) for c in perm_cycles(p, include_fixed=True)))
@@ -208,7 +245,8 @@ def walk(maps, roots: Iterable[int], reached: np.ndarray | None = None, rows=Non
         fresh = (~reached[images]).nonzero()[0]
         if not len(fresh):
             break
-        met = fresh[np.sort(np.unique(images[fresh], return_index=True)[1])]
+        met = fresh if len(fresh) == 1 else fresh[np.sort(np.unique(images[fresh],
+                                                                  return_index=True)[1])]
         out[:, c:c + len(met)] = images[met], level[met // k], met % k
         level = out[0, c:c + len(met)]
         c += len(met)
@@ -351,15 +389,6 @@ def _keys(rows: np.ndarray, dtype) -> np.ndarray:
     be = np.ascontiguousarray(rows, dtype=np.dtype(dtype).newbyteorder(">"))
     width = be.itemsize * be.shape[1]
     return be.view(f"V{width}").ravel() if width else np.zeros(len(be), dtype="V1")
-
-
-def _find_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Index of each row of ``images`` among the strictly increasing rows of
-    ``rows``, or -1 where it is missing; one sorted search.  Entries of
-    ``images`` must fit the dtype of ``rows``."""
-    keys, q = _keys(rows, rows.dtype), _keys(images, rows.dtype)
-    at = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-    return np.where(keys[at] == q, at, -1)
 
 
 class GeneratorRows:
@@ -704,6 +733,80 @@ class PermutationGroup:
                 -1, self.domain_size)
         return _read_only(perms[np.argsort(_keys(perms, perms.dtype))])
 
+    @functools.cached_property
+    def _sift(self) -> tuple[list, list, np.ndarray]:
+        """What ``rank`` reads, for a chain of k levels: the places of levels
+        1..k-1 in their basic orbits (0 off them); the inverses of the
+        transversals of levels 1..k-2, flat; and levels k-1 and k folded into
+        one table, of ``_point_dtype(order)``: row f = (i_1, ..., i_{k-1}), an
+        index in the product order that ``perms`` lists before it sorts, maps
+        a point p to the index in ``perms`` of (i_1, ..., i_{k-1}, the place
+        of u_{i_{k-1}}^-1 (p) in the k-th basic orbit).  That table is built
+        as those product indices, mapped through the sort once the elements'
+        own product indices are read off it."""
+        levels, dtype = self._levels, _point_dtype(self.order)
+        if not levels:   # the trivial group: one element
+            return [], [], np.zeros(1, dtype=dtype)
+        at = [np.maximum(level.at, 0) for level in levels]
+        inv = [_inverse_rows(level.rows(np.arange(len(level.orbit)))) for level in levels[:-1]]
+        last = np.take(at[-1].astype(dtype), inv.pop() if inv else np.arange(self.domain_size))
+        last = np.tile(last, (math.prod(map(len, inv)) if inv else 1, 1)).reshape(-1)
+        last += np.repeat(np.arange(0, self.order, len(levels[-1].orbit), dtype=dtype),
+                          self.domain_size)   # + f |k-th orbit| at row f
+        sift = at[:-1], [u.ravel() for u in inv], last
+        place = np.empty(self.order, dtype=dtype)
+        place[self._product_index(self.base_images(self.perms), sift)] = np.arange(self.order)
+        return sift[0], sift[1], place[last]
+
+    def _product_index(self, images: np.ndarray, sift) -> np.ndarray:
+        """The entry of the folded table of ``sift`` (``_sift``, or the table
+        before it is mapped through the sort) at each element g whose base
+        images are read down the first axis of ``images``, as ``base_images``
+        lays them out: g's sift coordinates are i_1 = the place of g(b_1) in
+        the first basic orbit, i_2 that of u_{i_1}^-1 g(b_2) in the second,
+        and so on, read down to the last two levels, which the table reads at
+        once.  (i_1, ..., i_k), i_1 first, is g's index in the product order."""
+        at, inv, last = sift
+        if not self._levels:
+            return np.zeros(images.shape[1:], dtype=last.dtype)
+        img, m = images.astype(np.intp) if inv else images, self.domain_size   # divided in place
+        flat = 0
+        for k, places in enumerate(at):
+            i = np.take(places, img[k])
+            flat = i if k == 0 else flat * len(self._levels[k].orbit) + i
+            if k < len(inv):   # the later base images under u_{i_k}^-1
+                rest = img[k + 1:]
+                rest += i * m
+                img[k + 1:] = np.take(inv[k], rest)
+        return np.take(last, flat * m + img[-1] if at else img[-1])
+
+    def rank(self, images) -> np.ndarray:
+        """The index in ``perms`` of each element g of the group whose base
+        images g(b_1), ..., g(b_k) are read down the first axis of ``images``
+        (``base_images``), found from its sift coordinates (``_product_index``)
+        with no search over whole rows, in the dtype of ``_point_dtype(order)``.
+        A permutation outside the group gets some index; its row in ``perms``
+        then differs from it."""
+        return self._product_index(np.asarray(images), self._sift)
+
+    def base_images(self, rows: np.ndarray) -> np.ndarray:
+        """The images of the base points under the permutations ``rows``, those
+        of b_k at [k - 1]: what ``rank`` reads."""
+        return np.moveaxis(rows[..., [level.base for level in self._levels]], -1, 0)
+
+    def table_rows(self):
+        """The multiplication table of ``perms``, row x holding the index of
+        x o y at y, as an iterator of blocks of rows, about ``_BATCH_ENTRIES``
+        base images each, ranked by the base images x[B[y]] of x o y, B[y]
+        those of y.  The order
+        is refused past ``MAX_GROUP_ORDER`` by this call, before anything is
+        listed."""
+        _check_order(n := self.order)
+        perms, step = self.perms, _batch(n * max(len(self._levels), 1))
+        images = self.base_images(perms)
+        return (self.rank(np.moveaxis(np.take(perms[a:a + step], images, axis=1), 1, 0))
+                for a in range(0, n, step))
+
     def __contains__(self, p) -> bool:
         p = tuple(p)
         return (len(p) == self.domain_size and is_permutation(p)
@@ -803,7 +906,7 @@ class FiniteGroup:
     @property
     def labels(self) -> tuple[str, ...] | None:
         if self._labels is None and self.perms is not None:
-            self._labels = tuple(format_cycles(p.tolist()) or "()" for p in self.perms)
+            self._labels = tuple(itertools.chain.from_iterable(cycle_labels(self.perms)))
         return self._labels
 
     @functools.cached_property
@@ -851,21 +954,17 @@ class FiniteGroup:
 
     @classmethod
     def from_permutation_group(cls, grp: PermutationGroup) -> "FiniteGroup":
-        """The table of the sorted ``grp.perms`` by ``_cayley_table``, along
-        the left translations p -> s o p = s[p] by the generators ``used``,
-        which generate the group, each image found among the keys of the
-        elements a row batch at a time.  The identity, the least
-        permutation, is element 0.  The order, read off the chain, is
-        checked before the elements are listed."""
-        _check_order(n := grp.order)
-        perms = grp.perms
-        keys, left = _keys(perms, perms.dtype), np.empty((len(grp.used), n), dtype=np.int64)
-        for s, row in zip(grp.gens[grp.used], left):
-            for a in range(0, n, step := _batch(grp.domain_size)):
-                images = s[perms[a:a + step]]
-                row[a:a + step] = np.searchsorted(keys, _keys(images, perms.dtype))
-        del keys
-        return cls(*_cayley_table(left, 0), 0, perms=perms)
+        """The table of the sorted ``grp.perms``: the blocks of
+        ``grp.table_rows``, stacked, and each inverse read off its row.  The
+        identity, the least permutation, is element 0.  The order, read off
+        the chain, is checked before the elements are listed."""
+        rows = grp.table_rows()
+        table = np.empty((n := grp.order, n), dtype=_point_dtype(n))
+        inv, a = np.empty(n, dtype=table.dtype), 0
+        for block in rows:
+            table[a:a + len(block)], inv[a:a + len(block)] = block, (block == 0).argmax(axis=1)
+            a += len(block)
+        return cls(table, inv, 0, perms=grp.perms)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":

@@ -24,6 +24,7 @@ import json
 import os
 import re
 import zlib
+from collections.abc import Iterator
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -206,48 +207,69 @@ class FiniteQuandle:
 
 def _json_chunks(obj):
     """The canonical JSON text of ``obj`` (sorted keys, compact separators), in
-    chunks.  A dict holding a dict or an array is written key by key (its keys
-    are strings), and a nonempty 2-D uint8 or uint16 array (every table the
-    program writes) by ``_table_chunks``; rows formed where read (a
-    ``groups.GeneratorRows``) are formed first.  Any other value is one
-    ``json.dumps``, which keeps its escaping and number format."""
+    chunks.  A dict holding a dict, an array or an iterator is written key by
+    key (its keys are strings), a nonempty 2-D uint8 or uint16 array (every
+    table the program writes) by ``_table_chunks``, and an iterator as one
+    array, a block at a time: blocks of a table's rows (2-D arrays, as
+    ``groups.PermutationGroup.table_rows`` yields them) by ``_table_chunks``,
+    or lists of items.  Rows formed where read (a ``groups.GeneratorRows``)
+    are formed first.  Any other value is one ``json.dumps``, which keeps its
+    escaping and number format."""
     obj = np.asarray(obj) if isinstance(obj, GeneratorRows) else obj
     if (isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.size
             and obj.dtype in _TABLE_DTYPES):
-        yield from _table_chunks(obj)
-    elif isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray, GeneratorRows))
+        yield from _table_chunks([obj])
+    elif isinstance(obj, Iterator):
+        first = next(obj, None)
+        if isinstance(first, np.ndarray):
+            yield from _table_chunks(itertools.chain([first], obj))
+            return
+        items = False   # a list block is written as the items of its json.dumps
+        yield "["
+        for block in () if first is None else itertools.chain([first], obj):
+            if block:
+                yield ("," if items else "") + _dumps(block)[1:-1]
+                items = True
+        yield "]"
+    elif isinstance(obj, dict) and any(isinstance(v, (dict, np.ndarray, GeneratorRows, Iterator))
                                        for v in obj.values()):
         for i, key in enumerate(sorted(obj)):
             yield ("," if i else "{") + json.dumps(key) + ":"
             yield from _json_chunks(obj[key])
         yield "}"
     else:
-        obj = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        yield json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        yield _dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj)
 
 
-def _table_chunks(a: np.ndarray):
-    """The JSON text of the table ``a``, ``JSON_BLOCK_ENTRIES`` entries of whole rows
-    at a time.  For v = 0..max, ``tok[v]`` is the digits of v, NUL padding and a
-    comma, and ``end[v]`` the same with "]" for the last entry of a row.  A block
-    is b",[" and the tokens of each row: its bytes, less the NULs, read ",[0,1],[1,0]"."""
-    m, n = int(a.max()) + 1, a.shape[1]
-    width = len(str(m - 1))
-    digits = np.full((2, m, width + 1), ord(","), np.uint8)
-    digits[:, :, :width] = np.arange(m).astype(f"S{width}")[:, None].view(np.uint8)
-    digits[1, :, width] = ord("]")
-    tok, end = digits.view(f"S{width + 1}")[..., 0]
-    step = max(1, JSON_BLOCK_ENTRIES // n)
-    buf = np.empty((min(step, len(a)), n + 1), tok.dtype)
-    buf[:, 0] = b",["
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _table_chunks(blocks):
+    """The JSON text of the table whose rows are those of the 2-D arrays
+    ``blocks``, ``JSON_BLOCK_ENTRIES`` entries of whole rows at a time.  For
+    v = 0..max, ``tok[v]`` is the digits of v, NUL padding and a comma, and
+    ``end[v]`` the same with "]" for the last entry of a row; they are built
+    again only when a block holds a larger entry.  A block is b",[" and the
+    tokens of each row: its bytes, less the NULs, read ",[0,1],[1,0]"."""
+    tok, first = np.empty(0, "S1"), True
     yield "["
-    for i in range(0, len(a), step):
-        rows = a[i:i + step]
-        block = buf[:len(rows)]
-        np.take(tok, rows[:, :-1], out=block[:, 1:-1])
-        block[:, -1] = end[rows[:, -1]]
-        text = block.tobytes().replace(b"\0", b"").decode()
-        yield text if i else text[1:]
+    for a in blocks:
+        for i in range(0, len(a), step := max(1, JSON_BLOCK_ENTRIES // a.shape[1])):
+            rows = a[i:i + step]
+            if (m := int(rows.max()) + 1) > len(tok):
+                width = len(str(m - 1))
+                digits = np.full((2, m, width + 1), ord(","), np.uint8)
+                digits[:, :, :width] = np.arange(m).astype(f"S{width}")[:, None].view(np.uint8)
+                digits[1, :, width] = ord("]")
+                tok, end = digits.view(f"S{width + 1}")[..., 0]
+            block = np.empty((len(rows), rows.shape[1] + 1), tok.dtype)
+            block[:, 0] = b",["
+            np.take(tok, rows[:, :-1], out=block[:, 1:-1])
+            block[:, -1] = end[rows[:, -1]]
+            text = block.tobytes().replace(b"\0", b"").decode()
+            yield text[1:] if first else text
+            first = False
     yield "]"
 
 

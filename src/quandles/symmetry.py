@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .groups import (DEFAULT_CAP, CapExceeded, PermutationGroup, _batch, _check_order,
-                     _check_rows, _compose_rows, _find_rows, _first_residue, _inverse_rows,
+                     _check_rows, _compose_rows, _first_residue, _inverse_rows,
                      _perm_rows, _point_dtype, _read_only, _row_failures, _tree_blocks, close,
                      cycle_type, table_automorphisms, table_isomorphisms, walk)
 from .quandle import FiniteQuandle, QuandleError, _distributivity_failures
@@ -300,10 +300,17 @@ def _check_basepoint(quandle: FiniteQuandle, q: int) -> int:
     return q
 
 
-def _psi(quandle: FiniteQuandle, perms: np.ndarray, q: int, r: int) -> np.ndarray:
-    """Index in the sorted listing ``perms`` of s_q p s_r^-1 for each of its
-    rows p, or -1 where that is not listed."""
-    return _find_rows(perms, quandle.op[q][perms[:, _sinv(quandle, r)]])
+def _psi(quandle: FiniteQuandle, grp: PermutationGroup, q: int, r: int) -> np.ndarray:
+    """Index in ``grp.perms`` of s_q p s_r^-1 for each element p, by
+    ``grp.rank`` of its base images s_q p s_r^-1 (b), or -1 where it is not in
+    the group: where the row ranked differs from it (a sift residue other than
+    the identity), compared a ``_batch`` of rows at a time."""
+    perms, sq, sr_inv = grp.perms, quandle.op[q], _sinv(quandle, r)
+    psi = grp.rank(sq[perms[:, grp.base_images(sr_inv)].T]).astype(np.int64)
+    for a in range(0, len(perms), step := _batch(quandle.size)):
+        rows = sq[perms[a:a + step][:, sr_inv]]
+        psi[a:a + step][(rows != perms[psi[a:a + step]]).any(axis=1)] = -1
+    return psi
 
 
 def _cosets(perms: np.ndarray, q: int):
@@ -417,7 +424,7 @@ def inter_orbit_action(quandle: FiniteQuandle, q: int, r: int) -> InterOrbitRepo
     _check_basepoint(quandle, q)
     _check_basepoint(quandle, r)
     g = _tr(quandle, REALIZE_CAP)
-    psi = _psi(quandle, g.perms, q, r)
+    psi = _psi(quandle, g, q, r)
     checks: dict = {"psi_closed": bool((psi >= 0).all())}
     if not checks["psi_closed"]:
         raise QuandleError("s_q g s_r^-1 left the transvection group")
@@ -453,34 +460,40 @@ class SbarReport(NamedTuple):
         return self.is_homomorphism
 
 
-def _twist_differs(rows: np.ndarray, sq: np.ndarray, op: np.ndarray, x: int) -> np.ndarray:
+def _twist_differs(rows: np.ndarray, sq: np.ndarray, op: np.ndarray, x: int,
+                   ys: np.ndarray) -> np.ndarray:
     """Whether a s_q b a^-1 s_q^-1 = a phi(b a^-1) differs from m(x |> y), for
-    each y: a = m(x) and b = m(y) rows of ``rows``, a ``_batch`` of b at a time."""
+    each y of ``ys``: a = m(x) and b = m(y) rows of ``rows``, a ``_batch`` of b
+    at a time."""
     left, right = rows[x][sq], _inverse_rows(sq[rows[x]][None])[0]   # a s_q, a^-1 s_q^-1
     step = _batch(rows.shape[1])
-    return np.concatenate([(left[rows[j:j + step][:, right]] != rows[op[x, j:j + step]]).any(axis=1)
-                           for j in range(0, len(rows), step)])
+    return np.concatenate([(left[rows[y][:, right]] != rows[op[x, y]]).any(axis=1)
+                           for y in (ys[j:j + step] for j in range(0, len(ys), step))])
 
 
 def sbar_hom(quandle: FiniteQuandle, basepoint: int,
              cap: int = DEFAULT_CAP) -> SbarReport:
     """Map each element x to m(x) = s_x s_q^-1 in G = Inn(Q), held as its
     ``PermutationGroup``: its order, read off the chain, is refused past
-    ``MAX_GROUP_ORDER`` before the |G| x n listing that indexes m.  phi is
-    inner (s_q lies in G), so it needs no automorphism check.  m(x) s_q m(y)
-    m(x)^-1 s_q^-1 = m(x |> y) is compared on permutation rows, row x by
-    ``_check_rows`` as in ``hom_check`` (the rows that pass are closed under
-    |>), and only at the least x of each fiber, as row x depends on x only
-    through s_x.  The fibers are the classes of elements with equal symmetries.
+    ``MAX_GROUP_ORDER`` before the |G| x n listing that ``rank`` reads m off,
+    by base images.  phi is inner (s_q lies in G), so it needs no automorphism
+    check.  m(x) s_q m(y) m(x)^-1 s_q^-1 = m(x |> y) is compared on
+    permutation rows, row x by ``_check_rows`` as in ``hom_check`` (the rows
+    that pass are closed under |>), and only at the least x and the least y of
+    each fiber, as both sides depend on x and y only through s_x and s_y
+    (s_{x |> y} = s_x s_y s_x^-1).  The fibers are the classes of elements with
+    equal symmetries.
     """
     q = _check_basepoint(quandle, basepoint)
     g, op = inn(quandle, cap=cap), quandle.op
     _check_order(g.order)
     rows = op[:, _sinv(quandle, q)]   # row x: m(x)
-    m = _find_rows(g.perms, rows)
+    m = g.rank(g.base_images(rows))
     fibers = tuple(tuple(np.flatnonzero(m == a).tolist())   # np.unique would
                    for a in np.flatnonzero(np.bincount(m)))   # import numpy.ma
-    lead = {f[0] for f in fibers}
-    twist = _row_failures(lambda x: _twist_differs(rows, op[q], op, x) if x in lead else ())
+    lead = np.array([f[0] for f in fibers])
+    leads = set(lead.tolist())
+    twist = _row_failures(lambda x: _twist_differs(rows, op[q], op, x, lead)
+                          if x in leads else ())
     return SbarReport(q, g, tuple(m.tolist()), fibers, next(_check_rows(twist, op), None) is None,
                       all(len(f) == 1 for f in fibers))

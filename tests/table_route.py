@@ -2,7 +2,9 @@
 tests' oracles.
 
 Tr(Q) is built as an explicit ``FiniteGroup`` with its |G|^2 multiplication
-table; phi is checked as a ``GroupAutomorphism`` on it, the cosets of the
+table, walked along the Cayley graph (``cayley_table``, the route
+``FiniteGroup.from_permutation_group`` took before it ranked the table's
+rows through the stabilizer chain); phi is checked as a ``GroupAutomorphism`` on it, the cosets of the
 stabilizer are a ``CosetSpace`` and the coset operation is tabulated by
 ``coset_action`` (between two coset spaces, by ``coset_table``).  This is
 how ``symmetry.coset_realization`` and ``symmetry.inter_orbit_action``
@@ -20,19 +22,41 @@ import numpy as np
 
 from quandles import CosetSpace, FiniteGroup, GroupAutomorphism, inn, orbits, tr
 from quandles.constructions import coset_action
-from quandles.groups import _find_rows
+from quandles.groups import _cayley_table
 from quandles.symmetry import REALIZE_CAP, SbarReport
+
+
+def find_rows(perms: np.ndarray, rows) -> np.ndarray:
+    """Index of each of ``rows`` among the rows of ``perms``, or -1 where it
+    is missing: a dict of the rows' bytes, with no group structure used."""
+    index = {p.tobytes(): i for i, p in enumerate(perms)}
+    rows = np.ascontiguousarray(rows, dtype=perms.dtype)
+    return np.array([index.get(r.tobytes(), -1) for r in rows], dtype=np.int64)
+
+
+def cayley_table(grp) -> tuple[np.ndarray, np.ndarray]:
+    """The table and inverse map of the sorted ``grp.perms`` by the walk of
+    the Cayley graph from the identity (``groups._cayley_table``), along the
+    left translations p -> s o p by the generators ``grp.used``."""
+    perms = grp.perms
+    left = [find_rows(perms, s[perms]) for s in grp.gens[grp.used]]
+    return _cayley_table(np.array(left).reshape(-1, len(perms)), 0)
+
+
+def table_group(grp) -> FiniteGroup:
+    """``grp`` as a ``FiniteGroup`` on its ``cayley_table``."""
+    return FiniteGroup(*cayley_table(grp), 0, perms=grp.perms)
 
 
 @functools.lru_cache(maxsize=32)
 def tr_group(quandle) -> FiniteGroup:
-    return FiniteGroup.from_permutation_group(tr(quandle, cap=REALIZE_CAP))
+    return table_group(tr(quandle, cap=REALIZE_CAP))
 
 
 def twist(g: FiniteGroup, left, right):
     """Element indices of left o p o right for every element p of ``g``, in
     element order, or None if one of them leaves the group."""
-    out = _find_rows(g.perms, np.asarray(left)[g.perms[:, np.asarray(right)]])
+    out = find_rows(g.perms, np.asarray(left)[g.perms[:, np.asarray(right)]])
     return None if (out < 0).any() else out
 
 
@@ -110,9 +134,9 @@ def sbar(quandle, q: int) -> SbarReport:
     """x -> s_x s_q^-1 into the tabulated Inn(Q): phi checked as a
     ``GroupAutomorphism`` and x phi(y x^-1) compared through the table on
     all n^2 pairs."""
-    g = FiniteGroup.from_permutation_group(inn(quandle))
+    g = table_group(inn(quandle))
     phi = GroupAutomorphism(g, twist(g, quandle.op[q], quandle.inv_op[q]), check=True)
-    m = _find_rows(g.perms, quandle.op[:, quandle.inv_op[q]])
+    m = find_rows(g.perms, quandle.op[:, quandle.inv_op[q]])
     x, y = m[:, None], m[None, :]
     is_hom = bool((g.table[x, phi.mapping[g.table[y, g.inv_map[x]]]] == m[quandle.op]).all())
     fibers = tuple(tuple(np.flatnonzero(m == a).tolist()) for a in sorted(set(m.tolist())))

@@ -262,6 +262,71 @@ def test_realize_past_the_table_limit(tmp_path):
                         "for a multiplication table")
 
 
+def test_realize_json_refuses_past_the_limit_before_listing_or_writing(tmp_path, monkeypatch):
+    # |Tr(u23)| = 6072: the refusal is read off the chain, before the elements
+    # are listed and before the first byte of the answer
+    from quandles import groups, unipotent_class_quandle
+
+    def refuse(self):
+        raise AssertionError("the elements were listed")
+
+    path = write(tmp_path, "u23.json", unipotent_class_quandle(23).to_json())
+    monkeypatch.setattr(groups.PermutationGroup, "perms", property(refuse))
+    _assert_input_error(["realize", path, "--basepoint", "3", "--json"],
+                        "group order 6072 exceeds the limit of 4096 elements")
+
+
+class _Digest:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        import hashlib
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+
+    def writelines(self, chunks):
+        for text in chunks:
+            self.write(text)
+
+
+def test_realize_json_writes_the_group_table_with_no_order_by_order_array(tmp_path,
+                                                                          monkeypatch):
+    # Tr(u13) has order 1092: its table, 2.4 MB as uint16, is written a block
+    # of rows at a time, with the table builders patched to raise and the
+    # traced peak below the size of that table
+    import tracemalloc
+
+    from quandles import groups, unipotent_class_quandle
+    from test_golden import DIGESTS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group table was built")
+
+    monkeypatch.setattr(groups, "_cayley_table", refuse)
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", refuse)
+    path = write(tmp_path, "u13.json", unipotent_class_quandle(13).to_json())
+    out, err = _Digest(), io.StringIO()
+    tracemalloc.start()
+    try:
+        code = run(["realize", path, "--json"], stdout=out, stderr=err)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err.getvalue()
+    assert out.sha.hexdigest() == DIGESTS["u13:realize:0"]
+    assert peak < 1092 * 1092 * 2
+
+
+def test_realize_json_of_a743_streams_its_table(a743_json):
+    # |Tr| = 2401 on 2401 points: 142 MB when the whole table, its labels and
+    # phi's row keys were held; 75 MB measured on a 2-core x86-64 Linux VM
+    code, peak_mb, err = cli_peak_mb("realize", "--json", str(a743_json))
+    assert code == 0, err
+    assert peak_mb < 110
+
+
 # -- library paths read the group arrays; no Python copy of the table exists -------
 
 def test_library_paths_never_build_the_python_table(tmp_path):

@@ -1176,13 +1176,60 @@ def test_group_table_at_the_order_limit():
 @given(_generator_lists())
 @example((3, [(0, 1, 2)]))                            # order 1, the identity as generator
 @example((4, [(1, 0, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (0, 1, 2, 3)]))   # repeats
+@example((6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]))   # S6: a chain of five levels
 def test_cayley_table_matches_the_oracle(case):
     m, gens = case
-    g = FiniteGroup.from_permutations(gens)
+    grp = close(gens, domain_size=m)
+    assert grp.rank(grp.base_images(grp.perms)).tolist() == list(range(grp.order))
+    g = FiniteGroup.from_permutation_group(grp)
     assert g.table.tolist() == _oracle_table(g.elements)
     ident = g.elements[g.identity]
     assert ident == identity_perm(len(ident))
     assert (g.perms[np.arange(g.order)[:, None], g.perms[g.inv_map]] == ident).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rank_and_table_rows_match_the_listing_and_the_cayley_walk(data):
+    # Tr(Q) or Inn(Q) of a corpus quandle: the rank of each element, read off
+    # its base images, is its index in perms, and so is that of each product
+    # of two elements drawn; the stacked table rows, and the table that
+    # from_permutation_group builds of them, are the Cayley walk's
+    from corpus_util import corpus
+    name, q = data.draw(st.sampled_from(corpus()))
+    grp = data.draw(st.sampled_from([tr, inn]))(q)
+    perms = grp.perms
+    assert grp.rank(grp.base_images(perms)).tolist() == list(range(grp.order)), name
+    x, y = np.array(data.draw(st.lists(st.tuples(*[st.integers(0, grp.order - 1)] * 2),
+                                       min_size=1, max_size=8))).T
+    products = np.take_along_axis(perms[x], perms[y], axis=1)   # x o y
+    want = table_route.find_rows(perms, products)
+    assert grp.rank(grp.base_images(products)).tolist() == want.tolist(), name
+    table, inv = table_route.cayley_table(grp)
+    rows = list(grp.table_rows())
+    assert all(r.dtype == table.dtype for r in rows)
+    assert np.array_equal(np.concatenate(rows), table), name
+    g = FiniteGroup.from_permutation_group(grp)
+    assert np.array_equal(g.table, table) and np.array_equal(g.inv_map, inv), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda m: st.lists(st.permutations(range(m)), max_size=6)
+                                   .map(lambda ps: (m, ps))))
+@example((4, [(0, 1, 2, 3), (1, 0, 3, 2), (1, 2, 3, 0)]))   # the identity, two 2-cycles, a 4-cycle
+def test_cycle_labels_match_format_cycles(case):
+    m, ps = case
+    perms = np.array(ps, dtype=groups_module._point_dtype(m)).reshape(len(ps), m)
+    labels = list(itertools.chain.from_iterable(groups_module.cycle_labels(perms)))
+    assert labels == [format_cycles(p) or "()" for p in ps]
+
+
+def test_table_rows_refuse_past_the_limit_before_listing():
+    # C64 x C65 has order 4160: the refusal comes with the call, not the first block
+    grp = close([_cycle(0, 64, 129), _cycle(64, 65, 129)])
+    with pytest.raises(CapExceeded, match="^group order 4160 exceeds the limit of 4096 "):
+        grp.table_rows()
+    assert "perms" not in vars(grp)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])

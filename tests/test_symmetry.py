@@ -759,21 +759,21 @@ def test_implied_realization_checks_match_their_loops():
             phi = tuple(index[p] for p in map(tuple, sq[g.perms[:, sq_inv]].tolist()))
             rep = inter_orbit_action(q, b, b)
             assert rep.checks["reduces_to_phi"] == (rep.psi == phi), (name, b)
-            assert rep.psi == tuple(symmetry._psi(q, g.perms, b, b).tolist()), (name, b)
+            assert rep.psi == tuple(symmetry._psi(q, g, b, b).tolist()), (name, b)
 
 
 def test_cycle_labels_are_formatted_on_first_read(monkeypatch):
     d171, u7 = dihedral(171), unipotent_class_quandle(7)
     symmetry._tr.cache_clear()
     calls = []
-    format_cycles = groups_module.format_cycles
-    monkeypatch.setattr(groups_module, "format_cycles",
-                        lambda p: calls.append(p) or format_cycles(p))
+    cycle_labels = groups_module.cycle_labels
+    monkeypatch.setattr(groups_module, "cycle_labels",
+                        lambda perms: calls.append(len(perms)) or cycle_labels(perms))
     g = FiniteGroup.from_permutation_group(inn(d171))
     regularity_report(u7)
     assert calls == []
-    assert g.labels == tuple(format_cycles(p) or "()" for p in g.elements)
-    assert g.label(1) == g.labels[1] and len(calls) == g.order == 342
+    assert g.labels == tuple(groups_module.format_cycles(p) or "()" for p in g.elements)
+    assert g.label(1) == g.labels[1] and calls == [g.order] == [342]
 
 
 def _pi_inverse_homomorphism_oracle(quandle, real):
@@ -847,13 +847,32 @@ def test_chain_realization_matches_the_table_route(data):
         assert real.stabilizer_size == len(oracle.stabilizer), (name, b)
         assert tuple(reps.tolist()) == oracle.cosets.reps, (name, b)
         assert tuple(pi.tolist()) == oracle.pi and sorted(real.pi) == sorted(oracle.pi), (name, b)
-        assert symmetry._psi(q, perms, b, b).tolist() == oracle.phi.mapping.tolist(), (name, b)
+        assert symmetry._psi(q, real.group, b, b).tolist() == oracle.phi.mapping.tolist(), (name, b)
         assert real.checks == oracle.checks and real.orbit == oracle.orbit, (name, b)
         # the coset quandle on the oracle's table is the orbit, through pi
         cq = phi_space(oracle.group, oracle.phi, oracle.stabilizer)
         assert hom_check(oracle.pi, cq, q).ok and sorted(oracle.pi) == list(real.orbit), (name, b)
         rep = inter_orbit_action(q, b, r)
         assert (rep.psi, rep.action, rep.checks) == table_route.inter_orbit(q, b, r), (name, b, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_psi_ranks_members_and_gives_minus_one_outside_the_group(data):
+    # psi on Tr(Q) and on subgroups of it drawn from Tr's generators (the
+    # trivial group among them), where s_q p s_r^-1 may leave the group: the
+    # index of each image among the listed rows, or -1
+    name, q = data.draw(st.sampled_from(small_corpus()))
+    a, b = (data.draw(st.integers(0, q.size - 1)) for _ in range(2))
+    g = tr(q)
+    gens = g.gens[g.used]
+    keep = data.draw(st.sets(st.sampled_from(range(len(gens))))) if len(gens) else set()
+    for grp in (g, close(gens[sorted(keep)], domain_size=q.size)):
+        perms = grp.perms
+        want = table_route.find_rows(perms, q.op[a][perms[:, q.inv_op[b]]])
+        assert symmetry._psi(q, grp, a, b).tolist() == want.tolist(), (name, a, b, keep)
+    if (q.op[a] != q.op[b]).any():   # s_a s_b^-1, psi of the identity, is not in {1}
+        assert symmetry._psi(q, close([], domain_size=q.size), a, b).tolist() == [-1]
 
 
 def test_realization_builds_no_group_table(tmp_path, monkeypatch):
@@ -1015,7 +1034,7 @@ def test_sbar_checks_one_row_of_a_trivial_quandle(monkeypatch):
     # every element is in the one fiber, whose least element alone is compared
     calls, twist = [], symmetry._twist_differs
     monkeypatch.setattr(symmetry, "_twist_differs",
-                        lambda rows, sq, op, x: calls.append(x) or twist(rows, sq, op, x))
+                        lambda rows, sq, op, x, ys: calls.append(x) or twist(rows, sq, op, x, ys))
     rep = sbar_hom(trivial(64), 5)
     assert rep.ok and rep.fibers == (tuple(range(64)),)
     assert calls == [0]
@@ -1034,7 +1053,7 @@ def test_a_wrong_twist_fails_sbar(monkeypatch, build):
     assert sbar_hom(q, 0).ok
     twist = symmetry._twist_differs
     monkeypatch.setattr(symmetry, "_twist_differs",
-                        lambda rows, sq, op, x: twist(rows, q.op[1], op, x))
+                        lambda rows, sq, op, x, ys: twist(rows, q.op[1], op, x, ys))
     assert not sbar_hom(q, 0).ok
 
 
