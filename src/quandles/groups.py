@@ -540,13 +540,17 @@ class _Level:
         self.kept.extend(formed)
 
 
-def _inverse_rows(rows: np.ndarray) -> np.ndarray:
-    """The inverse of each permutation row of ``rows``, a batch of rows in one scatter each."""
-    out, ident = np.empty_like(rows), np.arange(rows.shape[1], dtype=rows.dtype)
-    for j in range(0, len(rows), step := _batch(len(ident))):
+def _inverse_rows(rows: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    """The inverse u^-1 of each permutation row u of ``rows``, or, given
+    ``values``, values[u^-1(p)] at p, of their dtype: a batch of rows in one
+    scatter each."""
+    m = rows.shape[1]
+    values = np.arange(m, dtype=rows.dtype) if values is None else values
+    out = np.empty(rows.shape, dtype=values.dtype)
+    for j in range(0, len(rows), step := _batch(m)):
         at = rows[j:j + step].astype(np.intp)   # an index built in place, not by a cast sum
-        at += np.arange(len(at))[:, None] * len(ident)
-        out[j:j + step].reshape(-1)[at] = ident
+        at += np.arange(len(at))[:, None] * m
+        out[j:j + step].reshape(-1)[at] = values
     return out
 
 
@@ -747,16 +751,20 @@ class PermutationGroup:
         levels, dtype = self._levels, _point_dtype(self.order)
         if not levels:   # the trivial group: one element
             return [], [], np.zeros(1, dtype=dtype)
-        at = [np.maximum(level.at, 0) for level in levels]
-        inv = [_inverse_rows(level.rows(np.arange(len(level.orbit)))) for level in levels[:-1]]
-        last = np.take(at[-1].astype(dtype), inv.pop() if inv else np.arange(self.domain_size))
-        last = np.tile(last, (math.prod(map(len, inv)) if inv else 1, 1)).reshape(-1)
-        last += np.repeat(np.arange(0, self.order, len(levels[-1].orbit), dtype=dtype),
-                          self.domain_size)   # + f |k-th orbit| at row f
-        sift = at[:-1], [u.ravel() for u in inv], last
+        at = [np.maximum(level.at, 0) for level in levels[:-1]]
+        inv = [_inverse_rows(level.rows(np.arange(len(level.orbit)))) for level in levels[:-2]]
+        last = np.maximum(levels[-1].at, 0).astype(dtype)[None]   # its place in the last orbit
+        if at:   # read through u_{i_{k-1}}^-1, row f at f mod |orbit k-1|
+            last = _inverse_rows(levels[-2].rows(np.arange(len(levels[-2].orbit))), last[0])
+        if inv:
+            last = np.tile(last, (math.prod(map(len, inv)), 1))
+        last += (np.arange(len(last)) * len(levels[-1].orbit)).astype(dtype)[:, None]
+        sift = at, [u.ravel() for u in inv], last.reshape(-1)
         place = np.empty(self.order, dtype=dtype)
         place[self._product_index(self.base_images(self.perms), sift)] = np.arange(self.order)
-        return sift[0], sift[1], place[last]
+        for a in range(0, len(last), step := _batch(self.domain_size)):   # intp a batch at a time
+            last[a:a + step] = place[last[a:a + step]]
+        return sift
 
     def _product_index(self, images: np.ndarray, sift) -> np.ndarray:
         """The entry of the folded table of ``sift`` (``_sift``, or the table
@@ -798,9 +806,8 @@ class PermutationGroup:
         """The multiplication table of ``perms``, row x holding the index of
         x o y at y, as an iterator of blocks of rows, about ``_BATCH_ENTRIES``
         base images each, ranked by the base images x[B[y]] of x o y, B[y]
-        those of y.  The order
-        is refused past ``MAX_GROUP_ORDER`` by this call, before anything is
-        listed."""
+        those of y.  The order is refused past ``MAX_GROUP_ORDER`` by this
+        call, before anything is listed."""
         _check_order(n := self.order)
         perms, step = self.perms, _batch(n * max(len(self._levels), 1))
         images = self.base_images(perms)
